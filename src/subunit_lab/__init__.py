@@ -16,5 +16,6 @@ from .errors import (ChainTooShortError, ConfigError, DomainError,
                      EmptySupportError, GeometryError, MonotonicityError,
                      PositivityError, QuadratureError, RangeError,
                      ResolutionError, SchemaMismatchError,
-                     SingularSystemError, SubunitLabError, ZeroGradientError)
+                     SingularSystemError, SolverError, SubunitLabError,
+                     ZeroGradientError)
 from .grid import GridSpec

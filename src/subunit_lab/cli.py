@@ -1,9 +1,10 @@
 """Batch experiment CLI.
 
-Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.
+Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  Each of
+dist, balls, cutoff, solve and diagnose runs the pipeline up to one stage
+and writes that stage's tables through the writers `run` uses.
 Exit codes: 0 ok, 1 config error, 2 geometry error, 3 solver
 non-convergence, 4 diagnostic hard-fail (a required pass flag is false).
-SUBUNIT_LAB_THREADS overrides --threads.
 """
 
 import argparse
@@ -11,16 +12,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import geometry
+from . import pipeline
 from .config import ExperimentConfig
-from .cutoff import build_sequence, build_special_cutoff
 from .errors import (ConfigError, GeometryError, MonotonicityError,
-                     RangeError, ResolutionError, SubunitLabError)
-from .forms import assemble_form
-from .metric import solve_ladder
-from .pipeline import run_ball, run_experiment
+                     RangeError, ResolutionError, SolverError,
+                     SubunitLabError)
 from .reporting import compare, format_diff, json_safe, load_report, write_csv
 
 EXIT_OK = 0
@@ -28,17 +24,6 @@ EXIT_CONFIG = 1
 EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_DIAGNOSTIC = 4
-
-
-def _threads(args):
-    env = os.environ.get("SUBUNIT_LAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("SUBUNIT_LAB_THREADS must be an integer",
-                              "env.SUBUNIT_LAB_THREADS")
-    return max(1, args.threads)
 
 
 def _load(args):
@@ -49,116 +34,73 @@ def _load(args):
 
 def cmd_dist(args):
     cfg = _load(args)
-    grid = cfg.make_grid()
-    form = assemble_form(cfg.make_profile(), grid)
-    X, Y = grid.meshgrid()
+    form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        source = grid.nearest_node(*spec.center)
-        fields = solve_ladder(form, source, cfg.epsilon_ladder(),
-                              threads=_threads(args))
-        for f in fields:
-            path = os.path.join(args.out, f"ball{k}_eps{f.epsilon:g}.csv")
-            write_csv(path, ("x", "y", "value"),
-                      zip(X.ravel(), Y.ravel(), f.values.ravel()))
-        print(f"ball{k}: {len(fields)} distance fields -> {args.out}")
+        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
+        for f in ladder:
+            pipeline.write_grid_csv(
+                os.path.join(args.out, f"ball{k}_eps{f.epsilon:g}.csv"),
+                form.grid, f.values, "value")
+        print(f"ball{k}: {len(ladder)} distance fields -> {args.out}")
     return EXIT_OK
 
 
 def cmd_balls(args):
     cfg = _load(args)
-    grid = cfg.make_grid()
-    form = assemble_form(cfg.make_profile(), grid)
-    from .metric import solve_distance
+    form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        source = grid.nearest_node(*spec.center)
-        field = solve_distance(form, source, cfg.epsilon_ladder()[-1])
-        r_cap = min(2.05 * spec.r, 0.98 * grid.boundary_distance(source))
-        radii = np.geomspace(max(spec.r / 16, 4 * max(grid.hx, grid.hy)),
-                             r_cap, 24)
-        analytics = geometry.volume_curve(field, radii)
-        geometry.fill_delta_curve(analytics, cfg.params.C)
-        rows = zip(analytics.radii, analytics.volumes,
-                   analytics.doubling_ratios, analytics.delta_curve,
-                   analytics.delta_curve / analytics.radii)
-        write_csv(os.path.join(args.out, f"ball{k}.csv"),
-                  ("r", "volume", "doubling_ratio", "delta", "delta_over_r"),
-                  rows)
-        print(f"ball{k}: C_doubling={analytics.C_doubling:.3f} -> {args.out}")
+        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
+        section, geo = pipeline.geometry_stage(cfg, form, spec, ladder[-1])
+        pipeline.write_ball_table(os.path.join(args.out, f"ball{k}.csv"),
+                                  section, geo.growth)
+        print(f"ball{k}: C_doubling={geo.analytics.C_doubling:.3f} "
+              f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_cutoff(args):
     cfg = _load(args)
-    grid = cfg.make_grid()
-    form = assemble_form(cfg.make_profile(), grid)
-    from .metric import solve_distance
-    p = cfg.params
+    form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        source = grid.nearest_node(*spec.center)
-        field = solve_distance(form, source, cfg.epsilon_ladder()[-1])
-        r_cap = min(2.05 * spec.r, 0.98 * grid.boundary_distance(source))
-        radii = np.geomspace(max(spec.r / 16, 4 * max(grid.hx, grid.hy)),
-                             r_cap, 24)
-        analytics = geometry.volume_curve(field, radii)
-        geometry.fill_delta_curve(analytics, p.C)
-        d_nu, _, _ = geometry.nondoubling_order(analytics, p.nu * spec.r, p.C)
-        d_r, _, _ = geometry.nondoubling_order(analytics, spec.r, p.C)
-        seq = build_sequence(field, form, spec.r, p.nu, d_nu, p.j_max)
-        special = build_special_cutoff(field, form, spec.r, d_r, p.eta)
-        rows = [(j + 1, seq.radii[j], int(seq.supports[j].sum()),
-                 seq.grad_bounds[j]) for j in range(len(seq.psi))]
-        write_csv(os.path.join(args.out, f"ball{k}_cutoffs.csv"),
-                  ("j", "r_j", "support_nodes", "grad_bound"), rows)
-        print(f"ball{k}: {len(seq.psi)} members, support ratio "
-              f"{seq.support_ratio:.3f}, special grad constant "
-              f"{special.grad_constant:.3f}")
+        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
+        _, geo = pipeline.geometry_stage(cfg, form, spec, ladder[-1])
+        section, cuts = pipeline.cutoff_stage(cfg, form, spec, ladder[-1],
+                                              geo.analytics)
+        pipeline.write_cutoff_table(
+            os.path.join(args.out, f"ball{k}_cutoffs.csv"), cuts.seq)
+        print(f"ball{k}: {section['n_members']} members, support ratio "
+              f"{section['support_ratio']:.3f}, special grad constant "
+              f"{section['special_grad_constant']:.3f}")
     return EXIT_OK
 
 
 def cmd_solve(args):
     cfg = _load(args)
-    grid = cfg.make_grid()
-    form = assemble_form(cfg.make_profile(), grid)
-    from .forms import QuasilinearEnvelope
-    from .pipeline import _boundary_fn
-    from .solver import (SolveConfig, assemble_linear, max_principle_slack,
-                         solve_linear, solve_quasilinear)
-    sc = SolveConfig(rhs=cfg.solver.rhs, boundary=_boundary_fn(cfg.solver.boundary),
-                     fp_theta=cfg.solver.theta, fp_tol=cfg.solver.fp_tol,
-                     fp_max_iter=cfg.solver.fp_max_iter,
-                     lin_tol=cfg.solver.lin_tol)
-    system = assemble_linear(form.q11, form.q22, grid, sc.rhs, sc.boundary)
-    u = solve_linear(system, sc)
-    X, Y = grid.meshgrid()
-    write_csv(os.path.join(args.out, "linear.csv"), ("x", "y", "u"),
-              zip(X.ravel(), Y.ravel(), u.values.ravel()))
+    form = pipeline.build_form(cfg)
+    _, u_lin, q_result, info = pipeline.solve_global(cfg, form)
+    pipeline.write_grid_csv(os.path.join(args.out, "linear.csv"), form.grid,
+                            u_lin.values, "u")
     print(f"linear solve done, max-principle slack "
-          f"{max_principle_slack(u, system):.3e}")
-    if cfg.solver.quasilinear:
-        env = QuasilinearEnvelope(base=form, c_phi=cfg.solver.phi_bounds[0],
-                                  C_phi=cfg.solver.phi_bounds[1])
-        res = solve_quasilinear(env, sc)
-        write_csv(os.path.join(args.out, "quasilinear.csv"), ("x", "y", "u"),
-                  zip(X.ravel(), Y.ravel(), res.u.values.ravel()))
-        print(f"quasilinear: converged={res.converged} "
-              f"iterations={res.iterations}")
-        if not res.converged:
+          f"{info['linear_max_principle_slack']:.3e}")
+    if q_result is not None:
+        pipeline.write_grid_csv(os.path.join(args.out, "quasilinear.csv"),
+                                form.grid, q_result.u.values, "u")
+        print(f"quasilinear: converged={q_result.converged} "
+              f"iterations={q_result.iterations}")
+        if not q_result.converged:
             return EXIT_SOLVER
     return EXIT_OK
 
 
 def cmd_diagnose(args):
     cfg = _load(args)
-    grid = cfg.make_grid()
-    profile = cfg.make_profile()
-    form = assemble_form(profile, grid)
-    from .pipeline import solve_global
-    sc, u_lin, q_result, _ = solve_global(cfg, form)
+    form = pipeline.build_form(cfg)
+    sc, u_lin, q_result, _ = pipeline.solve_global(cfg, form)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
     report = {}
     for k, spec in enumerate(cfg.balls):
-        ball_report, flags, _ = run_ball(cfg, form, profile, spec, f"ball{k}",
-                                         u, sc.rhs, threads=_threads(args))
+        ball_report, flags, _ = pipeline.run_ball(cfg, form, spec, f"ball{k}",
+                                                  u, sc.rhs)
         report[f"ball{k}"] = {"diagnostics": ball_report["diagnostics"],
                               "flags": flags}
     path = os.path.join(args.out, "diagnostics.json")
@@ -171,8 +113,7 @@ def cmd_diagnose(args):
 
 def cmd_run(args):
     cfg = _load(args)
-    report, failed = run_experiment(cfg, args.out, threads=_threads(args),
-                                    strict=args.strict)
+    report, failed = pipeline.run_experiment(cfg, args.out, strict=args.strict)
     n_flags = len(report["flags"])
     n_true = sum(1 for v in report["flags"].values() if v)
     print(f"{cfg.name}: {n_true}/{n_flags} pass flags true -> {args.out}")
@@ -202,8 +143,6 @@ def build_parser():
         prog="subunit-lab",
         description="Degenerate-metric ball analytics and discrete weak "
                     "solutions: batch experiment runner.")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent solves")
     p.add_argument("--strict", action="store_true",
                    help="promote report-only checks to hard failures")
     sub = p.add_subparsers(dest="command", required=True)
@@ -232,6 +171,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except (GeometryError, ResolutionError, RangeError,
             MonotonicityError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)

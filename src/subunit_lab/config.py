@@ -12,8 +12,6 @@ from .errors import ConfigError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
 
-SCHEMA_VERSION = "1"
-
 
 @dataclass
 class BallSpec:

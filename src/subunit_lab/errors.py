@@ -43,6 +43,10 @@ class GeometryError(SubunitLabError):
     """A geometric invariant failed beyond the allowed collar."""
 
 
+class SolverError(SubunitLabError):
+    """An iterative linear solve did not reach its tolerance."""
+
+
 class SingularSystemError(SubunitLabError):
     """Interior nodes form a totally degenerate island with no boundary link."""
 

@@ -23,7 +23,7 @@ modulation phi(z), keeping the same form Q as its structural envelope.
 
 import math
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -89,7 +89,6 @@ class DegeneracyProfile:
     param: float
     domain_cap: float = DEFAULT_DOMAIN_CAP
     quad_tol: float = DEFAULT_QUAD_TOL
-    cache: tuple = dc_field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("constant", "power", "exponential", "paper_model"):
@@ -101,12 +100,6 @@ class DegeneracyProfile:
                 raise DomainError("domain_cap must lie in (0, 1)")
         if self.kind in ("constant", "power", "exponential") and self.param < 0:
             raise DomainError("profile parameter must be nonnegative")
-        object.__setattr__(self, "cache", self._build_cache())
-
-    def _build_cache(self):
-        # monotone sample table on a log-spaced positive mesh, refined toward 0
-        xs = np.geomspace(1e-6, min(self.domain_cap, 0.89), 49)
-        return tuple((float(x), self._value_pos(float(x))) for x in xs)
 
     def _log_integral(self, x):
         """I(x) = integral_x^1 dt/(t h(t)) via Gauss-Kronrod in s = ln t.
@@ -169,11 +162,6 @@ class DegeneracyProfile:
             raise DomainError(
                 f"paper_model restricted to |x| < {self.domain_cap}, got {x}")
         return -self._log_integral(ax)
-
-
-def eval_f(x, profile):
-    """Evaluate a degeneracy profile (even extension)."""
-    return profile.value(x)
 
 
 @dataclass(frozen=True)
@@ -280,11 +268,3 @@ def envelope_check(env, samples, xis=PROBE_XIS):
     return EnvelopeReport(max_violation=max(worst, 0.0),
                           worst_sample=worst_sample if worst > 0 else None,
                           n_samples=len(samples))
-
-
-def profile_table(profile, xs):
-    """(x, f, ln f) rows for CSV export."""
-    rows = []
-    for x in xs:
-        rows.append((float(x), profile.value(x), profile.log_value(x)))
-    return rows

@@ -22,8 +22,6 @@ import numpy as np
 from .errors import ConfigError, DomainError, MonotonicityError
 from .grid import GridSpec
 
-DEFAULT_EPS_LADDER = tuple(0.1 * 2.0 ** (-k) for k in range(6))
-
 
 @dataclass(frozen=True)
 class DistanceField:
@@ -129,13 +127,9 @@ def solve_distance(form, source, epsilon):
                          values=vals, frozen_mask=np.isfinite(vals))
 
 
-def solve_ladder(form, source, epsilons=DEFAULT_EPS_LADDER, threads=1):
+def solve_ladder(form, source, epsilons):
     """Distance fields over a decreasing eps ladder (independent solves)."""
     eps = sorted(set(float(e) for e in epsilons), reverse=True)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda e: solve_distance(form, source, e), eps))
     return [solve_distance(form, source, e) for e in eps]
 
 
@@ -169,10 +163,7 @@ def extrapolate_distance(fields, monotonicity_tol=1e-9):
 
     v_prev, v_last = fields[-2].values, fields[-1].values
     d_last = v_last - v_prev
-    if len(fields) >= 3:
-        d_prev = v_prev - fields[-3].values
-    else:
-        d_prev = np.full_like(d_last, np.inf)
+    d_prev = v_prev - fields[-3].values
     with np.errstate(divide="ignore", invalid="ignore"):
         rho = np.where(d_prev > 1e-300, d_last / np.maximum(d_prev, 1e-300), 0.0)
     rho = np.clip(rho, 0.0, 0.95)
@@ -189,16 +180,6 @@ def ball(field, r):
     if r <= 0.0:
         raise DomainError("ball radius must be positive")
     return field.values < r
-
-
-def ball_count(field, r):
-    return int(np.count_nonzero(field.values < r))
-
-
-def sorted_values(field):
-    """Finite distance values sorted ascending (volume-curve backbone)."""
-    v = field.values[np.isfinite(field.values)]
-    return np.sort(v.ravel())
 
 
 _STENCILS = {

@@ -13,19 +13,24 @@ Artifact layout under the output directory:
     report.json   the deterministic report (no timestamps)
     run_meta.json wall-clock metadata, excluded from the determinism contract
 
-The PDE is solved once per experiment; ball pipelines (metric, geometry,
-cutoffs, diagnostics) are independent and can run on worker threads.
+The PDE is solved once per experiment (solve_global).  Each ball then runs
+four stages in order, each returning its report section and what the next
+stage needs: metric_stage, geometry_stage, cutoff_stage and
+diagnostics_stage.  run_ball composes them; the CLI subcommands call them
+one at a time and write through the same table writers.
 """
 
 import json
 import math
 import os
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, svgplot
-from .cutoff import build_sequence, build_special_cutoff
+from .cutoff import (CutoffSequence, SpecialCutoff, build_sequence,
+                     build_special_cutoff)
 from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
                           log_c_har, log_estimate, moser_iterate,
                           oscillation_curve, shift_m)
@@ -107,6 +112,11 @@ def _fitted_delta_law(analytics):
     return math.exp(lnc), s
 
 
+def build_form(cfg):
+    """The form Q = diag(1, f^2) of the config's profile on its grid."""
+    return assemble_form(cfg.make_profile(), cfg.make_grid())
+
+
 def solve_global(cfg, form):
     """One linear + optional quasilinear solve shared by all balls."""
     bc = _boundary_fn(cfg.solver.boundary)
@@ -142,6 +152,149 @@ def solve_global(cfg, form):
     return sc, u_lin, q_result, info
 
 
+def metric_stage(cfg, form, spec):
+    """The eps ladder from the node nearest the ball's center and its
+    extrapolated eps -> 0 limit.
+
+    Returns (report section, ladder, limit); ladder[-1] is the finest field.
+    """
+    source = form.grid.nearest_node(*spec.center)
+    ladder = solve_ladder(form, source, cfg.epsilon_ladder())
+    limit = extrapolate_distance(ladder)
+    increments = ladder[-1].values - ladder[-2].values
+    section = {
+        "eps_min": ladder[-1].epsilon,
+        "max_last_increment": float(np.nanmax(np.where(
+            np.isfinite(increments), increments, np.nan))),
+        "unreachable_nodes": int(np.count_nonzero(~limit.frozen_mask)),
+    }
+    return section, ladder, limit
+
+
+@dataclass
+class BallGeometry:
+    analytics: geometry.BallAnalytics   # volume curve with delta(r) filled
+    law: tuple | None                   # fitted delta(r) = c r^(s+1): (c, s)
+    growth: geometry.GrowthReport | None
+    flags: dict                         # this stage's pass flags
+
+
+def geometry_stage(cfg, form, spec, finest):
+    """Volume curve and delta(r) on the finest field, the fitted delta law,
+    the growth check, containment and (on the axis) the box sandwich.
+
+    Volumes and delta(r) come from the piecewise-linear ball measure.
+    Returns (report section, BallGeometry).
+    """
+    grid = form.grid
+    p = cfg.params
+    margin = grid.boundary_distance(finest.source)
+    r_cap = min(2.05 * spec.r, 0.98 * margin)
+    radii = _adaptive_radii(finest, spec.r / 16.0, r_cap)
+    for must in (p.nu0 * spec.r, p.nu * spec.r, spec.r):
+        if radii[0] <= must <= r_cap:
+            radii.append(must)
+    radii = sorted(set(radii))
+    analytics = geometry.volume_curve(finest, radii)
+    geometry.fill_delta_curve(analytics, p.C)
+    try:
+        doubling, slope = geometry.doubling_classification(analytics)
+    except (ResolutionError, GeometryError):
+        doubling, slope = False, float("nan")
+
+    growth = None
+    law = _fitted_delta_law(analytics)
+    if law is not None:
+        c_fit, s_fit = law
+        fitted = c_fit * analytics.radii ** (s_fit + 1.0)
+        dec = slice(None, None, -1)
+        growth = geometry.growth_condition_check(
+            analytics.radii[dec], fitted[dec], p.lam, p.C)
+
+    cont_radii = [r for r in cfg.dyadic_radii() if radii[0] <= r <= r_cap]
+    cont = geometry.containment_check(finest, cont_radii or [spec.r])
+
+    box_reports = []
+    if spec.on_axis:
+        for r in cfg.dyadic_radii():
+            if r <= 0.98 * margin:
+                box_reports.append(geometry.box_sandwich(finest, r,
+                                                         form.profile))
+
+    section = {
+        "radii": analytics.radii.tolist(),
+        "volumes": analytics.volumes.tolist(),
+        "doubling_ratios": analytics.doubling_ratios.tolist(),
+        "delta": analytics.delta_curve.tolist(),
+        "delta_over_r": (analytics.delta_curve / analytics.radii).tolist(),
+        "C_doubling": analytics.C_doubling,
+        "doubling_classified": doubling,
+        "delta_slope": slope,
+        "growth_increasing": bool(growth.increasing) if growth else None,
+        "containment_ok": bool(cont.ok),
+        "alphas": cont.alphas.tolist(),
+        "box": [{"r": b.r, "inner_violations": b.inner_violations,
+                 "outer_violations": b.outer_violations,
+                 "inner_checked": b.inner_checked,
+                 "outer_checked": b.outer_checked} for b in box_reports],
+    }
+    flags = {"containment": bool(cont.ok),
+             "alphas_positive": bool(np.all(cont.alphas > 0))}
+    if growth is not None:
+        flags["growth_increasing"] = bool(growth.increasing)
+    if box_reports:
+        flags["box_sandwich"] = all(b.ok for b in box_reports)
+    return section, BallGeometry(analytics, law, growth, flags)
+
+
+@dataclass
+class BallCutoffs:
+    seq: CutoffSequence
+    special: SpecialCutoff
+    delta_nu: float         # measured delta(nu r)
+    delta_r: float          # measured delta(r)
+    delta_nu_used: float    # floored or pinned: the sequence's increment
+    delta_r_used: float     # floored or pinned: the special cutoff's
+
+
+def cutoff_stage(cfg, form, spec, finest, analytics):
+    """The accumulating cutoff sequence at nu r and the special cutoff at r.
+
+    Their increments are the measured delta(nu r) and delta(r), floored so
+    each ramp spans a few cells, or pinned to cutoff_delta_frac * r when
+    the config sets it.  Returns (report section, BallCutoffs).
+    """
+    grid = form.grid
+    p = cfg.params
+    delta_nu, _ = _delta_at(analytics, p.nu * spec.r)
+    delta_r, _ = _delta_at(analytics, spec.r)
+    # cutoff ramps must span a few cells or discrete gradients quantize to
+    # 1/h; pin to frac*r when configured, else apply a resolution floor
+    ramp_floor = 3.0 * max(grid.hx, grid.hy)
+    if p.cutoff_delta_frac is not None:
+        delta_nu_used = p.cutoff_delta_frac * spec.r
+        delta_r_used = p.cutoff_delta_frac * spec.r
+    else:
+        delta_nu_used = min(max(delta_nu, 2.0 * ramp_floor / (1.0 - p.nu)),
+                            0.8 * spec.r)
+        delta_r_used = min(max(delta_r, 2.0 * ramp_floor), 0.8 * spec.r)
+    seq = build_sequence(finest, form, spec.r, p.nu, delta_nu_used, p.j_max)
+    special = build_special_cutoff(finest, form, spec.r, delta_r_used, p.eta)
+    section = {
+        "n_members": len(seq.psi),
+        "support_ratio": seq.support_ratio,
+        "grad_envelope": seq.grad_envelope,
+        "grad_bounds": seq.grad_bounds,
+        "radii": seq.radii,
+        "delta_measured": delta_nu,
+        "delta_used": delta_nu_used,
+        "special_delta_used": delta_r_used,
+        "special_grad_constant": special.grad_constant,
+    }
+    return section, BallCutoffs(seq, special, delta_nu, delta_r,
+                                delta_nu_used, delta_r_used)
+
+
 def _box_chain(cfg, profile, source, spec, u, eps_min):
     """The oscillation chain R nu0^k, k < MIN_CHAIN, on box grids.
 
@@ -174,104 +327,17 @@ def _box_chain(cfg, profile, source, spec, u, eps_min):
     return radii, fields, values, nodes, errors
 
 
-def run_ball(cfg, form, profile, spec, ball_id, u, f_rhs, threads=1):
-    """Metric + geometry + cutoff + diagnostics for one ball.
+def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs):
+    """Caccioppoli, Sobolev, Poincare, Moser, log estimates, Harnack, the
+    local bound and the oscillation chain of u on one ball.
 
-    Volumes and delta(r) come from the piecewise-linear ball measure of the
-    finest global field.  The oscillation chain radii are measured on box
-    grids of their own (_box_chain), since below a few cells of y-extent a
-    ball on the global grid is a single row of nodes.
+    The chain radii are measured on box grids of their own (_box_chain),
+    since below a few cells of y-extent a ball on the global grid is a
+    single row of nodes.  Returns (report section, pass flags, notes).
     """
     grid = form.grid
     p = cfg.params
-    source = grid.nearest_node(*spec.center)
-    ladder = solve_ladder(form, source, cfg.epsilon_ladder(), threads=threads)
-    finest = ladder[-1]
-    limit = extrapolate_distance(ladder)
-    increments = ladder[-1].values - ladder[-2].values
-    metric_report = {
-        "eps_min": ladder[-1].epsilon,
-        "max_last_increment": float(np.nanmax(np.where(
-            np.isfinite(increments), increments, np.nan))),
-        "unreachable_nodes": int(np.count_nonzero(~limit.frozen_mask)),
-    }
-
-    margin = grid.boundary_distance(source)
-    r_cap = min(2.05 * spec.r, 0.98 * margin)
-    radii = _adaptive_radii(finest, spec.r / 16.0, r_cap)
-    for must in (p.nu0 * spec.r, p.nu * spec.r, spec.r):
-        if radii[0] <= must <= r_cap:
-            radii.append(must)
-    radii = sorted(set(radii))
-    analytics = geometry.volume_curve(finest, radii)
-    geometry.fill_delta_curve(analytics, p.C)
-    try:
-        doubling, slope = geometry.doubling_classification(analytics)
-    except (ResolutionError, GeometryError):
-        doubling, slope = False, float("nan")
-
-    growth = None
-    law = _fitted_delta_law(analytics)
-    if law is not None:
-        c_fit, s_fit = law
-        fitted = c_fit * analytics.radii ** (s_fit + 1.0)
-        dec = slice(None, None, -1)
-        growth = geometry.growth_condition_check(
-            analytics.radii[dec], fitted[dec], p.lam, p.C)
-
-    cont_radii = [r for r in cfg.dyadic_radii() if radii[0] <= r <= r_cap]
-    cont = geometry.containment_check(finest, cont_radii or [spec.r])
-
-    box_reports = []
-    if spec.on_axis:
-        for r in cfg.dyadic_radii():
-            if r <= 0.98 * margin:
-                box_reports.append(geometry.box_sandwich(finest, r, profile))
-
-    geometry_report = {
-        "radii": analytics.radii.tolist(),
-        "volumes": analytics.volumes.tolist(),
-        "doubling_ratios": analytics.doubling_ratios.tolist(),
-        "delta": analytics.delta_curve.tolist(),
-        "delta_over_r": (analytics.delta_curve / analytics.radii).tolist(),
-        "C_doubling": analytics.C_doubling,
-        "doubling_classified": doubling,
-        "delta_slope": slope,
-        "growth_increasing": bool(growth.increasing) if growth else None,
-        "containment_ok": bool(cont.ok),
-        "alphas": cont.alphas.tolist(),
-        "box": [{"r": b.r, "inner_violations": b.inner_violations,
-                 "outer_violations": b.outer_violations,
-                 "inner_checked": b.inner_checked,
-                 "outer_checked": b.outer_checked} for b in box_reports],
-    }
-
-    delta_nu, _ = _delta_at(analytics, p.nu * spec.r)
-    delta_r, _ = _delta_at(analytics, spec.r)
-    # cutoff ramps must span a few cells or discrete gradients quantize to
-    # 1/h; pin to frac*r when configured, else apply a resolution floor
-    ramp_floor = 3.0 * max(grid.hx, grid.hy)
-    if p.cutoff_delta_frac is not None:
-        delta_nu_used = p.cutoff_delta_frac * spec.r
-        delta_r_used = p.cutoff_delta_frac * spec.r
-    else:
-        delta_nu_used = min(max(delta_nu, 2.0 * ramp_floor / (1.0 - p.nu)),
-                            0.8 * spec.r)
-        delta_r_used = min(max(delta_r, 2.0 * ramp_floor), 0.8 * spec.r)
-    seq = build_sequence(finest, form, spec.r, p.nu, delta_nu_used, p.j_max)
-    special = build_special_cutoff(finest, form, spec.r, delta_r_used, p.eta)
-    cutoff_report = {
-        "n_members": len(seq.psi),
-        "support_ratio": seq.support_ratio,
-        "grad_envelope": seq.grad_envelope,
-        "grad_bounds": seq.grad_bounds,
-        "radii": seq.radii,
-        "delta_measured": delta_nu,
-        "delta_used": delta_nu_used,
-        "special_delta_used": delta_r_used,
-        "special_grad_constant": special.grad_constant,
-    }
-
+    analytics, seq = geo.analytics, cuts.seq
     m = shift_m(u.values, f_rhs, spec.r)
     psi1 = seq.psi[0]
     ball_r = ball(finest, spec.r)
@@ -280,19 +346,20 @@ def run_ball(cfg, form, profile, spec, ball_id, u, f_rhs, threads=1):
     sob = sobolev_functional(form, psi1, ball_r, spec.r, p.sigma)
     poi = poincare_functional(form, u, ball_r, spec.r)
     moser = moser_iterate(u, finest, spec.r, p.gamma, p.sigma, p.nu, seq,
-                          f_rhs, delta_nu_r=delta_nu_used, m=m)
-    logest = log_estimate(u, finest, spec.r, delta_r_used, special, form,
-                          f_rhs, m=m)
+                          f_rhs, delta_nu_r=cuts.delta_nu_used, m=m)
+    logest = log_estimate(u, finest, spec.r, cuts.delta_r_used, cuts.special,
+                          form, f_rhs, m=m)
     delta_nu0, _ = _delta_at(analytics, p.nu0 * spec.r)
     har = harnack_check(u, finest, spec.r, p.nu0, p.sigma, delta_nu0,
                         C_cal=math.e, f_rhs=f_rhs, m=m)
-    lb = local_bound_check(u, finest, spec.r, p.nu, p.sigma, delta_nu, f_rhs)
+    lb = local_bound_check(u, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
+                           f_rhs)
 
     osc = None
     notes = []
     try:
         chain, chain_fields, chain_u, chain_nodes, interp_err = _box_chain(
-            cfg, profile, source, spec, u, finest.epsilon)
+            cfg, form.profile, finest.source, spec, u, finest.epsilon)
     except (GeometryError, ResolutionError) as exc:
         notes.append(f"{ball_id}: oscillation chain skipped ({exc})")
         chain, chain_nodes = [], []
@@ -301,8 +368,8 @@ def run_ball(cfg, form, profile, spec, ball_id, u, f_rhs, threads=1):
         # the Harnack constant down the chain uses the fitted delta law:
         # nu0*r leaves the measured band and per-radius deltas are noise
         # under the huge exponent anyway
-        if law is not None:
-            c_fit, s_fit = law
+        if geo.law is not None:
+            c_fit, s_fit = geo.law
             delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
         else:
             delta_of = lambda s: _delta_at(analytics,
@@ -313,7 +380,7 @@ def run_ball(cfg, form, profile, spec, ball_id, u, f_rhs, threads=1):
                                 math.e),
             f_rhs)
 
-    diag_report = {
+    section = {
         "caccioppoli_c": cacc,
         "sobolev_c": sob,
         "poincare_c": poi,
@@ -340,58 +407,61 @@ def run_ball(cfg, form, profile, spec, ball_id, u, f_rhs, threads=1):
         "chain_nodes": chain_nodes,
         "chain_too_short": chain_short,
     }
-
-    constants = {
-        "sobolev_c": sob, "poincare_c": poi, "caccioppoli_c": cacc,
-        "harnack_quotient": har.quotient,
-        "moser_empirical_c": moser.empirical_c,
-        "log_est_inter": logest.inter_constant,
-        "log_est1": logest.est1_constant, "log_est2": logest.est2_constant,
-        "cutoff_support_ratio": seq.support_ratio,
-        "cutoff_grad_envelope": seq.grad_envelope,
-        "special_grad_constant": special.grad_constant,
-        "local_bound_c": lb.empirical_c,
-        "delta_over_r_at_r": delta_r / spec.r,
-    }
-
     flags = {
-        f"{ball_id}.containment": bool(cont.ok),
-        f"{ball_id}.alphas_positive": bool(np.all(cont.alphas > 0)),
-        f"{ball_id}.harnack": bool(har.passed),
-        f"{ball_id}.moser": bool(moser.passed),
-        f"{ball_id}.osc_monotone": bool(osc.monotone) if osc else True,
-        f"{ball_id}.osc_pairs": bool(np.all(osc.pair_ok)) if osc else True,
+        "harnack": bool(har.passed),
+        "moser": bool(moser.passed),
+        "osc_monotone": bool(osc.monotone) if osc else True,
+        "osc_pairs": bool(np.all(osc.pair_ok)) if osc else True,
     }
-    if growth is not None:
-        flags[f"{ball_id}.growth_increasing"] = bool(growth.increasing)
-    if box_reports:
-        flags[f"{ball_id}.box_sandwich"] = all(b.ok for b in box_reports)
+    return section, flags, notes
 
+
+def run_ball(cfg, form, spec, ball_id, u, f_rhs):
+    """The four ball stages in order.  Returns (report, flags, artifacts)."""
+    metric_report, ladder, _ = metric_stage(cfg, form, spec)
+    finest = ladder[-1]
+    geometry_report, geo = geometry_stage(cfg, form, spec, finest)
+    cutoff_report, cuts = cutoff_stage(cfg, form, spec, finest, geo.analytics)
+    diag, diag_flags, notes = diagnostics_stage(cfg, form, spec, ball_id,
+                                                finest, geo, cuts, u, f_rhs)
+    constants = {
+        "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
+        "caccioppoli_c": diag["caccioppoli_c"],
+        "harnack_quotient": diag["harnack"]["quotient"],
+        "moser_empirical_c": diag["moser"]["empirical_c"],
+        "log_est_inter": diag["log_estimates"]["inter"],
+        "log_est1": diag["log_estimates"]["est1"],
+        "log_est2": diag["log_estimates"]["est2"],
+        "cutoff_support_ratio": cutoff_report["support_ratio"],
+        "cutoff_grad_envelope": cutoff_report["grad_envelope"],
+        "special_grad_constant": cutoff_report["special_grad_constant"],
+        "local_bound_c": diag["local_bound_c"],
+        "delta_over_r_at_r": cuts.delta_r / spec.r,
+    }
     report = {
         "center": [float(c) for c in spec.center],
         "r": spec.r,
         "metric": metric_report,
         "geometry": geometry_report,
         "cutoff": cutoff_report,
-        "diagnostics": diag_report,
+        "diagnostics": diag,
         "constants": constants,
     }
-    artifacts = {"finest": finest, "limit": limit, "analytics": analytics,
-                 "seq": seq, "special": special, "growth": growth,
-                 "notes": notes}
+    artifacts = {"finest": finest, "geo": geo, "cuts": cuts, "notes": notes}
+    flags = {f"{ball_id}.{k}": v
+             for k, v in {**geo.flags, **diag_flags}.items()}
     return report, flags, artifacts
 
 
-def run_experiment(cfg, out_dir, threads=1, strict=False):
+def run_experiment(cfg, out_dir, strict=False):
     """Run the full pipeline; returns (report, failed_required_flags)."""
     t0 = time.time()
     cfg.validate()
     for sub in ("distances", "balls", "cutoffs", "solutions", "diagnostics",
                 "plots"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    grid = cfg.make_grid()
-    profile = cfg.make_profile()
-    form = assemble_form(profile, grid)
+    form = build_form(cfg)
+    grid = form.grid
 
     sc, u_lin, q_result, solver_info = solve_global(cfg, form)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
@@ -416,8 +486,8 @@ def run_experiment(cfg, out_dir, threads=1, strict=False):
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
         try:
-            ball_report, flags, art = run_ball(cfg, form, profile, spec,
-                                               ball_id, u, sc.rhs, threads)
+            ball_report, flags, art = run_ball(cfg, form, spec, ball_id, u,
+                                               sc.rhs)
         except (ResolutionError, ChainTooShortError, RangeError,
                 GeometryError) as exc:
             report["notes"].append(f"{ball_id}: skipped ({exc})")
@@ -428,7 +498,7 @@ def run_experiment(cfg, out_dir, threads=1, strict=False):
         report["notes"].extend(art["notes"])
         _write_ball_artifacts(out_dir, ball_id, art, ball_report)
 
-    _write_solution_artifacts(out_dir, grid, u_lin, q_result)
+    _write_solution_artifacts(out_dir, u_lin, q_result)
     report = json_safe(report)
     write_report(report, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
@@ -451,48 +521,57 @@ def _failed_flags(report, cfg, strict):
     return failed
 
 
-def _write_solution_artifacts(out, grid, u_lin, q_result):
+def write_grid_csv(path, grid, values, name):
+    """One (x, y, name) row per grid node."""
     X, Y = grid.meshgrid()
-    write_csv(os.path.join(out, "solutions", "linear.csv"), ("x", "y", "u"),
-              zip(X.ravel(), Y.ravel(), u_lin.values.ravel()))
+    write_csv(path, ("x", "y", name),
+              zip(X.ravel(), Y.ravel(), values.ravel()))
+
+
+def write_ball_table(path, geometry_report, growth):
+    """The radius table of one ball, with g(r) where the growth check ran."""
+    g = geometry_report
+    gmap = {}
+    if growth is not None:
+        gmap = dict(zip(growth.radii.tolist(), growth.g_values.tolist()))
+    rows = [(r, g["volumes"][i], g["doubling_ratios"][i], g["delta"][i],
+             g["delta_over_r"][i], gmap.get(r, float("nan")))
+            for i, r in enumerate(g["radii"])]
+    write_csv(path, ("r", "volume", "doubling_ratio", "delta", "delta_over_r",
+                     "g_of_r"), rows)
+
+
+def write_cutoff_table(path, seq):
+    """One row per member of the cutoff sequence."""
+    rows = [(j + 1, seq.radii[j], int(seq.supports[j].sum()),
+             seq.grad_bounds[j]) for j in range(len(seq.psi))]
+    write_csv(path, ("j", "r_j", "support_nodes", "grad_bound"), rows)
+
+
+def _write_solution_artifacts(out, u_lin, q_result):
+    grid = u_lin.grid
+    write_grid_csv(os.path.join(out, "solutions", "linear.csv"), grid,
+                   u_lin.values, "u")
     svgplot.heatmap(os.path.join(out, "plots", "solution.svg"),
                     u_lin.values, grid, title="linear solution")
     if q_result is not None:
-        write_csv(os.path.join(out, "solutions", "quasilinear.csv"),
-                  ("x", "y", "u"),
-                  zip(X.ravel(), Y.ravel(), q_result.u.values.ravel()))
+        write_grid_csv(os.path.join(out, "solutions", "quasilinear.csv"), grid,
+                       q_result.u.values, "u")
         write_csv(os.path.join(out, "solutions", "residuals.csv"),
                   ("iteration", "residual"),
                   list(enumerate(q_result.residuals, start=1)))
 
 
 def _write_ball_artifacts(out, ball_id, art, ball_report):
-    grid = art["finest"].grid
-    X, Y = grid.meshgrid()
-
-    v = art["finest"].values
-    write_csv(os.path.join(out, "distances", f"{ball_id}_finest.csv"),
-              ("x", "y", "value"), zip(X.ravel(), Y.ravel(), v.ravel()))
-
+    finest = art["finest"]
+    grid = finest.grid
+    write_grid_csv(os.path.join(out, "distances", f"{ball_id}_finest.csv"),
+                   grid, finest.values, "value")
     g = ball_report["geometry"]
-    growth = art["growth"]
-    gmap = {}
-    if growth is not None:
-        gmap = dict(zip(growth.radii.tolist(), growth.g_values.tolist()))
-    rows = []
-    for i, r in enumerate(g["radii"]):
-        rows.append((r, g["volumes"][i], g["doubling_ratios"][i],
-                     g["delta"][i], g["delta_over_r"][i],
-                     gmap.get(r, float("nan"))))
-    write_csv(os.path.join(out, "balls", f"{ball_id}.csv"),
-              ("r", "volume", "doubling_ratio", "delta", "delta_over_r",
-               "g_of_r"), rows)
-
-    seq = art["seq"]
-    rows = [(j + 1, seq.radii[j], int(seq.supports[j].sum()),
-             seq.grad_bounds[j]) for j in range(len(seq.psi))]
-    write_csv(os.path.join(out, "cutoffs", f"{ball_id}.csv"),
-              ("j", "r_j", "support_nodes", "grad_bound"), rows)
+    write_ball_table(os.path.join(out, "balls", f"{ball_id}.csv"), g,
+                     art["geo"].growth)
+    seq = art["cuts"].seq
+    write_cutoff_table(os.path.join(out, "cutoffs", f"{ball_id}.csv"), seq)
     svgplot.nesting_diagram(
         os.path.join(out, "cutoffs", f"{ball_id}_nesting.svg"),
         seq.supports[:4], grid, title=f"{ball_id} cutoff supports")

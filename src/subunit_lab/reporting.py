@@ -59,8 +59,9 @@ def write_csv(path, header, rows):
 
 
 def _fmt(v):
+    # float() first: numpy 2 reprs its scalars as np.float64(...)
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))
     return v
 
 

@@ -22,7 +22,8 @@ from scipy.sparse.linalg import cg, spsolve
 
 from .cutoff import q_gradient
 from .errors import (ConfigError, DomainError, EmptySupportError,
-                     GeometryError, SingularSystemError, ZeroGradientError)
+                     GeometryError, SingularSystemError, SolverError,
+                     ZeroGradientError)
 
 __all__ = [
     "DiscreteFunction", "SolveConfig", "LinearSystem", "assemble_linear",
@@ -61,16 +62,12 @@ class SolveConfig:
     fp_tol: float = 1e-10
     lin_tol: float = 1e-12
     lin_max_iter: int = 20000
-    lin_method: str = "cg"          # cg | direct
 
     def __post_init__(self):
         if not 0.0 < self.fp_theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]", "solver.fp_theta")
         if self.fp_tol <= 0 or self.lin_tol <= 0:
             raise ConfigError("tolerances must be positive", "solver.tol")
-        if self.lin_method not in ("cg", "direct"):
-            raise ConfigError("lin_method must be cg or direct",
-                              "solver.lin_method")
 
 
 def _boundary_values(grid, boundary):
@@ -203,7 +200,7 @@ def solve_linear(system, config=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction."""
     config = config or SolveConfig()
     S, b = system.matrix, system.rhs
-    if config.lin_method == "direct" or S.shape[0] < 400:
+    if S.shape[0] < 400:
         x = spsolve(S.tocsc(), b)
     else:
         d = S.diagonal()
@@ -215,8 +212,8 @@ def solve_linear(system, config=None):
         x, info = cg(S, b, rtol=config.lin_tol, atol=atol,
                      maxiter=config.lin_max_iter, M=M)
         if info != 0:
-            raise ConfigError(f"conjugate gradient failed to converge "
-                              f"(info={info})", "solver.linear")
+            raise SolverError(f"conjugate gradient failed to converge "
+                              f"(info={info})")
     full = system.boundary_values.copy().ravel()
     full[system.interior_index] = x
     return DiscreteFunction(grid=system.grid, values=full.reshape(system.grid.shape))

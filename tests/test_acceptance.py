@@ -139,7 +139,8 @@ def test_c1_box_sandwich_512(fields513):
     elapsed = fields513["elapsed"]
     ok = not failures and elapsed < 60.0
     record(1, ok, f"box sandwich 2 profiles x 5 radii on 513^2: "
-                  f"{len(failures)} violating radii, {elapsed:.1f}s")
+                  f"{len(failures)} violating radii, "
+                  f"{'within' if elapsed < 60.0 else 'over'} 60s")
     assert not failures
     assert elapsed < 60.0
 

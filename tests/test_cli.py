@@ -1,5 +1,6 @@
 """CLI: config validation, subcommands, exit codes, determinism, compare."""
 
+import csv
 import json
 import os
 import shutil
@@ -158,15 +159,43 @@ def test_solve_subcommand(tmp_path, smoke_cfg_path):
     assert (out / "quasilinear.csv").exists()
 
 
-def test_threads_env_override(tmp_path, smoke_cfg_path, monkeypatch):
-    monkeypatch.setenv("SUBUNIT_LAB_THREADS", "2")
-    out = tmp_path / "thr"
-    code = main(["dist", "--config", smoke_cfg_path, "--out", str(out)])
-    assert code == 0
-    monkeypatch.setenv("SUBUNIT_LAB_THREADS", "zebra")
-    code = main(["dist", "--config", smoke_cfg_path, "--out",
-                 str(tmp_path / "thr2")])
-    assert code == 1
+def test_subcommands_match_run(tmp_path, smoke_cfg_path, smoke_run):
+    # each subcommand runs the pipeline stage it shows, so its table is
+    # the one `run` writes, byte for byte
+    pairs = {"balls": [("ball0.csv", "balls/ball0.csv")],
+             "cutoff": [("ball0_cutoffs.csv", "cutoffs/ball0.csv")],
+             "solve": [("linear.csv", "solutions/linear.csv"),
+                       ("quasilinear.csv", "solutions/quasilinear.csv")]}
+    for command, files in pairs.items():
+        out = tmp_path / command
+        assert main([command, "--config", smoke_cfg_path,
+                     "--out", str(out)]) == 0
+        for mine, theirs in files:
+            assert (out / mine).read_bytes() == \
+                (smoke_run / theirs).read_bytes(), (command, mine)
+
+
+def test_artifact_csv_cells_are_plain_numbers(smoke_run):
+    for sub in ("balls", "cutoffs", "distances", "solutions"):
+        paths = sorted((smoke_run / sub).glob("*.csv"))
+        assert paths, sub
+        for path in paths:
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows, path
+            for row in rows:
+                for cell in row:
+                    float(cell)
+
+
+def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"]["lin_max_iter"] = 1
+    p = tmp_path / "cg1.json"
+    json.dump(raw, open(p, "w"))
+    code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "conjugate gradient" in capsys.readouterr().err
 
 
 def test_installed_entry_point_runs():

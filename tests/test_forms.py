@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from subunit_lab.errors import DomainError, QuadratureError
 from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
-                               assemble_form, envelope_check, eval_f, eval_h,
+                               assemble_form, envelope_check, eval_h,
                                eval_h_log, lambda_from_sigma)
 from subunit_lab.grid import GridSpec
 
@@ -65,7 +65,7 @@ def test_h_increasing_in_x():
 
 def test_f_power_trivial():
     p = DegeneracyProfile("power", 1.0)
-    assert eval_f(0.5, p) == 0.5
+    assert p.value(0.5) == 0.5
 
 
 def test_f_power_doubling_anchor():
@@ -121,7 +121,7 @@ def test_f_cache_monotone():
     for prof in (DegeneracyProfile("power", 2.0),
                  DegeneracyProfile("exponential", 1.0),
                  DegeneracyProfile("paper_model", 9.0)):
-        fs = [f for _, f in prof.cache]
+        fs = [prof.value(x) for x in np.geomspace(1e-6, 0.89, 49)]
         assert all(a <= b + 1e-15 for a, b in zip(fs, fs[1:]))
 
 
@@ -134,8 +134,9 @@ def test_f_quadrature_stability_under_tolerance_halving():
 
 
 def test_quadrature_error_raised_for_impossible_tolerance():
+    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
     with pytest.raises(QuadratureError):
-        DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
+        p.value(0.5)
 
 
 def test_paper_model_domain_cap_enforced():
