@@ -99,10 +99,12 @@ def cmd_diagnose(args):
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
     report = {}
     for k, spec in enumerate(cfg.balls):
-        ball_report, flags, _ = pipeline.run_ball(cfg, form, spec, f"ball{k}",
-                                                  u, sc.rhs)
-        report[f"ball{k}"] = {"diagnostics": ball_report["diagnostics"],
-                              "flags": flags}
+        ball_report, flags, art = pipeline.run_ball_or_skip(
+            cfg, form, spec, f"ball{k}", u, sc.rhs)
+        entry = {"flags": flags, "notes": art["notes"]}
+        if ball_report is not None:
+            entry["diagnostics"] = ball_report["diagnostics"]
+        report[f"ball{k}"] = entry
     path = os.path.join(args.out, "diagnostics.json")
     with open(path, "w") as fh:
         json.dump(json_safe(report), fh, indent=2, sort_keys=True)

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,9 +39,9 @@ from .errors import (ChainTooShortError, GeometryError, RangeError,
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
 from .metric import ball, extrapolate_distance, solve_ladder
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
-from .solver import (DiscreteFunction, SolveConfig, assemble_linear,
-                     max_principle_slack, poincare_functional, solve_linear,
-                     solve_quasilinear, sobolev_functional)
+from .solver import (DiscreteFunction, SolveConfig, SolveStats,
+                     assemble_linear, max_principle_slack, poincare_functional,
+                     solve_linear, solve_quasilinear, sobolev_functional)
 
 MIN_CHAIN = 4
 MP_TOL = 1e-8
@@ -117,8 +117,10 @@ def build_form(cfg):
     return assemble_form(cfg.make_profile(), cfg.make_grid())
 
 
-def solve_global(cfg, form):
-    """One linear + optional quasilinear solve shared by all balls."""
+def solve_global(cfg, form, stats=None):
+    """One linear + optional quasilinear solve shared by all balls.
+
+    stats, when given, records every linear solve (solver.SolveStats)."""
     bc = _boundary_fn(cfg.solver.boundary)
     sc = SolveConfig(rhs=cfg.solver.rhs, boundary=bc,
                      fp_theta=cfg.solver.theta, fp_tol=cfg.solver.fp_tol,
@@ -126,7 +128,7 @@ def solve_global(cfg, form):
                      lin_tol=cfg.solver.lin_tol,
                      lin_max_iter=cfg.solver.lin_max_iter)
     system = assemble_linear(form.q11, form.q22, form.grid, sc.rhs, sc.boundary)
-    u_lin = solve_linear(system, sc)
+    u_lin = solve_linear(system, sc, stats)
     f_is_zero = np.ndim(sc.rhs) == 0 and float(sc.rhs) == 0.0
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
     spread = float(np.ptp(system.boundary_values)) or 1.0
@@ -139,7 +141,8 @@ def solve_global(cfg, form):
                  rng.integers(0, form.grid.ny, 40))]
     zs = rng.normal(0.0, 2.0, 40)
     env_report = envelope_check(env, list(zip(nodes, zs)))
-    q_result = solve_quasilinear(env, sc) if cfg.solver.quasilinear else None
+    q_result = (solve_quasilinear(env, sc, stats) if cfg.solver.quasilinear
+                else None)
 
     info = {
         "linear_max_principle_slack": mp,
@@ -453,6 +456,20 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs):
     return report, flags, artifacts
 
 
+def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs):
+    """run_ball, with a ball the grid cannot measure skipped, not raised.
+
+    A skipped ball returns report None, the flag `<ball_id>.skipped` and
+    the reason as its one note in artifacts["notes"].
+    """
+    try:
+        return run_ball(cfg, form, spec, ball_id, u, f_rhs)
+    except (ResolutionError, ChainTooShortError, RangeError,
+            GeometryError) as exc:
+        return (None, {f"{ball_id}.skipped": True},
+                {"notes": [f"{ball_id}: skipped ({exc})"]})
+
+
 def run_experiment(cfg, out_dir, strict=False):
     """Run the full pipeline; returns (report, failed_required_flags)."""
     t0 = time.time()
@@ -463,7 +480,8 @@ def run_experiment(cfg, out_dir, strict=False):
     form = build_form(cfg)
     grid = form.grid
 
-    sc, u_lin, q_result, solver_info = solve_global(cfg, form)
+    stats = SolveStats()
+    sc, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
 
     report = {
@@ -485,25 +503,21 @@ def run_experiment(cfg, out_dir, strict=False):
 
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
-        try:
-            ball_report, flags, art = run_ball(cfg, form, spec, ball_id, u,
-                                               sc.rhs)
-        except (ResolutionError, ChainTooShortError, RangeError,
-                GeometryError) as exc:
-            report["notes"].append(f"{ball_id}: skipped ({exc})")
-            report["flags"][f"{ball_id}.skipped"] = True
-            continue
-        report["balls"][ball_id] = ball_report
+        ball_report, flags, art = run_ball_or_skip(cfg, form, spec, ball_id,
+                                                   u, sc.rhs)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
-        _write_ball_artifacts(out_dir, ball_id, art, ball_report)
+        if ball_report is not None:
+            report["balls"][ball_id] = ball_report
+            _write_ball_artifacts(out_dir, ball_id, art, ball_report)
 
     _write_solution_artifacts(out_dir, u_lin, q_result)
     report = json_safe(report)
     write_report(report, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump({"elapsed_seconds": time.time() - t0,
-                   "written_at": time.strftime("%Y-%m-%dT%H:%M:%S")}, fh)
+                   "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                   "solver": asdict(stats)}, fh)
         fh.write("\n")
     failed = _failed_flags(report, cfg, strict)
     return report, failed

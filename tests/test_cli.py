@@ -188,14 +188,56 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run):
                     float(cell)
 
 
-def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
+TRIG = {"kind": "trig", "amp": 0.5, "kx": 1.0, "ky": 1.0, "c": 2.0}
+
+
+# Affine data makes every solve separable, so one PCG step solves it to
+# rounding; lin_tol = 1e-30 is out of reach of that step.  Trig data
+# passes the separable solves (1 step each) within lin_max_iter = 2 and
+# fails the first non-separable Picard solve, which needs 5.
+@pytest.mark.parametrize("boundary,max_iter,tol",
+                         [(None, 1, 1e-30), (TRIG, 2, None)],
+                         ids=["affine", "trig"])
+def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys,
+                                  boundary, max_iter, tol):
     raw = json.load(open(smoke_cfg_path))
-    raw["solver"]["lin_max_iter"] = 1
+    raw["solver"]["lin_max_iter"] = max_iter
+    if boundary is not None:
+        raw["solver"]["boundary"] = boundary
+    if tol is not None:
+        raw["solver"]["lin_tol"] = tol
     p = tmp_path / "cg1.json"
     json.dump(raw, open(p, "w"))
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "conjugate gradient" in capsys.readouterr().err
+
+
+def test_diagnose_skips_ball_like_run(tmp_path, smoke_cfg_path):
+    # r = 0.2 at distance 0.1 from the edge: nu r leaves the measurable
+    # radius band, so `run` skips the ball; `diagnose` must do the same
+    raw = json.load(open(smoke_cfg_path))
+    raw["grid"]["nx"] = raw["grid"]["ny"] = 65
+    raw["balls"] = [{"center": [0.4, 0.0], "r": 0.2, "on_axis": False}]
+    p = tmp_path / "edge.json"
+    json.dump(raw, open(p, "w"))
+    assert main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
+    rep = load_report(tmp_path / "r" / "report.json")
+    assert rep["flags"]["ball0.skipped"] is True
+    assert main(["diagnose", "--config", str(p),
+                 "--out", str(tmp_path / "d")]) == 0
+    diag = json.load(open(tmp_path / "d" / "diagnostics.json"))
+    assert diag["ball0"]["flags"] == {"ball0.skipped": True}
+    assert diag["ball0"]["notes"] == [n for n in rep["notes"]
+                                      if n.startswith("ball0: skipped")]
+
+
+def test_run_meta_records_linear_solves(smoke_run):
+    # linear solve plus two Picard solves, all separable on affine data
+    solver = json.load(open(smoke_run / "run_meta.json"))["solver"]
+    assert solver["linear_solves"] == 3
+    assert 3 <= solver["pcg_iterations"] <= 6
+    assert solver["max_pcg_iterations"] <= 2
 
 
 def test_installed_entry_point_runs():

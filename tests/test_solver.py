@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (DomainError, EmptySupportError,
@@ -12,10 +13,10 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
-from subunit_lab.solver import (DiscreteFunction, SolveConfig, assemble_linear,
-                                max_principle_slack, poincare_functional,
-                                q_energy, solve_linear, solve_quasilinear,
-                                sobolev_functional)
+from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
+                                assemble_linear, max_principle_slack,
+                                poincare_functional, q_energy, solve_linear,
+                                solve_quasilinear, sobolev_functional)
 
 AFFINE = staticmethod(lambda X, Y: X + 2.0)
 
@@ -64,6 +65,64 @@ def test_paper_model_zero_column_still_solvable():
     u = solve_linear(system, SolveConfig(lin_tol=1e-13))
     X, _ = g.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
+
+
+def trig(X, Y):
+    return 2.0 + 0.5 * np.sin(math.pi * X) * np.cos(math.pi * Y)
+
+
+@pytest.mark.parametrize("profile", [DegeneracyProfile("power", 1.0),
+                                     DegeneracyProfile("paper_model", 9.0)],
+                         ids=["power", "paper_model"])
+def test_separable_system_exact_preconditioner(profile):
+    # q = diag(1, f(x)^2): the separable preconditioner is the system
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
+    form = assemble_form(profile, g)
+    system = assemble_linear(form.q11, form.q22, g, 0.0, trig)
+    stats = SolveStats()
+    u = solve_linear(system, SolveConfig(), stats)
+    assert stats.linear_solves == 1
+    assert 1 <= stats.max_pcg_iterations <= 2
+    direct = splu(system.matrix.tocsc()).solve(system.rhs)
+    x = u.values.ravel()[system.interior_index]
+    assert np.max(np.abs(x - direct)) < 1e-10
+
+
+def test_picard_frozen_system_mesh_independent_iterations():
+    # A = diag(1, phi(u) f^2) with phi in [1, 3]: cond(P^-1 A) <= 9 on
+    # every grid, so the PCG iteration count does not grow with n
+    counts = []
+    for n in (65, 257):
+        g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
+        form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+        env = QuasilinearEnvelope(base=form)
+        X, Y = g.meshgrid()
+        a11, a22 = env.coefficients(4.0 * (trig(X, Y) - 2.0))
+        system = assemble_linear(a11, a22, g, 0.0, trig)
+        stats = SolveStats()
+        u = solve_linear(system, SolveConfig(), stats)
+        x = u.values.ravel()[system.interior_index]
+        res = np.linalg.norm(system.rhs - system.matrix @ x)
+        assert res <= 1e-11 * np.linalg.norm(system.rhs)
+        counts.append(stats.max_pcg_iterations)
+    assert 2 < counts[0] <= 30 and 2 < counts[1] <= 30
+    assert abs(counts[1] - counts[0]) <= 3
+
+
+def test_zero_q11_column_solves_by_pcg():
+    # q11 = 0 on a whole interior column closes its x-faces; q22 = 1 still
+    # links every node of it to the boundary rows, and P (the system
+    # itself, as q depends on x only) stays positive definite
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    q11 = np.ones(g.shape)
+    q11[16, :] = 0.0
+    system = assemble_linear(q11, np.ones(g.shape), g, 0.0, trig)
+    stats = SolveStats()
+    u = solve_linear(system, SolveConfig(), stats)
+    assert 1 <= stats.pcg_iterations <= 2
+    x = u.values.ravel()[system.interior_index]
+    res = np.linalg.norm(system.rhs - system.matrix @ x)
+    assert res < 1e-12 * np.linalg.norm(system.rhs)
 
 
 def test_degeneracy_island_reported_with_nodes():
