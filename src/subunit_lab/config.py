@@ -6,11 +6,17 @@ the dotted field path for the CLI's exit-1 message.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field as dc_field
 
 from .errors import ConfigError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
+
+
+def _positive_finite(x):
+    """x > 0 and finite; False on NaN (json.load accepts NaN and Infinity)."""
+    return x > 0 and math.isfinite(x)
 
 
 @dataclass
@@ -20,8 +26,11 @@ class BallSpec:
     on_axis: bool = False  # run box-sandwich checks (requires x = 0)
 
     def validate(self, path):
-        if self.r <= 0:
-            raise ConfigError("ball radius must be positive", f"{path}.r")
+        if not _positive_finite(self.r):
+            raise ConfigError("ball radius must be positive and finite",
+                              f"{path}.r")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ConfigError("ball center must be finite", f"{path}.center")
         if self.on_axis and abs(self.center[0]) > 1e-12:
             raise ConfigError("on_axis ball must sit at x = 0",
                               f"{path}.center")
@@ -126,12 +135,13 @@ class ExperimentConfig:
         for k, b in enumerate(self.balls):
             b.validate(f"balls[{k}]")
         e = self.epsilons
-        if e.get("eps0", 0) <= 0 or e.get("rungs", 0) < 3:
-            raise ConfigError("epsilon ladder needs eps0 > 0 and >= 3 rungs",
-                              "epsilons")
-        if self.radii.get("count", 0) < 3 or self.radii.get("r_max", 0) <= 0:
-            raise ConfigError("radii spec needs r_max > 0 and count >= 3",
-                              "radii")
+        if not _positive_finite(e.get("eps0", 0)) or e.get("rungs", 0) < 3:
+            raise ConfigError("epsilon ladder needs finite eps0 > 0 and "
+                              ">= 3 rungs", "epsilons")
+        if self.radii.get("count", 0) < 3 or \
+                not _positive_finite(self.radii.get("r_max", 0)):
+            raise ConfigError("radii spec needs finite r_max > 0 and "
+                              "count >= 3", "radii")
         self.params.validate()
         self.solver.validate()
         return self

@@ -11,6 +11,14 @@ We discretize with the Godunov upwind scheme and march causally
 (fast marching, single pass).  d_eps increases monotonically as eps
 decreases; the eps -> 0 limit is estimated by Richardson extrapolation
 over a geometric eps ladder.
+
+The marching loop works on plain Python lists and a bytearray, not numpy
+scalars, over the grid padded by one sentinel ring.  Sentinel nodes are
+frozen, hold +inf and are never updated, so the loop needs no bounds
+checks.  Per-node coefficients are computed once with numpy (each one the
+same correctly rounded IEEE operation as a per-node evaluation).  Ties in
+the causal ordering break by linear node index, so results are
+bit-deterministic.
 """
 
 import heapq
@@ -51,59 +59,73 @@ class DistanceField:
 def solve_distance(form, source, epsilon):
     """Fast-marching solve of the regularized subunit eikonal equation.
 
-    source: (i, j) node.  epsilon must be positive; the eps = 0 limit is
-    the job of extrapolate_distance.  Ties in the causal ordering break by
-    linear node index, so results are bit-deterministic.
+    source: (i, j) node.  epsilon must be positive and finite; the eps = 0
+    limit is the job of extrapolate_distance.
+
+    The march runs on Python lists over the grid padded by one sentinel
+    ring.  Sentinels are frozen from the start, hold +inf and are never
+    updated, so no neighbour lookup needs a bounds check: a frozen +inf
+    neighbour never lowers an upwind minimum.  The heap holds
+    (value, padded index); row-major padding preserves the order of linear
+    node indices, so ties in the causal ordering break by linear node index
+    and results are bit-deterministic.
     """
-    if epsilon <= 0.0:
-        raise ConfigError("epsilon must be positive; use extrapolate_distance "
-                          "for the limit field", "metric.epsilon")
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ConfigError("epsilon must be positive and finite; use "
+                          "extrapolate_distance for the limit field",
+                          "metric.epsilon")
     grid = form.grid
     if not grid.contains_node(source):
         raise DomainError(f"source node {source} outside grid")
     nx, ny = grid.shape
     hx, hy = grid.hx, grid.hy
     e2 = epsilon * epsilon
-    alpha = (form.q11 + e2).ravel()   # x-direction coefficient
-    beta = (form.q22 + e2).ravel()    # y-direction coefficient
+    alpha = form.q11 + e2   # x-direction coefficient
+    beta = form.q22 + e2    # y-direction coefficient
 
-    n = nx * ny
-    values = np.full(n, np.inf)
-    state = np.zeros(n, dtype=np.int8)  # 0 far, 1 narrow, 2 frozen
-    src = source[0] * ny + source[1]
+    def padded(a):
+        return np.pad(a, 1, constant_values=1.0).ravel().tolist()
+
+    # per-node quadratic coefficients and one-sided steps
+    AX = padded(alpha / (hx * hx))
+    BY = padded(beta / (hy * hy))
+    SX = padded(hx / np.sqrt(alpha))
+    SY = padded(hy / np.sqrt(beta))
+
+    w = ny + 2                       # padded row stride
+    inf = math.inf
+    values = [inf] * ((nx + 2) * w)
+    frozen = bytearray(np.pad(np.zeros((nx, ny), dtype=np.uint8), 1,
+                              constant_values=1).tobytes())
+    src = (source[0] + 1) * w + source[1] + 1
     values[src] = 0.0
     heap = [(0.0, src)]
     sqrt = math.sqrt
-    inf = math.inf
+    heappop, heappush = heapq.heappop, heapq.heappush
 
     while heap:
-        v, idx = heapq.heappop(heap)
-        if state[idx] == 2:
+        _, p = heappop(heap)
+        if frozen[p]:
             continue
-        state[idx] = 2
-        i, j = divmod(idx, ny)
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ii, jj = i + di, j + dj
-            if not (0 <= ii < nx and 0 <= jj < ny):
-                continue
-            nb = ii * ny + jj
-            if state[nb] == 2:
+        frozen[p] = 1
+        for nb in (p - w, p + w, p - 1, p + 1):
+            if frozen[nb]:
                 continue
             # frozen one-sided neighbor minima in each axis
-            a = inf
-            if ii > 0 and state[nb - ny] == 2:
-                a = values[nb - ny]
-            if ii < nx - 1 and state[nb + ny] == 2:
-                a = min(a, values[nb + ny])
-            b = inf
-            if jj > 0 and state[nb - 1] == 2:
-                b = values[nb - 1]
-            if jj < ny - 1 and state[nb + 1] == 2:
-                b = min(b, values[nb + 1])
-            A = alpha[nb] / (hx * hx)
-            B = beta[nb] / (hy * hy)
+            a = values[nb - w] if frozen[nb - w] else inf
+            if frozen[nb + w]:
+                t = values[nb + w]
+                if t < a:
+                    a = t
+            b = values[nb - 1] if frozen[nb - 1] else inf
+            if frozen[nb + 1]:
+                t = values[nb + 1]
+                if t < b:
+                    b = t
             u = inf
             if a < inf and b < inf:
+                A = AX[nb]
+                B = BY[nb]
                 S = A + B
                 P = A * a + B * b
                 disc = P * P - S * (A * a * a + B * b * b - 1.0)
@@ -114,15 +136,16 @@ def solve_distance(form, source, epsilon):
             if u == inf:
                 # one-sided fallback (causality not met or single neighbor)
                 if a < inf:
-                    u = a + hx / sqrt(alpha[nb])
+                    u = a + SX[nb]
                 if b < inf:
-                    u = min(u, b + hy / sqrt(beta[nb]))
+                    t = b + SY[nb]
+                    if t < u:
+                        u = t
             if u < values[nb]:
                 values[nb] = u
-                state[nb] = 1
-                heapq.heappush(heap, (u, nb))
+                heappush(heap, (u, nb))
 
-    vals = values.reshape(nx, ny)
+    vals = np.array(values).reshape(nx + 2, w)[1:-1, 1:-1].copy()
     return DistanceField(grid=grid, source=tuple(source), epsilon=float(epsilon),
                          values=vals, frozen_mask=np.isfinite(vals))
 

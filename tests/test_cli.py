@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -49,6 +50,24 @@ def test_malformed_config_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     assert code == 1
     err = capsys.readouterr().err
     assert "params.nu" in err
+
+
+@pytest.mark.parametrize("field", ["eps0", "r", "center"])
+def test_nan_config_exit_1(tmp_path, smoke_cfg_path, field):
+    # json.load accepts the NaN literal; validation must reject it rather
+    # than let the run skip the ball and pass
+    raw = json.load(open(smoke_cfg_path))
+    if field == "eps0":
+        raw["epsilons"]["eps0"] = math.nan
+    elif field == "r":
+        raw["balls"][0]["r"] = math.nan
+    else:
+        raw["balls"][0]["center"][1] = math.nan
+    bad = tmp_path / "nan.json"
+    json.dump(raw, open(bad, "w"))
+    assert "NaN" in bad.read_text()
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
 
 
 def test_missing_config_exit_1(tmp_path):
@@ -162,7 +181,10 @@ def test_solve_subcommand(tmp_path, smoke_cfg_path):
 def test_subcommands_match_run(tmp_path, smoke_cfg_path, smoke_run):
     # each subcommand runs the pipeline stage it shows, so its table is
     # the one `run` writes, byte for byte
-    pairs = {"balls": [("ball0.csv", "balls/ball0.csv")],
+    finest = ExperimentConfig.load(smoke_cfg_path).epsilon_ladder()[-1]
+    pairs = {"dist": [(f"ball0_eps{finest:g}.csv",
+                       "distances/ball0_finest.csv")],
+             "balls": [("ball0.csv", "balls/ball0.csv")],
              "cutoff": [("ball0_cutoffs.csv", "cutoffs/ball0.csv")],
              "solve": [("linear.csv", "solutions/linear.csv"),
                        ("quasilinear.csv", "solutions/quasilinear.csv")]}

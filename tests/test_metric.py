@@ -1,5 +1,6 @@
 """Subunit distance fields: eikonal solve, eps ladder, limit, balls."""
 
+import heapq
 import math
 
 import numpy as np
@@ -13,6 +14,82 @@ from subunit_lab.metric import (DistanceField, ball, dijkstra_distance,
                                 solve_ladder)
 
 
+def _reference_solve_distance(form, source, epsilon):
+    """Straightforward fast marching with numpy-scalar indexing and explicit
+    bounds checks: the reference the list-based kernel must match bit for
+    bit (same operations in the same order, same tie-breaking)."""
+    nx, ny = form.grid.shape
+    hx, hy = form.grid.hx, form.grid.hy
+    e2 = epsilon * epsilon
+    alpha = (form.q11 + e2).ravel()
+    beta = (form.q22 + e2).ravel()
+    values = np.full(nx * ny, np.inf)
+    frozen = np.zeros(nx * ny, dtype=bool)
+    src = source[0] * ny + source[1]
+    values[src] = 0.0
+    heap = [(0.0, src)]
+    inf = math.inf
+    while heap:
+        _, idx = heapq.heappop(heap)
+        if frozen[idx]:
+            continue
+        frozen[idx] = True
+        i, j = divmod(idx, ny)
+        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            ii, jj = i + di, j + dj
+            if not (0 <= ii < nx and 0 <= jj < ny):
+                continue
+            nb = ii * ny + jj
+            if frozen[nb]:
+                continue
+            a = inf
+            if ii > 0 and frozen[nb - ny]:
+                a = values[nb - ny]
+            if ii < nx - 1 and frozen[nb + ny]:
+                a = min(a, values[nb + ny])
+            b = inf
+            if jj > 0 and frozen[nb - 1]:
+                b = values[nb - 1]
+            if jj < ny - 1 and frozen[nb + 1]:
+                b = min(b, values[nb + 1])
+            A = alpha[nb] / (hx * hx)
+            B = beta[nb] / (hy * hy)
+            u = inf
+            if a < inf and b < inf:
+                S = A + B
+                P = A * a + B * b
+                disc = P * P - S * (A * a * a + B * b * b - 1.0)
+                if disc >= 0.0:
+                    cand = (P + math.sqrt(disc)) / S
+                    if cand >= a and cand >= b:
+                        u = cand
+            if u == inf:
+                if a < inf:
+                    u = a + hx / math.sqrt(alpha[nb])
+                if b < inf:
+                    u = min(u, b + hy / math.sqrt(beta[nb]))
+            if u < values[nb]:
+                values[nb] = u
+                heapq.heappush(heap, (u, nb))
+    return values.reshape(nx, ny)
+
+
+@pytest.mark.parametrize("kind,param", [("power", 1.0), ("exponential", 0.1),
+                                        ("paper_model", 9.0)])
+@pytest.mark.parametrize("nx,ny", [(33, 33), (41, 23)])
+def test_kernel_matches_reference_bytes(kind, param, nx, ny):
+    # a non-square grid catches a wrong padded row stride; edge and corner
+    # sources put the sentinel ring next to the first frozen nodes
+    form = assemble_form(DegeneracyProfile(kind, param),
+                         GridSpec(-0.5, 0.5, -0.5, 0.5, nx, ny))
+    sources = [(nx // 2, ny // 2), (0, ny // 2), (0, 0), (nx - 1, ny - 1)]
+    for source in sources:
+        for eps in (0.1, 0.05, 0.025, 0.0125):
+            got = solve_distance(form, source, eps).values
+            want = _reference_solve_distance(form, source, eps)
+            assert got.tobytes() == want.tobytes(), (source, eps)
+
+
 def test_source_distance_exact_zero(euclid_field):
     assert euclid_field.values[euclid_field.source] == 0.0
 
@@ -20,6 +97,12 @@ def test_source_distance_exact_zero(euclid_field):
 def test_epsilon_zero_rejected(euclid_form):
     with pytest.raises(ConfigError):
         solve_distance(euclid_form, (10, 10), 0.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_epsilon_non_finite_rejected(euclid_form, eps):
+    with pytest.raises(ConfigError):
+        solve_distance(euclid_form, (10, 10), eps)
 
 
 def test_source_outside_grid_rejected(euclid_form):
