@@ -19,6 +19,13 @@ def _positive_finite(x):
     return x > 0 and math.isfinite(x)
 
 
+def _whole_number(x):
+    """x is a finite integral number; False on NaN, Infinity and 3.5 (all
+    of which json.load returns) and on strings and booleans."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x) and x == int(x))
+
+
 @dataclass
 class BallSpec:
     center: tuple          # (x, y) in domain coordinates
@@ -127,6 +134,13 @@ class ExperimentConfig:
         for key in ("x0", "x1", "y0", "y1", "nx", "ny"):
             if key not in g:
                 raise ConfigError(f"grid.{key} missing", f"grid.{key}")
+        counts = (("grid", g, "nx"), ("grid", g, "ny"),
+                  ("epsilons", self.epsilons, "rungs"),
+                  ("radii", self.radii, "count"))
+        for section, d, key in counts:
+            if key in d and not _whole_number(d[key]):
+                raise ConfigError(f"{key} must be a whole number, got "
+                                  f"{d[key]!r}", f"{section}.{key}")
         if g["nx"] < 17 or g["ny"] < 17:
             raise ConfigError("grid too coarse for any measurement",
                               "grid.nx/ny")

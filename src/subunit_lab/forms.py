@@ -16,11 +16,15 @@ finite and increasing on (0, domain_cap], blows up at 1, and tends to 0
 as x -> 0+ far more slowly than any power of ln ln(1/x) would suggest:
 h is still ~0.84 at x = exp(-1e6).  The quadrature for I(x) runs in the
 log variable t = e^s, where the integrand 1/h(e^s) is smooth and bounded.
+For x < 1/e it is split at s = -1, and the tail piece over (-1, 0) is the
+same for every such x: it is integrated once per (lambda, quad_tol) and
+reused by every column of every grid.
 
 A quasilinear envelope multiplies the degenerate entry by a bounded
 modulation phi(z), keeping the same form Q as its structural envelope.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -81,6 +85,20 @@ def _inv_h_logvar(s, lam):
     return (-math.log(inner)) ** (1.0 / lam)
 
 
+def _quad_piece(a, b, lam, quad_tol):
+    """(value, error estimate) of the integral of 1/h(e^s) over (a, b)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(_inv_h_logvar, a, b, args=(lam,), limit=200,
+                    epsabs=quad_tol, epsrel=10.0 * quad_tol)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_piece(lam, quad_tol):
+    # the piece over (-1, 0) does not depend on x
+    return _quad_piece(-1.0, 0.0, lam, quad_tol)
+
+
 @dataclass(frozen=True)
 class DegeneracyProfile:
     """One-dimensional degeneracy factor f, even in x, nondecreasing on R+."""
@@ -106,19 +124,22 @@ class DegeneracyProfile:
 
         Split at s = -1: on (-1, 0) the integrand is flat-zero to all orders
         at the endpoint (x near 1), which defeats a single adaptive pass.
+        The tail piece over (-1, 0) does not depend on x, so it is
+        integrated once per (lambda, quad_tol) (_tail_piece); the sums, the
+        error estimate and its budget are those of two fresh quad calls.
+        x >= 1/e takes one pass over (ln x, 0).
         """
-        lam = self.param
+        lam, tol = self.param, self.quad_tol
         lo = math.log(x)
-        pieces = [(lo, -1.0), (-1.0, 0.0)] if lo < -1.0 else [(lo, 0.0)]
+        if lo < -1.0:
+            pieces = [_quad_piece(lo, -1.0, lam, tol), _tail_piece(lam, tol)]
+        else:
+            pieces = [_quad_piece(lo, 0.0, lam, tol)]
         val = err = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            for a, b in pieces:
-                v, e = quad(_inv_h_logvar, a, b, args=(lam,), limit=200,
-                            epsabs=self.quad_tol, epsrel=10.0 * self.quad_tol)
-                val += v
-                err += e
-        budget = 100.0 * self.quad_tol * max(1.0, abs(val))
+        for v, e in pieces:
+            val += v
+            err += e
+        budget = 100.0 * tol * max(1.0, abs(val))
         if err > budget:
             raise QuadratureError(
                 f"I({x}) error estimate {err:.3e} exceeds budget {budget:.3e}")

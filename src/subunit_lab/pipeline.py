@@ -11,7 +11,9 @@ Artifact layout under the output directory:
     diagnostics/  per-ball JSON with all constants and pass flags
     plots/        self-contained SVG charts
     report.json   the deterministic report (no timestamps)
-    run_meta.json wall-clock metadata, excluded from the determinism contract
+    run_meta.json wall-clock metadata, excluded from the determinism contract:
+                  elapsed seconds, per-stage wall seconds (STAGES, ball
+                  stages summed over balls) and the solver's work counters
 
 The PDE is solved once per experiment (solve_global).  Each ball then runs
 four stages in order, each returning its report section and what the next
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -45,6 +48,19 @@ from .solver import (DiscreteFunction, SolveConfig, SolveStats,
 
 MIN_CHAIN = 4
 MP_TOL = 1e-8
+# the wall-time spans of run_meta.json's "stages" block, in run order
+STAGES = ("build_form", "solve_global", "metric", "geometry", "cutoff",
+          "diagnostics", "artifacts")
+
+
+@contextmanager
+def _timed(times, stage):
+    """Add the wall seconds of the with-block to times[stage]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        times[stage] = times.get(stage, 0.0) + time.perf_counter() - t0
 
 
 def _boundary_fn(spec):
@@ -419,14 +435,23 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs):
     return section, flags, notes
 
 
-def run_ball(cfg, form, spec, ball_id, u, f_rhs):
-    """The four ball stages in order.  Returns (report, flags, artifacts)."""
-    metric_report, ladder, _ = metric_stage(cfg, form, spec)
+def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None):
+    """The four ball stages in order.  Returns (report, flags, artifacts).
+
+    times, when given, gains each stage's wall seconds under its STAGES
+    name."""
+    times = {} if times is None else times
+    with _timed(times, "metric"):
+        metric_report, ladder, _ = metric_stage(cfg, form, spec)
     finest = ladder[-1]
-    geometry_report, geo = geometry_stage(cfg, form, spec, finest)
-    cutoff_report, cuts = cutoff_stage(cfg, form, spec, finest, geo.analytics)
-    diag, diag_flags, notes = diagnostics_stage(cfg, form, spec, ball_id,
-                                                finest, geo, cuts, u, f_rhs)
+    with _timed(times, "geometry"):
+        geometry_report, geo = geometry_stage(cfg, form, spec, finest)
+    with _timed(times, "cutoff"):
+        cutoff_report, cuts = cutoff_stage(cfg, form, spec, finest,
+                                           geo.analytics)
+    with _timed(times, "diagnostics"):
+        diag, diag_flags, notes = diagnostics_stage(
+            cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs)
     constants = {
         "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
         "caccioppoli_c": diag["caccioppoli_c"],
@@ -456,14 +481,14 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs):
     return report, flags, artifacts
 
 
-def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs):
+def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs, times=None):
     """run_ball, with a ball the grid cannot measure skipped, not raised.
 
     A skipped ball returns report None, the flag `<ball_id>.skipped` and
     the reason as its one note in artifacts["notes"].
     """
     try:
-        return run_ball(cfg, form, spec, ball_id, u, f_rhs)
+        return run_ball(cfg, form, spec, ball_id, u, f_rhs, times)
     except (ResolutionError, ChainTooShortError, RangeError,
             GeometryError) as exc:
         return (None, {f"{ball_id}.skipped": True},
@@ -477,11 +502,14 @@ def run_experiment(cfg, out_dir, strict=False):
     for sub in ("distances", "balls", "cutoffs", "solutions", "diagnostics",
                 "plots"):
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
-    form = build_form(cfg)
+    times = dict.fromkeys(STAGES, 0.0)
+    with _timed(times, "build_form"):
+        form = build_form(cfg)
     grid = form.grid
 
     stats = SolveStats()
-    sc, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
+    with _timed(times, "solve_global"):
+        sc, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
 
     report = {
@@ -504,19 +532,22 @@ def run_experiment(cfg, out_dir, strict=False):
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
         ball_report, flags, art = run_ball_or_skip(cfg, form, spec, ball_id,
-                                                   u, sc.rhs)
+                                                   u, sc.rhs, times)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
         if ball_report is not None:
             report["balls"][ball_id] = ball_report
-            _write_ball_artifacts(out_dir, ball_id, art, ball_report)
+            with _timed(times, "artifacts"):
+                _write_ball_artifacts(out_dir, ball_id, art, ball_report)
 
-    _write_solution_artifacts(out_dir, u_lin, q_result)
-    report = json_safe(report)
-    write_report(report, os.path.join(out_dir, "report.json"))
+    with _timed(times, "artifacts"):
+        _write_solution_artifacts(out_dir, u_lin, q_result)
+        report = json_safe(report)
+        write_report(report, os.path.join(out_dir, "report.json"))
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump({"elapsed_seconds": time.time() - t0,
                    "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                   "stages": times,
                    "solver": asdict(stats)}, fh)
         fh.write("\n")
     failed = _failed_flags(report, cfg, strict)
@@ -536,10 +567,22 @@ def _failed_flags(report, cfg, strict):
 
 
 def write_grid_csv(path, grid, values, name):
-    """One (x, y, name) row per grid node."""
-    X, Y = grid.meshgrid()
-    write_csv(path, ("x", "y", name),
-              zip(X.ravel(), Y.ravel(), values.ravel()))
+    """One (x, y, name) row per grid node, x outer and y inner.
+
+    Every cell is repr of a Python float (shortest round trip; inf, nan
+    and -0.0 as Python spells them), written by csv.writer with CRLF line
+    ends: the bytes csv.writer gives for repr(float(v)) of each meshgrid
+    cell.  Each x and each y is formatted once and each value once, and
+    the rows are generated inside write_csv, one at a time.
+    """
+    def rows():
+        ys = [repr(y) for y in grid.ys().tolist()]
+        cells = map(repr, values.ravel().tolist())
+        for x in map(repr, grid.xs().tolist()):
+            for y in ys:
+                yield x, y, next(cells)
+
+    write_csv(path, ("x", "y", name), rows())
 
 
 def write_ball_table(path, geometry_report, growth):

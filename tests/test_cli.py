@@ -8,11 +8,14 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from subunit_lab.cli import main
 from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, SchemaMismatchError
+from subunit_lab.grid import GridSpec
+from subunit_lab.pipeline import STAGES, write_grid_csv
 from subunit_lab.reporting import compare, load_report, validate_report
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
@@ -68,6 +71,27 @@ def test_nan_config_exit_1(tmp_path, smoke_cfg_path, field):
     assert "NaN" in bad.read_text()
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+# NaN and inf pass the range checks (nx >= 17, rungs and count >= 3) and
+# raise inside int(); each non-integral value passes them and is truncated
+@pytest.mark.parametrize("section,key,value", [
+    (section, key, value)
+    for section, key, non_integral in [("epsilons", "rungs", 3.5),
+                                       ("radii", "count", 4.5),
+                                       ("grid", "nx", 129.5),
+                                       ("grid", "ny", 129.5)]
+    for value in (math.nan, math.inf, non_integral)])
+def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                                   capsys, section, key,
+                                                   value):
+    raw = json.load(open(smoke_cfg_path))
+    raw[section][key] = value
+    bad = tmp_path / "count.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 def test_missing_config_exit_1(tmp_path):
@@ -210,6 +234,30 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run):
                     float(cell)
 
 
+def _csv_writer_grid_csv(path, grid, values, name):
+    # the former write_grid_csv: meshgrid rows through csv.writer, each
+    # cell formatted as repr(float(v))
+    X, Y = grid.meshgrid()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("x", "y", name))
+        for row in zip(X.ravel(), Y.ravel(), values.ravel()):
+            w.writerow([repr(float(v)) for v in row])
+
+
+def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
+    grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
+    values = np.random.default_rng(5).normal(size=grid.shape)
+    values[0, :5] = [math.inf, math.nan, -0.0, 1e-300, 5e-324]
+    values[-1, -3:] = [-math.inf, 0.0, -5e-324]
+    write_grid_csv(tmp_path / "new.csv", grid, values, "value")
+    _csv_writer_grid_csv(tmp_path / "old.csv", grid, values, "value")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\r\n") == 41 * 23 + 1
+    assert b"-1.3,-0.7,inf\r\n" in new and b",-0.0\r\n" in new
+
+
 TRIG = {"kind": "trig", "amp": 0.5, "kx": 1.0, "ky": 1.0, "c": 2.0}
 
 
@@ -260,6 +308,13 @@ def test_run_meta_records_linear_solves(smoke_run):
     assert solver["linear_solves"] == 3
     assert 3 <= solver["pcg_iterations"] <= 6
     assert solver["max_pcg_iterations"] <= 2
+
+
+def test_run_meta_records_stage_seconds(smoke_run):
+    stages = json.load(open(smoke_run / "run_meta.json"))["stages"]
+    assert set(stages) == set(STAGES)
+    assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+    assert stages["metric"] > 0.0 and stages["artifacts"] > 0.0
 
 
 def test_installed_entry_point_runs():

@@ -1,16 +1,18 @@
 """Degeneracy profiles: h, f, form assembly, structural envelope."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning, quad
 
 from subunit_lab.errors import DomainError, QuadratureError
 from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
-                               assemble_form, envelope_check, eval_h,
-                               eval_h_log, lambda_from_sigma)
+                               _inv_h_logvar, assemble_form, envelope_check,
+                               eval_h, eval_h_log, lambda_from_sigma)
 from subunit_lab.grid import GridSpec
 
 
@@ -137,6 +139,34 @@ def test_quadrature_error_raised_for_impossible_tolerance():
     p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
     with pytest.raises(QuadratureError):
         p.value(0.5)
+
+
+def _two_piece_log_integral(x, lam, tol):
+    # I(x) with a fresh quad call per piece: (ln x, -1) then (-1, 0) for
+    # x < 1/e, else the single piece (ln x, 0)
+    lo = math.log(x)
+    pieces = [(lo, -1.0), (-1.0, 0.0)] if lo < -1.0 else [(lo, 0.0)]
+    val = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in pieces:
+            val += quad(_inv_h_logvar, a, b, args=(lam,), limit=200,
+                        epsabs=tol, epsrel=10.0 * tol)[0]
+    return val
+
+
+def test_log_integral_matches_two_piece_reference():
+    # the tail over (-1, 0) differs between the two tolerances, so a tail
+    # reused across tolerances (or lambdas) changes some value below 1/e
+    for lam in (3.0, 9.0):
+        for tol in (1e-10, 1e-6):
+            p = DegeneracyProfile("paper_model", lam, quad_tol=tol)
+            for x in (1e-4, 0.05, 0.3, 0.36, 0.37, 0.5):
+                assert p.log_value(x) == -_two_piece_log_integral(x, lam, tol)
+    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
+    for x in (0.1, 0.5):
+        with pytest.raises(QuadratureError):
+            p.log_value(x)
 
 
 def test_paper_model_domain_cap_enforced():
