@@ -1,8 +1,12 @@
 """Batch experiment CLI.
 
 Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  Each of
-dist, balls, cutoff, solve and diagnose runs the pipeline up to one stage
-and writes that stage's tables through the writers `run` uses.
+balls, cutoff, solve and diagnose runs the pipeline up to one stage and
+writes that stage's tables through the writers `run` uses.  dist is the
+one subcommand that solves the config's whole eps ladder: it writes every
+rung (the finest is the field `run` measures on), checks that distances
+grow nodewise as eps shrinks (a violation exits 2) and prints the
+extrapolated eps -> 0 limit.
 Exit codes: 0 ok, 1 config error, 2 geometry error, 3 solver
 non-convergence, 4 diagnostic hard-fail (a required pass flag is false).
 """
@@ -12,11 +16,14 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import pipeline
 from .config import ExperimentConfig
 from .errors import (ConfigError, GeometryError, MonotonicityError,
                      RangeError, ResolutionError, SolverError,
                      SubunitLabError)
+from .metric import extrapolate_distance, solve_ladder
 from .reporting import compare, format_diff, json_safe, load_report, write_csv
 
 EXIT_OK = 0
@@ -36,12 +43,17 @@ def cmd_dist(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
+        source = form.grid.nearest_node(*spec.center)
+        ladder = solve_ladder(form, source, cfg.epsilon_ladder())
+        limit = extrapolate_distance(ladder)
         for f in ladder:
             pipeline.write_grid_csv(
                 os.path.join(args.out, f"ball{k}_eps{f.epsilon:g}.csv"),
                 form.grid, f.values, "value")
-        print(f"ball{k}: {len(ladder)} distance fields -> {args.out}")
+        last = limit.error_bar[np.isfinite(limit.error_bar)]
+        print(f"ball{k}: {len(ladder)} distance fields -> {args.out}; "
+              f"eps -> 0 limit: max last increment {last.max():.3e}, "
+              f"{np.count_nonzero(~limit.frozen_mask)} unreachable nodes")
     return EXIT_OK
 
 
@@ -49,8 +61,8 @@ def cmd_balls(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
-        section, geo = pipeline.geometry_stage(cfg, form, spec, ladder[-1])
+        _, finest = pipeline.metric_stage(cfg, form, spec)
+        section, geo = pipeline.geometry_stage(cfg, form, spec, finest)
         pipeline.write_ball_table(os.path.join(args.out, f"ball{k}.csv"),
                                   section, geo.growth)
         print(f"ball{k}: C_doubling={geo.analytics.C_doubling:.3f} "
@@ -62,9 +74,9 @@ def cmd_cutoff(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
     for k, spec in enumerate(cfg.balls):
-        _, ladder, _ = pipeline.metric_stage(cfg, form, spec)
-        _, geo = pipeline.geometry_stage(cfg, form, spec, ladder[-1])
-        section, cuts = pipeline.cutoff_stage(cfg, form, spec, ladder[-1],
+        _, finest = pipeline.metric_stage(cfg, form, spec)
+        _, geo = pipeline.geometry_stage(cfg, form, spec, finest)
+        section, cuts = pipeline.cutoff_stage(cfg, form, spec, finest,
                                               geo.analytics)
         pipeline.write_cutoff_table(
             os.path.join(args.out, f"ball{k}_cutoffs.csv"), cuts.seq)

@@ -9,8 +9,11 @@ d_eps(x0, .) solves the eikonal equation
 
 We discretize with the Godunov upwind scheme and march causally
 (fast marching, single pass).  d_eps increases monotonically as eps
-decreases; the eps -> 0 limit is estimated by Richardson extrapolation
-over a geometric eps ladder.
+decreases.  The pipeline measures every ball on one field, the finest
+rung eps_min (one solve_distance per ball).  Only the `dist` subcommand
+solves the whole geometric eps ladder (solve_ladder) and estimates the
+eps -> 0 limit by Richardson extrapolation (extrapolate_distance), which
+also checks the nodewise eps-monotonicity.
 
 The marching loop works on plain Python lists and a bytearray, not numpy
 scalars, over the grid padded by one sentinel ring.  Sentinel nodes are
@@ -54,6 +57,18 @@ class DistanceField:
     def slack(self):
         """Discretization slack declared for this grid (first-order scheme)."""
         return 2.0 * max(self.grid.hx, self.grid.hy)
+
+
+@dataclass
+class FmmStats:
+    """Work counters of the fast-marching solves one caller made."""
+
+    fmm_solves: int = 0
+    fmm_nodes: int = 0      # frozen (reached) nodes, summed over solves
+
+    def record(self, field):
+        self.fmm_solves += 1
+        self.fmm_nodes += int(np.count_nonzero(field.frozen_mask))
 
 
 def solve_distance(form, source, epsilon):

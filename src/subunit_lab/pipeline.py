@@ -13,13 +13,15 @@ Artifact layout under the output directory:
     report.json   the deterministic report (no timestamps)
     run_meta.json wall-clock metadata, excluded from the determinism contract:
                   elapsed seconds, per-stage wall seconds (STAGES, ball
-                  stages summed over balls) and the solver's work counters
+                  stages summed over balls), the solver's work counters
+                  and the fast-marching counters (solves, frozen nodes)
 
 The PDE is solved once per experiment (solve_global).  Each ball then runs
 four stages in order, each returning its report section and what the next
-stage needs: metric_stage, geometry_stage, cutoff_stage and
-diagnostics_stage.  run_ball composes them; the CLI subcommands call them
-one at a time and write through the same table writers.
+stage needs: metric_stage (one eps_min distance field; its report section
+is {"eps_min"}), geometry_stage, cutoff_stage and diagnostics_stage.
+run_ball composes them; the CLI subcommands call them one at a time and
+write through the same table writers.
 """
 
 import json
@@ -40,7 +42,7 @@ from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
 from .errors import (ChainTooShortError, GeometryError, RangeError,
                      ResolutionError)
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
-from .metric import ball, extrapolate_distance, solve_ladder
+from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
 from .solver import (DiscreteFunction, SolveConfig, SolveStats,
                      assemble_linear, max_principle_slack, poincare_functional,
@@ -171,23 +173,19 @@ def solve_global(cfg, form, stats=None):
     return sc, u_lin, q_result, info
 
 
-def metric_stage(cfg, form, spec):
-    """The eps ladder from the node nearest the ball's center and its
-    extrapolated eps -> 0 limit.
+def metric_stage(cfg, form, spec, fmm=None):
+    """The distance field at eps_min, the finest rung of the config's eps
+    ladder, from the node nearest the ball's center: one fast-marching
+    solve, the field every later stage measures on.
 
-    Returns (report section, ladder, limit); ladder[-1] is the finest field.
+    Returns (report section {"eps_min"}, field).  fmm, when given,
+    records the solve (metric.FmmStats).
     """
     source = form.grid.nearest_node(*spec.center)
-    ladder = solve_ladder(form, source, cfg.epsilon_ladder())
-    limit = extrapolate_distance(ladder)
-    increments = ladder[-1].values - ladder[-2].values
-    section = {
-        "eps_min": ladder[-1].epsilon,
-        "max_last_increment": float(np.nanmax(np.where(
-            np.isfinite(increments), increments, np.nan))),
-        "unreachable_nodes": int(np.count_nonzero(~limit.frozen_mask)),
-    }
-    return section, ladder, limit
+    finest = solve_distance(form, source, cfg.epsilon_ladder()[-1])
+    if fmm is not None:
+        fmm.record(finest)
+    return {"eps_min": finest.epsilon}, finest
 
 
 @dataclass
@@ -314,15 +312,16 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
                                 delta_nu_used, delta_r_used)
 
 
-def _box_chain(cfg, profile, source, spec, u, eps_min):
+def _box_chain(cfg, profile, source, spec, u, eps_min, fmm=None):
     """The oscillation chain R nu0^k, k < MIN_CHAIN, on box grids.
 
     Each radius gets its own box grid (geometry.box_ball) with as many
     nodes per axis as the global grid has cells across [x0 +- R], made
     odd, so refining the config refines every chain ball; u is carried
     over by bilinear interpolation.  The chain stops at the first ball
-    under the node floor.  Returns (radii, fields, u values, node counts,
-    interpolation error bounds).
+    under the node floor.  fmm, when given, records each box field.
+    Returns (radii, fields, u values, node counts, interpolation error
+    bounds).
     """
     grid = u.grid
     center = grid.node_xy(source)
@@ -333,6 +332,8 @@ def _box_chain(cfg, profile, source, spec, u, eps_min):
         rho = spec.r * cfg.params.nu0 ** k
         field = geometry.box_ball(profile, center, rho, spec.r, eps_min, n,
                                   grid)
+        if fmm is not None:
+            fmm.record(field)
         count = int(np.count_nonzero(field.values < rho))
         nodes.append(count)
         if count < geometry.MIN_BALL_NODES:
@@ -346,13 +347,15 @@ def _box_chain(cfg, profile, source, spec, u, eps_min):
     return radii, fields, values, nodes, errors
 
 
-def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs):
+def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
+                      fmm=None):
     """Caccioppoli, Sobolev, Poincare, Moser, log estimates, Harnack, the
     local bound and the oscillation chain of u on one ball.
 
     The chain radii are measured on box grids of their own (_box_chain),
     since below a few cells of y-extent a ball on the global grid is a
-    single row of nodes.  Returns (report section, pass flags, notes).
+    single row of nodes; fmm, when given, records their solves.  Returns
+    (report section, pass flags, notes).
     """
     grid = form.grid
     p = cfg.params
@@ -378,7 +381,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs):
     notes = []
     try:
         chain, chain_fields, chain_u, chain_nodes, interp_err = _box_chain(
-            cfg, form.profile, finest.source, spec, u, finest.epsilon)
+            cfg, form.profile, finest.source, spec, u, finest.epsilon, fmm)
     except (GeometryError, ResolutionError) as exc:
         notes.append(f"{ball_id}: oscillation chain skipped ({exc})")
         chain, chain_nodes = [], []
@@ -435,15 +438,14 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs):
     return section, flags, notes
 
 
-def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None):
+def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None, fmm=None):
     """The four ball stages in order.  Returns (report, flags, artifacts).
 
     times, when given, gains each stage's wall seconds under its STAGES
-    name."""
+    name; fmm, when given, records every fast-marching solve."""
     times = {} if times is None else times
     with _timed(times, "metric"):
-        metric_report, ladder, _ = metric_stage(cfg, form, spec)
-    finest = ladder[-1]
+        metric_report, finest = metric_stage(cfg, form, spec, fmm)
     with _timed(times, "geometry"):
         geometry_report, geo = geometry_stage(cfg, form, spec, finest)
     with _timed(times, "cutoff"):
@@ -451,7 +453,7 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None):
                                            geo.analytics)
     with _timed(times, "diagnostics"):
         diag, diag_flags, notes = diagnostics_stage(
-            cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs)
+            cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs, fmm)
     constants = {
         "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
         "caccioppoli_c": diag["caccioppoli_c"],
@@ -481,14 +483,15 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None):
     return report, flags, artifacts
 
 
-def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs, times=None):
+def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs, times=None,
+                     fmm=None):
     """run_ball, with a ball the grid cannot measure skipped, not raised.
 
     A skipped ball returns report None, the flag `<ball_id>.skipped` and
     the reason as its one note in artifacts["notes"].
     """
     try:
-        return run_ball(cfg, form, spec, ball_id, u, f_rhs, times)
+        return run_ball(cfg, form, spec, ball_id, u, f_rhs, times, fmm)
     except (ResolutionError, ChainTooShortError, RangeError,
             GeometryError) as exc:
         return (None, {f"{ball_id}.skipped": True},
@@ -508,6 +511,7 @@ def run_experiment(cfg, out_dir, strict=False):
     grid = form.grid
 
     stats = SolveStats()
+    fmm = FmmStats()
     with _timed(times, "solve_global"):
         sc, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
@@ -532,7 +536,7 @@ def run_experiment(cfg, out_dir, strict=False):
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
         ball_report, flags, art = run_ball_or_skip(cfg, form, spec, ball_id,
-                                                   u, sc.rhs, times)
+                                                   u, sc.rhs, times, fmm)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
         if ball_report is not None:
@@ -548,7 +552,8 @@ def run_experiment(cfg, out_dir, strict=False):
         json.dump({"elapsed_seconds": time.time() - t0,
                    "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "stages": times,
-                   "solver": asdict(stats)}, fh)
+                   "solver": asdict(stats),
+                   "metric": asdict(fmm)}, fh)
         fh.write("\n")
     failed = _failed_flags(report, cfg, strict)
     return report, failed

@@ -9,7 +9,7 @@ import jsonschema
 
 from .errors import SchemaMismatchError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def load_schema():

@@ -15,6 +15,7 @@ from subunit_lab.cli import main
 from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
+from subunit_lab.metric import DistanceField, solve_ladder
 from subunit_lab.pipeline import STAGES, write_grid_csv
 from subunit_lab.reporting import compare, load_report, validate_report
 
@@ -180,6 +181,27 @@ def test_dist_subcommand(tmp_path, smoke_cfg_path):
     assert any(f.startswith("ball0_eps") for f in files)
 
 
+def test_dist_monotonicity_violation_exit_2(tmp_path, smoke_cfg_path,
+                                           monkeypatch, capsys):
+    # dist is the one path that extrapolates the eps ladder; a rung that
+    # drops below the one before it must stop it with a geometry error
+    def corrupted_ladder(form, source, epsilons):
+        fields = solve_ladder(form, source, epsilons)
+        f = fields[-1]
+        values = f.values.copy()
+        values[10, 10] = 0.0
+        fields[-1] = DistanceField(grid=f.grid, source=f.source,
+                                   epsilon=f.epsilon, values=values,
+                                   frozen_mask=f.frozen_mask.copy())
+        return fields
+
+    monkeypatch.setattr("subunit_lab.cli.solve_ladder", corrupted_ladder)
+    code = main(["dist", "--config", smoke_cfg_path,
+                 "--out", str(tmp_path / "dist")])
+    assert code == 2
+    assert "distance decreased" in capsys.readouterr().err
+
+
 def test_balls_subcommand(tmp_path, smoke_cfg_path):
     out = tmp_path / "balls"
     code = main(["balls", "--config", smoke_cfg_path, "--out", str(out)])
@@ -315,6 +337,20 @@ def test_run_meta_records_stage_seconds(smoke_run):
     assert set(stages) == set(STAGES)
     assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
     assert stages["metric"] > 0.0 and stages["artifacts"] > 0.0
+
+
+def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
+    # one global eps_min solve per ball, plus one per box field of its
+    # oscillation chain; nodes count the frozen nodes of every field
+    fmm = json.load(open(smoke_run / "run_meta.json"))["metric"]
+    rep = load_report(smoke_run / "report.json")
+    balls = list(rep["balls"].values())
+    assert balls
+    assert fmm["fmm_solves"] == len(balls) + sum(
+        len(b["diagnostics"]["chain_nodes"]) for b in balls)
+    nodes = rep["grid"]["nx"] * rep["grid"]["ny"]
+    # the constant form reaches every node of the global grid
+    assert len(balls) * nodes < fmm["fmm_nodes"] <= fmm["fmm_solves"] * nodes
 
 
 def test_installed_entry_point_runs():

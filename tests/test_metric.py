@@ -1,17 +1,24 @@
 """Subunit distance fields: eikonal solve, eps ladder, limit, balls."""
 
 import heapq
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, MonotonicityError
 from subunit_lab.forms import DegeneracyProfile, QuadraticFormField, assemble_form
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import (DistanceField, ball, dijkstra_distance,
                                 extrapolate_distance, solve_distance,
                                 solve_ladder)
+from subunit_lab.pipeline import build_form, metric_stage
+
+PAPER_4BALLS = os.path.join(os.path.dirname(__file__), "..", "bench",
+                            "workloads", "paper-4balls.json")
 
 
 def _reference_solve_distance(form, source, epsilon):
@@ -143,11 +150,38 @@ def test_grushin_vertical_distance_against_oracles(grushin_field_origin):
     assert abs(d_fmm - math.sqrt(2 * math.pi * y)) / d_fmm < 0.05
 
 
-def test_epsilon_monotonicity_nodewise(grushin_form):
-    fields = solve_ladder(grushin_form, (128, 128), [0.2, 0.1, 0.05, 0.025])
-    for f1, f2 in zip(fields, fields[1:]):
-        assert f2.epsilon < f1.epsilon
-        assert np.all(f2.values >= f1.values - 1e-9)
+@pytest.mark.parametrize("kind,param", [("constant", 1.0), ("power", 1.0),
+                                        ("paper_model", 9.0),
+                                        ("exponential", 0.1)])
+def test_epsilon_monotonicity_nodewise(grid129, kind, param):
+    # `run` measures on eps_min alone; the eps-monotone invariant of the
+    # configs' ladder (the one `dist` writes) is asserted here, on and off
+    # the degenerate axis, and extrapolate_distance runs its own check
+    form = assemble_form(DegeneracyProfile(kind, param), grid129)
+    for source in (grid129.nearest_node(0.0, 0.0),
+                   grid129.nearest_node(0.2, 0.1)):
+        fields = solve_ladder(form, source, [0.1, 0.05, 0.025, 0.0125])
+        for f1, f2 in zip(fields, fields[1:]):
+            assert f2.epsilon < f1.epsilon
+            assert np.all(f2.values >= f1.values - 1e-9)
+        extrapolate_distance(fields)
+
+
+def test_metric_stage_field_is_finest_ladder_rung():
+    # the one solve metric_stage makes is the ladder's finest rung, byte
+    # for byte, for every ball of the paper-model workload (on 65^2)
+    with open(PAPER_4BALLS) as fh:
+        raw = json.load(fh)
+    raw["grid"].update(nx=65, ny=65)
+    cfg = ExperimentConfig.from_dict(raw)
+    form = build_form(cfg)
+    for spec in cfg.balls:
+        section, field = metric_stage(cfg, form, spec)
+        source = form.grid.nearest_node(*spec.center)
+        rung = solve_ladder(form, source, cfg.epsilon_ladder())[-1]
+        assert field.values.tobytes() == rung.values.tobytes(), spec.center
+        assert field.epsilon == rung.epsilon == section["eps_min"]
+        assert field.source == rung.source
 
 
 def test_extrapolate_constant_form_limit_equals_finest(euclid_form):
