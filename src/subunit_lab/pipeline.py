@@ -30,6 +30,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -39,8 +40,8 @@ from .cutoff import (CutoffSequence, SpecialCutoff, build_sequence,
 from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
                           log_c_har, log_estimate, moser_iterate,
                           oscillation_curve, shift_m)
-from .errors import (ChainTooShortError, GeometryError, RangeError,
-                     ResolutionError)
+from .errors import (ChainTooShortError, DomainError, GeometryError,
+                     RangeError, ResolutionError)
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
@@ -575,19 +576,25 @@ def write_grid_csv(path, grid, values, name):
     """One (x, y, name) row per grid node, x outer and y inner.
 
     Every cell is repr of a Python float (shortest round trip; inf, nan
-    and -0.0 as Python spells them), written by csv.writer with CRLF line
-    ends: the bytes csv.writer gives for repr(float(v)) of each meshgrid
-    cell.  Each x and each y is formatted once and each value once, and
-    the rows are generated inside write_csv, one at a time.
+    and -0.0 as Python spells them) and every line ends in CRLF: the
+    bytes csv.writer gives for repr(float(v)) of each meshgrid cell, since
+    a float's repr holds no delimiter, quote or line end.  Each x and
+    each y is formatted once and each value once, and each x column goes
+    to the file in one write, so no string spans the whole file.
+    Raises DomainError unless values has the grid's shape.
     """
-    def rows():
-        ys = [repr(y) for y in grid.ys().tolist()]
-        cells = map(repr, values.ravel().tolist())
-        for x in map(repr, grid.xs().tolist()):
-            for y in ys:
-                yield x, y, next(cells)
-
-    write_csv(path, ("x", "y", name), rows())
+    if values.shape != grid.shape:
+        raise DomainError(f"{name}: values of shape {values.shape} on a "
+                          f"grid of shape {grid.shape}")
+    ny = grid.shape[1]
+    ys = [repr(y) + "," for y in grid.ys().tolist()]
+    cells = map(repr, values.ravel().tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(f"x,y,{name}\r\n")
+        for x in grid.xs().tolist():
+            x = repr(x) + ","
+            fh.write("".join([f"{x}{y}{v}\r\n"
+                              for y, v in zip(ys, islice(cells, ny))]))
 
 
 def write_ball_table(path, geometry_report, growth):
@@ -615,7 +622,7 @@ def _write_solution_artifacts(out, u_lin, q_result):
     write_grid_csv(os.path.join(out, "solutions", "linear.csv"), grid,
                    u_lin.values, "u")
     svgplot.heatmap(os.path.join(out, "plots", "solution.svg"),
-                    u_lin.values, grid, title="linear solution")
+                    u_lin.values, title="linear solution")
     if q_result is not None:
         write_grid_csv(os.path.join(out, "solutions", "quasilinear.csv"), grid,
                        q_result.u.values, "u")

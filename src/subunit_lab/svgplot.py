@@ -1,8 +1,9 @@
 """Minimal self-contained SVG output: line charts, log-log charts, heatmaps.
 
 No plotting dependency; every figure is a standalone .svg written directly.
-Deterministic output for identical data (floats formatted with repr-stable
-%.6g, no timestamps).
+Deterministic output for identical data, with no timestamps: coordinates
+and sizes are formatted with .2f (axis ticks .1f), tick labels with .3g
+and a heatmap's range label with .4g.
 """
 
 import math
@@ -12,6 +13,8 @@ import numpy as np
 W, H = 640, 440
 MARGIN = 56
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# cells a side of a heatmap before it is subsampled
+HEATMAP_CELLS = 160
 
 
 def _ticks(lo, hi, n=5):
@@ -32,14 +35,36 @@ def _ticks(lo, hi, n=5):
     return out
 
 
+def _header(title):
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
+        f'viewBox="0 0 {W} {H}">',
+        f'<rect width="{W}" height="{H}" fill="white"/>',
+        f'<text x="{W/2:.0f}" y="20" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
+    ]
+
+
+def _cell_attrs(cols, rows, cw, ch, width, height):
+    """The rect's x attribute for each column index in cols, and its y,
+    width and height attributes for each row index in rows: column i
+    starts at MARGIN + i * cw and row j, counted up from the bottom, at
+    H - MARGIN - (j + 1) * ch."""
+    xs = [f'<rect x="{MARGIN + i * cw:.2f}" ' for i in cols]
+    size = f'width="{width:.2f}" height="{height:.2f}" '
+    ys = [f'y="{H - MARGIN - (j + 1) * ch:.2f}" ' + size for j in rows]
+    return xs, ys
+
+
+def _write(path, parts):
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts) + "\n")
+
+
 class _Canvas:
     def __init__(self, title, xlabel, ylabel):
-        self.parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-            f'viewBox="0 0 {W} {H}">',
-            f'<rect width="{W}" height="{H}" fill="white"/>',
-            f'<text x="{W/2:.0f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>',
+        self.parts = _header(title) + [
             f'<text x="{W/2:.0f}" y="{H-8:.0f}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12">{xlabel}</text>',
             f'<text x="14" y="{H/2:.0f}" text-anchor="middle" '
@@ -97,9 +122,6 @@ class _Canvas:
                 f'<text x="{W-MARGIN-85}" y="{y0}" font-family="sans-serif" '
                 f'font-size="11">{label}</text>')
 
-    def tostring(self):
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
-
 
 def _finite_positive(series, log):
     vals = []
@@ -136,77 +158,51 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
         if keep:
             c.polyline([p[0] for p in keep], [p[1] for p in keep],
                        PALETTE[k % len(PALETTE)], label, k)
-    with open(path, "w") as fh:
-        fh.write(c.tostring())
+    _write(path, c.parts)
 
 
-def heatmap(path, values, grid, title="", mask=None, cells=160):
-    """Coarse rect-based heatmap of a grid function (downsampled)."""
+def heatmap(path, values, title=""):
+    """Coarse rect-based heatmap of a grid function: every
+    max(1, n // HEATMAP_CELLS)-th node along an axis of n nodes, one rect
+    each; non-finite nodes stay blank."""
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
-    if mask is not None:
-        finite &= mask
     if not finite.any():
         raise ValueError("nothing to plot")
     lo, hi = float(v[finite].min()), float(v[finite].max())
     span = hi - lo if hi > lo else 1.0
     nx, ny = v.shape
-    sx = max(1, nx // cells)
-    sy = max(1, ny // cells)
+    sx = max(1, nx // HEATMAP_CELLS)
+    sy = max(1, ny // HEATMAP_CELLS)
     vv = v[::sx, ::sy]
-    ff = finite[::sx, ::sy]
     mx, my = vv.shape
     cw = (W - 2 * MARGIN) / mx
     ch = (H - 2 * MARGIN) / my
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W/2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-    ]
-    for i in range(mx):
-        for j in range(my):
-            if not ff[i, j]:
-                continue
-            t = (vv[i, j] - lo) / span
-            rch = int(255 * t)
-            bch = int(255 * (1 - t))
-            x = MARGIN + i * cw
-            y = H - MARGIN - (j + 1) * ch
-            parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw + 0.5:.2f}" '
-                         f'height="{ch + 0.5:.2f}" fill="rgb({rch},80,{bch})"/>')
+    xs, ys = _cell_attrs(range(mx), range(my), cw, ch, cw + 0.5, ch + 0.5)
+    ii, jj = np.nonzero(finite[::sx, ::sy])
+    t = (vv[ii, jj] - lo) / span
+    parts = _header(title)
+    parts += [f'{xs[i]}{ys[j]}fill="rgb({r},80,{b})"/>'
+              for i, j, r, b in zip(ii.tolist(), jj.tolist(),
+                                    (255 * t).astype(int).tolist(),
+                                    (255 * (1 - t)).astype(int).tolist())]
     parts.append(f'<text x="{MARGIN}" y="{H - 20}" font-family="sans-serif" '
                  f'font-size="10">range [{lo:.4g}, {hi:.4g}]</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write(path, parts)
 
 
 def nesting_diagram(path, supports, grid, title="cutoff supports"):
     """Nested support outlines E_1 > E_2 > ... as stacked translucent fills."""
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
-        f'viewBox="0 0 {W} {H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W/2:.0f}" y="20" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
-    ]
+    parts = _header(title)
     nx, ny = grid.shape
     cw = (W - 2 * MARGIN) / nx
     ch = (H - 2 * MARGIN) / ny
+    step = max(1, nx // 120)
+    xs, ys = _cell_attrs(range(0, nx, step), range(0, ny, step), cw, ch,
+                         cw * step, ch * step)
     for k, m in enumerate(supports):
-        color = PALETTE[k % len(PALETTE)]
-        step = max(1, nx // 120)
-        for i in range(0, nx, step):
-            for j in range(0, ny, step):
-                if m[i, j]:
-                    x = MARGIN + i * cw
-                    y = H - MARGIN - (j + 1) * ch
-                    parts.append(
-                        f'<rect x="{x:.2f}" y="{y:.2f}" '
-                        f'width="{cw * step:.2f}" height="{ch * step:.2f}" '
-                        f'fill="{color}" fill-opacity="0.18"/>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fill = f'fill="{PALETTE[k % len(PALETTE)]}" fill-opacity="0.18"/>'
+        ii, jj = np.nonzero(m[::step, ::step])
+        parts += [f"{xs[i]}{ys[j]}{fill}"
+                  for i, j in zip(ii.tolist(), jj.tolist())]
+    _write(path, parts)

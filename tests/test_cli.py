@@ -13,7 +13,7 @@ import pytest
 
 from subunit_lab.cli import main
 from subunit_lab.config import ExperimentConfig
-from subunit_lab.errors import ConfigError, SchemaMismatchError
+from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField, solve_ladder
 from subunit_lab.pipeline import STAGES, write_grid_csv
@@ -278,6 +278,18 @@ def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"\r\n") == 41 * 23 + 1
     assert b"-1.3,-0.7,inf\r\n" in new and b",-0.0\r\n" in new
+
+
+@pytest.mark.parametrize("shape", [(41, 22), (40, 23), (41 * 23 - 1,),
+                                   (41, 24), (42, 23), (41 * 23 + 1,)],
+                         ids=["short-y", "short-x", "short-flat",
+                              "long-y", "long-x", "long-flat"])
+def test_write_grid_csv_rejects_values_off_the_grid(tmp_path, shape):
+    # too few values ran the cell generator dry (a RuntimeError from
+    # StopIteration); too many were cut to the grid's node count unseen
+    grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
+    with pytest.raises(DomainError, match="shape"):
+        write_grid_csv(tmp_path / "bad.csv", grid, np.zeros(shape), "value")
 
 
 TRIG = {"kind": "trig", "amp": 0.5, "kx": 1.0, "ky": 1.0, "c": 2.0}
