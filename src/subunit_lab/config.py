@@ -26,6 +26,14 @@ def _whole_number(x):
             and math.isfinite(x) and x == int(x))
 
 
+def _positive_count(x, path):
+    """x as an int when it is a whole number >= 1 (12.0 included), else a
+    ConfigError naming path."""
+    if not (_whole_number(x) and x >= 1):
+        raise ConfigError(f"must be a whole number >= 1, got {x!r}", path)
+    return int(x)
+
+
 @dataclass
 class BallSpec:
     center: tuple          # (x, y) in domain coordinates
@@ -63,25 +71,24 @@ class Params:
                 not 0.0 < self.cutoff_delta_frac < 1.0:
             raise ConfigError("cutoff_delta_frac must lie in (0, 1)",
                               f"{path}.cutoff_delta_frac")
-        if self.sigma <= 1:
-            raise ConfigError("sigma must exceed 1", f"{path}.sigma")
+        if not (_positive_finite(self.sigma) and self.sigma > 1):
+            raise ConfigError("sigma must be finite and > 1", f"{path}.sigma")
         for name in ("nu", "nu0", "mu"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)", f"{path}.{name}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]", f"{path}.eta")
-        if self.C <= 1.0:
-            raise ConfigError("C must exceed 1", f"{path}.C")
-        if self.gamma == 0 or abs(self.gamma) > 2:
+        if not (_positive_finite(self.C) and self.C > 1.0):
+            raise ConfigError("C must be finite and > 1", f"{path}.C")
+        if not 0 < abs(self.gamma) <= 2:
             raise ConfigError("gamma must satisfy 0 < |gamma| <= 2",
                               f"{path}.gamma")
         if self.lam is None:
             self.lam = lambda_from_sigma(self.sigma)
-        if self.lam <= 1:
-            raise ConfigError("lambda must exceed 1", f"{path}.lam")
-        if self.j_max < 1:
-            raise ConfigError("j_max must be positive", f"{path}.j_max")
+        if not (_positive_finite(self.lam) and self.lam > 1):
+            raise ConfigError("lambda must be finite and > 1", f"{path}.lam")
+        self.j_max = _positive_count(self.j_max, f"{path}.j_max")
 
 
 @dataclass
@@ -100,8 +107,13 @@ class SolverSpec:
     def validate(self, path="solver"):
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]", f"{path}.theta")
-        if self.fp_tol <= 0 or self.lin_tol <= 0:
-            raise ConfigError("tolerances must be positive", f"{path}.tol")
+        for name in ("fp_tol", "lin_tol"):
+            if not _positive_finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be positive and finite",
+                                  f"{path}.{name}")
+        for name in ("fp_max_iter", "lin_max_iter"):
+            count = _positive_count(getattr(self, name), f"{path}.{name}")
+            setattr(self, name, count)
         kind = self.boundary.get("kind")
         if kind not in ("affine", "trig"):
             raise ConfigError("boundary.kind must be affine or trig",

@@ -150,7 +150,8 @@ def solve_global(cfg, form, stats=None):
     u_lin = solve_linear(system, sc, stats)
     f_is_zero = np.ndim(sc.rhs) == 0 and float(sc.rhs) == 0.0
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
-    spread = float(np.ptp(system.boundary_values)) or 1.0
+    bvals = system.boundary_values[form.grid.boundary_mask()]
+    spread = float(np.ptp(bvals)) or 1.0
 
     env = QuasilinearEnvelope(base=form, c_phi=cfg.solver.phi_bounds[0],
                               C_phi=cfg.solver.phi_bounds[1])

@@ -1,12 +1,12 @@
 """Discrete weak solutions of div(A(x, u) grad u) = f with Dirichlet data.
 
 Discretization: 5-point finite differences with harmonic-mean face
-coefficients.  The assembled interior system is symmetric positive
-semidefinite with M-matrix sign structure, so the discrete maximum
-principle holds for f = 0 and exact zeros in q22 are tolerated as long as
-every interior node connects to the boundary through positive-coefficient
-faces.  The quasilinear problem is solved by damped Picard iteration on the
-frozen-coefficient linear problem.
+coefficients, held and applied matrix-free as the face weights.  The
+interior operator is symmetric positive semidefinite with M-matrix sign
+structure, so the discrete maximum principle holds for f = 0 and exact
+zeros in q22 are tolerated as long as every interior node connects to the
+boundary through positive-coefficient faces.  The quasilinear problem is
+solved by damped Picard iteration on the frozen-coefficient linear problem.
 
 Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
@@ -87,25 +87,11 @@ class SolveConfig:
             raise ConfigError("tolerances must be positive", "solver.tol")
 
 
-def _boundary_values(grid, boundary):
-    X, Y = grid.meshgrid()
-    if callable(boundary):
-        vals = np.asarray(boundary(X, Y), dtype=float)
-        return np.broadcast_to(vals, grid.shape).copy()
-    arr = np.asarray(boundary, dtype=float)
-    if arr.shape == grid.shape:
-        return arr.copy()
-    return np.full(grid.shape, float(boundary))
-
-
-def _rhs_values(grid, rhs):
-    if callable(rhs):
-        X, Y = grid.meshgrid()
-        return np.asarray(rhs(X, Y), dtype=float)
-    arr = np.asarray(rhs, dtype=float)
-    if arr.shape == grid.shape:
-        return arr.copy()
-    return np.full(grid.shape, float(rhs))
+def _grid_values(grid, value):
+    """Node values from a callable (X, Y) -> values, an array or a constant."""
+    if callable(value):
+        value = value(*grid.meshgrid())
+    return np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()
 
 
 def _harmonic(a, b):
@@ -115,25 +101,48 @@ def _harmonic(a, b):
     return h
 
 
+def _node_faces(wx, wy):
+    """Interior nodes' faces toward (i-1, j), (i+1, j), (i, j-1), (i, j+1)."""
+    return wx[:-1, 1:-1], wx[1:, 1:-1], wy[1:-1, :-1], wy[1:-1, 1:]
+
+
 @dataclass
 class LinearSystem:
+    """The interior system -L_h u = rhs, held as its face weights."""
+
     grid: object
-    matrix: sp.csr_matrix          # SPD interior operator (-L_h)
-    rhs: np.ndarray                # right-hand side with boundary folded in
-    interior_index: np.ndarray     # (n_int,) flat indices of unknowns
+    rhs: np.ndarray                # interior, j fastest, boundary folded in
     boundary_values: np.ndarray    # full-grid boundary data (interior entries 0)
-    f_values: np.ndarray
     wx: np.ndarray                 # (nx-1, ny) face weights (i,j)-(i+1,j)
     wy: np.ndarray                 # (nx, ny-1) face weights (i,j)-(i,j+1)
+    diag: np.ndarray               # (nx-2, ny-2) sum of each node's four faces
+
+    def apply(self, v):
+        """-L_h v for a flat interior vector v (j fastest), zero outside."""
+        left, right, down, up = _node_faces(self.wx, self.wy)
+        p = np.zeros((left.shape[0] + 2, left.shape[1] + 2))
+        p[1:-1, 1:-1] = v.reshape(left.shape)
+        # the terms in the sorted column order of a CSR matrix of -L_h, so
+        # each sum rounds as scipy's csr_matvec rounds it, bit for bit
+        out = -(left * p[:-2, 1:-1])
+        out -= down * p[1:-1, :-2]
+        out += self.diag * p[1:-1, 1:-1]
+        out -= up * p[1:-1, 2:]
+        out -= right * p[2:, 1:-1]
+        return out.ravel()
 
 
 def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
     """Assemble the interior 5-point system for frozen coefficients.
 
     Face coefficients are harmonic means of the nodal q values, so an exact
-    zero on one side closes the face.  Raises SingularSystemError when some
-    interior connected component (under positive faces) touches no boundary
-    node, reporting the island nodes.
+    zero on one side closes the face.  No matrix is built: the system is
+    the face weights, diag = ((left + right) + down) + up, and rhs = -f +
+    w g over the faces (i-1, j), (i+1, j), (i, j-1), (i, j+1) in turn, with
+    g = 0 inside.  Each sum runs in the order of a CSR assembly of the same
+    operator, so the values match it bit for bit.  Raises
+    SingularSystemError when some interior connected component (under
+    positive faces) touches no boundary node, reporting the island nodes.
     """
     q11 = np.asarray(q11, dtype=float)
     q22 = np.asarray(q22, dtype=float)
@@ -146,47 +155,22 @@ def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
 
     wx = _harmonic(q11[:-1, :], q11[1:, :]) / hx2   # faces (i,j)-(i+1,j)
     wy = _harmonic(q22[:, :-1], q22[:, 1:]) / hy2   # faces (i,j)-(i,j+1)
+    left, right, down, up = _node_faces(wx, wy)
+    diag = ((left + right) + down) + up
 
-    bmask = grid.boundary_mask()
-    interior = ~bmask
-    flat_int = np.flatnonzero(interior.ravel())
-    n_int = flat_int.size
-    col_of = np.full(nx * ny, -1, dtype=np.int64)
-    col_of[flat_int] = np.arange(n_int)
+    g = np.where(grid.boundary_mask(), _grid_values(grid, boundary), 0.0)
+    b = -_grid_values(grid, rhs)[1:-1, 1:-1]
+    b += left * g[:-2, 1:-1]
+    b += right * g[2:, 1:-1]
+    b += down * g[1:-1, :-2]
+    b += up * g[1:-1, 2:]
 
-    u_bd = _boundary_values(grid, boundary)
-    f = _rhs_values(grid, rhs)
-    b = (-f)[interior].astype(float).ravel()
-
-    ii, jj = np.nonzero(interior)
-    ca = col_of[ii * ny + jj]
-    diag = np.zeros(n_int)
-    rows_list, cols_list, vals_list = [], [], []
-    # (neighbor offset, face-weight array) per stencil direction
-    faces = (((-1, 0), wx[ii - 1, jj]), ((1, 0), wx[ii, jj]),
-             ((0, -1), wy[ii, jj - 1]), ((0, 1), wy[ii, jj]))
-    for (di, dj), w in faces:
-        ni, nj = ii + di, jj + dj
-        diag += w
-        cb = col_of[ni * ny + nj]
-        is_int = cb >= 0
-        rows_list.append(ca[is_int])
-        cols_list.append(cb[is_int])
-        vals_list.append(-w[is_int])
-        np.add.at(b, ca[~is_int], w[~is_int] * u_bd[ni[~is_int], nj[~is_int]])
-    rows = np.concatenate(rows_list + [np.arange(n_int)])
-    cols = np.concatenate(cols_list + [np.arange(n_int)])
-    vals = np.concatenate(vals_list + [diag])
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int))
-
-    _audit_connectivity(grid, wx, wy, col_of, bmask)
-
-    bd_full = np.where(bmask, u_bd, 0.0)
-    return LinearSystem(grid=grid, matrix=S, rhs=b, interior_index=flat_int,
-                        boundary_values=bd_full, f_values=f, wx=wx, wy=wy)
+    _audit_connectivity(grid, wx, wy)
+    return LinearSystem(grid=grid, rhs=b.ravel(), boundary_values=g,
+                        wx=wx, wy=wy, diag=diag)
 
 
-def _audit_connectivity(grid, wx, wy, col_of, bmask):
+def _audit_connectivity(grid, wx, wy):
     """Find interior components with no positive-face path to the boundary."""
     nx, ny = grid.shape
     n = nx * ny
@@ -195,8 +179,8 @@ def _audit_connectivity(grid, wx, wy, col_of, bmask):
     cols = np.concatenate([idx[1:][wx > 0], idx[:, 1:][wy > 0]])
     g = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     _, labels = connected_components(g, directed=False)
-    bad = np.flatnonzero(~np.isin(labels, labels[bmask.ravel()])
-                         & (col_of >= 0))
+    bmask = grid.boundary_mask().ravel()
+    bad = np.flatnonzero(~np.isin(labels, labels[bmask]) & ~bmask)
     if bad.size:
         nodes = [(int(k // ny), int(k % ny)) for k in bad]
         raise SingularSystemError(
@@ -260,8 +244,8 @@ def solve_linear(system, config=None, stats=None):
     iterations.  When given, stats records the iterations.
     """
     config = config or SolveConfig()
-    S, b = system.matrix, system.rhs
-    if np.any(S.diagonal() <= 0):
+    b = system.rhs
+    if np.any(system.diag <= 0):
         raise SingularSystemError("zero diagonal in assembled system")
     iterations = 0
 
@@ -269,20 +253,22 @@ def solve_linear(system, config=None, stats=None):
         nonlocal iterations
         iterations += 1
 
-    M = LinearOperator(S.shape, matvec=_separable_inverse(system), dtype=float)
+    shape = (b.size, b.size)
+    A = LinearOperator(shape, matvec=system.apply, dtype=float)
+    M = LinearOperator(shape, matvec=_separable_inverse(system), dtype=float)
     atol = config.lin_tol * max(float(np.linalg.norm(b)), 1.0)
-    x, info = cg(S, b, rtol=config.lin_tol, atol=atol,
+    x, info = cg(A, b, rtol=config.lin_tol, atol=atol,
                  maxiter=config.lin_max_iter, M=M, callback=count)
     # cg tests convergence before each step, so a solve that met the
     # tolerance on its last allowed step still reports info > 0
-    if info != 0 and np.linalg.norm(b - S @ x) > atol:
+    if info != 0 and np.linalg.norm(b - system.apply(x)) > atol:
         raise SolverError(f"conjugate gradient failed to converge "
                           f"(info={info})")
     if stats is not None:
         stats.record(iterations)
-    full = system.boundary_values.copy().ravel()
-    full[system.interior_index] = x
-    return DiscreteFunction(grid=system.grid, values=full.reshape(system.grid.shape))
+    full = system.boundary_values.copy()
+    full[1:-1, 1:-1] = x.reshape(system.diag.shape)
+    return DiscreteFunction(grid=system.grid, values=full)
 
 
 @dataclass

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from subunit_lab import pipeline
 from subunit_lab.cli import main
 from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
@@ -93,6 +94,55 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"{section}.{key}" in capsys.readouterr().err
+
+
+# json.load accepts NaN; each value passed the range checks and ended in a
+# traceback (a range() of a float among them), a run reporting C = nan, or
+# every Picard step against an unreachable tolerance
+@pytest.mark.parametrize("section,key,value", [
+    ("params", "sigma", math.nan), ("params", "gamma", math.nan),
+    ("params", "C", math.nan), ("params", "lam", math.nan),
+    ("params", "j_max", math.nan), ("params", "j_max", 3.5),
+    ("solver", "lin_tol", math.nan), ("solver", "fp_tol", math.nan),
+    ("solver", "fp_max_iter", 2.5), ("solver", "lin_max_iter", 2.5)])
+def test_nan_or_fractional_setting_exit_1_with_field_path(
+        tmp_path, smoke_cfg_path, capsys, section, key, value):
+    raw = json.load(open(smoke_cfg_path))
+    raw[section][key] = value
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_whole_number_float_counts_run_as_ints(tmp_path, smoke_cfg_path,
+                                               smoke_run):
+    raw = json.load(open(smoke_cfg_path))
+    raw["params"]["j_max"] = 12.0
+    raw["solver"]["fp_max_iter"] = 30.0
+    raw["solver"]["lin_max_iter"] = 40000.0
+    p = tmp_path / "floats.json"
+    json.dump(raw, open(p, "w"))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert ((out / "report.json").read_bytes()
+            == (smoke_run / "report.json").read_bytes())
+
+
+def test_max_principle_tolerance_scales_with_boundary_range(smoke_cfg_path,
+                                                            monkeypatch):
+    # data x + 10 spans [9.5, 10.5]: the tolerance is 1e-8 times that
+    # range, 1.0, so a slack of 5e-8 fails (the whole grid's range, 10.5,
+    # with its interior zeros, would pass it)
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"]["boundary"]["c"] = 10.0
+    raw["solver"]["quasilinear"] = False
+    cfg = ExperimentConfig.from_dict(raw)
+    monkeypatch.setattr(pipeline, "max_principle_slack", lambda u, s: 5e-8)
+    *_, info = pipeline.solve_global(cfg, pipeline.build_form(cfg))
+    assert info["linear_max_principle_slack"] == 5e-8
+    assert info["max_principle_ok"] is False
 
 
 def test_missing_config_exit_1(tmp_path):

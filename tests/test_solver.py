@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (DomainError, EmptySupportError,
@@ -14,6 +15,7 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
 from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
+                                _harmonic, _separable_inverse,
                                 assemble_linear, max_principle_slack,
                                 poincare_functional, q_energy, solve_linear,
                                 solve_quasilinear, sobolev_functional)
@@ -28,6 +30,85 @@ def grid97():
 
 def affine(X, Y):
     return X + 2.0
+
+
+def _reference_assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
+    """The interior 5-point system assembled as a CSR matrix: index maps,
+    one COO block per stencil direction and the boundary folded into the
+    right-hand side with np.add.at.  The reference the matrix-free system
+    must match bit for bit; returns (matrix, rhs)."""
+    nx, ny = grid.shape
+    wx = _harmonic(q11[:-1, :], q11[1:, :]) / grid.hx ** 2
+    wy = _harmonic(q22[:, :-1], q22[:, 1:]) / grid.hy ** 2
+    X, Y = grid.meshgrid()
+    u_bd = np.broadcast_to(boundary(X, Y) if callable(boundary)
+                           else boundary, grid.shape).astype(float)
+    f = np.broadcast_to(rhs, grid.shape).astype(float)
+
+    interior = ~grid.boundary_mask()
+    flat_int = np.flatnonzero(interior.ravel())
+    n_int = flat_int.size
+    col_of = np.full(nx * ny, -1, dtype=np.int64)
+    col_of[flat_int] = np.arange(n_int)
+    b = (-f)[interior].astype(float).ravel()
+
+    ii, jj = np.nonzero(interior)
+    ca = col_of[ii * ny + jj]
+    diag = np.zeros(n_int)
+    rows_list, cols_list, vals_list = [], [], []
+    faces = (((-1, 0), wx[ii - 1, jj]), ((1, 0), wx[ii, jj]),
+             ((0, -1), wy[ii, jj - 1]), ((0, 1), wy[ii, jj]))
+    for (di, dj), w in faces:
+        ni, nj = ii + di, jj + dj
+        diag += w
+        cb = col_of[ni * ny + nj]
+        is_int = cb >= 0
+        rows_list.append(ca[is_int])
+        cols_list.append(cb[is_int])
+        vals_list.append(-w[is_int])
+        np.add.at(b, ca[~is_int], w[~is_int] * u_bd[ni[~is_int], nj[~is_int]])
+    rows = np.concatenate(rows_list + [np.arange(n_int)])
+    cols = np.concatenate(cols_list + [np.arange(n_int)])
+    vals = np.concatenate(vals_list + [diag])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int)), b
+
+
+def _reference_solve(matrix, b, system, config):
+    """solve_linear's preconditioned CG on the reference matrix."""
+    M = LinearOperator(matrix.shape, matvec=_separable_inverse(system),
+                       dtype=float)
+    atol = config.lin_tol * max(float(np.linalg.norm(b)), 1.0)
+    x, info = cg(matrix, b, rtol=config.lin_tol, atol=atol,
+                 maxiter=config.lin_max_iter, M=M)
+    assert info == 0
+    full = system.boundary_values.copy()
+    full[1:-1, 1:-1] = x.reshape(full[1:-1, 1:-1].shape)
+    return full
+
+
+@pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
+@pytest.mark.parametrize("shape", [(33, 33), (41, 23), (145, 145), (20, 57)])
+def test_matrix_free_system_matches_csr_reference(shape, random_f):
+    # positive random coefficients with a zero q11 column and a zero q22
+    # column, apart and off the boundary, so every node still reaches it
+    g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    q11 = rng.uniform(0.2, 2.0, g.shape)
+    q22 = rng.uniform(0.0, 1.5, g.shape) ** 2
+    q11[shape[0] // 3, :] = 0.0
+    q22[2 * shape[0] // 3, :] = 0.0
+    f = rng.normal(size=g.shape) if random_f else 0.0
+    system = assemble_linear(q11, q22, g, f, trig)
+    matrix, rhs = _reference_assemble_linear(q11, q22, g, f, trig)
+    assert (system.rhs + 0.0).tobytes() == (rhs + 0.0).tobytes()
+    for _ in range(3):
+        v = rng.normal(size=rhs.size)
+        assert ((system.apply(v) + 0.0).tobytes()
+                == (matrix @ v + 0.0).tobytes())
+    config = SolveConfig()
+    u = solve_linear(system, config)
+    assert (u.values.tobytes()
+            == _reference_solve(matrix, rhs, system, config).tobytes())
 
 
 def test_harmonic_identity_euclidean(grid97):
@@ -83,8 +164,9 @@ def test_separable_system_exact_preconditioner(profile):
     u = solve_linear(system, SolveConfig(), stats)
     assert stats.linear_solves == 1
     assert 1 <= stats.max_pcg_iterations <= 2
-    direct = splu(system.matrix.tocsc()).solve(system.rhs)
-    x = u.values.ravel()[system.interior_index]
+    matrix, _ = _reference_assemble_linear(form.q11, form.q22, g, 0.0, trig)
+    direct = splu(matrix.tocsc()).solve(system.rhs)
+    x = u.values[1:-1, 1:-1].ravel()
     assert np.max(np.abs(x - direct)) < 1e-10
 
 
@@ -101,8 +183,8 @@ def test_picard_frozen_system_mesh_independent_iterations():
         system = assemble_linear(a11, a22, g, 0.0, trig)
         stats = SolveStats()
         u = solve_linear(system, SolveConfig(), stats)
-        x = u.values.ravel()[system.interior_index]
-        res = np.linalg.norm(system.rhs - system.matrix @ x)
+        x = u.values[1:-1, 1:-1].ravel()
+        res = np.linalg.norm(system.rhs - system.apply(x))
         assert res <= 1e-11 * np.linalg.norm(system.rhs)
         counts.append(stats.max_pcg_iterations)
     assert 2 < counts[0] <= 30 and 2 < counts[1] <= 30
@@ -120,8 +202,8 @@ def test_zero_q11_column_solves_by_pcg():
     stats = SolveStats()
     u = solve_linear(system, SolveConfig(), stats)
     assert 1 <= stats.pcg_iterations <= 2
-    x = u.values.ravel()[system.interior_index]
-    res = np.linalg.norm(system.rhs - system.matrix @ x)
+    x = u.values[1:-1, 1:-1].ravel()
+    res = np.linalg.norm(system.rhs - system.apply(x))
     assert res < 1e-12 * np.linalg.norm(system.rhs)
 
 
@@ -146,7 +228,7 @@ def test_maximum_principle_random_boundaries(grid97):
                            + coef[3] * np.sin(3 * X + 2 * Y))
         system = assemble_linear(form.q11, form.q22, grid97, 0.0, bc)
         u = solve_linear(system, SolveConfig(lin_tol=1e-12))
-        spread = float(np.ptp(system.boundary_values))
+        spread = float(np.ptp(system.boundary_values[grid97.boundary_mask()]))
         assert max_principle_slack(u, system) <= 1e-8 * max(spread, 1.0)
 
 
@@ -156,8 +238,8 @@ def test_energy_identity(grid97):
     bc = lambda X, Y: X + 0.3 * np.sin(4 * Y) + 2.0
     system = assemble_linear(form.q11, form.q22, grid97, 0.5, bc)
     u = solve_linear(system, SolveConfig(lin_tol=1e-13))
-    x = u.values.ravel()[system.interior_index]
-    lhs = float(x @ (system.matrix @ x))
+    x = u.values[1:-1, 1:-1].ravel()
+    lhs = float(x @ system.apply(x))
     rhs = float(x @ system.rhs)
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
