@@ -2,7 +2,8 @@
 
 Modules:
     forms        degeneracy profiles f, model fields Q(x), quasilinear envelopes
-    metric       regularized subunit distance via fast marching, eps -> 0 limit
+    metric       regularized subunit distance via fast marching; eps ladder
+                 rungs with their nodewise monotonicity check
     geometry     ball volumes, non-doubling order, growth condition, boxes
     cutoff       accumulating cutoff sequences and the special cutoff
     solver       5-point assembly, damped Picard, Sobolev/Poincare functionals

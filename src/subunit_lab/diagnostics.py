@@ -30,6 +30,7 @@ DEFAULT_SIGMA = 2.0
 DEFAULT_NU0 = 0.5
 DEFAULT_MU = 0.5
 FLOOR_M_FACTOR = 1e-6     # m = 1e-6 ||u||_inf when f = 0
+LOG_S_OCTAVES = 10        # level sets s = max|v - <v>| 2^-k, k < 10
 
 
 def mu_beta(beta):
@@ -148,17 +149,15 @@ class MoserRun:
     sigma: float
     m_shift: float
     N: list                 # N_j ladder
-    betas: list             # scheduled exponents gamma~ sigma^(j-1)
     observed_sup: float     # max of ubar^gamma_used on B(center, nu r)
     raw_bound: float        # pre_harnack RHS with C_sigma = 1
-    c_sigma: float          # calibration constant applied
     passed: bool
     truncated_at: int = -1  # OverflowGuard truncation index, -1 if none
     empirical_c: float = 0.0
 
 
 def moser_iterate(u, field, r, gamma, sigma, nu, cutoffs, f_rhs=0.0,
-                  delta_nu_r=None, m=None, c_sigma=1.0):
+                  delta_nu_r=None, m=None):
     """Run the Moser ladder over the cutoff supports E_j.
 
     u_j = ubar^(gamma sigma^(j-1)),  N_j = (mean_{E_j} u_j^2)^(1/(2 sigma^(j-1)))
@@ -183,7 +182,6 @@ def moser_iterate(u, field, r, gamma, sigma, nu, cutoffs, f_rhs=0.0,
         raise PositivityError("ubar must be positive on the supports")
 
     g_used, shifted = schedule_gamma(gamma, sigma, len(supports))
-    betas = [g_used * sigma ** j for j in range(len(supports))]
     N, truncated_at = _ladder_values(ubar, supports, g_used, sigma)
 
     ball_nu = ball(field, nu * r)
@@ -193,12 +191,11 @@ def moser_iterate(u, field, r, gamma, sigma, nu, cutoffs, f_rhs=0.0,
     tau_exp = 1.0 / (sigma - 1.0) ** 2 + 1.0
     prefactor = 1.0 / ((1.0 - nu) ** tau_exp * (delta_nu_r / r) ** (sigma / (sigma - 1.0)))
     raw = prefactor * math.sqrt(mean_2g)
-    passed = obs <= c_sigma * raw
+    passed = obs <= raw
     return MoserRun(center=field.source, r=r, nu=nu, gamma=gamma,
                     gamma_used=g_used, shifted=shifted, sigma=sigma,
-                    m_shift=m, N=N, betas=betas, observed_sup=obs,
-                    raw_bound=raw, c_sigma=c_sigma, passed=passed,
-                    truncated_at=truncated_at,
+                    m_shift=m, N=N, observed_sup=obs, raw_bound=raw,
+                    passed=passed, truncated_at=truncated_at,
                     empirical_c=obs / raw if raw > 0 else math.inf)
 
 
@@ -230,15 +227,13 @@ class LogEstimateReport:
     inter_constant: float      # delta/|B| * int_B [grad ln ubar]_Q
     est1_constant: float       # max_s s |{v - <v> > s}| delta / (r |B|)
     est2_constant: float       # mirrored
-    cutoff_weighted: float     # phi_r-weighted gradient integral constant
     floor_proximity: bool      # ubar within 5% of the positivity floor
 
     def constants(self):
         return (self.inter_constant, self.est1_constant, self.est2_constant)
 
 
-def log_estimate(u, field, r, delta, special, form, f_rhs=0.0, m=None,
-                 s_octaves=10):
+def log_estimate(u, field, r, delta, form, f_rhs=0.0, m=None):
     """Empirical constants of the weak logarithmic estimates on B(y, r)."""
     vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
     if m is None:
@@ -253,8 +248,6 @@ def log_estimate(u, field, r, delta, special, form, f_rhs=0.0, m=None,
     v = np.log(np.where(ubar > 0, ubar, 1.0))
     gv = q_gradient(form, v)
     inter = float(gv[B].sum()) * area * delta / measure_B
-    weighted = float((special.phi * gv)[special.support].sum()) * area * delta \
-        / (float(special.support.sum()) * area)
 
     vB = v[B]
     v_avg = float(vB.mean())
@@ -264,7 +257,7 @@ def log_estimate(u, field, r, delta, special, form, f_rhs=0.0, m=None,
         smax = 0.0                        # constant v up to rounding
     est1 = est2 = 0.0
     if smax > 0:
-        for k in range(s_octaves):
+        for k in range(LOG_S_OCTAVES):
             s = smax * 2.0 ** (-k)
             m1 = float(np.count_nonzero(dev > s)) * area
             m2 = float(np.count_nonzero(-dev > s)) * area
@@ -273,7 +266,7 @@ def log_estimate(u, field, r, delta, special, form, f_rhs=0.0, m=None,
     floor = bool(float(ubar[B].min()) <= m * 1.05)
     return LogEstimateReport(r=r, delta=delta, inter_constant=inter,
                              est1_constant=est1, est2_constant=est2,
-                             cutoff_weighted=weighted, floor_proximity=floor)
+                             floor_proximity=floor)
 
 
 @dataclass
@@ -325,8 +318,6 @@ def harnack_check(u, field, r, nu0, sigma, delta_nu0r, C_cal=1.0,
 class LocalBoundReport:
     r: float
     nu: float
-    sup_norm: float
-    l2_bracket: float
     prefactor: float        # (delta(nu r)/r)^(-sigma/(sigma-1))
     empirical_c: float      # sup / (prefactor * bracket)
 
@@ -341,8 +332,7 @@ def local_bound_check(u, field, r, nu, sigma, delta_nu_r, f_rhs=0.0):
     bracket = math.sqrt(float(np.mean(vals[outer] ** 2))) + r * r * fmax
     pref = (delta_nu_r / r) ** (-sigma / (sigma - 1.0))
     emp = sup / (pref * bracket) if bracket > 0 else math.inf
-    return LocalBoundReport(r=r, nu=nu, sup_norm=sup, l2_bracket=bracket,
-                            prefactor=pref, empirical_c=emp)
+    return LocalBoundReport(r=r, nu=nu, prefactor=pref, empirical_c=emp)
 
 
 @dataclass

@@ -258,14 +258,13 @@ class QuasilinearEnvelope:
 class EnvelopeReport:
     max_violation: float
     worst_sample: tuple | None
-    n_samples: int
 
     @property
     def ok(self):
         return self.max_violation <= 0.0
 
 
-def envelope_check(env, samples, xis=PROBE_XIS):
+def envelope_check(env, samples):
     """Probe the structural sandwich c_phi*xi'Q xi <= xi'A xi <= C_phi*xi'Q xi.
 
     samples: iterable of ((i, j), z).  Returns the worst violation over the
@@ -279,7 +278,7 @@ def envelope_check(env, samples, xis=PROBE_XIS):
     worst_sample = None
     for (i, j), z in samples:
         a11, a22 = q11[i, j], float(env.phi(z)) * q22[i, j]
-        for xi in xis:
+        for xi in PROBE_XIS:
             qv = q11[i, j] * xi[0] ** 2 + q22[i, j] * xi[1] ** 2
             av = a11 * xi[0] ** 2 + a22 * xi[1] ** 2
             scale = max(qv, 1e-300)
@@ -287,5 +286,4 @@ def envelope_check(env, samples, xis=PROBE_XIS):
             if v > worst:
                 worst, worst_sample = v, ((i, j), z)
     return EnvelopeReport(max_violation=max(worst, 0.0),
-                          worst_sample=worst_sample if worst > 0 else None,
-                          n_samples=len(samples))
+                          worst_sample=worst_sample if worst > 0 else None)

@@ -36,6 +36,10 @@ RATIO_LOW = 1.25          # the 5/4 side of the non-doubling window
 _SNAP = 1e-6              # relative vertex gap below which a triangle piece
                           # is merged away (bounds the quadratic coefficients)
 BOX_COLLAR_CELLS = 3
+CHECK_COLLAR_CELLS = 1.0  # nodes within this many cells of a box face or
+                          # ball edge are not judged (discretization collar)
+DELTA_RESOLUTION = 1e-9   # bisection stop, relative to the radius band
+DOUBLING_SLOPE_TOL = 0.25
 
 
 class VolumeFunction:
@@ -110,7 +114,6 @@ class BallAnalytics:
     measure: VolumeFunction
     doubling_ratios: np.ndarray        # |B(2r)|/|B(r)|, nan where 2r out of range
     delta_curve: np.ndarray = None     # filled by fill_delta_curve
-    delta_capped: np.ndarray = None    # True where delta hit the r cap
     C_doubling: float = None
 
     def volume_at(self, s):
@@ -121,12 +124,12 @@ class BallAnalytics:
         return self.measure.count(s)
 
 
-def volume_curve(field, radii, min_nodes=MIN_BALL_NODES):
+def volume_curve(field, radii):
     """Measure |B(center, r)| over the given radii.
 
     Volumes are areas of the piecewise-linear balls {d_h < r}; the node
     count is the resolution floor.  Raises ResolutionError when any
-    requested ball holds fewer than min_nodes nodes (below that the ball
+    requested ball holds fewer than MIN_BALL_NODES nodes (below that the ball
     is a handful of cells and no volume estimate is meaningful).
     """
     radii = np.asarray(sorted(float(r) for r in radii))
@@ -134,11 +137,11 @@ def volume_curve(field, radii, min_nodes=MIN_BALL_NODES):
         raise DomainError("radii must be positive")
     measure = VolumeFunction(field)
     counts = measure.count(radii)
-    if counts.min() < min_nodes:
+    if counts.min() < MIN_BALL_NODES:
         r_bad = radii[int(np.argmin(counts))]
         raise ResolutionError(
             f"ball at r={r_bad:g} holds {counts.min()} nodes "
-            f"(< {min_nodes}); below the resolution floor")
+            f"(< {MIN_BALL_NODES}); below the resolution floor")
     volumes = np.array([measure(r) for r in radii])
     ratios = np.full(radii.shape, np.nan)
     for k, r in enumerate(radii):
@@ -148,7 +151,7 @@ def volume_curve(field, radii, min_nodes=MIN_BALL_NODES):
                          measure=measure, doubling_ratios=ratios)
 
 
-def nondoubling_order(analytics, r, C=2.0, resolution=None):
+def nondoubling_order(analytics, r, C=2.0):
     """Smallest delta with |B(r+delta)| / |B(r)| >= 5/4 (bisection).
 
     Returns (delta, capped, C_used).  delta is capped at r (doubling at that
@@ -167,8 +170,7 @@ def nondoubling_order(analytics, r, C=2.0, resolution=None):
         raise ResolutionError(f"empty ball at r={r:g}")
     s_max = analytics.measure.s_max
     target = RATIO_LOW * v_r
-    if resolution is None:
-        resolution = max(1e-12, (radii[-1] - radii[0]) * 1e-9)
+    resolution = max(1e-12, (radii[-1] - radii[0]) * DELTA_RESOLUTION)
 
     def vol(s):
         return analytics.volume_at(s)
@@ -202,24 +204,22 @@ def nondoubling_order(analytics, r, C=2.0, resolution=None):
 
 def fill_delta_curve(analytics, C=2.0):
     """Extract delta(r) at every measured radius; calibrates C_doubling."""
-    deltas, caps = [], []
+    deltas = []
     C_run = C
     for r in analytics.radii:
-        d, capped, C_run = nondoubling_order(analytics, float(r), max(C_run, C))
+        d, _, C_run = nondoubling_order(analytics, float(r), max(C_run, C))
         deltas.append(d)
-        caps.append(capped)
     analytics.delta_curve = np.asarray(deltas)
-    analytics.delta_capped = np.asarray(caps, dtype=bool)
     analytics.C_doubling = C_run
     return analytics
 
 
-def doubling_classification(analytics, slope_tol=0.25):
+def doubling_classification(analytics):
     """Doubling verdict for the band: delta(r)/r not decaying toward 0.
 
-    Fits the log-log slope of delta(r)/r against r; a slope below slope_tol
-    in magnitude (flat) or negative (growing as r decreases) classifies the
-    band as doubling at the measured scales.
+    Fits the log-log slope of delta(r)/r against r; a slope below
+    DOUBLING_SLOPE_TOL in magnitude (flat) or negative (growing as r
+    decreases) classifies the band as doubling at the measured scales.
     """
     if analytics.delta_curve is None:
         raise GeometryError("delta curve not filled")
@@ -228,7 +228,7 @@ def doubling_classification(analytics, slope_tol=0.25):
     if mask.sum() < 2:
         raise ResolutionError("not enough delta samples to classify")
     slope = np.polyfit(np.log(analytics.radii[mask]), np.log(t[mask]), 1)[0]
-    return bool(slope <= slope_tol), float(slope)
+    return bool(slope <= DOUBLING_SLOPE_TOL), float(slope)
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,6 @@ class GrowthReport:
     g_values: np.ndarray       # g(r), underflows to 0 when (r/delta)^lam > ~700
     log_g: np.ndarray          # ln g(r), always finite; trend runs on this
     increasing: bool
-    first_third_max: float
-    last_third_min: float
 
 
 def growth_condition_check(radii, deltas, lam, C):
@@ -275,11 +273,9 @@ def growth_condition_check(radii, deltas, lam, C):
                         -power - math.log(2.0 * C))
     log_g = log_abs_lnr + tail
     third = max(1, radii.size // 3)
-    first_max = float(np.max(log_g[:third]))
-    last_min = float(np.min(log_g[-third:]))
+    increasing = float(np.min(log_g[-third:])) > float(np.max(log_g[:third]))
     return GrowthReport(radii=radii, g_values=g, log_g=log_g,
-                        increasing=bool(last_min > first_max),
-                        first_third_max=first_max, last_third_min=last_min)
+                        increasing=increasing)
 
 
 def box_ball(profile, center, rho, R, eps_min, n, domain):
@@ -335,14 +331,14 @@ class BoxReport:
         return self.inner_violations == 0 and self.outer_violations == 0
 
 
-def box_sandwich(field, r, profile, collar_cells=1.0):
+def box_sandwich(field, r, profile):
     """Check the box sandwich  Q~_r subset B_r subset Q_r  for an axis center.
 
     Q_r  = [-r, r] x [y0 - r f(r/2), y0 + r f(r/2)]
     Q~_r = [r/2, 3r/4] x [y0 - (r/4) f(r/2), y0 + (r/4) f(r/2)]
 
-    Nodes within collar_cells of a box face are excluded (discretization
-    collar); report-only, returns violation counts.
+    Nodes within CHECK_COLLAR_CELLS of a box face are excluded
+    (discretization collar); report-only, returns violation counts.
     """
     grid = field.grid
     cx, cy = grid.node_xy(field.source)
@@ -350,8 +346,8 @@ def box_sandwich(field, r, profile, collar_cells=1.0):
         raise DomainError("box_sandwich requires a center on the x = 0 axis")
     fr2 = profile.value(r / 2.0)
     X, Y = grid.meshgrid()
-    dx_col = collar_cells * grid.hx
-    dy_col = collar_cells * grid.hy
+    dx_col = CHECK_COLLAR_CELLS * grid.hx
+    dy_col = CHECK_COLLAR_CELLS * grid.hy
     d = field.values
 
     # inner box, shrunk by the collar: all nodes must satisfy d < r
@@ -383,7 +379,7 @@ class ContainmentReport:
         return bool(np.all(self.outer_violations == 0) & np.all(self.alphas > 0))
 
 
-def containment_check(field, radii, collar_cells=1.0):
+def containment_check(field, radii):
     """Verify B(x, r) subset E(x, r) (C = 1) and extract alpha_x(r).
 
     alpha_x(r) is the largest Euclidean radius rho with E(x, rho) subset
@@ -391,7 +387,7 @@ def containment_check(field, radii, collar_cells=1.0):
     """
     grid = field.grid
     eu = grid.euclid_from(field.source)
-    collar = collar_cells * math.hypot(grid.hx, grid.hy)
+    collar = CHECK_COLLAR_CELLS * math.hypot(grid.hx, grid.hy)
     radii = np.asarray(sorted(float(r) for r in radii))
     outer = np.zeros(radii.size, dtype=int)
     alphas = np.zeros(radii.size)

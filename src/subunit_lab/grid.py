@@ -42,10 +42,6 @@ class GridSpec:
     def shape(self):
         return (self.nx, self.ny)
 
-    @property
-    def diameter(self):
-        return float(np.hypot(self.x1 - self.x0, self.y1 - self.y0))
-
     def xs(self):
         return self.x0 + self.hx * np.arange(self.nx)
 

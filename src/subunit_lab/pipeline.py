@@ -50,6 +50,7 @@ from .solver import (DiscreteFunction, SolveConfig, SolveStats,
                      solve_linear, solve_quasilinear, sobolev_functional)
 
 MIN_CHAIN = 4
+VOLUME_RADII = 24        # volume-curve radii per ball, before r, nu r, nu0 r
 MP_TOL = 1e-8
 # the wall-time spans of run_meta.json's "stages" block, in run order
 STAGES = ("build_form", "solve_global", "metric", "geometry", "cutoff",
@@ -77,9 +78,9 @@ def _boundary_fn(spec):
     return lambda X, Y: c + amp * np.sin(math.pi * kx * X) * np.cos(math.pi * ky * Y)
 
 
-def _adaptive_radii(field, r_lo_hint, r_hi, n=24,
-                    min_nodes=geometry.MIN_BALL_NODES):
+def _adaptive_radii(field, r_lo_hint, r_hi):
     """Geometric radius band [smallest resolvable, r_hi] for the volume curve."""
+    min_nodes = geometry.MIN_BALL_NODES
     sv = np.sort(field.values[np.isfinite(field.values)].ravel())
     if sv.size < min_nodes:
         raise ResolutionError("field resolves fewer nodes than the floor")
@@ -89,7 +90,7 @@ def _adaptive_radii(field, r_lo_hint, r_hi, n=24,
         lo = r_floor
     if lo >= r_hi:
         raise ResolutionError(f"no resolvable radius band below {r_hi:g}")
-    return list(np.geomspace(lo, r_hi, n))
+    return list(np.geomspace(lo, r_hi, VOLUME_RADII))
 
 
 def _delta_at(analytics, r):
@@ -371,8 +372,8 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
     poi = poincare_functional(form, u, ball_r, spec.r)
     moser = moser_iterate(u, finest, spec.r, p.gamma, p.sigma, p.nu, seq,
                           f_rhs, delta_nu_r=cuts.delta_nu_used, m=m)
-    logest = log_estimate(u, finest, spec.r, cuts.delta_r_used, cuts.special,
-                          form, f_rhs, m=m)
+    logest = log_estimate(u, finest, spec.r, cuts.delta_r_used, form, f_rhs,
+                          m=m)
     delta_nu0, _ = _delta_at(analytics, p.nu0 * spec.r)
     har = harnack_check(u, finest, spec.r, p.nu0, p.sigma, delta_nu0,
                         C_cal=math.e, f_rhs=f_rhs, m=m)

@@ -37,6 +37,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg
 
+from .config import _positive_count, _positive_finite
 from .cutoff import q_gradient
 from .errors import (ConfigError, DomainError, EmptySupportError,
                      GeometryError, SingularSystemError, SolverError,
@@ -83,8 +84,13 @@ class SolveConfig:
     def __post_init__(self):
         if not 0.0 < self.fp_theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]", "solver.fp_theta")
-        if self.fp_tol <= 0 or self.lin_tol <= 0:
-            raise ConfigError("tolerances must be positive", "solver.tol")
+        for name in ("fp_tol", "lin_tol"):
+            if not _positive_finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be positive and finite",
+                                  f"solver.{name}")
+        for name in ("fp_max_iter", "lin_max_iter"):
+            setattr(self, name,
+                    _positive_count(getattr(self, name), f"solver.{name}"))
 
 
 def _grid_values(grid, value):
@@ -172,6 +178,10 @@ def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
 
 def _audit_connectivity(grid, wx, wy):
     """Find interior components with no positive-face path to the boundary."""
+    # all x-faces (or all y-faces) positive: every node reaches the
+    # boundary by a straight walk in x (or in y), so no island can exist
+    if np.all(wx > 0) or np.all(wy > 0):
+        return
     nx, ny = grid.shape
     n = nx * ny
     idx = np.arange(n).reshape(nx, ny)
@@ -318,11 +328,9 @@ def solve_quasilinear(env, config, stats=None):
                    f"best residual {best_res:.3e}")
 
 
-def q_energy(form, u, weight=None):
-    """Discrete energy integral of [grad u]_Q^2 (optionally masked)."""
+def q_energy(form, u):
+    """Discrete energy integral of [grad u]_Q^2."""
     g2 = q_gradient(form, u.values if isinstance(u, DiscreteFunction) else u) ** 2
-    if weight is not None:
-        g2 = g2 * weight
     return float(g2.sum() * form.grid.cell_area)
 
 

@@ -132,7 +132,7 @@ def test_c1_box_sandwich_512(fields513):
     for name in ("grushin", "paper"):
         prof, field = fields513[name]
         for r in DYADIC5:
-            rep = box_sandwich(field, r, prof, collar_cells=1.0)
+            rep = box_sandwich(field, r, prof)
             if rep.inner_violations or rep.outer_violations:
                 failures.append((name, r, rep.inner_violations,
                                  rep.outer_violations))
@@ -462,8 +462,7 @@ def test_c11_log_estimates_stability():
         consts = []
         for r in (0.24, 0.12, 0.06):
             d_r = seq_delta(field, r, 1.0)
-            sp = build_special_cutoff(field, form, r, d_r, eta=0.9)
-            rep = log_estimate(u, field, r, d_r, sp, form, f_rhs)
+            rep = log_estimate(u, field, r, d_r, form, f_rhs)
             consts.append(rep.constants())
         for k, label in enumerate(("inter", "est1", "est2")):
             vals = [c[k] for c in consts]

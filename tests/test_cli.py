@@ -11,12 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from subunit_lab import pipeline
+from subunit_lab import metric, pipeline
 from subunit_lab.cli import main
 from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
-from subunit_lab.metric import DistanceField, solve_ladder
+from subunit_lab.metric import DistanceField
 from subunit_lab.pipeline import STAGES, write_grid_csv
 from subunit_lab.reporting import compare, load_report, validate_report
 
@@ -233,19 +233,21 @@ def test_dist_subcommand(tmp_path, smoke_cfg_path):
 
 def test_dist_monotonicity_violation_exit_2(tmp_path, smoke_cfg_path,
                                            monkeypatch, capsys):
-    # dist is the one path that extrapolates the eps ladder; a rung that
-    # drops below the one before it must stop it with a geometry error
-    def corrupted_ladder(form, source, epsilons):
-        fields = solve_ladder(form, source, epsilons)
-        f = fields[-1]
+    # dist is the one path that solves the whole eps ladder; a finest rung
+    # that drops below the one before it must stop it with a geometry error
+    eps_min = ExperimentConfig.load(smoke_cfg_path).epsilon_ladder()[-1]
+    solve = metric.solve_distance
+
+    def corrupted(form, source, epsilon):
+        f = solve(form, source, epsilon)
+        if epsilon != eps_min:
+            return f
         values = f.values.copy()
         values[10, 10] = 0.0
-        fields[-1] = DistanceField(grid=f.grid, source=f.source,
-                                   epsilon=f.epsilon, values=values,
-                                   frozen_mask=f.frozen_mask.copy())
-        return fields
+        return DistanceField(grid=f.grid, source=f.source,
+                             epsilon=f.epsilon, values=values)
 
-    monkeypatch.setattr("subunit_lab.cli.solve_ladder", corrupted_ladder)
+    monkeypatch.setattr("subunit_lab.metric.solve_distance", corrupted)
     code = main(["dist", "--config", smoke_cfg_path,
                  "--out", str(tmp_path / "dist")])
     assert code == 2

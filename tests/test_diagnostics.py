@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subunit_lab.cutoff import build_sequence, build_special_cutoff
+from subunit_lab.cutoff import build_sequence
 from subunit_lab.diagnostics import (caccioppoli_ratio, harnack_check,
                                      harnack_exponent, local_bound_check,
                                      log_c_har, log_estimate, moser_iterate,
@@ -66,12 +66,10 @@ def grushin_setup():
     delta_nu = seq_delta(field, r, nu)
     delta_r = seq_delta(field, r, 1.0)
     seq = build_sequence(field, form, r, nu, delta_nu, 12)
-    special = build_special_cutoff(field, form, r, delta_r, eta=0.9)
     X, _ = g.meshgrid()
     u = DiscreteFunction(g, X + 2.0)     # stencil-exact solution, f = 0
     return dict(grid=g, form=form, field=field, r=r, nu=nu,
-                delta_nu=delta_nu, delta_r=delta_r, seq=seq,
-                special=special, u=u)
+                delta_nu=delta_nu, delta_r=delta_r, seq=seq, u=u)
 
 
 @pytest.fixture(scope="module")
@@ -222,8 +220,8 @@ def test_scheduler_negative_gamma_untouched():
 def test_log_estimate_constant_solution_zero(grushin_setup):
     s = grushin_setup
     w = DiscreteFunction(s["grid"], np.full(s["grid"].shape, 2.0))
-    rep = log_estimate(w, s["field"], s["r"], s["delta_r"], s["special"],
-                       s["form"], 0.0, m=1.0)
+    rep = log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"],
+                       0.0, m=1.0)
     assert rep.inter_constant == 0.0
     assert rep.est1_constant == 0.0
     assert rep.est2_constant == 0.0
@@ -231,8 +229,8 @@ def test_log_estimate_constant_solution_zero(grushin_setup):
 
 def test_log_estimate_affine_finite(grushin_setup):
     s = grushin_setup
-    rep = log_estimate(s["u"], s["field"], s["r"], s["delta_r"], s["special"],
-                       s["form"], 0.0)
+    rep = log_estimate(s["u"], s["field"], s["r"], s["delta_r"], s["form"],
+                       0.0)
     assert all(np.isfinite(rep.constants()))
     assert all(c > 0 for c in rep.constants())
     assert not rep.floor_proximity
@@ -246,10 +244,8 @@ def test_log_estimate_floor_touching_band_stability(paraboloid_setup):
     consts = []
     for r in (0.24, 0.12, 0.06):
         delta_r = seq_delta(s["field"], r, 1.0)
-        special = build_special_cutoff(s["field"], s["form"], r, delta_r,
-                                       eta=0.9)
-        rep = log_estimate(s["u"], s["field"], r, delta_r, special,
-                           s["form"], s["f_rhs"])
+        rep = log_estimate(s["u"], s["field"], r, delta_r, s["form"],
+                           s["f_rhs"])
         assert rep.floor_proximity          # ubar touches m(r) at the center
         consts.append(rep.constants())
     for k in range(3):
@@ -261,8 +257,8 @@ def test_log_estimate_positivity_error(grushin_setup):
     s = grushin_setup
     w = DiscreteFunction(s["grid"], s["u"].values - 5.0)
     with pytest.raises(PositivityError):
-        log_estimate(w, s["field"], s["r"], s["delta_r"], s["special"],
-                     s["form"], 0.0, m=1.0)
+        log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"], 0.0,
+                     m=1.0)
 
 
 # ----------------------------------------------------------------- Harnack

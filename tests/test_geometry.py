@@ -82,8 +82,7 @@ def test_constant_volume_plateau_capped_or_range_error(euclid_field):
         grid=euclid_field.grid, source=euclid_field.source,
         epsilon=euclid_field.epsilon,
         values=np.where(euclid_field.values < 0.05, euclid_field.values,
-                        np.inf),
-        frozen_mask=euclid_field.values < 0.05)
+                        np.inf))
     radii = [0.1, 0.15, 0.2]
     analytics = volume_curve(plateau, radii)
     assert analytics.volumes[0] == analytics.volumes[-1]

@@ -1,4 +1,4 @@
-"""Subunit distance fields: eikonal solve, eps ladder, limit, balls."""
+"""Subunit distance fields: eikonal solve, eps ladder, balls."""
 
 import heapq
 import json
@@ -8,12 +8,12 @@ import os
 import numpy as np
 import pytest
 
+from subunit_lab import metric
 from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, MonotonicityError
-from subunit_lab.forms import DegeneracyProfile, QuadraticFormField, assemble_form
+from subunit_lab.forms import DegeneracyProfile, assemble_form
 from subunit_lab.grid import GridSpec
-from subunit_lab.metric import (DistanceField, ball, dijkstra_distance,
-                                extrapolate_distance, solve_distance,
+from subunit_lab.metric import (DistanceField, ball, solve_distance,
                                 solve_ladder)
 from subunit_lab.pipeline import build_form, metric_stage
 
@@ -133,21 +133,20 @@ def test_euclidean_lower_bound(euclid_field):
 
 
 def test_grushin_vertical_distance_against_oracles(grushin_field_origin):
-    """Vertical Grushin displacement: continuum distance sqrt(2 pi y); the
-    solver must sit within 3% of a brute-force Dijkstra oracle on a finer
-    grid and above the 2 sqrt(y) floor."""
+    """Vertical Grushin displacement from the origin: the exact distance is
+    sqrt(2 pi |y|), where the geodesics x = t sin(th)/th, y = t^2 (2 th -
+    sin 2th)/(4 th^2) return to the axis at th = pi.  The solver must sit
+    within 3% of it and above the 2 sqrt(|y|) floor.  Closer to the source
+    the sqrt(|y|) cusp on the axis is under-resolved at 257^2 (+2.2% at
+    y = 0.1, +3.2% at y = 0.05), so those points are left out."""
     g = grushin_field_origin.grid
-    y = 0.2
-    d_fmm = grushin_field_origin.values[g.nearest_node(0.0, y)]
-
-    fine = GridSpec(-0.3, 0.3, -0.05, 0.25, 513, 257)
-    form_fine = assemble_form(DegeneracyProfile("power", 1.0), fine)
-    oracle = dijkstra_distance(form_fine, fine.nearest_node(0.0, 0.0), 1e-3)
-    d_oracle = oracle.values[fine.nearest_node(0.0, y)]
-
-    assert abs(d_fmm - d_oracle) / d_oracle < 0.03
-    assert d_fmm > 2.0 * math.sqrt(y)
-    assert abs(d_fmm - math.sqrt(2 * math.pi * y)) / d_fmm < 0.05
+    for y in (0.15, 0.2, 0.3, -0.2):
+        node = g.nearest_node(0.0, y)
+        y_node = abs(g.node_xy(node)[1])
+        d_fmm = grushin_field_origin.values[node]
+        exact = math.sqrt(2.0 * math.pi * y_node)
+        assert abs(d_fmm - exact) / exact < 0.03, y
+        assert d_fmm > 2.0 * math.sqrt(y_node), y
 
 
 @pytest.mark.parametrize("kind,param", [("constant", 1.0), ("power", 1.0),
@@ -156,7 +155,7 @@ def test_grushin_vertical_distance_against_oracles(grushin_field_origin):
 def test_epsilon_monotonicity_nodewise(grid129, kind, param):
     # `run` measures on eps_min alone; the eps-monotone invariant of the
     # configs' ladder (the one `dist` writes) is asserted here, on and off
-    # the degenerate axis, and extrapolate_distance runs its own check
+    # the degenerate axis, besides the check solve_ladder runs itself
     form = assemble_form(DegeneracyProfile(kind, param), grid129)
     for source in (grid129.nearest_node(0.0, 0.0),
                    grid129.nearest_node(0.2, 0.1)):
@@ -164,7 +163,6 @@ def test_epsilon_monotonicity_nodewise(grid129, kind, param):
         for f1, f2 in zip(fields, fields[1:]):
             assert f2.epsilon < f1.epsilon
             assert np.all(f2.values >= f1.values - 1e-9)
-        extrapolate_distance(fields)
 
 
 def test_metric_stage_field_is_finest_ladder_rung():
@@ -184,60 +182,33 @@ def test_metric_stage_field_is_finest_ladder_rung():
         assert field.source == rung.source
 
 
-def test_extrapolate_constant_form_limit_equals_finest(euclid_form):
-    fields = solve_ladder(euclid_form, (64, 64), [0.08, 0.04, 0.02, 0.01])
-    limit = extrapolate_distance(fields)
-    finest = fields[-1]
-    scale = np.maximum(finest.values, 1e-3)
-    assert np.nanmax(np.abs(limit.values - finest.values) / scale) < 2e-3
-    assert limit.epsilon == 0.0
-    assert limit.error_bar is not None
-
-
-def test_extrapolate_paper_model_monotone_increments(paper_form):
+def test_ladder_paper_model_monotone_increments(paper_form):
     fields = solve_ladder(paper_form, (128, 128), [0.1, 0.05, 0.025, 0.0125])
-    limit = extrapolate_distance(fields)
-    # increments shrink monotonically on nodes across the degenerate axis
+    # increments are nonnegative on nodes across the degenerate axis
     g = paper_form.grid
     probe = g.nearest_node(-0.2, 0.3)   # reached by crossing x = 0
     incs = [fields[k + 1].values[probe] - fields[k].values[probe]
             for k in range(len(fields) - 1)]
     assert all(i >= -1e-12 for i in incs)
-    assert limit.values[probe] >= fields[-1].values[probe]
 
 
-def test_extrapolate_flags_unreachable_nodes():
-    # q22 = 0 except q11: only the source row is reachable in the limit
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    q11 = np.ones(g.shape)
-    q22 = np.zeros(g.shape)
-    form = QuadraticFormField(grid=g, q11=q11, q22=q22)
-    fields = [solve_distance(form, (16, 16), e) for e in (0.02, 0.01, 0.005)]
-    limit = extrapolate_distance(fields)
-    assert limit.frozen_mask[:, 16].all()          # the source row
-    assert not limit.frozen_mask[16, 0]            # vertical displacement
-    assert np.isinf(limit.values[16, 0])
+def test_ladder_monotonicity_error_on_corrupted_rung(euclid_form, monkeypatch):
+    # solve_ladder checks the rungs it solves: a finest rung that drops
+    # below the rung before it must raise
+    solve = metric.solve_distance
 
+    def corrupted(form, source, epsilon):
+        f = solve(form, source, epsilon)
+        if epsilon != 0.025:
+            return f
+        values = f.values.copy()
+        values[10, 10] = max(0.0, values[10, 10] - 0.2)
+        return DistanceField(grid=f.grid, source=f.source,
+                             epsilon=f.epsilon, values=values)
 
-def test_extrapolate_rejects_short_or_unsorted_ladders(euclid_form):
-    f1 = solve_distance(euclid_form, (64, 64), 0.1)
-    f2 = solve_distance(euclid_form, (64, 64), 0.05)
-    with pytest.raises(ConfigError):
-        extrapolate_distance([f1, f2])
-    f3 = solve_distance(euclid_form, (64, 64), 0.2)
-    with pytest.raises(ConfigError):
-        extrapolate_distance([f1, f2, f3])
-
-
-def test_extrapolate_monotonicity_error_on_corrupted_ladder(euclid_form):
-    fields = solve_ladder(euclid_form, (64, 64), [0.1, 0.05, 0.025])
-    bad_vals = fields[2].values.copy()
-    bad_vals[10, 10] = max(0.0, bad_vals[10, 10] - 0.2)
-    bad = DistanceField(grid=fields[2].grid, source=fields[2].source,
-                        epsilon=fields[2].epsilon, values=bad_vals,
-                        frozen_mask=fields[2].frozen_mask.copy())
-    with pytest.raises(MonotonicityError):
-        extrapolate_distance([fields[0], fields[1], bad])
+    monkeypatch.setattr("subunit_lab.metric.solve_distance", corrupted)
+    with pytest.raises(MonotonicityError, match="distance decreased"):
+        solve_ladder(euclid_form, (64, 64), [0.1, 0.05, 0.025])
 
 
 def test_symmetry_sampled_pairs(grushin_form):

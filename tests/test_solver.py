@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from subunit_lab.cutoff import q_gradient
-from subunit_lab.errors import (DomainError, EmptySupportError,
+from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
                                 SingularSystemError, ZeroGradientError)
 from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
@@ -217,6 +218,48 @@ def test_degeneracy_island_reported_with_nodes():
         assemble_linear(q11, q22, g, 0.0, 0.0)
     assert len(exc.value.island_nodes) == 25
     assert (12, 12) in exc.value.island_nodes
+
+
+def test_audit_builds_no_graph_when_every_row_or_column_is_open(
+        monkeypatch):
+    # every x-face (or y-face) positive: each node reaches the boundary
+    # along its row (or column), so the audit needs no component search
+    calls = []
+
+    def components(*args, **kwargs):
+        calls.append(1)
+        return connected_components(*args, **kwargs)
+
+    monkeypatch.setattr("subunit_lab.solver.connected_components", components)
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    ones, zeros = np.ones(g.shape), np.zeros(g.shape)
+    assemble_linear(ones, zeros, g, 0.0, 0.0)
+    assemble_linear(zeros, ones, g, 0.0, 0.0)
+    assert calls == []
+    q11, q22 = ones.copy(), ones.copy()
+    q11[16, 16] = 0.0
+    q22[8, 8] = 0.0
+    assemble_linear(q11, q22, g, 0.0, 0.0)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name,value", [
+    ("fp_tol", math.nan), ("fp_tol", math.inf), ("fp_tol", 0.0),
+    ("lin_tol", math.nan), ("lin_tol", math.inf), ("lin_tol", -1e-12),
+    ("fp_theta", math.nan), ("fp_theta", math.inf),
+    ("fp_max_iter", 0), ("fp_max_iter", 2.5), ("fp_max_iter", math.nan),
+    ("lin_max_iter", math.inf), ("lin_max_iter", -3)])
+def test_solve_config_rejects_bad_setting_with_field_path(name, value):
+    with pytest.raises(ConfigError) as exc:
+        SolveConfig(**{name: value})
+    assert exc.value.field_path == f"solver.{name}"
+
+
+def test_solve_config_whole_number_counts_are_ints():
+    sc = SolveConfig(fp_max_iter=30.0, lin_max_iter=400.0)
+    assert (sc.fp_max_iter, sc.lin_max_iter) == (30, 400)
+    assert isinstance(sc.fp_max_iter, int)
+    assert isinstance(sc.lin_max_iter, int)
 
 
 def test_maximum_principle_random_boundaries(grid97):
