@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DomainError, QuadratureError
 from .grid import GridSpec
@@ -87,6 +86,9 @@ def _inv_h_logvar(s, lam):
 
 def _quad_piece(a, b, lam, quad_tol):
     """(value, error estimate) of the integral of 1/h(e^s) over (a, b)."""
+    # imported here: scipy.integrate is a large share of the package's
+    # import time, and only paper_model's quadrature uses it
+    from scipy.integrate import IntegrationWarning, quad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         return quad(_inv_h_logvar, a, b, args=(lam,), limit=200,

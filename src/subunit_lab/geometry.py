@@ -50,11 +50,14 @@ class VolumeFunction:
     ((c-a)(c-b)) on [b, c] and A above c.  The per-triangle coefficient
     changes are summed once in breakpoint order, so a query is one
     searchsorted plus a quadratic.  Triangles touching a node with a
-    non-finite distance lie outside every ball.
+    non-finite distance lie outside every ball.  Queries beyond the
+    field's reach raise RangeError: a bounded march leaves the triangles
+    there out.
     """
 
     def __init__(self, field):
         d = field.values
+        self.reach = field.reach
         area = 0.5 * field.grid.cell_area
         p00, p11 = d[:-1, :-1].ravel(), d[1:, 1:].ravel()
         tri = np.stack([np.concatenate([p00, p00]),
@@ -86,10 +89,17 @@ class VolumeFunction:
 
     @property
     def s_max(self):
-        """Largest finite nodal distance (every ball beyond it is full)."""
+        """Largest finite nodal distance: every ball beyond it is full, or
+        (bounded march) it is at least the reach."""
         return float(self.nodes[-1])
 
+    def _beyond_reach(self, s):
+        return RangeError(f"radius {s:g} beyond the field's reach "
+                          f"{self.reach:g}")
+
     def __call__(self, s):
+        if s > self.reach:
+            raise self._beyond_reach(s)
         k = int(np.searchsorted(self.breaks, s, side="left"))
         if k == 0:
             return 0.0
@@ -101,6 +111,8 @@ class VolumeFunction:
     def count(self, s):
         """#{nodes with d < s}: the resolution floor of a ball (s scalar or
         array)."""
+        if np.max(s) > self.reach:
+            raise self._beyond_reach(np.max(s))
         return np.searchsorted(self.nodes, s, side="left")
 
 
@@ -287,6 +299,7 @@ def box_ball(profile, center, rho, R, eps_min, n, domain):
     local distance is the one the whole domain would give, on or off the
     degenerate axis alike.  n nodes per axis (odd, so the center is a
     node); eps = eps_min rho / R shrinks the regularization with the box.
+    The march reaches rho: only B(center, rho) is ever read.
 
     GeometryError when the box leaves the domain grid or the ball
     {d < rho} reaches the collar; ResolutionError when n leaves fewer than
@@ -311,7 +324,8 @@ def box_ball(profile, center, rho, R, eps_min, n, domain):
         raise GeometryError(f"box of radius {rho:g} leaves the domain")
     box = GridSpec(x0 - half * hx, x0 + half * hx,
                    y0 - half * hy, y0 + half * hy, n, n)
-    field = solve_distance(assemble_form(profile, box), (half, half), eps)
+    field = solve_distance(assemble_form(profile, box), (half, half), eps,
+                           rho)
     i, j = np.nonzero(field.values < rho)
     if np.any(np.abs(i - half) > core) or np.any(np.abs(j - half) > core):
         raise GeometryError(f"ball of radius {rho:g} reaches the box collar")
@@ -400,29 +414,3 @@ def containment_check(field, radii):
         else:
             alphas[k] = float(eu.max())
     return ContainmentReport(radii=radii, outer_violations=outer, alphas=alphas)
-
-
-def doubling_chain_bounds(analytics, r, C=None):
-    """Chain bounds on |B(2r)|/|B(r)| from the non-doubling window.
-
-    Returns (measured_ratio, upper_bound, lower_bound) with
-    upper = (2C)^(r/delta(r) + 1) and lower = (5/4)^(r/delta(2r) - 1),
-    computed in logs to survive huge exponents.
-    """
-    if analytics.delta_curve is None:
-        raise GeometryError("delta curve not filled")
-    if C is None:
-        C = analytics.C_doubling
-    radii = analytics.radii
-    k = int(np.argmin(np.abs(radii - r)))
-    d_r, _, _ = nondoubling_order(analytics, float(r), C)
-    measured = analytics.volume_at(2.0 * r) / analytics.volume_at(r)
-    log_upper = (r / d_r + 1.0) * math.log(2.0 * C)
-    if 2.0 * r <= radii[-1]:
-        d_2r, _, _ = nondoubling_order(analytics, min(2.0 * r, radii[-1]), C)
-        log_lower = (r / d_2r - 1.0) * math.log(RATIO_LOW)
-    else:
-        log_lower = -math.inf
-    upper = math.exp(log_upper) if log_upper < 700 else math.inf
-    lower = math.exp(log_lower) if log_lower > -700 else 0.0
-    return float(measured), upper, lower

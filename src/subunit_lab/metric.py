@@ -14,6 +14,14 @@ rung eps_min (one solve_distance per ball).  Only the `dist` subcommand
 solves the whole geometric eps ladder (solve_ladder), which checks that
 every rung's distances are nodewise no smaller than the rung before it.
 
+A march may stop at a reach: the largest radius its consumers read.  It
+then freezes every node below the reach and every node of a grid triangle
+touching one (the triangulation geometry.VolumeFunction measures on), and
+leaves every other node +inf.  Nodes freeze in value order, so each
+finite value is bit-identical to the full march's.  The pipeline's fields
+(and so distances/*_finest.csv) are bounded this way; solve_ladder, and
+with it `dist`, marches the whole grid.
+
 The marching loop works on plain Python lists and a bytearray, not numpy
 scalars, over the grid padded by one sentinel ring.  Sentinel nodes are
 frozen, hold +inf and are never updated, so the loop needs no bounds
@@ -25,11 +33,11 @@ bit-deterministic.
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, MonotonicityError
+from .errors import ConfigError, DomainError, MonotonicityError, RangeError
 from .grid import GridSpec
 
 # relative drop a rung may show against the coarser rung before it
@@ -39,12 +47,14 @@ MONOTONICITY_TOL = 1e-9
 @dataclass(frozen=True)
 class DistanceField:
     """Distance values from one source node at one regularization level
-    (+inf on nodes the march never reached)."""
+    (+inf on nodes the march never reached).  Balls and volumes are exact
+    up to radius reach (see solve_distance) and refused beyond it."""
 
     grid: GridSpec
     source: tuple
     epsilon: float
     values: np.ndarray
+    reach: float = math.inf
 
     def __post_init__(self):
         self.values.setflags(write=False)
@@ -60,16 +70,36 @@ class FmmStats:
 
     fmm_solves: int = 0
     fmm_nodes: int = 0      # frozen (reached) nodes, summed over solves
+    reaches: list = dc_field(default_factory=list)  # metric_stage's, per ball
 
     def record(self, field):
         self.fmm_solves += 1
         self.fmm_nodes += int(np.count_nonzero(np.isfinite(field.values)))
 
 
-def solve_distance(form, source, epsilon):
+def _triangle_neighbourhood(mask):
+    """mask and every node sharing a grid triangle with a mask node.
+
+    Each cell splits along its (i, j)-(i+1, j+1) diagonal, so a node's
+    triangle neighbours are its four axis neighbours, (i+1, j+1) and
+    (i-1, j-1)."""
+    out = mask.copy()
+    out[1:, :] |= mask[:-1, :]
+    out[:-1, :] |= mask[1:, :]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    out[1:, 1:] |= mask[:-1, :-1]
+    out[:-1, :-1] |= mask[1:, 1:]
+    return out
+
+
+def solve_distance(form, source, epsilon, reach=math.inf):
     """Fast-marching solve of the regularized subunit eikonal equation.
 
-    source: (i, j) node.  epsilon must be positive and finite.
+    source: (i, j) node.  epsilon must be positive and finite.  The march
+    stops once every node below reach, and every node of a grid triangle
+    touching one, is frozen; all other nodes are +inf.  Frozen values equal
+    the full march's bit for bit (reach = inf marches the whole grid).
 
     The march runs on Python lists over the grid padded by one sentinel
     ring.  Sentinels are frozen from the start, hold +inf and are never
@@ -110,11 +140,25 @@ def solve_distance(form, source, epsilon):
     heap = [(0.0, src)]
     sqrt = math.sqrt
     heappop, heappush = heapq.heappop, heapq.heappush
+    keep = None          # nodes to freeze, fixed at the first pop >= reach
+    pending = 0          # of them, those not frozen yet
 
     while heap:
-        _, p = heappop(heap)
+        d, p = heappop(heap)
         if frozen[p]:
             continue
+        if d >= reach:
+            if keep is None:
+                # every node frozen so far lies below reach (value order)
+                f = np.frombuffer(frozen, dtype=np.uint8).reshape(nx + 2, w)
+                below = np.zeros(f.shape, dtype=bool)
+                below[1:-1, 1:-1] = f[1:-1, 1:-1]    # not the sentinels
+                keep = _triangle_neighbourhood(below)
+                todo = bytearray((keep & (f == 0)).tobytes())
+                pending = todo.count(1)
+            if not pending:
+                break
+            pending -= todo[p]
         frozen[p] = 1
         for nb in (p - w, p + w, p - 1, p + 1):
             if frozen[nb]:
@@ -153,9 +197,11 @@ def solve_distance(form, source, epsilon):
                 values[nb] = u
                 heappush(heap, (u, nb))
 
-    vals = np.array(values).reshape(nx + 2, w)[1:-1, 1:-1].copy()
+    vals = np.array(values).reshape(nx + 2, w)
+    if keep is not None:
+        vals[~keep] = inf
     return DistanceField(grid=grid, source=tuple(source), epsilon=float(epsilon),
-                         values=vals)
+                         values=vals[1:-1, 1:-1].copy(), reach=float(reach))
 
 
 def solve_ladder(form, source, epsilons):
@@ -180,8 +226,14 @@ def solve_ladder(form, source, epsilons):
 
 
 def ball(field, r):
-    """Open metric ball as a boolean node mask: {values < r}."""
+    """Open metric ball as a boolean node mask: {values < r}.
+
+    RangeError for r beyond the field's reach, where +inf nodes would read
+    as outside the ball."""
     if r <= 0.0:
         raise DomainError("ball radius must be positive")
+    if r > field.reach:
+        raise RangeError(f"ball radius {r:g} beyond the field's reach "
+                         f"{field.reach:g}")
     return field.values < r
 

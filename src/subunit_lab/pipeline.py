@@ -3,7 +3,9 @@ diagnostics, persisting a deterministic artifact tree.
 
 Artifact layout under the output directory:
 
-    distances/    finest-eps field per ball (x, y, value CSV)
+    distances/    finest-eps field per ball (x, y, value CSV), +inf beyond
+                  the ball's reach (metric_stage); `dist` writes full
+                  marches
     balls/        per-ball radius table (r, volume, doubling_ratio, delta,
                   delta_over_r, g_of_r)
     cutoffs/      per-j cutoff table and nesting diagram
@@ -14,14 +16,16 @@ Artifact layout under the output directory:
     run_meta.json wall-clock metadata, excluded from the determinism contract:
                   elapsed seconds, per-stage wall seconds (STAGES, ball
                   stages summed over balls), the solver's work counters
-                  and the fast-marching counters (solves, frozen nodes)
+                  and the fast-marching counters (solves, frozen nodes,
+                  each ball's reach)
 
 The PDE is solved once per experiment (solve_global).  Each ball then runs
 four stages in order, each returning its report section and what the next
-stage needs: metric_stage (one eps_min distance field; its report section
-is {"eps_min"}), geometry_stage, cutoff_stage and diagnostics_stage.
-run_ball composes them; the CLI subcommands call them one at a time and
-write through the same table writers.
+stage needs: metric_stage (one eps_min distance field, marched as far as
+the later stages read; its report section is {"eps_min"}),
+geometry_stage, cutoff_stage and diagnostics_stage.  run_ball composes
+them; the CLI subcommands call them one at a time and write through the
+same table writers.
 """
 
 import json
@@ -79,11 +83,14 @@ def _boundary_fn(spec):
 
 
 def _adaptive_radii(field, r_lo_hint, r_hi):
-    """Geometric radius band [smallest resolvable, r_hi] for the volume curve."""
+    """Geometric radius band [smallest resolvable, r_hi] for the volume curve.
+
+    Reads only the nodes below r_hi, all of which a field marched to r_hi
+    holds."""
     min_nodes = geometry.MIN_BALL_NODES
-    sv = np.sort(field.values[np.isfinite(field.values)].ravel())
+    sv = np.sort(field.values[field.values < r_hi].ravel())
     if sv.size < min_nodes:
-        raise ResolutionError("field resolves fewer nodes than the floor")
+        raise ResolutionError(f"no resolvable radius band below {r_hi:g}")
     r_floor = float(sv[min_nodes - 1]) * 1.0001
     lo = max(r_lo_hint, r_floor)
     if lo >= r_hi:
@@ -176,18 +183,33 @@ def solve_global(cfg, form, stats=None):
     return sc, u_lin, q_result, info
 
 
+def _radius_cap(r, margin):
+    """Largest radius of a ball's volume curve, for ball radius r and
+    Euclidean distance margin from its center to the boundary."""
+    return min(2.05 * r, 0.98 * margin)
+
+
 def metric_stage(cfg, form, spec, fmm=None):
     """The distance field at eps_min, the finest rung of the config's eps
     ladder, from the node nearest the ball's center: one fast-marching
     solve, the field every later stage measures on.
 
-    Returns (report section {"eps_min"}, field).  fmm, when given,
-    records the solve (metric.FmmStats).
+    The march reaches max(2 r_cap, margin, r), the largest radius a later
+    stage reads: 2 r_cap covers the doubling ratio at the top radius and
+    the delta search; margin covers the box-sandwich radii (<= 0.98
+    margin) and the special cutoff and log estimate (r + delta <= eta
+    margin); r covers B(r) itself, read before a ball with r > r_cap is
+    skipped.  Returns (report section {"eps_min"}, field).  fmm, when
+    given, records the solve and the reach (metric.FmmStats).
     """
-    source = form.grid.nearest_node(*spec.center)
-    finest = solve_distance(form, source, cfg.epsilon_ladder()[-1])
+    grid = form.grid
+    source = grid.nearest_node(*spec.center)
+    margin = grid.boundary_distance(source)
+    reach = max(2.0 * _radius_cap(spec.r, margin), margin, spec.r)
+    finest = solve_distance(form, source, cfg.epsilon_ladder()[-1], reach)
     if fmm is not None:
         fmm.record(finest)
+        fmm.reaches.append(reach)
     return {"eps_min": finest.epsilon}, finest
 
 
@@ -209,7 +231,7 @@ def geometry_stage(cfg, form, spec, finest):
     grid = form.grid
     p = cfg.params
     margin = grid.boundary_distance(finest.source)
-    r_cap = min(2.05 * spec.r, 0.98 * margin)
+    r_cap = _radius_cap(spec.r, margin)
     radii = _adaptive_radii(finest, spec.r / 16.0, r_cap)
     for must in (p.nu0 * spec.r, p.nu * spec.r, spec.r):
         if radii[0] <= must <= r_cap:

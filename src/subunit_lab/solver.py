@@ -46,8 +46,7 @@ from .errors import (ConfigError, DomainError, EmptySupportError,
 __all__ = [
     "DiscreteFunction", "SolveConfig", "SolveStats", "LinearSystem",
     "assemble_linear", "solve_linear", "solve_quasilinear", "QuasilinearResult",
-    "sobolev_functional", "poincare_functional", "q_energy",
-    "max_principle_slack",
+    "sobolev_functional", "poincare_functional", "max_principle_slack",
 ]
 
 
@@ -123,19 +122,48 @@ class LinearSystem:
     wy: np.ndarray                 # (nx, ny-1) face weights (i,j)-(i,j+1)
     diag: np.ndarray               # (nx-2, ny-2) sum of each node's four faces
 
+    def __post_init__(self):
+        # apply works on flat rows of width ny: v sits in a zero-padded
+        # copy of the grid, so the neighbours of the interior nodes are
+        # the padded array shifted by -ny, -1, +1 and +ny.  A run of n
+        # entries from the first interior node covers every interior node,
+        # plus the two padding columns between rows, whose face weights
+        # are 0 and whose results apply drops.  The buffers are reused, so
+        # apply is not reentrant.
+        nxi, nyi = self.diag.shape
+        w = nyi + 2
+        n = (nxi - 1) * w + nyi
+
+        def rows(a):
+            out = np.zeros((nxi, w))
+            out[:, :nyi] = a
+            return out.ravel()[:n]
+
+        left, right, down, up = _node_faces(self.wx, self.wy)
+        # -(left v) rounds as (-left) v: IEEE products are sign-symmetric
+        self._faces = (rows(-left), rows(right), rows(down), rows(up))
+        self._diag = rows(self.diag)
+        self._padded = np.zeros((nxi + 2) * w)
+        self._out = np.zeros(nxi * w)
+        self._term = np.empty(n)
+
     def apply(self, v):
         """-L_h v for a flat interior vector v (j fastest), zero outside."""
-        left, right, down, up = _node_faces(self.wx, self.wy)
-        p = np.zeros((left.shape[0] + 2, left.shape[1] + 2))
-        p[1:-1, 1:-1] = v.reshape(left.shape)
+        neg_left, right, down, up = self._faces
+        p, t = self._padded, self._term
+        nxi, nyi = self.diag.shape
+        w, n = nyi + 2, t.size
+        p.reshape(nxi + 2, w)[1:-1, 1:-1] = v.reshape(nxi, nyi)
+        c = w + 1                  # padded index of the first interior node
+        out = self._out[:n]
         # the terms in the sorted column order of a CSR matrix of -L_h, so
         # each sum rounds as scipy's csr_matvec rounds it, bit for bit
-        out = -(left * p[:-2, 1:-1])
-        out -= down * p[1:-1, :-2]
-        out += self.diag * p[1:-1, 1:-1]
-        out -= up * p[1:-1, 2:]
-        out -= right * p[2:, 1:-1]
-        return out.ravel()
+        np.multiply(neg_left, p[c - w:c - w + n], out=out)
+        out -= np.multiply(down, p[c - 1:c - 1 + n], out=t)
+        out += np.multiply(self._diag, p[c:c + n], out=t)
+        out -= np.multiply(up, p[c + 1:c + 1 + n], out=t)
+        out -= np.multiply(right, p[c + w:c + w + n], out=t)
+        return self._out.reshape(nxi, w)[:, :nyi].ravel()
 
 
 def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
@@ -326,12 +354,6 @@ def solve_quasilinear(env, config, stats=None):
         residuals=residuals,
         diagnostic=f"no convergence after {config.fp_max_iter} iterations; "
                    f"best residual {best_res:.3e}")
-
-
-def q_energy(form, u):
-    """Discrete energy integral of [grad u]_Q^2."""
-    g2 = q_gradient(form, u.values if isinstance(u, DiscreteFunction) else u) ** 2
-    return float(g2.sum() * form.grid.cell_area)
 
 
 def max_principle_slack(u, system):

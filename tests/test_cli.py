@@ -415,6 +415,10 @@ def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
     nodes = rep["grid"]["nx"] * rep["grid"]["ny"]
     # the constant form reaches every node of the global grid
     assert len(balls) * nodes < fmm["fmm_nodes"] <= fmm["fmm_solves"] * nodes
+    # each ball's global march reaches twice its volume curve's top radius
+    assert len(fmm["reaches"]) == len(balls)
+    for reach, b in zip(fmm["reaches"], balls):
+        assert reach >= 2.0 * max(b["geometry"]["radii"])
 
 
 def test_installed_entry_point_runs():

@@ -10,7 +10,6 @@ from subunit_lab.errors import (DomainError, GeometryError, RangeError,
                                 ResolutionError)
 from subunit_lab.forms import DegeneracyProfile, eval_h
 from subunit_lab.geometry import (box_ball, box_sandwich, containment_check,
-                                  doubling_chain_bounds,
                                   doubling_classification, fill_delta_curve,
                                   growth_condition_check, nondoubling_order,
                                   volume_curve)
@@ -90,6 +89,21 @@ def test_constant_volume_plateau_capped_or_range_error(euclid_field):
         nondoubling_order(analytics, 0.1, 2.0)
 
 
+def test_volume_beyond_reach_raises(grushin_form):
+    # a bounded march leaves out the triangles beyond its reach, so
+    # volumes and node counts past it are refused, not underestimated
+    full = solve_distance(grushin_form, (128, 128), 1e-3)
+    field = solve_distance(grushin_form, (128, 128), 1e-3, 0.2)
+    bounded, unbounded = (geometry.VolumeFunction(f) for f in (field, full))
+    for s in (0.05, 0.13, 0.2):
+        assert bounded(s) == unbounded(s)
+        assert bounded.count(s) == unbounded.count(s)
+    with pytest.raises(RangeError, match="reach"):
+        bounded(0.2000001)
+    with pytest.raises(RangeError, match="reach"):
+        bounded.count(np.array([0.1, 0.25]))
+
+
 def test_upper_window_calibrates_C(grushin_field_origin):
     radii = list(np.geomspace(0.1, 0.45, 16))
     analytics = volume_curve(grushin_field_origin, radii)
@@ -115,14 +129,6 @@ def test_window_invariant_on_fresh_radii(grushin_field_origin):
             continue
         ratio = analytics.volume_at(r + d) / analytics.volume_at(r)
         assert 1.25 - 1e-9 <= ratio <= 2.0 * C * 1.05
-
-
-def test_doubling_chain_bounds(grushin_field_origin):
-    radii = list(np.geomspace(0.08, 0.45, 20))
-    analytics = volume_curve(grushin_field_origin, radii)
-    fill_delta_curve(analytics, C=2.0)
-    measured, upper, lower = doubling_chain_bounds(analytics, 0.15)
-    assert lower / 1.05 <= measured <= upper * 1.05
 
 
 def test_growth_condition_paper_delta_law():

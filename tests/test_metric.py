@@ -10,12 +10,13 @@ import pytest
 
 from subunit_lab import metric
 from subunit_lab.config import ExperimentConfig
-from subunit_lab.errors import ConfigError, DomainError, MonotonicityError
+from subunit_lab.errors import (ConfigError, DomainError, MonotonicityError,
+                                RangeError)
 from subunit_lab.forms import DegeneracyProfile, assemble_form
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import (DistanceField, ball, solve_distance,
                                 solve_ladder)
-from subunit_lab.pipeline import build_form, metric_stage
+from subunit_lab.pipeline import build_form, metric_stage, run_experiment
 
 PAPER_4BALLS = os.path.join(os.path.dirname(__file__), "..", "bench",
                             "workloads", "paper-4balls.json")
@@ -165,9 +166,51 @@ def test_epsilon_monotonicity_nodewise(grid129, kind, param):
             assert np.all(f2.values >= f1.values - 1e-9)
 
 
+def _reach_nodes(d, reach):
+    """Nodes of every grid triangle with a vertex below reach; each cell
+    splits along its (i, j)-(i+1, j+1) diagonal, as VolumeFunction's."""
+    below = d < reach
+    out = np.zeros_like(below)
+    p00 = (slice(None, -1), slice(None, -1))
+    p10 = (slice(1, None), slice(None, -1))
+    p01 = (slice(None, -1), slice(1, None))
+    p11 = (slice(1, None), slice(1, None))
+    for tri in ((p00, p10, p11), (p00, p01, p11)):
+        touch = below[tri[0]] | below[tri[1]] | below[tri[2]]
+        for vertex in tri:
+            out[vertex] |= touch
+    return out
+
+
+def _assert_bounded_march(field, full):
+    # bit for bit the full march on every finite node, finite on every
+    # node of a triangle touching {full < reach}, +inf everywhere else
+    fin = np.isfinite(field.values)
+    assert field.values[fin].tobytes() == full[fin].tobytes()
+    assert np.array_equal(fin, _reach_nodes(full, field.reach))
+    assert np.all(field.values[~fin] == np.inf)
+
+
+@pytest.mark.parametrize("kind,param", [("power", 1.0), ("paper_model", 9.0)])
+def test_bounded_march_stops_at_reach(kind, param):
+    # reaches inside the first step, mid-grid and past every node; edge
+    # and corner sources put the sentinel ring inside the reach
+    nx, ny = 41, 23
+    form = assemble_form(DegeneracyProfile(kind, param),
+                         GridSpec(-0.5, 0.5, -0.5, 0.5, nx, ny))
+    for source in [(nx // 2, ny // 2), (0, ny // 2), (nx - 1, ny - 1)]:
+        full = _reference_solve_distance(form, source, 0.05)
+        for reach in (1e-3, 0.2, 0.45, 10.0):
+            field = solve_distance(form, source, 0.05, reach)
+            assert field.reach == reach
+            _assert_bounded_march(field, full)
+        assert np.isfinite(field.values).all()
+
+
 def test_metric_stage_field_is_finest_ladder_rung():
-    # the one solve metric_stage makes is the ladder's finest rung, byte
-    # for byte, for every ball of the paper-model workload (on 65^2)
+    # the one solve metric_stage makes is the ladder's finest rung, marched
+    # as far as the later stages read, for every ball of the paper-model
+    # workload (on 65^2); solve_ladder marches the whole grid
     with open(PAPER_4BALLS) as fh:
         raw = json.load(fh)
     raw["grid"].update(nx=65, ny=65)
@@ -177,9 +220,63 @@ def test_metric_stage_field_is_finest_ladder_rung():
         section, field = metric_stage(cfg, form, spec)
         source = form.grid.nearest_node(*spec.center)
         rung = solve_ladder(form, source, cfg.epsilon_ladder())[-1]
-        assert field.values.tobytes() == rung.values.tobytes(), spec.center
+        assert np.isfinite(rung.values).all()
+        _assert_bounded_march(field, rung.values)
+        assert not np.isfinite(field.values).all(), spec.center
         assert field.epsilon == rung.epsilon == section["eps_min"]
         assert field.source == rung.source
+
+
+GRUSHIN_256 = os.path.join(os.path.dirname(__file__), "..", "src",
+                           "subunit_lab", "configs", "grushin-box-256.json")
+
+
+def _edge_balls_config():
+    # balls the grid cannot measure: one centred on the boundary (margin
+    # 0) and smaller than a cell, one whose r exceeds twice its margin and
+    # whose volume band holds no dyadic radius, so containment reads B(r)
+    # before the skip
+    with open(GRUSHIN_256) as fh:
+        raw = json.load(fh)
+    raw["grid"].update(nx=257, ny=257)
+    raw["balls"] = [{"center": [0.5, 0.0], "r": 0.001},
+                    {"center": [0.5 - 0.0245, 0.0], "r": 0.2}]
+    return ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("name", ["paper-4balls", "edge-balls"])
+def test_run_with_full_marches_writes_the_same_outputs(tmp_path, monkeypatch,
+                                                       name):
+    # bounded marches change nothing a run reports: with every march
+    # forced to the whole grid, report.json and every artifact but the
+    # distance CSVs (+inf beyond the reach) and run_meta.json are the same.
+    # paper-4balls on its own 145^2 grid measures every ball (at 65^2
+    # every ball is skipped); edge-balls skips every ball
+    if name == "paper-4balls":
+        cfg = ExperimentConfig.load(PAPER_4BALLS)
+    else:
+        cfg = _edge_balls_config()
+    run_experiment(cfg, str(tmp_path / "bounded"))
+    full = metric.solve_distance
+
+    def unbounded(form, source, epsilon, reach=math.inf):
+        return full(form, source, epsilon)
+
+    monkeypatch.setattr("subunit_lab.pipeline.solve_distance", unbounded)
+    monkeypatch.setattr("subunit_lab.geometry.solve_distance", unbounded)
+    report, _ = run_experiment(cfg, str(tmp_path / "full"))
+    measured = len(cfg.balls) if name == "paper-4balls" else 0
+    assert len(report["balls"]) == measured
+    assert len(report["notes"]) == len(cfg.balls) - measured
+
+    def outputs(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()
+                and p.name != "run_meta.json" and p.parent.name != "distances"}
+
+    bounded = outputs(tmp_path / "bounded")
+    assert bounded == outputs(tmp_path / "full")
+    assert any(p.name == "report.json" for p in bounded)
 
 
 def test_ladder_paper_model_monotone_increments(paper_form):
@@ -252,6 +349,14 @@ def test_ball_huge_radius_is_everything(euclid_field):
 def test_ball_rejects_nonpositive_radius(euclid_field):
     with pytest.raises(DomainError):
         ball(euclid_field, 0.0)
+
+
+def test_ball_beyond_reach_raises(euclid_form):
+    # +inf beyond the reach would read as outside the ball
+    field = solve_distance(euclid_form, (128, 128), 1e-3, 0.1)
+    assert ball(field, 0.1).sum() > 1
+    with pytest.raises(RangeError, match="reach"):
+        ball(field, 0.1000001)
 
 
 def test_grid_refinement_first_order(grushin_profile):

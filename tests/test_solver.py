@@ -18,7 +18,7 @@ from subunit_lab.metric import ball
 from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
                                 _harmonic, _separable_inverse,
                                 assemble_linear, max_principle_slack,
-                                poincare_functional, q_energy, solve_linear,
+                                poincare_functional, solve_linear,
                                 solve_quasilinear, sobolev_functional)
 
 AFFINE = staticmethod(lambda X, Y: X + 2.0)
@@ -418,11 +418,3 @@ def test_poincare_jump_zero_gradient_raises():
     mask = np.ones(g.shape, dtype=bool)
     with pytest.raises(ZeroGradientError):
         poincare_functional(form, w, mask, 0.3)
-
-
-def test_q_energy_affine(grid97):
-    # energy of u = x under the Grushin form: int q11 * 1 = |Omega|
-    form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    X, _ = grid97.meshgrid()
-    e = q_energy(form, DiscreteFunction(grid97, X))
-    assert abs(e - 1.0) < 0.05
