@@ -68,7 +68,7 @@ class VolumeFunction:
         tri.sort(axis=1)
         a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
         w = c - a
-        flat = w <= 1e-14 * max(1.0, float(c.max(initial=0.0)))
+        flat = w <= 1e-14 * np.maximum(1.0, c)   # on each triangle's scale
         w = np.where(flat, 1.0, w)
         b = np.where(c - b < _SNAP * w, c, b)
         b = np.where((b - a < _SNAP * w) | flat, a, b)

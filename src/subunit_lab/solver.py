@@ -12,7 +12,9 @@ Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
 diag(a_y) (x) Ty: every face weight is averaged along y over its grid
 column, and P^-1 is one DST-I along y, one tridiagonal solve in x per sine
-mode and the inverse DST-I (Buzbee, Golub and Nielson 1970).  A form
+mode and the inverse DST-I (Buzbee, Golub and Nielson 1970).  The
+tridiagonal stack is LU-factored once per system (LAPACK dgttrf), so each
+application is the two transforms and one dgttrs.  A form
 diag(q11(x), q22(x)), which every bundled profile is, makes P the system
 itself, so CG stops after one iteration.  For the frozen quasilinear
 coefficients the structural sandwich c_phi Q <= A <= C_phi Q holds face by
@@ -22,6 +24,11 @@ whatever the grid (Concus and Golub 1973).  P is symmetric positive
 definite once the connectivity audit passes: it could only be singular on
 a block of columns with no y-faces closed off by zero x-faces, and such
 nodes have no positive-face path to the boundary.
+
+The CG loop is this module's own (cg), with scipy's recurrence.  Its inner
+products and norms are numpy's pairwise sums (np.add.reduce), not BLAS
+dot products: no BLAS thread is ever started, and a solve gives the same
+bits whatever the BLAS thread count.
 
 Also home to the empirical Sobolev and Poincare functionals measured on
 discrete functions over metric balls.
@@ -33,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dst, idst
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .config import _positive_count, _positive_finite
 from .cutoff import q_gradient
@@ -45,7 +51,8 @@ from .errors import (ConfigError, DomainError, EmptySupportError,
 
 __all__ = [
     "DiscreteFunction", "SolveConfig", "SolveStats", "LinearSystem",
-    "assemble_linear", "solve_linear", "solve_quasilinear", "QuasilinearResult",
+    "assemble_linear", "cg", "solve_linear", "solve_quasilinear",
+    "QuasilinearResult",
     "sobolev_functional", "poincare_functional", "max_principle_slack",
 ]
 
@@ -249,37 +256,98 @@ def _separable_inverse(system):
     P = Tx (x) I + diag(a_y) (x) Ty with Ty = tridiag(-1, 2, -1).  The
     orthonormal DST-I along y diagonalises Ty (eigenvalues
     2 - 2 cos(pi k / (ny_int + 1))); the sine modes then decouple into
-    tridiagonal systems Tx + lam_k diag(a_y), solved as one banded system
-    with the modes stacked end to end.
+    tridiagonal systems Tx + lam_k diag(a_y), stacked end to end and
+    factored here once; each application only back-substitutes.  Raises
+    SingularSystemError on a zero pivot.
     """
     ax = system.wx[:, 1:-1].mean(axis=1)          # faces i-(i+1), i < nx-1
     ay = system.wy[1:-1].mean(axis=1)             # interior columns
     nxi, nyi = ay.size, system.wy.shape[1] - 1
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)  # no coupling across modes
-    ab = np.zeros((3, nxi * nyi))
-    ab[0, 1:] = off[:-1]
-    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
-    ab[2, :-1] = off[:-1]
+    # two decoupled unit rows close the stack, since dgttrf's wrapper
+    # needs three unknowns; with zero couplings they leave every other
+    # row's pivot and solution bit for bit as they were
+    off = np.append(np.tile(np.append(-ax[1:-1], 0.0), nyi), 0.0)
+    d = np.append((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :],
+                  [1.0, 1.0])
+    lu = dgttrf(off, d, off)
+    if lu[-1] != 0:
+        k, i = divmod(lu[-1] - 1, nxi)
+        raise SingularSystemError(
+            f"separable preconditioner is singular (zero pivot in sine "
+            f"mode {k + 1}, interior column {i})")
+    factors = lu[:-1]
+    rhs = np.zeros(d.size)     # reused: apply is not reentrant
 
     def apply(r):
         rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
-        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
-        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
+        rhs[:-2].reshape(nyi, nxi)[...] = rhat.T
+        uhat, _ = dgttrs(*factors, rhs, overwrite_b=True)
+        return idst(uhat[:-2].reshape(nyi, nxi).T, type=1, norm="ortho",
                     axis=1).ravel()
 
     return apply
 
 
-def solve_linear(system, config=None, stats=None):
+def _dot(a, b):
+    """a . b as numpy's pairwise sum, which runs in this thread only and
+    rounds the same whatever the BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
+    """Preconditioned conjugate gradients for A x = b; returns (x, info).
+
+    A and M are callables v -> A v and r -> M^-1 r.  The recurrence is
+    scipy.sparse.linalg.cg's: the residual is tested before each step
+    against max(atol, rtol |b|), callback(x) runs once per step, and info
+    is 0 on convergence or maxiter when the steps ran out.  Inner products
+    and norms are pairwise sums (_dot), so from a cold start the iteration
+    count is scipy's and x agrees with it to rounding.  x0 is not modified.
+    """
+    bnrm2 = _norm(b)
+    atol = max(atol, rtol * bnrm2)
+    if bnrm2 == 0.0:
+        return np.zeros_like(b), 0
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    r = b - A(x) if x.any() else b.copy()
+    rho_prev, p = None, None
+    for iteration in range(maxiter):
+        if _norm(r) < atol:
+            return x, 0
+        z = M(r)
+        rho = _dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = A(p)
+        alpha = rho / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
+
+
+def solve_linear(system, config=None, stats=None, x0=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction.
 
-    Conjugate gradients preconditioned by the column-averaged separable
-    operator (see the module docstring): one iteration when the system is
-    separable, a mesh-independent handful under the quasilinear sandwich.
-    CG stops at relative residual config.lin_tol and raises SolverError
-    when the true residual still misses it after config.lin_max_iter
-    iterations.  When given, stats records the iterations.
+    Conjugate gradients (cg) preconditioned by the column-averaged
+    separable operator, factored once for the solve (see the module
+    docstring): one iteration when the system is separable, a
+    mesh-independent handful under the quasilinear sandwich.  x0, a flat
+    interior vector, starts CG there instead of at zero.  CG stops at
+    relative residual config.lin_tol and raises SolverError when the true
+    residual, a pairwise-summed norm like CG's own, still misses it after
+    config.lin_max_iter iterations.  When given, stats records the
+    iterations.
     """
     config = config or SolveConfig()
     b = system.rhs
@@ -291,15 +359,13 @@ def solve_linear(system, config=None, stats=None):
         nonlocal iterations
         iterations += 1
 
-    shape = (b.size, b.size)
-    A = LinearOperator(shape, matvec=system.apply, dtype=float)
-    M = LinearOperator(shape, matvec=_separable_inverse(system), dtype=float)
-    atol = config.lin_tol * max(float(np.linalg.norm(b)), 1.0)
-    x, info = cg(A, b, rtol=config.lin_tol, atol=atol,
-                 maxiter=config.lin_max_iter, M=M, callback=count)
+    atol = config.lin_tol * max(_norm(b), 1.0)
+    x, info = cg(system.apply, b, x0, rtol=config.lin_tol, atol=atol,
+                 maxiter=config.lin_max_iter, M=_separable_inverse(system),
+                 callback=count)
     # cg tests convergence before each step, so a solve that met the
     # tolerance on its last allowed step still reports info > 0
-    if info != 0 and np.linalg.norm(b - system.apply(x)) > atol:
+    if info != 0 and _norm(b - system.apply(x)) > atol:
         raise SolverError(f"conjugate gradient failed to converge "
                           f"(info={info})")
     if stats is not None:
@@ -321,23 +387,28 @@ class QuasilinearResult:
 def solve_quasilinear(env, config, stats=None):
     """Damped Picard iteration u_{k+1} = (1-theta) u_k + theta solve(A(x, u_k)).
 
-    Returns the first iterate meeting the sup-norm tolerance, with the
-    residual history.  Non-convergence is reported on the result (best
-    iterate and diagnostic), not raised.  stats, when given, records every
-    frozen linear solve.
+    Picard starts from u_0 = solve(A(x, 0)).  Each later frozen solve warm
+    starts its CG at the previous frozen solution, which the next one
+    differs from by about the Picard step, so the inner iterations shrink
+    as Picard converges; the fixed point is unchanged up to the CG
+    tolerance.  Returns the first iterate meeting the sup-norm tolerance,
+    with the residual history.  Non-convergence is reported on the result
+    (best iterate and diagnostic), not raised.  stats, when given, records
+    every frozen linear solve.
     """
     grid = env.base.grid
 
-    def frozen_solve(z):
+    def frozen_solve(z, previous=None):
         a11, a22 = env.coefficients(z)
         system = assemble_linear(a11, a22, grid, config.rhs, config.boundary)
-        return solve_linear(system, config, stats)
+        x0 = None if previous is None else previous.values[1:-1, 1:-1].ravel()
+        return solve_linear(system, config, stats, x0)
 
-    u_k = frozen_solve(np.zeros(grid.shape))
+    u_k = u_star = frozen_solve(np.zeros(grid.shape))
     best, best_res = u_k, math.inf
     residuals = []
     for it in range(1, config.fp_max_iter + 1):
-        u_star = frozen_solve(u_k.values)
+        u_star = frozen_solve(u_k.values, u_star)
         u_next = DiscreteFunction(
             grid=grid, values=(1.0 - config.fp_theta) * u_k.values
             + config.fp_theta * u_star.values)

@@ -13,6 +13,7 @@ from subunit_lab.geometry import (box_ball, box_sandwich, containment_check,
                                   doubling_classification, fill_delta_curve,
                                   growth_condition_check, nondoubling_order,
                                   volume_curve)
+from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField, solve_distance
 
 
@@ -102,6 +103,27 @@ def test_volume_beyond_reach_raises(grushin_form):
         bounded(0.2000001)
     with pytest.raises(RangeError, match="reach"):
         bounded.count(np.array([0.1, 0.25]))
+
+
+def test_bounded_and_full_field_classify_a_thin_triangle_alike():
+    # rows 0-1 lie below the reach, row 2 closes their triangles and rows
+    # 3-5 lie far beyond it, where a bounded march leaves +inf.  The two
+    # triangles at node (1, 1) are 1e-13 wide: flat against 1e-14 times
+    # the full field's largest value, not against 1e-14 times their own
+    g = GridSpec(0.0, 1.0, 0.0, 1.0, 6, 4)
+    d = np.full(g.shape, 100.0)
+    d[:2] = 0.5
+    d[1, 1] += 1e-13
+    d[2] = 1.5
+    full = DistanceField(grid=g, source=(0, 0), epsilon=0.0, values=d)
+    bounded = DistanceField(grid=g, source=(0, 0), epsilon=0.0, reach=1.0,
+                            values=np.where(d < 2.0, d, np.inf))
+    vb, vf = (geometry.VolumeFunction(f) for f in (bounded, full))
+    below = np.count_nonzero(vb.breaks < bounded.reach)
+    assert vb.breaks[:below].tobytes() == vf.breaks[:below].tobytes()
+    assert vb.coeffs[:below].tobytes() == vf.coeffs[:below].tobytes()
+    for s in (0.5, 0.5 + 3e-14, 0.5 + 7e-14, 0.75, 1.0):
+        assert vb(s) == vf(s), s
 
 
 def test_upper_window_calibrates_C(grushin_field_origin):

@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dst, idst
+from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import LinearOperator, cg, splu
+from scipy.sparse.linalg import LinearOperator, splu
+from scipy.sparse.linalg import cg as scipy_cg
 
+from subunit_lab import solver
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
                                 SingularSystemError, ZeroGradientError)
@@ -15,9 +19,10 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
-from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
-                                _harmonic, _separable_inverse,
-                                assemble_linear, max_principle_slack,
+from subunit_lab.solver import (DiscreteFunction, LinearSystem, SolveConfig,
+                                SolveStats, _harmonic, _norm,
+                                _separable_inverse, assemble_linear, cg,
+                                max_principle_slack,
                                 poincare_functional, solve_linear,
                                 solve_quasilinear, sobolev_functional)
 
@@ -75,21 +80,43 @@ def _reference_assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
 
 
 def _reference_solve(matrix, b, system, config):
-    """solve_linear's preconditioned CG on the reference matrix."""
-    M = LinearOperator(matrix.shape, matvec=_separable_inverse(system),
-                       dtype=float)
-    atol = config.lin_tol * max(float(np.linalg.norm(b)), 1.0)
-    x, info = cg(matrix, b, rtol=config.lin_tol, atol=atol,
-                 maxiter=config.lin_max_iter, M=M)
+    """solve_linear's preconditioned CG run on the reference matrix."""
+    atol = config.lin_tol * max(_norm(b), 1.0)
+    x, info = cg(lambda v: matrix @ v, b, rtol=config.lin_tol, atol=atol,
+                 maxiter=config.lin_max_iter, M=_separable_inverse(system))
     assert info == 0
     full = system.boundary_values.copy()
     full[1:-1, 1:-1] = x.reshape(full[1:-1, 1:-1].shape)
     return full
 
 
-@pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
-@pytest.mark.parametrize("shape", [(33, 33), (41, 23), (145, 145), (20, 57)])
-def test_matrix_free_system_matches_csr_reference(shape, random_f):
+def _banded_reference_inverse(system):
+    """The separable P^-1 with the stacked tridiagonal modes re-solved by
+    solve_banded on every application: the reference the once-factored
+    preconditioner must match bit for bit."""
+    ax = system.wx[:, 1:-1].mean(axis=1)
+    ay = system.wy[1:-1].mean(axis=1)
+    nxi, nyi = ay.size, system.wy.shape[1] - 1
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
+    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)
+    ab = np.zeros((3, nxi * nyi))
+    ab[0, 1:] = off[:-1]
+    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
+    ab[2, :-1] = off[:-1]
+
+    def apply(r):
+        rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
+        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
+        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
+                    axis=1).ravel()
+
+    return apply
+
+
+SHAPES = [(33, 33), (41, 23), (145, 145), (20, 57)]
+
+
+def _random_coefficients(shape):
     # positive random coefficients with a zero q11 column and a zero q22
     # column, apart and off the boundary, so every node still reaches it
     g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
@@ -98,6 +125,13 @@ def test_matrix_free_system_matches_csr_reference(shape, random_f):
     q22 = rng.uniform(0.0, 1.5, g.shape) ** 2
     q11[shape[0] // 3, :] = 0.0
     q22[2 * shape[0] // 3, :] = 0.0
+    return g, rng, q11, q22
+
+
+@pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_matrix_free_system_matches_csr_reference(shape, random_f):
+    g, rng, q11, q22 = _random_coefficients(shape)
     f = rng.normal(size=g.shape) if random_f else 0.0
     system = assemble_linear(q11, q22, g, f, trig)
     matrix, rhs = _reference_assemble_linear(q11, q22, g, f, trig)
@@ -110,6 +144,69 @@ def test_matrix_free_system_matches_csr_reference(shape, random_f):
     u = solve_linear(system, config)
     assert (u.values.tobytes()
             == _reference_solve(matrix, rhs, system, config).tobytes())
+
+
+@pytest.mark.parametrize("shape", SHAPES + [(3, 3), (3, 9)])
+def test_factored_preconditioner_matches_solve_banded(shape):
+    g, rng, q11, q22 = _random_coefficients(shape)
+    system = assemble_linear(q11, q22, g, 0.0, trig)
+    factored = _separable_inverse(system)
+    reference = _banded_reference_inverse(system)
+    for _ in range(3):
+        r = rng.normal(size=system.rhs.size)
+        assert factored(r).tobytes() == reference(r).tobytes()
+
+
+def test_singular_preconditioner_stack_raises():
+    # no x-faces and no y-faces in interior column 3: every sine mode's
+    # tridiagonal system has a zero row there
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 9, 9)
+    wy = np.ones((9, 8))
+    wy[4] = 0.0
+    system = LinearSystem(grid=g, rhs=np.zeros(49),
+                          boundary_values=np.zeros(g.shape),
+                          wx=np.zeros((8, 9)), wy=wy, diag=np.ones((7, 7)))
+    with pytest.raises(SingularSystemError,
+                       match="zero pivot in sine mode 1, interior column 3"):
+        _separable_inverse(system)
+
+
+def _frozen_picard_system(n):
+    # A = diag(1, phi(u) f^2) with phi in [1, 3] at a trig u: not separable
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+    X, Y = g.meshgrid()
+    a11, a22 = QuasilinearEnvelope(base=form).coefficients(
+        4.0 * (trig(X, Y) - 2.0))
+    return assemble_linear(a11, a22, g, 0.0, trig)
+
+
+@pytest.mark.parametrize("n,tol", [(65, 1e-12), (129, 1e-8)])
+def test_cg_matches_scipy_cg_from_cold_start(n, tol):
+    system = _frozen_picard_system(n)
+    b, inverse = system.rhs, _separable_inverse(system)
+    kw = dict(rtol=tol, atol=tol * max(_norm(b), 1.0), maxiter=200)
+    ours, theirs = [], []
+    x, info = cg(system.apply, b, M=inverse,
+                 callback=lambda _: ours.append(1), **kw)
+    shape = (b.size, b.size)
+    y, scipy_info = scipy_cg(LinearOperator(shape, matvec=system.apply), b,
+                             M=LinearOperator(shape, matvec=inverse),
+                             callback=lambda _: theirs.append(1), **kw)
+    assert info == scipy_info == 0
+    assert len(ours) == len(theirs) > 2
+    assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+
+
+def test_cg_zero_rhs_and_untouched_start():
+    system = _frozen_picard_system(33)
+    inverse = _separable_inverse(system)
+    kw = dict(rtol=1e-12, atol=1e-12, maxiter=50)
+    x0 = np.ones(system.rhs.size)
+    x, info = cg(system.apply, np.zeros_like(x0), x0, M=inverse, **kw)
+    assert info == 0 and not x.any()
+    x, info = cg(system.apply, system.rhs, x0, M=inverse, **kw)
+    assert info == 0 and np.all(x0 == 1.0)
 
 
 def test_harmonic_identity_euclidean(grid97):
@@ -176,12 +273,7 @@ def test_picard_frozen_system_mesh_independent_iterations():
     # every grid, so the PCG iteration count does not grow with n
     counts = []
     for n in (65, 257):
-        g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
-        form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
-        env = QuasilinearEnvelope(base=form)
-        X, Y = g.meshgrid()
-        a11, a22 = env.coefficients(4.0 * (trig(X, Y) - 2.0))
-        system = assemble_linear(a11, a22, g, 0.0, trig)
+        system = _frozen_picard_system(n)
         stats = SolveStats()
         u = solve_linear(system, SolveConfig(), stats)
         x = u.values[1:-1, 1:-1].ravel()
@@ -318,6 +410,27 @@ def test_quasilinear_consistency_reassemble(grid97):
     system = assemble_linear(a11, a22, grid97, sc.rhs, sc.boundary)
     u2 = solve_linear(system, sc)
     assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * sc.fp_tol * 10
+
+
+def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
+    # the exp-picard problem on 65^2: warm-started frozen solves against
+    # the same Picard loop with every frozen solve started at zero
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
+    env = QuasilinearEnvelope(
+        base=assemble_form(DegeneracyProfile("exponential", 0.1), g))
+    sc = SolveConfig(boundary=trig, fp_theta=0.7, fp_tol=1e-9)
+    warm_stats, cold_stats = SolveStats(), SolveStats()
+    warm = solve_quasilinear(env, sc, warm_stats)
+    solve = solver.solve_linear
+    monkeypatch.setattr(solver, "solve_linear",
+                        lambda system, config, stats, x0: solve(
+                            system, config, stats))
+    cold = solve_quasilinear(env, sc, cold_stats)
+    assert warm.converged and cold.converged
+    assert warm.iterations == cold.iterations
+    assert warm_stats.linear_solves == cold_stats.linear_solves
+    assert warm_stats.pcg_iterations < cold_stats.pcg_iterations
+    assert np.max(np.abs(warm.u.values - cold.u.values)) <= 10 * sc.fp_tol
 
 
 def test_quasilinear_stiff_no_convergence_path():
