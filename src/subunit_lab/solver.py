@@ -12,9 +12,7 @@ Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
 diag(a_y) (x) Ty: every face weight is averaged along y over its grid
 column, and P^-1 is one DST-I along y, one tridiagonal solve in x per sine
-mode and the inverse DST-I (Buzbee, Golub and Nielson 1970).  The
-tridiagonal stack is LU-factored once per system (LAPACK dgttrf), so each
-application is the two transforms and one dgttrs.  A form
+mode and the inverse DST-I (Buzbee, Golub and Nielson 1970).  A form
 diag(q11(x), q22(x)), which every bundled profile is, makes P the system
 itself, so CG stops after one iteration.  For the frozen quasilinear
 coefficients the structural sandwich c_phi Q <= A <= C_phi Q holds face by
@@ -40,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dst, idst
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 
 from .config import _positive_count, _positive_finite
@@ -256,34 +254,23 @@ def _separable_inverse(system):
     P = Tx (x) I + diag(a_y) (x) Ty with Ty = tridiag(-1, 2, -1).  The
     orthonormal DST-I along y diagonalises Ty (eigenvalues
     2 - 2 cos(pi k / (ny_int + 1))); the sine modes then decouple into
-    tridiagonal systems Tx + lam_k diag(a_y), stacked end to end and
-    factored here once; each application only back-substitutes.  Raises
-    SingularSystemError on a zero pivot.
+    tridiagonal systems Tx + lam_k diag(a_y), solved as one banded system
+    with the modes stacked end to end.
     """
     ax = system.wx[:, 1:-1].mean(axis=1)          # faces i-(i+1), i < nx-1
     ay = system.wy[1:-1].mean(axis=1)             # interior columns
     nxi, nyi = ay.size, system.wy.shape[1] - 1
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    # two decoupled unit rows close the stack, since dgttrf's wrapper
-    # needs three unknowns; with zero couplings they leave every other
-    # row's pivot and solution bit for bit as they were
-    off = np.append(np.tile(np.append(-ax[1:-1], 0.0), nyi), 0.0)
-    d = np.append((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :],
-                  [1.0, 1.0])
-    lu = dgttrf(off, d, off)
-    if lu[-1] != 0:
-        k, i = divmod(lu[-1] - 1, nxi)
-        raise SingularSystemError(
-            f"separable preconditioner is singular (zero pivot in sine "
-            f"mode {k + 1}, interior column {i})")
-    factors = lu[:-1]
-    rhs = np.zeros(d.size)     # reused: apply is not reentrant
+    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)  # no coupling across modes
+    ab = np.zeros((3, nxi * nyi))
+    ab[0, 1:] = off[:-1]
+    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
+    ab[2, :-1] = off[:-1]
 
     def apply(r):
         rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
-        rhs[:-2].reshape(nyi, nxi)[...] = rhat.T
-        uhat, _ = dgttrs(*factors, rhs, overwrite_b=True)
-        return idst(uhat[:-2].reshape(nyi, nxi).T, type=1, norm="ortho",
+        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
+        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
                     axis=1).ravel()
 
     return apply
@@ -340,8 +327,7 @@ def solve_linear(system, config=None, stats=None, x0=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction.
 
     Conjugate gradients (cg) preconditioned by the column-averaged
-    separable operator, factored once for the solve (see the module
-    docstring): one iteration when the system is separable, a
+    separable operator (see the module docstring): one iteration when the system is separable, a
     mesh-independent handful under the quasilinear sandwich.  x0, a flat
     interior vector, starts CG there instead of at zero.  CG stops at
     relative residual config.lin_tol and raises SolverError when the true

@@ -424,9 +424,29 @@ def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
         assert reach >= 2.0 * max(b["geometry"]["radii"])
 
 
-EXP_PICARD = os.path.join(os.path.dirname(__file__), "..", "bench",
-                          "workloads", "exp-picard.json")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+# trig data under the exponential profile on 103^2: the quasilinear run
+# takes the Picard path, and its PCG vectors have 101^2 > 10000 entries,
+# where OpenBLAS spreads a dot product over its threads
+PICARD_103 = {
+    "name": "picard-103", "seed": 0,
+    "profile": {"kind": "exponential", "param": 0.1},
+    "grid": {"x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5,
+             "nx": 103, "ny": 103},
+    "epsilons": {"eps0": 0.1, "rungs": 4},
+    "radii": {"r_max": 0.4, "count": 5},
+    "balls": [{"center": [0.0, 0.0], "r": 0.17, "on_axis": True}],
+    "params": {"sigma": 2.0, "nu": 0.5, "nu0": 0.5, "mu": 0.5, "eta": 0.5,
+               "C": 2.0, "gamma": 1.0, "j_max": 12,
+               "cutoff_delta_frac": 0.3},
+    "solver": {"theta": 0.7, "fp_tol": 1e-9, "fp_max_iter": 30,
+               "lin_tol": 1e-12,
+               "boundary": {"kind": "trig", "amp": 0.5, "kx": 1.0,
+                            "ky": 1.0, "c": 2.0},
+               "rhs": 0.0, "quasilinear": True, "phi_bounds": [1.0, 3.0]},
+    "required_flags": ["harnack", "moser", "max_principle", "box_sandwich",
+                       "quasilinear_converged"],
+}
 RUN_CHILD = """
 import sys
 from subunit_lab.config import ExperimentConfig
@@ -442,14 +462,9 @@ def _tree_bytes(root):
 
 
 def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # the exp-picard workload on 103^2: its PCG vectors have 101^2 > 10000
-    # entries, where OpenBLAS spreads a dot product over its threads; each
-    # child interpreter gets its own thread count
-    with open(EXP_PICARD) as fh:
-        raw = json.load(fh)
-    raw["grid"].update(nx=103, ny=103)
+    # each child interpreter gets its own BLAS thread count
     cfg = tmp_path / "picard-103.json"
-    cfg.write_text(json.dumps(raw))
+    cfg.write_text(json.dumps(PICARD_103))
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     trees = []
     for threads in ("1", "2"):

@@ -5,8 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.fft import dst, idst
-from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as scipy_cg
@@ -19,10 +17,9 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
-from subunit_lab.solver import (DiscreteFunction, LinearSystem, SolveConfig,
-                                SolveStats, _harmonic, _norm,
-                                _separable_inverse, assemble_linear, cg,
-                                max_principle_slack,
+from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
+                                _harmonic, _norm, _separable_inverse,
+                                assemble_linear, cg, max_principle_slack,
                                 poincare_functional, solve_linear,
                                 solve_quasilinear, sobolev_functional)
 
@@ -90,33 +87,9 @@ def _reference_solve(matrix, b, system, config):
     return full
 
 
-def _banded_reference_inverse(system):
-    """The separable P^-1 with the stacked tridiagonal modes re-solved by
-    solve_banded on every application: the reference the once-factored
-    preconditioner must match bit for bit."""
-    ax = system.wx[:, 1:-1].mean(axis=1)
-    ay = system.wy[1:-1].mean(axis=1)
-    nxi, nyi = ay.size, system.wy.shape[1] - 1
-    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)
-    ab = np.zeros((3, nxi * nyi))
-    ab[0, 1:] = off[:-1]
-    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
-    ab[2, :-1] = off[:-1]
-
-    def apply(r):
-        rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
-        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
-        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
-                    axis=1).ravel()
-
-    return apply
-
-
-SHAPES = [(33, 33), (41, 23), (145, 145), (20, 57)]
-
-
-def _random_coefficients(shape):
+@pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
+@pytest.mark.parametrize("shape", [(33, 33), (41, 23), (145, 145), (20, 57)])
+def test_matrix_free_system_matches_csr_reference(shape, random_f):
     # positive random coefficients with a zero q11 column and a zero q22
     # column, apart and off the boundary, so every node still reaches it
     g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
@@ -125,13 +98,6 @@ def _random_coefficients(shape):
     q22 = rng.uniform(0.0, 1.5, g.shape) ** 2
     q11[shape[0] // 3, :] = 0.0
     q22[2 * shape[0] // 3, :] = 0.0
-    return g, rng, q11, q22
-
-
-@pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
-@pytest.mark.parametrize("shape", SHAPES)
-def test_matrix_free_system_matches_csr_reference(shape, random_f):
-    g, rng, q11, q22 = _random_coefficients(shape)
     f = rng.normal(size=g.shape) if random_f else 0.0
     system = assemble_linear(q11, q22, g, f, trig)
     matrix, rhs = _reference_assemble_linear(q11, q22, g, f, trig)
@@ -144,31 +110,6 @@ def test_matrix_free_system_matches_csr_reference(shape, random_f):
     u = solve_linear(system, config)
     assert (u.values.tobytes()
             == _reference_solve(matrix, rhs, system, config).tobytes())
-
-
-@pytest.mark.parametrize("shape", SHAPES + [(3, 3), (3, 9)])
-def test_factored_preconditioner_matches_solve_banded(shape):
-    g, rng, q11, q22 = _random_coefficients(shape)
-    system = assemble_linear(q11, q22, g, 0.0, trig)
-    factored = _separable_inverse(system)
-    reference = _banded_reference_inverse(system)
-    for _ in range(3):
-        r = rng.normal(size=system.rhs.size)
-        assert factored(r).tobytes() == reference(r).tobytes()
-
-
-def test_singular_preconditioner_stack_raises():
-    # no x-faces and no y-faces in interior column 3: every sine mode's
-    # tridiagonal system has a zero row there
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 9, 9)
-    wy = np.ones((9, 8))
-    wy[4] = 0.0
-    system = LinearSystem(grid=g, rhs=np.zeros(49),
-                          boundary_values=np.zeros(g.shape),
-                          wx=np.zeros((8, 9)), wy=wy, diag=np.ones((7, 7)))
-    with pytest.raises(SingularSystemError,
-                       match="zero pivot in sine mode 1, interior column 3"):
-        _separable_inverse(system)
 
 
 def _frozen_picard_system(n):
