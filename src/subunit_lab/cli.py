@@ -106,12 +106,11 @@ def cmd_solve(args):
 def cmd_diagnose(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
-    sc, u_lin, q_result, _ = pipeline.solve_global(cfg, form)
-    u = q_result.u if (q_result is not None and q_result.converged) else u_lin
+    u, *_ = pipeline.solve_global(cfg, form)
     report = {}
     for k, spec in enumerate(cfg.balls):
         ball_report, flags, art = pipeline.run_ball_or_skip(
-            cfg, form, spec, f"ball{k}", u, sc.rhs)
+            cfg, form, spec, f"ball{k}", u, cfg.solver.rhs)
         entry = {"flags": flags, "notes": art["notes"]}
         if ball_report is not None:
             entry["diagnostics"] = ball_report["diagnostics"]

@@ -2,12 +2,16 @@
 
 A config is one JSON document.  Lengths are in domain units, angles none,
 radii in metric units of the subunit distance.  Validation failures carry
-the dotted field path for the CLI's exit-1 message.
+the dotted field path for the CLI's exit-1 message.  This module is the
+one home of the experiment's settings, their defaults and their checks;
+SolverSpec is the one settings type of the solver, which takes it as is.
 """
 
 import json
 import math
 from dataclasses import asdict, dataclass, field as dc_field
+
+import numpy as np
 
 from .errors import ConfigError
 from .forms import DegeneracyProfile, lambda_from_sigma
@@ -93,6 +97,13 @@ class Params:
 
 @dataclass
 class SolverSpec:
+    """Settings of the discrete solve: damped Picard (theta, fp_tol,
+    fp_max_iter) over frozen linear solves by PCG, which stops at relative
+    residual lin_tol or fails after lin_max_iter iterations; the Dirichlet
+    data (boundary), the constant right-hand side f (rhs), whether Picard
+    runs at all (quasilinear) and the declared bounds of phi.  Every
+    instance is validated when built."""
+
     theta: float = 0.7
     fp_tol: float = 1e-9
     fp_max_iter: int = 40
@@ -103,6 +114,9 @@ class SolverSpec:
     rhs: float = 0.0
     quasilinear: bool = True
     phi_bounds: tuple = (1.0, 3.0)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self, path="solver"):
         if not 0.0 < self.theta <= 1.0:
@@ -118,6 +132,17 @@ class SolverSpec:
         if kind not in ("affine", "trig"):
             raise ConfigError("boundary.kind must be affine or trig",
                               f"{path}.boundary.kind")
+
+    def boundary_values(self, grid):
+        """The Dirichlet data at every node of grid: ax x + by y + c
+        (affine) or c + amp sin(pi kx x) cos(pi ky y) (trig)."""
+        X, Y = grid.meshgrid()
+        b = self.boundary
+        c = b.get("c", 2.0)
+        if b["kind"] == "affine":
+            return b.get("ax", 1.0) * X + b.get("by", 0.0) * Y + c
+        return c + b.get("amp", 0.5) * np.sin(math.pi * b.get("kx", 1.0) * X) \
+            * np.cos(math.pi * b.get("ky", 1.0) * Y)
 
 
 @dataclass

@@ -26,9 +26,6 @@ import numpy as np
 from .errors import DomainError, GeometryError, RangeError
 from .metric import ball
 
-DEFAULT_JMAX = 12
-DEFAULT_ETA = 0.25
-
 
 def q_gradient(form, w):
     """[grad w]_Q = sqrt(q11 (Dx w)^2 + q22 (Dy w)^2).
@@ -80,7 +77,7 @@ class CutoffSequence:
     grad_envelope: float  # max_j grad_bounds[j] * (1-nu) delta (1-delta/r)^j
 
 
-def build_sequence(field, form, r, nu, delta, j_max=DEFAULT_JMAX):
+def build_sequence(field, form, r, nu, delta, j_max):
     """Construct psi_1..psi_J from one distance field and validate (cutoff).
 
     The four structural properties are checked before returning:
@@ -148,7 +145,7 @@ class SpecialCutoff:
     grad_constant: float   # grad_bound * delta (empirical C of (spec_cutoff))
 
 
-def build_special_cutoff(field, form, r, delta, eta=DEFAULT_ETA):
+def build_special_cutoff(field, form, r, delta, eta):
     """Cutoff phi_r: 1 on B(y, r + delta/2), supported in B(y, r + delta).
 
     The eta rule requires B(y, r + delta) to stay well inside the domain:

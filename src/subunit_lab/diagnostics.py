@@ -26,9 +26,6 @@ from .cutoff import q_gradient
 from .errors import (ChainTooShortError, DomainError, PositivityError)
 from .metric import ball
 
-DEFAULT_SIGMA = 2.0
-DEFAULT_NU0 = 0.5
-DEFAULT_MU = 0.5
 FLOOR_M_FACTOR = 1e-6     # m = 1e-6 ||u||_inf when f = 0
 LOG_S_OCTAVES = 10        # level sets s = max|v - <v>| 2^-k, k < 10
 

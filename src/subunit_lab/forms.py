@@ -194,8 +194,6 @@ class QuadraticFormField:
     grid: GridSpec
     q11: np.ndarray
     q22: np.ndarray
-    k_lower: float = 1.0
-    K_upper: float = 1.0
     profile: DegeneracyProfile | None = None
     underflow_radius: float = 0.0   # largest |x| whose q22 column is exactly 0
 
@@ -204,8 +202,6 @@ class QuadraticFormField:
             raise DomainError("q11/q22 shape does not match the grid")
         if np.any(self.q11 < 0) or np.any(self.q22 < 0):
             raise DomainError("form entries must be nonnegative")
-        if not self.k_lower <= 1.0 <= self.K_upper:
-            raise DomainError("structural constants must satisfy k <= 1 <= K")
         self.q11.setflags(write=False)
         self.q22.setflags(write=False)
 
@@ -242,14 +238,6 @@ class QuasilinearEnvelope:
     def __post_init__(self):
         if not 0.0 < self.c_phi <= self.C_phi:
             raise DomainError("phi bounds must satisfy 0 < c_phi <= C_phi")
-
-    @property
-    def k_lower(self):
-        return min(1.0, self.c_phi)
-
-    @property
-    def K_upper(self):
-        return max(1.0, self.C_phi)
 
     def coefficients(self, z):
         """Frozen diagonal (a11, a22) at modulation state z (scalar or array)."""

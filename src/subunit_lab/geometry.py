@@ -35,6 +35,10 @@ MIN_BALL_NODES = 25
 RATIO_LOW = 1.25          # the 5/4 side of the non-doubling window
 _SNAP = 1e-6              # relative vertex gap below which a triangle piece
                           # is merged away (bounds the quadratic coefficients)
+_FLAT = 1e-4              # width c - a, relative to max(1, c), below which a
+                          # triangle is a step at a: a quadratic piece of width
+                          # w rounds by about eps (c/w)^2 of its area, and
+                          # every larger radius's running sum keeps that error
 BOX_COLLAR_CELLS = 3
 CHECK_COLLAR_CELLS = 1.0  # nodes within this many cells of a box face or
                           # ball edge are not judged (discretization collar)
@@ -49,8 +53,9 @@ class VolumeFunction:
     sublevel area is A (s-a)^2/((b-a)(c-a)) on [a, b], A - A (c-s)^2/
     ((c-a)(c-b)) on [b, c] and A above c.  The per-triangle coefficient
     changes are summed once in breakpoint order, so a query is one
-    searchsorted plus a quadratic.  Triangles touching a node with a
-    non-finite distance lie outside every ball.  Queries beyond the
+    searchsorted plus a quadratic.  A triangle narrower than _FLAT
+    max(1, c) is a step at a, whose error stays inside [a, c].  Triangles
+    touching a node with a non-finite distance lie outside every ball.  Queries beyond the
     field's reach raise RangeError: a bounded march leaves the triangles
     there out.
     """
@@ -68,7 +73,7 @@ class VolumeFunction:
         tri.sort(axis=1)
         a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
         w = c - a
-        flat = w <= 1e-14 * np.maximum(1.0, c)   # on each triangle's scale
+        flat = w <= _FLAT * np.maximum(1.0, c)   # on each triangle's scale
         w = np.where(flat, 1.0, w)
         b = np.where(c - b < _SNAP * w, c, b)
         b = np.where((b - a < _SNAP * w) | flat, a, b)

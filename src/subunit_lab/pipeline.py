@@ -49,7 +49,7 @@ from .errors import (ChainTooShortError, DomainError, GeometryError,
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
-from .solver import (DiscreteFunction, SolveConfig, SolveStats,
+from .solver import (DiscreteFunction, SolveStats,
                      assemble_linear, max_principle_slack, poincare_functional,
                      solve_linear, solve_quasilinear, sobolev_functional)
 
@@ -69,17 +69,6 @@ def _timed(times, stage):
         yield
     finally:
         times[stage] = times.get(stage, 0.0) + time.perf_counter() - t0
-
-
-def _boundary_fn(spec):
-    kind = spec.get("kind", "affine")
-    if kind == "affine":
-        ax, by, c = spec.get("ax", 1.0), spec.get("by", 0.0), spec.get("c", 2.0)
-        return lambda X, Y: ax * X + by * Y + c
-    amp = spec.get("amp", 0.5)
-    kx, ky = spec.get("kx", 1.0), spec.get("ky", 1.0)
-    c = spec.get("c", 2.0)
-    return lambda X, Y: c + amp * np.sin(math.pi * kx * X) * np.cos(math.pi * ky * Y)
 
 
 def _adaptive_radii(field, r_lo_hint, r_hi):
@@ -102,8 +91,7 @@ def _adaptive_radii(field, r_lo_hint, r_hi):
 
 def _delta_at(analytics, r):
     base_c = analytics.C_doubling if analytics.C_doubling else 2.0
-    d, capped, _ = geometry.nondoubling_order(analytics, r, base_c)
-    return d, capped
+    return geometry.nondoubling_order(analytics, r, base_c)[0]
 
 
 FLAT_SLOPE_TOL = 0.1
@@ -147,30 +135,31 @@ def build_form(cfg):
 def solve_global(cfg, form, stats=None):
     """One linear + optional quasilinear solve shared by all balls.
 
-    stats, when given, records every linear solve (solver.SolveStats)."""
-    bc = _boundary_fn(cfg.solver.boundary)
-    sc = SolveConfig(rhs=cfg.solver.rhs, boundary=bc,
-                     fp_theta=cfg.solver.theta, fp_tol=cfg.solver.fp_tol,
-                     fp_max_iter=cfg.solver.fp_max_iter,
-                     lin_tol=cfg.solver.lin_tol,
-                     lin_max_iter=cfg.solver.lin_max_iter)
-    system = assemble_linear(form.q11, form.q22, form.grid, sc.rhs, sc.boundary)
-    u_lin = solve_linear(system, sc, stats)
-    f_is_zero = np.ndim(sc.rhs) == 0 and float(sc.rhs) == 0.0
+    The Dirichlet data is evaluated once, at the form's nodes, and both
+    solves read those values.  Returns (u, u_lin, q_result, info): u is the
+    solution the ball stages measure on, the quasilinear one when it
+    converged and the linear one otherwise.  stats, when given, records
+    every linear solve (solver.SolveStats)."""
+    spec = cfg.solver
+    g = spec.boundary_values(form.grid)
+    system = assemble_linear(form.q11, form.q22, form.grid, spec.rhs, g)
+    u_lin = solve_linear(system, spec, stats)
+    f_is_zero = np.ndim(spec.rhs) == 0 and float(spec.rhs) == 0.0
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
     bvals = system.boundary_values[form.grid.boundary_mask()]
     spread = float(np.ptp(bvals)) or 1.0
 
-    env = QuasilinearEnvelope(base=form, c_phi=cfg.solver.phi_bounds[0],
-                              C_phi=cfg.solver.phi_bounds[1])
+    env = QuasilinearEnvelope(base=form, c_phi=spec.phi_bounds[0],
+                              C_phi=spec.phi_bounds[1])
     rng = np.random.default_rng(cfg.seed)
     nodes = [(int(i), int(j)) for i, j in
              zip(rng.integers(0, form.grid.nx, 40),
                  rng.integers(0, form.grid.ny, 40))]
     zs = rng.normal(0.0, 2.0, 40)
     env_report = envelope_check(env, list(zip(nodes, zs)))
-    q_result = (solve_quasilinear(env, sc, stats) if cfg.solver.quasilinear
+    q_result = (solve_quasilinear(env, g, spec, stats) if spec.quasilinear
                 else None)
+    u = q_result.u if (q_result is not None and q_result.converged) else u_lin
 
     info = {
         "linear_max_principle_slack": mp,
@@ -180,7 +169,7 @@ def solve_global(cfg, form, stats=None):
     if q_result is not None:
         info["quasilinear_converged"] = bool(q_result.converged)
         info["quasilinear_iterations"] = q_result.iterations
-    return sc, u_lin, q_result, info
+    return u, u_lin, q_result, info
 
 
 def _radius_cap(r, margin):
@@ -308,8 +297,8 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
     """
     grid = form.grid
     p = cfg.params
-    delta_nu, _ = _delta_at(analytics, p.nu * spec.r)
-    delta_r, _ = _delta_at(analytics, spec.r)
+    delta_nu = _delta_at(analytics, p.nu * spec.r)
+    delta_r = _delta_at(analytics, spec.r)
     # cutoff ramps must span a few cells or discrete gradients quantize to
     # 1/h; pin to frac*r when configured, else apply a resolution floor
     ramp_floor = 3.0 * max(grid.hx, grid.hy)
@@ -396,7 +385,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
                           f_rhs, delta_nu_r=cuts.delta_nu_used, m=m)
     logest = log_estimate(u, finest, spec.r, cuts.delta_r_used, form, f_rhs,
                           m=m)
-    delta_nu0, _ = _delta_at(analytics, p.nu0 * spec.r)
+    delta_nu0 = _delta_at(analytics, p.nu0 * spec.r)
     har = harnack_check(u, finest, spec.r, p.nu0, p.sigma, delta_nu0,
                         C_cal=math.e, f_rhs=f_rhs, m=m)
     lb = local_bound_check(u, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
@@ -420,7 +409,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
             delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
         else:
             delta_of = lambda s: _delta_at(analytics,
-                                           max(s, analytics.radii[0]))[0]
+                                           max(s, analytics.radii[0]))
         osc = oscillation_curve(
             chain_u, chain_fields, chain, p.nu0, p.mu,
             lambda r: log_c_har(p.nu0 * r, delta_of(p.nu0 * r), p.sigma,
@@ -538,8 +527,7 @@ def run_experiment(cfg, out_dir, strict=False):
     stats = SolveStats()
     fmm = FmmStats()
     with _timed(times, "solve_global"):
-        sc, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
-    u = q_result.u if (q_result is not None and q_result.converged) else u_lin
+        u, u_lin, q_result, solver_info = solve_global(cfg, form, stats)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -560,8 +548,8 @@ def run_experiment(cfg, out_dir, strict=False):
 
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
-        ball_report, flags, art = run_ball_or_skip(cfg, form, spec, ball_id,
-                                                   u, sc.rhs, times, fmm)
+        ball_report, flags, art = run_ball_or_skip(
+            cfg, form, spec, ball_id, u, cfg.solver.rhs, times, fmm)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
         if ball_report is not None:

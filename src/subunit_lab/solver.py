@@ -23,6 +23,10 @@ definite once the connectivity audit passes: it could only be singular on
 a block of columns with no y-faces closed off by zero x-faces, and such
 nodes have no positive-face path to the boundary.
 
+Every solve takes its settings as the config's SolverSpec, the one
+settings type (SolverSpec() when none is given); the Dirichlet data is
+an argument of its own.
+
 The CG loop is this module's own (cg), with scipy's recurrence.  Its inner
 products and norms are numpy's pairwise sums (np.add.reduce), not BLAS
 dot products: no BLAS thread is ever started, and a solve gives the same
@@ -36,19 +40,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dst, idst
 from scipy.linalg import solve_banded
-from scipy.sparse.csgraph import connected_components
 
-from .config import _positive_count, _positive_finite
+from .config import SolverSpec
 from .cutoff import q_gradient
-from .errors import (ConfigError, DomainError, EmptySupportError,
-                     GeometryError, SingularSystemError, SolverError,
-                     ZeroGradientError)
+from .errors import (DomainError, EmptySupportError, GeometryError,
+                     SingularSystemError, SolverError, ZeroGradientError)
 
 __all__ = [
-    "DiscreteFunction", "SolveConfig", "SolveStats", "LinearSystem",
+    "DiscreteFunction", "SolveStats", "LinearSystem",
     "assemble_linear", "cg", "solve_linear", "solve_quasilinear",
     "QuasilinearResult",
     "sobolev_functional", "poincare_functional", "max_principle_slack",
@@ -68,33 +69,6 @@ class DiscreteFunction:
             raise DomainError("values shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("discrete function must be finite")
-
-    def average(self, mask):
-        if not np.any(mask):
-            raise EmptySupportError("average over an empty node set")
-        return float(self.values[mask].mean())
-
-
-@dataclass
-class SolveConfig:
-    rhs: np.ndarray | float = 0.0
-    boundary: object = 0.0          # callable (X, Y) -> values, array, or const
-    fp_max_iter: int = 40
-    fp_theta: float = 0.7
-    fp_tol: float = 1e-10
-    lin_tol: float = 1e-12          # CG stops at residual <= lin_tol max(|b|, 1)
-    lin_max_iter: int = 20000       # cap on preconditioned CG iterations per solve
-
-    def __post_init__(self):
-        if not 0.0 < self.fp_theta <= 1.0:
-            raise ConfigError("theta must lie in (0, 1]", "solver.fp_theta")
-        for name in ("fp_tol", "lin_tol"):
-            if not _positive_finite(getattr(self, name)):
-                raise ConfigError(f"{name} must be positive and finite",
-                                  f"solver.{name}")
-        for name in ("fp_max_iter", "lin_max_iter"):
-            setattr(self, name,
-                    _positive_count(getattr(self, name), f"solver.{name}"))
 
 
 def _grid_values(grid, value):
@@ -215,12 +189,15 @@ def _audit_connectivity(grid, wx, wy):
     # boundary by a straight walk in x (or in y), so no island can exist
     if np.all(wx > 0) or np.all(wy > 0):
         return
+    # no bundled config gets here, so scipy.sparse loads only when needed
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
     nx, ny = grid.shape
     n = nx * ny
     idx = np.arange(n).reshape(nx, ny)
     rows = np.concatenate([idx[:-1][wx > 0], idx[:, :-1][wy > 0]])
     cols = np.concatenate([idx[1:][wx > 0], idx[:, 1:][wy > 0]])
-    g = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    g = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     _, labels = connected_components(g, directed=False)
     bmask = grid.boundary_mask().ravel()
     bad = np.flatnonzero(~np.isin(labels, labels[bmask]) & ~bmask)
@@ -323,19 +300,20 @@ def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
     return x, maxiter
 
 
-def solve_linear(system, config=None, stats=None, x0=None):
+def solve_linear(system, spec=None, stats=None, x0=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction.
 
     Conjugate gradients (cg) preconditioned by the column-averaged
-    separable operator (see the module docstring): one iteration when the system is separable, a
-    mesh-independent handful under the quasilinear sandwich.  x0, a flat
-    interior vector, starts CG there instead of at zero.  CG stops at
-    relative residual config.lin_tol and raises SolverError when the true
-    residual, a pairwise-summed norm like CG's own, still misses it after
-    config.lin_max_iter iterations.  When given, stats records the
+    separable operator (see the module docstring): one iteration when the
+    system is separable, a mesh-independent handful under the quasilinear
+    sandwich.  x0, a flat interior vector, starts CG there instead of at
+    zero.  CG stops at relative residual spec.lin_tol (spec a SolverSpec,
+    SolverSpec() when None) and raises SolverError when the true residual,
+    a pairwise-summed norm like CG's own, still misses it after
+    spec.lin_max_iter iterations.  When given, stats records the
     iterations.
     """
-    config = config or SolveConfig()
+    spec = spec or SolverSpec()
     b = system.rhs
     if np.any(system.diag <= 0):
         raise SingularSystemError("zero diagonal in assembled system")
@@ -345,9 +323,9 @@ def solve_linear(system, config=None, stats=None, x0=None):
         nonlocal iterations
         iterations += 1
 
-    atol = config.lin_tol * max(_norm(b), 1.0)
-    x, info = cg(system.apply, b, x0, rtol=config.lin_tol, atol=atol,
-                 maxiter=config.lin_max_iter, M=_separable_inverse(system),
+    atol = spec.lin_tol * max(_norm(b), 1.0)
+    x, info = cg(system.apply, b, x0, rtol=spec.lin_tol, atol=atol,
+                 maxiter=spec.lin_max_iter, M=_separable_inverse(system),
                  callback=count)
     # cg tests convergence before each step, so a solve that met the
     # tolerance on its last allowed step still reports info > 0
@@ -370,46 +348,50 @@ class QuasilinearResult:
     diagnostic: str = ""
 
 
-def solve_quasilinear(env, config, stats=None):
+def solve_quasilinear(env, boundary, spec=None, stats=None):
     """Damped Picard iteration u_{k+1} = (1-theta) u_k + theta solve(A(x, u_k)).
 
-    Picard starts from u_0 = solve(A(x, 0)).  Each later frozen solve warm
-    starts its CG at the previous frozen solution, which the next one
-    differs from by about the Picard step, so the inner iterations shrink
-    as Picard converges; the fixed point is unchanged up to the CG
-    tolerance.  Returns the first iterate meeting the sup-norm tolerance,
-    with the residual history.  Non-convergence is reported on the result
-    (best iterate and diagnostic), not raised.  stats, when given, records
-    every frozen linear solve.
+    boundary is the Dirichlet data, as assemble_linear takes it; theta,
+    the tolerances, the iteration caps and the right-hand side come from
+    spec (SolverSpec() when None).  Picard starts from u_0 =
+    solve(A(x, 0)).  Each later frozen solve warm starts its CG at the
+    previous frozen solution, which the next one differs from by about the
+    Picard step, so the inner iterations shrink as Picard converges; the
+    fixed point is unchanged up to the CG tolerance.  Returns the first
+    iterate meeting the sup-norm tolerance, with the residual history.
+    Non-convergence is reported on the result (best iterate and
+    diagnostic), not raised.  stats, when given, records every frozen
+    linear solve.
     """
+    spec = spec or SolverSpec()
     grid = env.base.grid
 
     def frozen_solve(z, previous=None):
         a11, a22 = env.coefficients(z)
-        system = assemble_linear(a11, a22, grid, config.rhs, config.boundary)
+        system = assemble_linear(a11, a22, grid, spec.rhs, boundary)
         x0 = None if previous is None else previous.values[1:-1, 1:-1].ravel()
-        return solve_linear(system, config, stats, x0)
+        return solve_linear(system, spec, stats, x0)
 
     u_k = u_star = frozen_solve(np.zeros(grid.shape))
     best, best_res = u_k, math.inf
     residuals = []
-    for it in range(1, config.fp_max_iter + 1):
+    for it in range(1, spec.fp_max_iter + 1):
         u_star = frozen_solve(u_k.values, u_star)
         u_next = DiscreteFunction(
-            grid=grid, values=(1.0 - config.fp_theta) * u_k.values
-            + config.fp_theta * u_star.values)
+            grid=grid, values=(1.0 - spec.theta) * u_k.values
+            + spec.theta * u_star.values)
         res = float(np.max(np.abs(u_next.values - u_k.values)))
         residuals.append(res)
         if res < best_res:
             best, best_res = u_next, res
         u_k = u_next
-        if res <= config.fp_tol:
+        if res <= spec.fp_tol:
             return QuasilinearResult(u=u_k, converged=True, iterations=it,
                                      residuals=residuals)
     return QuasilinearResult(
-        u=best, converged=False, iterations=config.fp_max_iter,
+        u=best, converged=False, iterations=spec.fp_max_iter,
         residuals=residuals,
-        diagnostic=f"no convergence after {config.fp_max_iter} iterations; "
+        diagnostic=f"no convergence after {spec.fp_max_iter} iterations; "
                    f"best residual {best_res:.3e}")
 
 

@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from subunit_lab.config import ExperimentConfig
+from subunit_lab.config import ExperimentConfig, SolverSpec
 from subunit_lab.cutoff import build_sequence, build_special_cutoff
 from subunit_lab.diagnostics import (harnack_check, harnack_exponent,
                                      log_c_har, log_estimate, moser_iterate,
@@ -37,7 +37,7 @@ from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball, solve_distance
 from subunit_lab.pipeline import run_experiment
 from subunit_lab.reporting import compare, load_report
-from subunit_lab.solver import (DiscreteFunction, SolveConfig, assemble_linear,
+from subunit_lab.solver import (DiscreteFunction, assemble_linear,
                                 max_principle_slack, solve_linear)
 from tests.test_cutoff import seq_delta
 
@@ -312,7 +312,7 @@ def test_c7_exact_solution_oracle_and_max_principle():
         form = assemble_form(prof, g)
         system = assemble_linear(form.q11, form.q22, g, 0.0,
                                  lambda X, Y: X + 2.0)
-        u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-13))
         worst_err = max(worst_err, float(np.max(np.abs(u.values - (X + 2.0)))))
 
     form = assemble_form(DegeneracyProfile("power", 1.0), g)
@@ -324,7 +324,7 @@ def test_c7_exact_solution_oracle_and_max_principle():
                            + c[3] * np.sin(3 * X + 2 * Y)
                            + c[4] * np.cos(4 * Y - X))
         system = assemble_linear(form.q11, form.q22, g, 0.0, bc)
-        u = solve_linear(system, SolveConfig(lin_tol=1e-12))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         spread = max(float(np.ptp(system.boundary_values[g.boundary_mask()])),
                      1.0)
         worst_slack = max(worst_slack,
@@ -362,7 +362,7 @@ def test_c8_harnack(grushin_form, grushin_field_off_axis):
     for bc in boundaries:
         system = assemble_linear(grushin_form.q11, grushin_form.q22, g,
                                  0.0, bc)
-        solutions.append(solve_linear(system, SolveConfig(lin_tol=1e-12)))
+        solutions.append(solve_linear(system, SolverSpec(lin_tol=1e-12)))
 
     checked = passed = 0
     worst_slack = -math.inf
@@ -457,7 +457,7 @@ def test_c11_log_estimates_stability():
         f_rhs = 2.0 + 2.0 * form.q22
         bc = (X - a) ** 2 + (Y - b) ** 2
         system = assemble_linear(form.q11, form.q22, g, f_rhs, bc)
-        u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-13))
         field = solve_distance(form, g.nearest_node(a, b), 1e-3)
         consts = []
         for r in (0.24, 0.12, 0.06):

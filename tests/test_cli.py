@@ -479,6 +479,19 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 
 
+def test_pipeline_import_loads_neither_sparse_nor_integrate():
+    # each loads inside the one function that needs it, which no bundled
+    # config reaches; a fresh interpreter, since this one has both
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    child = ("import sys, subunit_lab.pipeline; print([m for m in "
+             "('scipy.sparse', 'scipy.integrate') if m in sys.modules])")
+    res = subprocess.run([sys.executable, "-c", child],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 def test_installed_entry_point_runs():
     exe = shutil.which("subunit-lab")
     if exe is None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subunit_lab.config import SolverSpec
 from subunit_lab.cutoff import build_sequence
 from subunit_lab.diagnostics import (caccioppoli_ratio, harnack_check,
                                      harnack_exponent, local_bound_check,
@@ -18,8 +19,7 @@ from subunit_lab.errors import (ChainTooShortError, DomainError,
 from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball, solve_distance
-from subunit_lab.solver import (DiscreteFunction, SolveConfig, assemble_linear,
-                                solve_linear)
+from subunit_lab.solver import DiscreteFunction, assemble_linear, solve_linear
 from tests.test_cutoff import seq_delta
 
 
@@ -83,7 +83,7 @@ def paraboloid_setup():
     f_rhs = 2.0 + 2.0 * form.q22
     bc = (X - a) ** 2 + (Y - b) ** 2
     system = assemble_linear(form.q11, form.q22, g, f_rhs, bc)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     assert np.max(np.abs(u.values - bc)) < 1e-9      # stencil-exact oracle
     field = solve_distance(form, g.nearest_node(a, b), 1e-3)
     return dict(grid=g, form=form, field=field, u=u, f_rhs=f_rhs,
@@ -329,7 +329,7 @@ def test_local_bound_refinement_stable():
         field = solve_distance(form, (n // 2, n // 2), 1e-3)
         bc = lambda X, Y: 2.0 + 0.5 * np.sin(4 * X) * np.cos(3 * Y)
         system = assemble_linear(form.q11, form.q22, g, 0.0, bc)
-        u = solve_linear(system, SolveConfig(lin_tol=1e-12))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         delta = seq_delta(field, 0.2, 0.5)
         rep = local_bound_check(u, field, 0.2, 0.5, 2.0, delta, 0.0)
         vals.append(rep.empirical_c)

@@ -105,25 +105,45 @@ def test_volume_beyond_reach_raises(grushin_form):
         bounded.count(np.array([0.1, 0.25]))
 
 
-def test_bounded_and_full_field_classify_a_thin_triangle_alike():
-    # rows 0-1 lie below the reach, row 2 closes their triangles and rows
-    # 3-5 lie far beyond it, where a bounded march leaves +inf.  The two
-    # triangles at node (1, 1) are 1e-13 wide: flat against 1e-14 times
-    # the full field's largest value, not against 1e-14 times their own
+def _thin_triangle_field(width):
+    # rows 0-1 at 0.5 but node (1, 1), which sits width higher, so the two
+    # triangles between rows 0 and 1 at that node are width wide; row 2
+    # at 1.5 closes their triangles and rows 3-5 lie far beyond
     g = GridSpec(0.0, 1.0, 0.0, 1.0, 6, 4)
     d = np.full(g.shape, 100.0)
     d[:2] = 0.5
-    d[1, 1] += 1e-13
+    d[1, 1] += width
     d[2] = 1.5
-    full = DistanceField(grid=g, source=(0, 0), epsilon=0.0, values=d)
+    return DistanceField(grid=g, source=(0, 0), epsilon=0.0, values=d)
+
+
+def test_bounded_and_full_field_classify_a_thin_triangle_alike():
+    # a bounded march leaves +inf beyond the reach, past row 2.  The two
+    # triangles at node (1, 1) are 1e-3 wide: not flat on their own scale,
+    # 1e-4, but flat on the full field's largest value, 1e-4 times 100
+    full = _thin_triangle_field(1e-3)
+    g, d = full.grid, full.values
     bounded = DistanceField(grid=g, source=(0, 0), epsilon=0.0, reach=1.0,
                             values=np.where(d < 2.0, d, np.inf))
     vb, vf = (geometry.VolumeFunction(f) for f in (bounded, full))
     below = np.count_nonzero(vb.breaks < bounded.reach)
     assert vb.breaks[:below].tobytes() == vf.breaks[:below].tobytes()
     assert vb.coeffs[:below].tobytes() == vf.coeffs[:below].tobytes()
-    for s in (0.5, 0.5 + 3e-14, 0.5 + 7e-14, 0.75, 1.0):
+    for s in (0.5, 0.5 + 3e-4, 0.5 + 7e-4, 0.75, 1.0):
         assert vb(s) == vf(s), s
+
+
+@pytest.mark.parametrize("width", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8,
+                                   1e-7, 1e-6])
+def test_thin_triangle_keeps_larger_volumes_exact(width):
+    # moving one node by width moves every ball volume by O(width) only;
+    # quadratic pieces of width 1e-8 used to read |B(0.75)| = 0.445 for
+    # the 0.25 of the flat field, and of width 1e-13, 1.07e9
+    exact = geometry.VolumeFunction(_thin_triangle_field(0.0))
+    measure = geometry.VolumeFunction(_thin_triangle_field(width))
+    for s, volume in ((0.75, 0.25), (1.0, 0.3), (1.4, 0.38)):
+        assert exact(s) == pytest.approx(volume, abs=1e-15)
+        assert abs(measure(s) - volume) <= width, s
 
 
 def test_upper_window_calibrates_C(grushin_field_origin):

@@ -10,6 +10,7 @@ from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as scipy_cg
 
 from subunit_lab import solver
+from subunit_lab.config import SolverSpec
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
                                 SingularSystemError, ZeroGradientError)
@@ -17,8 +18,8 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
-from subunit_lab.solver import (DiscreteFunction, SolveConfig, SolveStats,
-                                _harmonic, _norm, _separable_inverse,
+from subunit_lab.solver import (DiscreteFunction, SolveStats, _harmonic,
+                                _norm, _separable_inverse,
                                 assemble_linear, cg, max_principle_slack,
                                 poincare_functional, solve_linear,
                                 solve_quasilinear, sobolev_functional)
@@ -76,11 +77,11 @@ def _reference_assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n_int, n_int)), b
 
 
-def _reference_solve(matrix, b, system, config):
+def _reference_solve(matrix, b, system, spec):
     """solve_linear's preconditioned CG run on the reference matrix."""
-    atol = config.lin_tol * max(_norm(b), 1.0)
-    x, info = cg(lambda v: matrix @ v, b, rtol=config.lin_tol, atol=atol,
-                 maxiter=config.lin_max_iter, M=_separable_inverse(system))
+    atol = spec.lin_tol * max(_norm(b), 1.0)
+    x, info = cg(lambda v: matrix @ v, b, rtol=spec.lin_tol, atol=atol,
+                 maxiter=spec.lin_max_iter, M=_separable_inverse(system))
     assert info == 0
     full = system.boundary_values.copy()
     full[1:-1, 1:-1] = x.reshape(full[1:-1, 1:-1].shape)
@@ -106,10 +107,10 @@ def test_matrix_free_system_matches_csr_reference(shape, random_f):
         v = rng.normal(size=rhs.size)
         assert ((system.apply(v) + 0.0).tobytes()
                 == (matrix @ v + 0.0).tobytes())
-    config = SolveConfig()
-    u = solve_linear(system, config)
+    spec = SolverSpec()
+    u = solve_linear(system, spec)
     assert (u.values.tobytes()
-            == _reference_solve(matrix, rhs, system, config).tobytes())
+            == _reference_solve(matrix, rhs, system, spec).tobytes())
 
 
 def _frozen_picard_system(n):
@@ -153,7 +154,7 @@ def test_cg_zero_rhs_and_untouched_start():
 def test_harmonic_identity_euclidean(grid97):
     form = assemble_form(DegeneracyProfile("constant", 1.0), grid97)
     system = assemble_linear(form.q11, form.q22, grid97, 0.0, affine)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
 
@@ -161,7 +162,7 @@ def test_harmonic_identity_euclidean(grid97):
 def test_grushin_affine_is_stencil_exact(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     system = assemble_linear(form.q11, form.q22, grid97, 0.0, affine)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
 
@@ -171,7 +172,7 @@ def test_general_affine_family_exact(grid97):
     form = assemble_form(DegeneracyProfile("exponential", 0.3), grid97)
     bc = lambda X, Y: 0.7 * X - 1.3 * Y + 2.5
     system = assemble_linear(form.q11, form.q22, grid97, 0.0, bc)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, Y = grid97.meshgrid()
     assert np.max(np.abs(u.values - bc(X, Y))) < 1e-9
 
@@ -182,7 +183,7 @@ def test_paper_model_zero_column_still_solvable():
     form = assemble_form(DegeneracyProfile("paper_model", 9.0), g)
     assert np.all(form.q22[32, :] == 0.0)
     system = assemble_linear(form.q11, form.q22, g, 0.0, affine)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = g.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
 
@@ -200,7 +201,7 @@ def test_separable_system_exact_preconditioner(profile):
     form = assemble_form(profile, g)
     system = assemble_linear(form.q11, form.q22, g, 0.0, trig)
     stats = SolveStats()
-    u = solve_linear(system, SolveConfig(), stats)
+    u = solve_linear(system, SolverSpec(), stats)
     assert stats.linear_solves == 1
     assert 1 <= stats.max_pcg_iterations <= 2
     matrix, _ = _reference_assemble_linear(form.q11, form.q22, g, 0.0, trig)
@@ -216,7 +217,7 @@ def test_picard_frozen_system_mesh_independent_iterations():
     for n in (65, 257):
         system = _frozen_picard_system(n)
         stats = SolveStats()
-        u = solve_linear(system, SolveConfig(), stats)
+        u = solve_linear(system, SolverSpec(), stats)
         x = u.values[1:-1, 1:-1].ravel()
         res = np.linalg.norm(system.rhs - system.apply(x))
         assert res <= 1e-11 * np.linalg.norm(system.rhs)
@@ -234,7 +235,7 @@ def test_zero_q11_column_solves_by_pcg():
     q11[16, :] = 0.0
     system = assemble_linear(q11, np.ones(g.shape), g, 0.0, trig)
     stats = SolveStats()
-    u = solve_linear(system, SolveConfig(), stats)
+    u = solve_linear(system, SolverSpec(), stats)
     assert 1 <= stats.pcg_iterations <= 2
     x = u.values[1:-1, 1:-1].ravel()
     res = np.linalg.norm(system.rhs - system.apply(x))
@@ -263,7 +264,9 @@ def test_audit_builds_no_graph_when_every_row_or_column_is_open(
         calls.append(1)
         return connected_components(*args, **kwargs)
 
-    monkeypatch.setattr("subunit_lab.solver.connected_components", components)
+    # the audit imports the component search when it needs it
+    monkeypatch.setattr("scipy.sparse.csgraph.connected_components",
+                        components)
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
     ones, zeros = np.ones(g.shape), np.zeros(g.shape)
     assemble_linear(ones, zeros, g, 0.0, 0.0)
@@ -279,20 +282,21 @@ def test_audit_builds_no_graph_when_every_row_or_column_is_open(
 @pytest.mark.parametrize("name,value", [
     ("fp_tol", math.nan), ("fp_tol", math.inf), ("fp_tol", 0.0),
     ("lin_tol", math.nan), ("lin_tol", math.inf), ("lin_tol", -1e-12),
-    ("fp_theta", math.nan), ("fp_theta", math.inf),
+    ("theta", math.nan), ("theta", math.inf),
     ("fp_max_iter", 0), ("fp_max_iter", 2.5), ("fp_max_iter", math.nan),
     ("lin_max_iter", math.inf), ("lin_max_iter", -3)])
 def test_solve_config_rejects_bad_setting_with_field_path(name, value):
+    # a SolverSpec built directly, as a solver caller builds it
     with pytest.raises(ConfigError) as exc:
-        SolveConfig(**{name: value})
+        SolverSpec(**{name: value})
     assert exc.value.field_path == f"solver.{name}"
 
 
 def test_solve_config_whole_number_counts_are_ints():
-    sc = SolveConfig(fp_max_iter=30.0, lin_max_iter=400.0)
-    assert (sc.fp_max_iter, sc.lin_max_iter) == (30, 400)
-    assert isinstance(sc.fp_max_iter, int)
-    assert isinstance(sc.lin_max_iter, int)
+    spec = SolverSpec(fp_max_iter=30.0, lin_max_iter=400.0)
+    assert (spec.fp_max_iter, spec.lin_max_iter) == (30, 400)
+    assert isinstance(spec.fp_max_iter, int)
+    assert isinstance(spec.lin_max_iter, int)
 
 
 def test_maximum_principle_random_boundaries(grid97):
@@ -303,7 +307,7 @@ def test_maximum_principle_random_boundaries(grid97):
         bc = lambda X, Y: (coef[0] + coef[1] * X + coef[2] * Y
                            + coef[3] * np.sin(3 * X + 2 * Y))
         system = assemble_linear(form.q11, form.q22, grid97, 0.0, bc)
-        u = solve_linear(system, SolveConfig(lin_tol=1e-12))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         spread = float(np.ptp(system.boundary_values[grid97.boundary_mask()]))
         assert max_principle_slack(u, system) <= 1e-8 * max(spread, 1.0)
 
@@ -313,7 +317,7 @@ def test_energy_identity(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     bc = lambda X, Y: X + 0.3 * np.sin(4 * Y) + 2.0
     system = assemble_linear(form.q11, form.q22, grid97, 0.5, bc)
-    u = solve_linear(system, SolveConfig(lin_tol=1e-13))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     x = u.values[1:-1, 1:-1].ravel()
     lhs = float(x @ system.apply(x))
     rhs = float(x @ system.rhs)
@@ -324,7 +328,7 @@ def test_quasilinear_constant_phi_one_iteration(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + 0.0 * z,
                               c_phi=2.0, C_phi=2.0)
-    res = solve_quasilinear(env, SolveConfig(boundary=affine, fp_tol=1e-10))
+    res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
     assert res.converged
     assert res.iterations == 1
 
@@ -333,8 +337,8 @@ def test_quasilinear_tanh_geometric_decay(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     env = QuasilinearEnvelope(base=form)       # phi = 2 + tanh(z), bounds (1,3)
     bc = lambda X, Y: X + 0.4 * np.sin(3 * Y) + 2.0
-    res = solve_quasilinear(env, SolveConfig(boundary=bc, fp_theta=0.7,
-                                             fp_tol=1e-10, fp_max_iter=40))
+    res = solve_quasilinear(env, bc, SolverSpec(theta=0.7, fp_tol=1e-10,
+                                                fp_max_iter=40))
     assert res.converged
     if len(res.residuals) >= 3:
         decay = [b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 0]
@@ -344,13 +348,13 @@ def test_quasilinear_tanh_geometric_decay(grid97):
 def test_quasilinear_consistency_reassemble(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     env = QuasilinearEnvelope(base=form)
-    sc = SolveConfig(boundary=affine, fp_theta=0.7, fp_tol=1e-11)
-    res = solve_quasilinear(env, sc)
+    spec = SolverSpec(theta=0.7, fp_tol=1e-11)
+    res = solve_quasilinear(env, affine, spec)
     assert res.converged
     a11, a22 = env.coefficients(res.u.values)
-    system = assemble_linear(a11, a22, grid97, sc.rhs, sc.boundary)
-    u2 = solve_linear(system, sc)
-    assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * sc.fp_tol * 10
+    system = assemble_linear(a11, a22, grid97, spec.rhs, affine)
+    u2 = solve_linear(system, spec)
+    assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * spec.fp_tol * 10
 
 
 def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
@@ -359,19 +363,19 @@ def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
     env = QuasilinearEnvelope(
         base=assemble_form(DegeneracyProfile("exponential", 0.1), g))
-    sc = SolveConfig(boundary=trig, fp_theta=0.7, fp_tol=1e-9)
+    spec = SolverSpec(theta=0.7, fp_tol=1e-9)
     warm_stats, cold_stats = SolveStats(), SolveStats()
-    warm = solve_quasilinear(env, sc, warm_stats)
+    warm = solve_quasilinear(env, trig, spec, warm_stats)
     solve = solver.solve_linear
     monkeypatch.setattr(solver, "solve_linear",
-                        lambda system, config, stats, x0: solve(
-                            system, config, stats))
-    cold = solve_quasilinear(env, sc, cold_stats)
+                        lambda system, spec, stats, x0: solve(
+                            system, spec, stats))
+    cold = solve_quasilinear(env, trig, spec, cold_stats)
     assert warm.converged and cold.converged
     assert warm.iterations == cold.iterations
     assert warm_stats.linear_solves == cold_stats.linear_solves
     assert warm_stats.pcg_iterations < cold_stats.pcg_iterations
-    assert np.max(np.abs(warm.u.values - cold.u.values)) <= 10 * sc.fp_tol
+    assert np.max(np.abs(warm.u.values - cold.u.values)) <= 10 * spec.fp_tol
 
 
 def test_quasilinear_stiff_no_convergence_path():
@@ -380,8 +384,8 @@ def test_quasilinear_stiff_no_convergence_path():
     env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + np.tanh(80.0 * z),
                               c_phi=1.0, C_phi=3.0)
     bc = lambda X, Y: 0.05 * np.sin(6 * X) * np.cos(6 * Y)
-    res = solve_quasilinear(env, SolveConfig(boundary=bc, fp_theta=1.0,
-                                             fp_tol=1e-14, fp_max_iter=4))
+    res = solve_quasilinear(env, bc, SolverSpec(theta=1.0, fp_tol=1e-14,
+                                                fp_max_iter=4))
     assert not res.converged
     assert res.iterations == 4
     assert res.diagnostic
@@ -391,13 +395,14 @@ def test_quasilinear_stiff_no_convergence_path():
 def test_structural_sandwich_on_solution(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     env = QuasilinearEnvelope(base=form)
-    res = solve_quasilinear(env, SolveConfig(boundary=affine, fp_tol=1e-10))
+    res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
     gq2 = q_gradient(form, res.u.values) ** 2
     a11, a22 = env.coefficients(res.u.values)
-    fa = QuadraticFormField(grid=grid97, q11=a11.copy(), q22=a22.copy(),
-                            k_lower=env.k_lower, K_upper=env.K_upper)
+    fa = QuadraticFormField(grid=grid97, q11=a11.copy(), q22=a22.copy())
     ga2 = q_gradient(fa, res.u.values) ** 2
-    k, K = env.k_lower, env.K_upper
+    # A = diag(1, phi q22) against Q = diag(1, q22): the sandwich constants
+    # are min(1, c_phi) and max(1, C_phi)
+    k, K = min(1.0, env.c_phi), max(1.0, env.C_phi)
     assert np.all(ga2 >= k * gq2 - 1e-12)
     assert np.all(ga2 <= K * gq2 + 1e-12)
 
@@ -465,8 +470,7 @@ def test_poincare_jump_zero_gradient_raises():
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
     q11 = np.zeros(g.shape)
     q22 = np.zeros(g.shape)
-    form = QuadraticFormField(grid=g, q11=q11, q22=q22, k_lower=1.0,
-                              K_upper=1.0)
+    form = QuadraticFormField(grid=g, q11=q11, q22=q22)
     X, _ = g.meshgrid()
     w = np.sign(X)
     mask = np.ones(g.shape, dtype=bool)
