@@ -4,10 +4,11 @@ Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  Each of
 balls, cutoff, solve and diagnose runs the pipeline up to one stage and
 writes that stage's tables through the writers `run` uses.  dist is the
 one subcommand that solves the config's whole eps ladder: it writes every
-rung over the whole grid (the finest is the field `run` measures on, which
-`run` marches only as far as it reads), checks that distances grow
-nodewise as eps shrinks (a violation exits 2) and prints the largest
-increment between the last two rungs.
+rung over the whole grid, a row for every node (the finest is the field
+`run` measures on, which `run` marches only as far as it reads and lists
+only where it marched), checks that distances grow nodewise as eps
+shrinks (a violation exits 2) and prints the largest increment between
+the last two rungs.
 Exit codes: 0 ok, 1 config error, 2 geometry error, 3 solver
 non-convergence, 4 diagnostic hard-fail (a required pass flag is false).
 """

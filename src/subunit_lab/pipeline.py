@@ -3,9 +3,10 @@ diagnostics, persisting a deterministic artifact tree.
 
 Artifact layout under the output directory:
 
-    distances/    finest-eps field per ball (x, y, value CSV), +inf beyond
-                  the ball's reach (metric_stage); `dist` writes full
-                  marches
+    distances/    finest-eps field per ball (x, y, value CSV), one row per
+                  node its bounded march froze (metric_stage) and none for
+                  the +inf nodes beyond the ball's reach; `dist` writes
+                  full marches, every node
     balls/        per-ball radius table (r, volume, doubling_ratio, delta,
                   delta_over_r, g_of_r)
     cutoffs/      per-j cutoff table and nesting diagram
@@ -16,8 +17,9 @@ Artifact layout under the output directory:
     run_meta.json wall-clock metadata, excluded from the determinism contract:
                   elapsed seconds, per-stage wall seconds (STAGES, ball
                   stages summed over balls), the solver's work counters
-                  and the fast-marching counters (solves, frozen nodes,
-                  each ball's reach)
+                  the fast-marching counters (solves, frozen nodes,
+                  each ball's reach) and the bytes written to each
+                  artifact subdirectory and to report.json
 
 The PDE is solved once per experiment (solve_global).  Each ball then runs
 four stages in order, each returning its report section and what the next
@@ -34,7 +36,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import compress, islice
 
 import numpy as np
 
@@ -59,6 +61,9 @@ MP_TOL = 1e-8
 # the wall-time spans of run_meta.json's "stages" block, in run order
 STAGES = ("build_form", "solve_global", "metric", "geometry", "cutoff",
           "diagnostics", "artifacts")
+# the subdirectories of a run's output directory (see the layout above)
+ARTIFACT_DIRS = ("distances", "balls", "cutoffs", "solutions", "diagnostics",
+                 "plots")
 
 
 @contextmanager
@@ -516,9 +521,9 @@ def run_experiment(cfg, out_dir, strict=False):
     """Run the full pipeline; returns (report, failed_required_flags)."""
     t0 = time.time()
     cfg.validate()
-    for sub in ("distances", "balls", "cutoffs", "solutions", "diagnostics",
-                "plots"):
+    for sub in ARTIFACT_DIRS:
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
+    out = _ArtifactPaths(out_dir)
     times = dict.fromkeys(STAGES, 0.0)
     with _timed(times, "build_form"):
         form = build_form(cfg)
@@ -555,18 +560,19 @@ def run_experiment(cfg, out_dir, strict=False):
         if ball_report is not None:
             report["balls"][ball_id] = ball_report
             with _timed(times, "artifacts"):
-                _write_ball_artifacts(out_dir, ball_id, art, ball_report)
+                _write_ball_artifacts(out, ball_id, art, ball_report)
 
     with _timed(times, "artifacts"):
-        _write_solution_artifacts(out_dir, u_lin, q_result)
+        _write_solution_artifacts(out, u_lin, q_result)
         report = json_safe(report)
-        write_report(report, os.path.join(out_dir, "report.json"))
+        write_report(report, out("report.json"))
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump({"elapsed_seconds": time.time() - t0,
                    "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
                    "stages": times,
                    "solver": asdict(stats),
-                   "metric": asdict(fmm)}, fh)
+                   "metric": asdict(fmm),
+                   "artifact_bytes": out.sizes()}, fh)
         fh.write("\n")
     failed = _failed_flags(report, cfg, strict)
     return report, failed
@@ -585,28 +591,37 @@ def _failed_flags(report, cfg, strict):
 
 
 def write_grid_csv(path, grid, values, name):
-    """One (x, y, name) row per grid node, x outer and y inner.
+    """One (x, y, name) row per grid node whose value is not +inf, x outer
+    and y inner.
 
-    Every cell is repr of a Python float (shortest round trip; inf, nan
-    and -0.0 as Python spells them) and every line ends in CRLF: the
-    bytes csv.writer gives for repr(float(v)) of each meshgrid cell, since
-    a float's repr holds no delimiter, quote or line end.  Each x and
-    each y is formatted once and each value once, and each x column goes
-    to the file in one write, so no string spans the whole file.
+    +inf marks a node a bounded march did not reach, so a bounded field
+    lists only the nodes it froze and a node without a row is +inf; a
+    full march or a solution has every row.  Every cell is repr of a
+    Python float (shortest round trip; -inf, nan and -0.0 as Python
+    spells them) and every line ends in CRLF: the bytes csv.writer gives
+    for repr(float(v)) of each meshgrid cell, since a float's repr holds
+    no delimiter, quote or line end.  Each x and each y is formatted once
+    and each written value once, and each x column goes to the file in
+    one write, so no string spans the whole file.
     Raises DomainError unless values has the grid's shape.
     """
     if values.shape != grid.shape:
         raise DomainError(f"{name}: values of shape {values.shape} on a "
                           f"grid of shape {grid.shape}")
     ny = grid.shape[1]
+    kept = values != math.inf
+    counts = kept.sum(axis=1).tolist()
     ys = [repr(y) + "," for y in grid.ys().tolist()]
-    cells = map(repr, values.ravel().tolist())
+    cells = map(repr, values[kept].tolist())
     with open(path, "w", newline="") as fh:
         fh.write(f"x,y,{name}\r\n")
-        for x in grid.xs().tolist():
+        for x, column, n in zip(grid.xs().tolist(), kept, counts):
+            if n == 0:
+                continue
             x = repr(x) + ","
+            col_ys = ys if n == ny else compress(ys, column.tolist())
             fh.write("".join([f"{x}{y}{v}\r\n"
-                              for y, v in zip(ys, islice(cells, ny))]))
+                              for y, v in zip(col_ys, islice(cells, n))]))
 
 
 def write_ball_table(path, geometry_report, growth):
@@ -629,16 +644,37 @@ def write_cutoff_table(path, seq):
     write_csv(path, ("j", "r_j", "support_nodes", "grad_bound"), rows)
 
 
+class _ArtifactPaths:
+    """Paths under a run's output directory, each recorded as it is handed
+    out: out("plots", "solution.svg") is <out_dir>/plots/solution.svg."""
+
+    def __init__(self, out_dir):
+        self.out_dir = out_dir
+        self.paths = []
+
+    def __call__(self, *parts):
+        path = os.path.join(self.out_dir, *parts)
+        self.paths.append((parts[0], path))
+        return path
+
+    def sizes(self):
+        """Bytes of the recorded files per artifact subdirectory, and of
+        report.json."""
+        sizes = dict.fromkeys(ARTIFACT_DIRS, 0)
+        for top, path in self.paths:
+            sizes[top] = sizes.get(top, 0) + os.path.getsize(path)
+        return sizes
+
+
 def _write_solution_artifacts(out, u_lin, q_result):
     grid = u_lin.grid
-    write_grid_csv(os.path.join(out, "solutions", "linear.csv"), grid,
-                   u_lin.values, "u")
-    svgplot.heatmap(os.path.join(out, "plots", "solution.svg"),
-                    u_lin.values, title="linear solution")
+    write_grid_csv(out("solutions", "linear.csv"), grid, u_lin.values, "u")
+    svgplot.heatmap(out("plots", "solution.svg"), u_lin.values,
+                    title="linear solution")
     if q_result is not None:
-        write_grid_csv(os.path.join(out, "solutions", "quasilinear.csv"), grid,
+        write_grid_csv(out("solutions", "quasilinear.csv"), grid,
                        q_result.u.values, "u")
-        write_csv(os.path.join(out, "solutions", "residuals.csv"),
+        write_csv(out("solutions", "residuals.csv"),
                   ("iteration", "residual"),
                   list(enumerate(q_result.residuals, start=1)))
 
@@ -646,31 +682,30 @@ def _write_solution_artifacts(out, u_lin, q_result):
 def _write_ball_artifacts(out, ball_id, art, ball_report):
     finest = art["finest"]
     grid = finest.grid
-    write_grid_csv(os.path.join(out, "distances", f"{ball_id}_finest.csv"),
-                   grid, finest.values, "value")
+    write_grid_csv(out("distances", f"{ball_id}_finest.csv"), grid,
+                   finest.values, "value")
     g = ball_report["geometry"]
-    write_ball_table(os.path.join(out, "balls", f"{ball_id}.csv"), g,
-                     art["geo"].growth)
+    write_ball_table(out("balls", f"{ball_id}.csv"), g, art["geo"].growth)
     seq = art["cuts"].seq
-    write_cutoff_table(os.path.join(out, "cutoffs", f"{ball_id}.csv"), seq)
-    svgplot.nesting_diagram(
-        os.path.join(out, "cutoffs", f"{ball_id}_nesting.svg"),
-        seq.supports[:4], grid, title=f"{ball_id} cutoff supports")
+    write_cutoff_table(out("cutoffs", f"{ball_id}.csv"), seq)
+    svgplot.nesting_diagram(out("cutoffs", f"{ball_id}_nesting.svg"),
+                            seq.supports[:4], grid,
+                            title=f"{ball_id} cutoff supports")
 
-    with open(os.path.join(out, "diagnostics", f"{ball_id}.json"), "w") as fh:
+    with open(out("diagnostics", f"{ball_id}.json"), "w") as fh:
         json.dump(json_safe(ball_report["diagnostics"]), fh, indent=2,
                   sort_keys=True)
         fh.write("\n")
 
     radii = g["radii"]
     svgplot.line_chart(
-        os.path.join(out, "plots", f"{ball_id}_volumes.svg"),
+        out("plots", f"{ball_id}_volumes.svg"),
         [("volume", radii, g["volumes"])],
         title=f"{ball_id} volume curve", xlabel="r", ylabel="|B(r)|",
         xlog=True, ylog=True)
     dr = [d if d > 0 else float("nan") for d in g["delta_over_r"]]
     svgplot.line_chart(
-        os.path.join(out, "plots", f"{ball_id}_delta.svg"),
+        out("plots", f"{ball_id}_delta.svg"),
         [("delta/r", radii, dr)],
         title=f"{ball_id} non-doubling order", xlabel="r", ylabel="delta/r",
         xlog=True, ylog=True)
@@ -678,13 +713,13 @@ def _write_ball_artifacts(out, ball_id, art, ball_report):
     if diag["oscillation"] is not None:
         o = diag["oscillation"]
         svgplot.line_chart(
-            os.path.join(out, "plots", f"{ball_id}_oscillation.svg"),
+            out("plots", f"{ball_id}_oscillation.svg"),
             [("omega", o["radii"], o["omega"])],
             title=f"{ball_id} oscillation", xlabel="r", ylabel="omega(r)",
             xlog=True, ylog=False)
     if diag["moser"]["N"]:
         svgplot.line_chart(
-            os.path.join(out, "plots", f"{ball_id}_moser.svg"),
+            out("plots", f"{ball_id}_moser.svg"),
             [("N_j", list(range(1, len(diag["moser"]["N"]) + 1)),
               diag["moser"]["N"])],
             title=f"{ball_id} Moser ladder", xlabel="j", ylabel="N_j")

@@ -45,15 +45,31 @@ def _header(title):
     ]
 
 
-def _cell_attrs(cols, rows, cw, ch, width, height):
-    """The rect's x attribute for each column index in cols, and its y,
-    width and height attributes for each row index in rows: column i
-    starts at MARGIN + i * cw and row j, counted up from the bottom, at
-    H - MARGIN - (j + 1) * ch."""
+def _cell_attrs(cols, rows, cw, ch, width, pitch, pad):
+    """The rect's x attribute for each column index in cols, its y and
+    width attributes for each row index in rows, and its height attribute
+    for a run of n rows, n = 0 .. len(rows): column i starts at
+    MARGIN + i * cw, row j, counted up from the bottom, has its top at
+    H - MARGIN - (j + 1) * ch, and n rows are n * pitch + pad high."""
     xs = [f'<rect x="{MARGIN + i * cw:.2f}" ' for i in cols]
-    size = f'width="{width:.2f}" height="{height:.2f}" '
-    ys = [f'y="{H - MARGIN - (j + 1) * ch:.2f}" ' + size for j in rows]
-    return xs, ys
+    ys = [f'y="{H - MARGIN - (j + 1) * ch:.2f}" width="{width:.2f}" '
+          for j in rows]
+    heights = [f'height="{n * pitch + pad:.2f}" ' for n in range(len(ys) + 1)]
+    return xs, ys, heights
+
+
+def _runs(codes):
+    """Each column's runs of equal code in a 2-D array, column by column
+    and bottom-up (row 0 first): (column, top row, length) lists.  A
+    negative code marks a blank cell, which no run holds."""
+    first = np.ones(codes.shape, dtype=bool)
+    first[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    last = np.ones(codes.shape, dtype=bool)
+    last[:, :-1] = first[:, 1:]
+    filled = codes >= 0
+    cols, bottoms = np.nonzero(first & filled)
+    tops = np.nonzero(last & filled)[1]
+    return cols.tolist(), tops.tolist(), (tops - bottoms + 1).tolist()
 
 
 def _write(path, parts):
@@ -163,8 +179,12 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
 
 def heatmap(path, values, title=""):
     """Coarse rect-based heatmap of a grid function: every
-    max(1, n // HEATMAP_CELLS)-th node along an axis of n nodes, one rect
-    each; non-finite nodes stay blank."""
+    max(1, n // HEATMAP_CELLS)-th node along an axis of n nodes is a cell
+    and non-finite cells stay blank.  Each column's runs of cells of one
+    colour are one rect each, drawn column by column and bottom-up, so a
+    rect paints every cell it spans, with the 0.5 overlap of each cell
+    onto the one to its right and the one below, as one rect per cell
+    drawn in that order would."""
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
     if not finite.any():
@@ -175,34 +195,42 @@ def heatmap(path, values, title=""):
     sx = max(1, nx // HEATMAP_CELLS)
     sy = max(1, ny // HEATMAP_CELLS)
     vv = v[::sx, ::sy]
+    ff = finite[::sx, ::sy]
     mx, my = vv.shape
     cw = (W - 2 * MARGIN) / mx
     ch = (H - 2 * MARGIN) / my
-    xs, ys = _cell_attrs(range(mx), range(my), cw, ch, cw + 0.5, ch + 0.5)
-    ii, jj = np.nonzero(finite[::sx, ::sy])
-    t = (vv[ii, jj] - lo) / span
+    xs, ys, heights = _cell_attrs(range(mx), range(my), cw, ch, cw + 0.5,
+                                  ch, 0.5)
+    t = (np.where(ff, vv, lo) - lo) / span
+    # 0 <= t <= 1, so each channel is a byte and 256 red + blue names a colour
+    codes = np.where(ff, 256 * (255 * t).astype(int)
+                     + (255 * (1 - t)).astype(int), -1)
+    cols, tops, lengths = _runs(codes)
+    colours, which = np.unique(codes[cols, tops], return_inverse=True)
+    fills = [f'fill="rgb({c >> 8},80,{c & 255})"/>' for c in colours.tolist()]
     parts = _header(title)
-    parts += [f'{xs[i]}{ys[j]}fill="rgb({r},80,{b})"/>'
-              for i, j, r, b in zip(ii.tolist(), jj.tolist(),
-                                    (255 * t).astype(int).tolist(),
-                                    (255 * (1 - t)).astype(int).tolist())]
+    parts += [f"{xs[i]}{ys[j]}{heights[n]}{fills[k]}"
+              for i, j, n, k in zip(cols, tops, lengths, which.tolist())]
     parts.append(f'<text x="{MARGIN}" y="{H - 20}" font-family="sans-serif" '
                  f'font-size="10">range [{lo:.4g}, {hi:.4g}]</text>')
     _write(path, parts)
 
 
 def nesting_diagram(path, supports, grid, title="cutoff supports"):
-    """Nested support outlines E_1 > E_2 > ... as stacked translucent fills."""
+    """Nested support outlines E_1 > E_2 > ... as stacked translucent fills,
+    sampled every max(1, nx // 120)-th node: each column's runs of sampled
+    nodes in a support are one rect each, so every sampled node is under
+    one fill per support that holds it."""
     parts = _header(title)
     nx, ny = grid.shape
     cw = (W - 2 * MARGIN) / nx
     ch = (H - 2 * MARGIN) / ny
     step = max(1, nx // 120)
-    xs, ys = _cell_attrs(range(0, nx, step), range(0, ny, step), cw, ch,
-                         cw * step, ch * step)
+    xs, ys, heights = _cell_attrs(range(0, nx, step), range(0, ny, step),
+                                  cw, ch, cw * step, ch * step, 0.0)
     for k, m in enumerate(supports):
         fill = f'fill="{PALETTE[k % len(PALETTE)]}" fill-opacity="0.18"/>'
-        ii, jj = np.nonzero(m[::step, ::step])
-        parts += [f"{xs[i]}{ys[j]}{fill}"
-                  for i, j in zip(ii.tolist(), jj.tolist())]
+        cols, tops, lengths = _runs(np.where(m[::step, ::step], 0, -1))
+        parts += [f"{xs[i]}{ys[j]}{heights[n]}{fill}"
+                  for i, j, n in zip(cols, tops, lengths)]
     _write(path, parts)

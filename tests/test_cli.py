@@ -17,8 +17,9 @@ from subunit_lab.config import ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
-from subunit_lab.pipeline import STAGES, write_grid_csv
+from subunit_lab.pipeline import ARTIFACT_DIRS, STAGES, write_grid_csv
 from subunit_lab.reporting import compare, load_report, validate_report
+from subunit_lab.svgplot import HEATMAP_CELLS
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
                      "configs", "euclidean-smoke.json")
@@ -310,26 +311,58 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run):
 
 def _csv_writer_grid_csv(path, grid, values, name):
     # the former write_grid_csv: meshgrid rows through csv.writer, each
-    # cell formatted as repr(float(v))
+    # cell formatted as repr(float(v)), here without the +inf rows
     X, Y = grid.meshgrid()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("x", "y", name))
         for row in zip(X.ravel(), Y.ravel(), values.ravel()):
-            w.writerow([repr(float(v)) for v in row])
+            if row[2] != math.inf:
+                w.writerow([repr(float(v)) for v in row])
+
+
+def _grid_field(grid):
+    values = np.random.default_rng(5).normal(size=grid.shape)
+    values[0, :5] = [math.inf, math.nan, -0.0, 1e-300, 5e-324]
+    values[-1, -3:] = [-math.inf, 0.0, -5e-324]
+    # a bounded march's holes: a whole column, a column's top, a lone node
+    values[3] = math.inf
+    values[7, 9:] = math.inf
+    values[20, 11] = math.inf
+    return values
 
 
 def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
     grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
-    values = np.random.default_rng(5).normal(size=grid.shape)
-    values[0, :5] = [math.inf, math.nan, -0.0, 1e-300, 5e-324]
-    values[-1, -3:] = [-math.inf, 0.0, -5e-324]
+    values = _grid_field(grid)
     write_grid_csv(tmp_path / "new.csv", grid, values, "value")
     _csv_writer_grid_csv(tmp_path / "old.csv", grid, values, "value")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
-    assert new.count(b"\r\n") == 41 * 23 + 1
-    assert b"-1.3,-0.7,inf\r\n" in new and b",-0.0\r\n" in new
+    inf_nodes = 1 + 23 + (23 - 9) + 1
+    assert new.count(b"\r\n") == 41 * 23 - inf_nodes + 1
+    assert b",inf\r\n" not in new and b",-inf\r\n" in new
+    # node (0, 0) is +inf, so the first row is node (0, 1)
+    assert new.split(b"\r\n")[1].startswith(b"-1.3,")
+    assert new.split(b"\r\n")[1].endswith(b",nan") and b",-0.0\r\n" in new
+
+
+def test_write_grid_csv_round_trips_every_value(tmp_path):
+    # every row reads back as its node's value, bit for bit, and every
+    # node without a row is +inf
+    grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
+    values = _grid_field(grid)
+    write_grid_csv(tmp_path / "f.csv", grid, values, "value")
+    with open(tmp_path / "f.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x", "y", "value"]
+    node = {(x, y): (i, j) for i, x in enumerate(grid.xs().tolist())
+            for j, y in enumerate(grid.ys().tolist())}
+    back = np.full(grid.shape, math.inf)
+    for x, y, v in rows[1:]:
+        back[node[float(x), float(y)]] = float(v)
+    assert len(rows) - 1 == np.count_nonzero(values != math.inf)
+    assert back.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("shape", [(41, 22), (40, 23), (41 * 23 - 1,),
@@ -422,6 +455,35 @@ def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
     assert len(fmm["reaches"]) == len(balls)
     for reach, b in zip(fmm["reaches"], balls):
         assert reach >= 2.0 * max(b["geometry"]["radii"])
+
+
+def test_run_meta_records_artifact_bytes(smoke_run):
+    # the smoke run writes into a fresh directory, so the bytes recorded
+    # per subdirectory are those on disk
+    written = json.load(open(smoke_run / "run_meta.json"))["artifact_bytes"]
+    on_disk = {sub: sum(p.stat().st_size for p in (smoke_run / sub).iterdir())
+               for sub in ARTIFACT_DIRS}
+    on_disk["report.json"] = (smoke_run / "report.json").stat().st_size
+    assert written == on_disk
+    assert all(n > 0 for n in written.values())
+
+
+def test_smoke_run_artifacts_scale_with_what_they_hold(smoke_run,
+                                                       smoke_cfg_path):
+    # the affine solution x + 2 has one colour up each sampled column of
+    # its heatmap, and each distance CSV has one row per node its field
+    # froze
+    cfg = ExperimentConfig.load(smoke_cfg_path)
+    form = pipeline.build_form(cfg)
+    nx = form.grid.nx
+    columns = len(range(0, nx, max(1, nx // HEATMAP_CELLS)))
+    svg = (smoke_run / "plots" / "solution.svg").read_bytes()
+    assert 0 < svg.count(b"<rect x=") <= 2 * columns
+    for k, spec in enumerate(cfg.balls):
+        _, field = pipeline.metric_stage(cfg, form, spec)
+        path = smoke_run / "distances" / f"ball{k}_finest.csv"
+        rows = path.read_bytes().count(b"\r\n") - 1
+        assert rows == np.count_nonzero(np.isfinite(field.values))
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))

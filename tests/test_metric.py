@@ -249,15 +249,23 @@ def test_run_with_full_marches_writes_the_same_outputs(tmp_path, monkeypatch,
                                                        name):
     # bounded marches change nothing a run reports: with every march
     # forced to the whole grid, report.json and every artifact but the
-    # distance CSVs (+inf beyond the reach) and run_meta.json are the same.
-    # paper-4balls on its own 145^2 grid measures every ball (at 65^2
-    # every ball is skipped); edge-balls skips every ball
+    # distance CSVs and run_meta.json are the same, and each distance CSV
+    # is the full one's rows for the nodes its bounded march froze, in the
+    # same order.  paper-4balls on its own 145^2 grid measures every ball
+    # (at 65^2 every ball is skipped); edge-balls skips every ball
     if name == "paper-4balls":
         cfg = ExperimentConfig.load(PAPER_4BALLS)
     else:
         cfg = _edge_balls_config()
-    run_experiment(cfg, str(tmp_path / "bounded"))
     full = metric.solve_distance
+    fields = []    # each ball's bounded field
+
+    def recording(form, source, epsilon, reach=math.inf):
+        fields.append(full(form, source, epsilon, reach))
+        return fields[-1]
+
+    monkeypatch.setattr("subunit_lab.pipeline.solve_distance", recording)
+    run_experiment(cfg, str(tmp_path / "bounded"))
 
     def unbounded(form, source, epsilon, reach=math.inf):
         return full(form, source, epsilon)
@@ -277,6 +285,23 @@ def test_run_with_full_marches_writes_the_same_outputs(tmp_path, monkeypatch,
     bounded = outputs(tmp_path / "bounded")
     assert bounded == outputs(tmp_path / "full")
     assert any(p.name == "report.json" for p in bounded)
+
+    distances = sorted((tmp_path / "bounded" / "distances").iterdir())
+    assert [p.name for p in distances] == sorted(
+        f"{b}_finest.csv" for b in report["balls"])
+    assert len(fields) == len(cfg.balls)
+    for k, field in enumerate(fields):
+        path = tmp_path / "bounded" / "distances" / f"ball{k}_finest.csv"
+        if f"ball{k}" not in report["balls"]:
+            continue
+        frozen = np.isfinite(field.values)
+        assert not frozen.all()
+        # the full march reaches every node, so its file has every row
+        head, *rows = (tmp_path / "full" / "distances" / path.name) \
+            .read_bytes().split(b"\r\n")[:-1]
+        assert len(rows) == frozen.size
+        kept = [rows[n] for n in np.flatnonzero(frozen).tolist()]
+        assert path.read_bytes() == b"\r\n".join([head] + kept + [b""])
 
 
 def test_ladder_paper_model_monotone_increments(paper_form):
