@@ -16,7 +16,7 @@ Artifact layout under the output directory:
     report.json   the deterministic report (no timestamps)
     run_meta.json wall-clock metadata, excluded from the determinism contract:
                   elapsed seconds, per-stage wall seconds (STAGES, ball
-                  stages summed over balls), the solver's work counters
+                  stages summed over balls), the solver's work counters,
                   the fast-marching counters (solves, frozen nodes,
                   each ball's reach) and the bytes written to each
                   artifact subdirectory and to report.json
