@@ -111,7 +111,7 @@ def cmd_diagnose(args):
     report = {}
     for k, spec in enumerate(cfg.balls):
         ball_report, flags, art = pipeline.run_ball_or_skip(
-            cfg, form, spec, f"ball{k}", u, cfg.solver.rhs)
+            cfg, form, spec, f"ball{k}", u)
         entry = {"flags": flags, "notes": art["notes"]}
         if ball_report is not None:
             entry["diagnostics"] = ball_report["diagnostics"]
@@ -160,10 +160,9 @@ def build_parser():
                    help="promote report-only checks to hard failures")
     sub = p.add_subparsers(dest="command", required=True)
 
-    for name, fn, needs_cfg in (
-            ("dist", cmd_dist, True), ("balls", cmd_balls, True),
-            ("cutoff", cmd_cutoff, True), ("solve", cmd_solve, True),
-            ("diagnose", cmd_diagnose, True), ("run", cmd_run, True)):
+    for name, fn in (("dist", cmd_dist), ("balls", cmd_balls),
+                     ("cutoff", cmd_cutoff), ("solve", cmd_solve),
+                     ("diagnose", cmd_diagnose), ("run", cmd_run)):
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", default="out")

@@ -13,21 +13,30 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ProfileError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
 
 
+def _number(x):
+    """x is an int or a float, not a string or a boolean."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _finite_number(x):
+    """x is a number other than NaN and +-Infinity (json.load accepts
+    both)."""
+    return _number(x) and math.isfinite(x)
+
+
 def _positive_finite(x):
-    """x > 0 and finite; False on NaN (json.load accepts NaN and Infinity)."""
-    return x > 0 and math.isfinite(x)
+    """x is a finite number > 0."""
+    return _finite_number(x) and x > 0
 
 
 def _whole_number(x):
-    """x is a finite integral number; False on NaN, Infinity and 3.5 (all
-    of which json.load returns) and on strings and booleans."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x) and x == int(x))
+    """x is a finite integral number; False on 3.5 as on NaN."""
+    return _finite_number(x) and x == int(x)
 
 
 def _positive_count(x, path):
@@ -128,10 +137,30 @@ class SolverSpec:
         for name in ("fp_max_iter", "lin_max_iter"):
             count = _positive_count(getattr(self, name), f"{path}.{name}")
             setattr(self, name, count)
+        if not isinstance(self.boundary, dict):
+            raise ConfigError(f"must be an object, got {self.boundary!r}",
+                              f"{path}.boundary")
         kind = self.boundary.get("kind")
         if kind not in ("affine", "trig"):
             raise ConfigError("boundary.kind must be affine or trig",
                               f"{path}.boundary.kind")
+        for name in ("ax", "by", "c", "amp", "kx", "ky"):
+            if name in self.boundary and \
+                    not _finite_number(self.boundary[name]):
+                raise ConfigError(f"must be a finite number, got "
+                                  f"{self.boundary[name]!r}",
+                                  f"{path}.boundary.{name}")
+        if not _finite_number(self.rhs):
+            raise ConfigError(f"rhs is the constant f and must be a finite "
+                              f"number, got {self.rhs!r}", f"{path}.rhs")
+        bounds = self.phi_bounds
+        if not (len(bounds) == 2 and all(map(_finite_number, bounds))
+                and 0.0 < bounds[0] <= bounds[1]):
+            raise ConfigError(f"must be finite numbers with 0 < c_phi <= "
+                              f"C_phi, got {bounds!r}", f"{path}.phi_bounds")
+        if not isinstance(self.quasilinear, bool):
+            raise ConfigError(f"must be true or false, got "
+                              f"{self.quasilinear!r}", f"{path}.quasilinear")
 
     def boundary_values(self, grid):
         """The Dirichlet data at every node of grid: ax x + by y + c
@@ -162,11 +191,17 @@ class ExperimentConfig:
     def validate(self):
         if not self.name:
             raise ConfigError("experiment needs a name", "name")
-        kind = self.profile.get("kind")
-        if kind not in ("constant", "power", "exponential", "paper_model"):
-            raise ConfigError(f"unknown profile kind {kind!r}", "profile.kind")
-        if "param" not in self.profile:
-            raise ConfigError("profile.param missing", "profile.param")
+        for key in ("kind", "param"):
+            if key not in self.profile:
+                raise ConfigError("missing", f"profile.{key}")
+        for key in ("param", "domain_cap"):
+            if key in self.profile and not _number(self.profile[key]):
+                raise ConfigError(f"must be a number, got "
+                                  f"{self.profile[key]!r}", f"profile.{key}")
+        try:
+            self.make_profile()        # the profile's own range checks
+        except ProfileError as exc:
+            raise ConfigError(str(exc), f"profile.{exc.field}") from exc
         g = self.grid
         for key in ("x0", "x1", "y0", "y1", "nx", "ny"):
             if key not in g:
@@ -193,6 +228,10 @@ class ExperimentConfig:
                 not _positive_finite(self.radii.get("r_max", 0)):
             raise ConfigError("radii spec needs finite r_max > 0 and "
                               "count >= 3", "radii")
+        if not (_whole_number(self.seed) and self.seed >= 0):
+            raise ConfigError(f"must be a whole number >= 0, got "
+                              f"{self.seed!r}", "seed")
+        self.seed = int(self.seed)
         self.params.validate()
         self.solver.validate()
         return self
@@ -250,7 +289,7 @@ class ExperimentConfig:
                   required_flags=list(d.get("required_flags", [])),
                   compare_budgets=dict(d.get("compare_budgets",
                                              {"default": 0.30})),
-                  seed=int(d.get("seed", 0)))
+                  seed=d.get("seed", 0))
         return cfg.validate()
 
     @classmethod

@@ -65,10 +65,6 @@ def cutoff_radii(r, nu, delta, j_max):
 
 @dataclass
 class CutoffSequence:
-    center: tuple
-    r: float
-    nu: float
-    delta: float
     radii: list          # r_1 ... r_{J+1}
     psi: list            # grid functions psi_1 ... psi_J
     supports: list       # boolean masks E_1 ... E_J
@@ -88,7 +84,6 @@ def build_sequence(field, form, r, nu, delta, j_max):
     GeometryError on any exact-property failure, which would signal an
     inconsistent delta or field.
     """
-    grid = field.grid
     radii = cutoff_radii(r, nu, delta, j_max)
     if field.values[field.source] != 0.0:
         raise GeometryError("field does not vanish at its source")
@@ -128,17 +123,13 @@ def build_sequence(field, form, r, nu, delta, j_max):
     ratio = float(np.max(counts[:-1] / counts[1:])) if len(counts) > 1 else 1.0
     envelope = max(g * (1.0 - nu) * delta * q ** (j + 1)
                    for j, g in enumerate(grads))
-    return CutoffSequence(center=field.source, r=r, nu=nu, delta=delta,
-                          radii=radii, psi=psis, supports=supports,
+    return CutoffSequence(radii=radii, psi=psis, supports=supports,
                           grad_bounds=grads, support_ratio=ratio,
                           grad_envelope=float(envelope))
 
 
 @dataclass
 class SpecialCutoff:
-    center: tuple
-    r: float
-    delta: float
     phi: np.ndarray
     support: np.ndarray
     grad_bound: float      # observed max [grad phi_r]_Q
@@ -172,6 +163,5 @@ def build_special_cutoff(field, form, r, delta, eta):
     if not np.all(phi[ball(field, r_in)] == 1.0):
         raise GeometryError("phi_r not 1 on B(center, r + delta/2)")
     g = float(q_gradient(form, phi).max())
-    return SpecialCutoff(center=field.source, r=r, delta=delta, phi=phi,
-                         support=support, grad_bound=g,
+    return SpecialCutoff(phi=phi, support=support, grad_bound=g,
                          grad_constant=g * delta)

@@ -15,10 +15,14 @@ C_Har overflows float64 for any truly non-doubling ball, so everything
 involving it is carried in logarithms; pass/fail comparisons happen in log
 space and the reported gamma(r), alpha(r) degrade gracefully to 1 and 0
 at desk scale (the underflow itself is the honest measurement).
+
+Every measurement takes u as a plain array of node values.  The chain
+from Moser to Harnack works on the shifted solution ubar = u + m(r); the
+caller computes m once per ball (shift_m) and passes it to each link.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +48,14 @@ def harnack_exponent(sigma):
     return 4.0 * sigma / (sigma - 1.0) + 1.0
 
 
+def _sup_norm(f):
+    """||f||_inf of a constant or an array of node values."""
+    return float(np.max(np.abs(f)))
+
+
 def shift_m(u_values, f_rhs, r):
     """Positivity shift m(r) = r^2 ||f||_inf, or the f = 0 convention."""
-    fmax = float(np.max(np.abs(f_rhs))) if np.ndim(f_rhs) else abs(float(f_rhs))
+    fmax = _sup_norm(f_rhs)
     if fmax > 0.0:
         return r * r * fmax
     scale = float(np.max(np.abs(u_values)))
@@ -69,24 +78,22 @@ def caccioppoli_ratio(u, psi, beta, form, f_rhs=0.0):
     RHS = mu_beta^{-2} int u^{2 beta} [grad psi]_Q^2
           + mu_beta^{-1} |beta| int psi^2 u^{2 beta - 1} |f|
 
-    u must be positive on supp psi (and its one-cell stencil collar, which
-    the difference quotients in the integrands reach).
+    u (node values) must be positive on supp psi and its one-cell stencil
+    collar, which the difference quotients in the integrands reach.
     """
     mu = mu_beta(beta)
-    vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     supp = psi > 0
     if not np.any(supp):
         raise DomainError("cutoff has empty support")
     reach = _dilate(supp)
-    if vals[reach].min() <= 0.0:
+    if u[reach].min() <= 0.0:
         raise PositivityError("u must be positive on supp psi")
     area = form.grid.cell_area
-    f = np.broadcast_to(np.asarray(f_rhs, dtype=float), vals.shape)
+    f = np.broadcast_to(np.asarray(f_rhs, dtype=float), u.shape)
 
     # positive placeholder outside the stencil reach: those nodes only feed
     # difference quotients at psi = 0 nodes, which the weights annihilate
-    safe = np.where(reach, vals, 1.0)
+    safe = np.where(reach, u, 1.0)
     lhs = float((psi ** 2 * q_gradient(form, safe ** beta) ** 2).sum()) * area
     gpsi2 = q_gradient(form, psi) ** 2
     t1 = float((safe ** (2 * beta) * gpsi2).sum()) * area / mu ** 2
@@ -137,14 +144,8 @@ def _power_mean(values, p):
 
 @dataclass
 class MoserRun:
-    center: tuple
-    r: float
-    nu: float
-    gamma: float            # requested gamma
     gamma_used: float       # after the exponent scheduler
     shifted: bool
-    sigma: float
-    m_shift: float
     N: list                 # N_j ladder
     observed_sup: float     # max of ubar^gamma_used on B(center, nu r)
     raw_bound: float        # pre_harnack RHS with C_sigma = 1
@@ -153,26 +154,20 @@ class MoserRun:
     empirical_c: float = 0.0
 
 
-def moser_iterate(u, field, r, gamma, sigma, nu, cutoffs, f_rhs=0.0,
-                  delta_nu_r=None, m=None):
-    """Run the Moser ladder over the cutoff supports E_j.
+def moser_iterate(u, field, r, gamma, sigma, nu, supports, delta_nu_r, m):
+    """Run the Moser ladder over the cutoff supports E_j (boolean masks).
 
     u_j = ubar^(gamma sigma^(j-1)),  N_j = (mean_{E_j} u_j^2)^(1/(2 sigma^(j-1)))
 
-    ubar = u + m(r) with m(r) = r^2 ||f||_inf (or the configured floor when
-    f = 0).  Powers are evaluated per support with a pivot normalization; a
+    ubar = u + m, with m the shift m(r) (shift_m).  delta_nu_r is the
+    increment of the cutoff sequence, which sets the bound's prefactor.
+    Powers are evaluated per support with a pivot normalization; a
     non-finite power (inf/nan input) truncates the ladder at that j with the
     OverflowGuard flag, the discrete analog of the M-truncation.
     """
     if gamma == 0.0 or abs(gamma) > 2.0:
         raise DomainError("need 0 < |gamma| <= 2")
-    vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
-    if m is None:
-        m = shift_m(vals, f_rhs, r)
-    ubar = vals + m
-    if delta_nu_r is None:
-        delta_nu_r = cutoffs.delta
-    supports = cutoffs.supports
+    ubar = u + m
     if not supports:
         raise DomainError("cutoff sequence has no members")
     if min(float(ubar[s].min()) for s in supports) <= 0.0:
@@ -189,9 +184,8 @@ def moser_iterate(u, field, r, gamma, sigma, nu, cutoffs, f_rhs=0.0,
     prefactor = 1.0 / ((1.0 - nu) ** tau_exp * (delta_nu_r / r) ** (sigma / (sigma - 1.0)))
     raw = prefactor * math.sqrt(mean_2g)
     passed = obs <= raw
-    return MoserRun(center=field.source, r=r, nu=nu, gamma=gamma,
-                    gamma_used=g_used, shifted=shifted, sigma=sigma,
-                    m_shift=m, N=N, observed_sup=obs, raw_bound=raw,
+    return MoserRun(gamma_used=g_used, shifted=shifted, N=N,
+                    observed_sup=obs, raw_bound=raw,
                     passed=passed, truncated_at=truncated_at,
                     empirical_c=obs / raw if raw > 0 else math.inf)
 
@@ -219,23 +213,16 @@ def _ladder_values(ubar, supports, gamma_used, sigma):
 
 @dataclass
 class LogEstimateReport:
-    r: float
-    delta: float
     inter_constant: float      # delta/|B| * int_B [grad ln ubar]_Q
     est1_constant: float       # max_s s |{v - <v> > s}| delta / (r |B|)
     est2_constant: float       # mirrored
     floor_proximity: bool      # ubar within 5% of the positivity floor
 
-    def constants(self):
-        return (self.inter_constant, self.est1_constant, self.est2_constant)
 
-
-def log_estimate(u, field, r, delta, form, f_rhs=0.0, m=None):
-    """Empirical constants of the weak logarithmic estimates on B(y, r)."""
-    vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
-    if m is None:
-        m = shift_m(vals, f_rhs, r)
-    ubar = vals + m
+def log_estimate(u, field, r, delta, form, m):
+    """Empirical constants of the weak logarithmic estimates on B(y, r),
+    for ubar = u + m with m the shift m(r) (shift_m)."""
+    ubar = u + m
     big = ball(field, r + delta)
     if float(ubar[big].min()) < m * (1.0 - 1e-9):
         raise PositivityError("ubar falls below its floor on B(y, r + delta)")
@@ -261,24 +248,17 @@ def log_estimate(u, field, r, delta, form, f_rhs=0.0, m=None):
             est1 = max(est1, s * m1 * delta / (r * measure_B))
             est2 = max(est2, s * m2 * delta / (r * measure_B))
     floor = bool(float(ubar[B].min()) <= m * 1.05)
-    return LogEstimateReport(r=r, delta=delta, inter_constant=inter,
+    return LogEstimateReport(inter_constant=inter,
                              est1_constant=est1, est2_constant=est2,
                              floor_proximity=floor)
 
 
 @dataclass
 class HarnackReport:
-    center: tuple
-    r: float
-    nu0: float
-    sup: float
-    inf: float
     quotient: float
     log_c_har: float           # ln C_Har(r), always finite
-    c_har: float               # exp of the above, inf when it overflows
     passed: bool
     log_slack: float           # ln(quotient) - ln(C_Har), negative when passing
-    m_shift: float
 
 
 def log_c_har(r_scaled, delta_at, sigma, C_cal=1.0):
@@ -289,13 +269,10 @@ def log_c_har(r_scaled, delta_at, sigma, C_cal=1.0):
     return math.log(C_cal) + 2.0 * (r_scaled / delta_at) ** expo
 
 
-def harnack_check(u, field, r, nu0, sigma, delta_nu0r, C_cal=1.0,
-                  f_rhs=0.0, m=None):
-    """Harnack quotient of ubar over B(y, nu0 r) against C_Har(r)."""
-    vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
-    if m is None:
-        m = shift_m(vals, f_rhs, r)
-    ubar = vals + m
+def harnack_check(u, field, r, nu0, sigma, delta_nu0r, m, C_cal=1.0):
+    """Harnack quotient of ubar = u + m over B(y, nu0 r) against C_Har(r),
+    with m the shift m(r) (shift_m)."""
+    ubar = u + m
     mask = ball(field, nu0 * r)
     if float(ubar[mask].min()) < 0.0:
         raise PositivityError("solution must be nonnegative for Harnack")
@@ -305,36 +282,28 @@ def harnack_check(u, field, r, nu0, sigma, delta_nu0r, C_cal=1.0,
     L = log_c_har(nu0 * r, delta_nu0r, sigma, C_cal)
     lq = math.log(quotient) if quotient < math.inf else math.inf
     passed = lq <= L
-    return HarnackReport(center=field.source, r=r, nu0=nu0, sup=sup, inf=inf_,
-                         quotient=quotient, log_c_har=L,
-                         c_har=math.exp(L) if L < 700 else math.inf,
-                         passed=passed, log_slack=lq - L, m_shift=m)
-
-
-@dataclass
-class LocalBoundReport:
-    r: float
-    nu: float
-    prefactor: float        # (delta(nu r)/r)^(-sigma/(sigma-1))
-    empirical_c: float      # sup / (prefactor * bracket)
+    return HarnackReport(quotient=quotient, log_c_har=L, passed=passed,
+                         log_slack=lq - L)
 
 
 def local_bound_check(u, field, r, nu, sigma, delta_nu_r, f_rhs=0.0):
-    """Empirical constant of the local boundedness estimate on B(y, r)."""
-    vals = np.asarray(u.values if hasattr(u, "values") else u, dtype=float)
+    """Empirical constant of the local boundedness estimate on B(y, r):
+
+        sup_{B(nu r)} |u| / (P [(mean_{B(r)} u^2)^(1/2) + r^2 ||f||_inf])
+
+    with prefactor P = (delta(nu r)/r)^(-sigma/(sigma-1)); inf when the
+    bracket vanishes."""
     inner = ball(field, nu * r)
     outer = ball(field, r)
-    fmax = float(np.max(np.abs(f_rhs))) if np.ndim(f_rhs) else abs(float(f_rhs))
-    sup = float(np.abs(vals[inner]).max())
-    bracket = math.sqrt(float(np.mean(vals[outer] ** 2))) + r * r * fmax
+    sup = float(np.abs(u[inner]).max())
+    bracket = (math.sqrt(float(np.mean(u[outer] ** 2)))
+               + r * r * _sup_norm(f_rhs))
     pref = (delta_nu_r / r) ** (-sigma / (sigma - 1.0))
-    emp = sup / (pref * bracket) if bracket > 0 else math.inf
-    return LocalBoundReport(r=r, nu=nu, prefactor=pref, empirical_c=emp)
+    return sup / (pref * bracket) if bracket > 0 else math.inf
 
 
 @dataclass
 class OscillationCurve:
-    center: tuple              # (x, y), the same point on any chain grid
     radii: np.ndarray          # decreasing chain R, nu0 R, ...
     omega: np.ndarray
     gamma_r: np.ndarray        # 1 - 1/(2 C_Har), 1.0 at underflow
@@ -342,28 +311,22 @@ class OscillationCurve:
     log_product: np.ndarray    # ln|ln r| - ln(2 C_Har): stable |ln r ln gamma|
     pair_ok: np.ndarray        # per consecutive pair, the recursion holds
     monotone: bool
-    mu: float
-    nu0: float
 
 
-def oscillation_curve(u, field, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
+def oscillation_curve(us, fields, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
     """Measure omega(r) down a nu0-chain and check the one-step recursion.
 
-    radii: chain with ratio nu0.  field is either one distance field shared
-    by every radius, or a sequence of fields aligned with radii (one box
-    grid per radius); u is then a matching sequence of grid functions on
-    those grids.  log_c_har_of_r maps r to ln C_Har(r) (calibrated).  The
-    per-pair check is omega(nu0 r) <= gamma(r) omega(r) + r^2 ||f||_inf with
+    radii: chain with ratio nu0, in any order.  fields holds one distance
+    field per radius and us the node values of u on each field's grid (a
+    chain on one grid passes the same field and array for every radius).
+    log_c_har_of_r maps r to ln C_Har(r) (calibrated).  The per-pair check
+    is omega(nu0 r) <= gamma(r) omega(r) + r^2 ||f||_inf with
     gamma(r) = 1 - exp(-ln(2 C_Har(r))), evaluated stably.
     """
     radii = [float(r) for r in radii]
-    if isinstance(field, (list, tuple)):
-        if not len(field) == len(u) == len(radii):
-            raise DomainError("need one field and one u per chain radius")
-        samples = list(zip(radii, field, u))
-    else:
-        samples = [(r, field, u) for r in radii]
-    samples.sort(key=lambda s: -s[0])
+    if not len(fields) == len(us) == len(radii):
+        raise DomainError("need one field and one u per chain radius")
+    samples = sorted(zip(radii, fields, us), key=lambda s: -s[0])
     radii = np.asarray([s[0] for s in samples])
     if radii.size < 4:
         raise ChainTooShortError(
@@ -371,16 +334,14 @@ def oscillation_curve(u, field, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
     steps = radii[1:] / radii[:-1]
     if np.any(np.abs(steps - nu0) > 1e-9):
         raise DomainError("radii must form a nu0-chain")
-    fmax = float(np.max(np.abs(f_rhs))) if np.ndim(f_rhs) else abs(float(f_rhs))
+    fmax = _sup_norm(f_rhs)
 
     omega = np.empty(radii.size)
     for k, (r, fld, uk) in enumerate(samples):
-        vals = np.asarray(uk.values if hasattr(uk, "values") else uk,
-                          dtype=float)
         mask = ball(fld, r)
         if not np.any(mask):
             raise ChainTooShortError(f"empty ball at r={r:g}")
-        omega[k] = float(vals[mask].max() - vals[mask].min())
+        omega[k] = float(uk[mask].max() - uk[mask].min())
 
     gamma_r = np.empty(radii.size)
     alpha_r = np.empty(radii.size)
@@ -400,8 +361,6 @@ def oscillation_curve(u, field, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
         bound = gamma_r[k] * omega[k] + r * r * fmax
         pair_ok[k] = omega[k + 1] <= bound + tol
     monotone = bool(np.all(np.diff(omega) <= tol))
-    fld = samples[0][1]
-    return OscillationCurve(center=fld.grid.node_xy(fld.source), radii=radii,
-                            omega=omega, gamma_r=gamma_r, alpha_r=alpha_r,
-                            log_product=log_prod, pair_ok=pair_ok,
-                            monotone=monotone, mu=mu, nu0=nu0)
+    return OscillationCurve(radii=radii, omega=omega, gamma_r=gamma_r,
+                            alpha_r=alpha_r, log_product=log_prod,
+                            pair_ok=pair_ok, monotone=monotone)

@@ -23,6 +23,15 @@ class DomainError(SubunitLabError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class ProfileError(DomainError):
+    """A degeneracy profile setting outside its domain; field names it
+    (kind, param or domain_cap)."""
+
+    def __init__(self, message, field):
+        super().__init__(message)
+        self.field = field
+
+
 class QuadratureError(SubunitLabError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, ProfileError, QuadratureError
 from .grid import GridSpec
 
 DEFAULT_DOMAIN_CAP = 0.9
@@ -112,14 +112,18 @@ class DegeneracyProfile:
 
     def __post_init__(self):
         if self.kind not in ("constant", "power", "exponential", "paper_model"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
+            raise ProfileError(f"unknown profile kind {self.kind!r}", "kind")
+        if not math.isfinite(self.param):
+            raise ProfileError("profile parameter must be finite", "param")
         if self.kind == "paper_model":
             if not 1.0 < self.param:
-                raise DomainError("paper_model lambda must exceed 1")
+                raise ProfileError("paper_model lambda must exceed 1", "param")
             if not 0.0 < self.domain_cap < 1.0:
-                raise DomainError("domain_cap must lie in (0, 1)")
-        if self.kind in ("constant", "power", "exponential") and self.param < 0:
-            raise DomainError("profile parameter must be nonnegative")
+                raise ProfileError("domain_cap must lie in (0, 1)",
+                                   "domain_cap")
+        elif self.param < 0:
+            raise ProfileError("profile parameter must be nonnegative",
+                               "param")
 
     def _log_integral(self, x):
         """I(x) = integral_x^1 dt/(t h(t)) via Gauss-Kronrod in s = ln t.
@@ -244,28 +248,18 @@ class QuasilinearEnvelope:
         return self.base.q11, self.phi(z) * self.base.q22
 
 
-@dataclass(frozen=True)
-class EnvelopeReport:
-    max_violation: float
-    worst_sample: tuple | None
-
-    @property
-    def ok(self):
-        return self.max_violation <= 0.0
-
-
 def envelope_check(env, samples):
     """Probe the structural sandwich c_phi*xi'Q xi <= xi'A xi <= C_phi*xi'Q xi.
 
-    samples: iterable of ((i, j), z).  Returns the worst violation over the
-    fixed probe set; 0 up to rounding when the declared bounds hold.
+    samples: iterable of ((i, j), z).  Returns the worst relative violation
+    over the fixed probe set, floored at 0; 0 up to rounding when the
+    declared bounds hold.
     """
     samples = list(samples)
     if not samples:
         raise DomainError("envelope_check needs at least one sample")
     q11, q22 = env.base.q11, env.base.q22
     worst = -math.inf
-    worst_sample = None
     for (i, j), z in samples:
         a11, a22 = q11[i, j], float(env.phi(z)) * q22[i, j]
         for xi in PROBE_XIS:
@@ -273,7 +267,5 @@ def envelope_check(env, samples):
             av = a11 * xi[0] ** 2 + a22 * xi[1] ** 2
             scale = max(qv, 1e-300)
             v = max(env.c_phi * qv - av, av - env.C_phi * qv) / scale
-            if v > worst:
-                worst, worst_sample = v, ((i, j), z)
-    return EnvelopeReport(max_violation=max(worst, 0.0),
-                          worst_sample=worst_sample if worst > 0 else None)
+            worst = max(worst, v)
+    return max(worst, 0.0)

@@ -125,20 +125,12 @@ class VolumeFunction:
 class BallAnalytics:
     """Per-center volume curve and derived non-doubling quantities."""
 
-    center: tuple
     radii: np.ndarray
     volumes: np.ndarray
-    measure: VolumeFunction
+    measure: VolumeFunction            # |B(center, s)| at any s, and counts
     doubling_ratios: np.ndarray        # |B(2r)|/|B(r)|, nan where 2r out of range
     delta_curve: np.ndarray = None     # filled by fill_delta_curve
     C_doubling: float = None
-
-    def volume_at(self, s):
-        """|B(center, s)|: area of the piecewise-linear ball, any s."""
-        return self.measure(s)
-
-    def count_at(self, s):
-        return self.measure.count(s)
 
 
 def volume_curve(field, radii):
@@ -164,8 +156,8 @@ def volume_curve(field, radii):
     for k, r in enumerate(radii):
         if 2.0 * r <= measure.s_max:
             ratios[k] = measure(2.0 * r) / volumes[k]
-    return BallAnalytics(center=field.source, radii=radii, volumes=volumes,
-                         measure=measure, doubling_ratios=ratios)
+    return BallAnalytics(radii=radii, volumes=volumes, measure=measure,
+                         doubling_ratios=ratios)
 
 
 def nondoubling_order(analytics, r, C=2.0):
@@ -182,15 +174,13 @@ def nondoubling_order(analytics, r, C=2.0):
     if not (radii[0] <= r <= radii[-1]):
         raise RangeError(f"r={r:g} outside measured range "
                          f"[{radii[0]:g}, {radii[-1]:g}]")
-    v_r = analytics.volume_at(r)
+    vol = analytics.measure
+    v_r = vol(r)
     if v_r <= 0:
         raise ResolutionError(f"empty ball at r={r:g}")
-    s_max = analytics.measure.s_max
+    s_max = vol.s_max
     target = RATIO_LOW * v_r
     resolution = max(1e-12, (radii[-1] - radii[0]) * DELTA_RESOLUTION)
-
-    def vol(s):
-        return analytics.volume_at(s)
 
     hi_limit = min(r + r, s_max, radii[-1] + (radii[-1] - radii[0]))
     if vol(min(2.0 * r, s_max)) < target and vol(hi_limit) < target:

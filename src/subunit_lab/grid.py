@@ -107,8 +107,3 @@ class GridSpec:
         dxx = np.abs(np.diff(w, 2, axis=0)).max(initial=0.0)
         dyy = np.abs(np.diff(w, 2, axis=1)).max(initial=0.0)
         return out, float(dxx + dyy) / 8.0
-
-    def refine(self, factor=2):
-        """Same domain, (roughly) factor x finer spacing, nodes kept aligned."""
-        return GridSpec(self.x0, self.x1, self.y0, self.y1,
-                        (self.nx - 1) * factor + 1, (self.ny - 1) * factor + 1)

@@ -59,10 +59,6 @@ class DistanceField:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def slack(self):
-        """Discretization slack declared for this grid (first-order scheme)."""
-        return 2.0 * max(self.grid.hx, self.grid.hy)
-
 
 @dataclass
 class FmmStats:

@@ -51,9 +51,9 @@ from .errors import (ChainTooShortError, DomainError, GeometryError,
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
-from .solver import (DiscreteFunction, SolveStats,
-                     assemble_linear, max_principle_slack, poincare_functional,
-                     solve_linear, solve_quasilinear, sobolev_functional)
+from .solver import (SolveStats, assemble_linear, max_principle_slack,
+                     poincare_functional, solve_linear, solve_quasilinear,
+                     sobolev_functional)
 
 MIN_CHAIN = 4
 VOLUME_RADII = 24        # volume-curve radii per ball, before r, nu r, nu0 r
@@ -116,7 +116,7 @@ def _fitted_delta_law(analytics):
     r = analytics.radii
     t = analytics.delta_curve / r
     mask = t > 0
-    counts = analytics.count_at(r)
+    counts = analytics.measure.count(r)
     strict = mask & (counts >= FIT_MIN_NODES)
     if strict.sum() >= 4:
         mask = strict
@@ -149,7 +149,7 @@ def solve_global(cfg, form, stats=None):
     g = spec.boundary_values(form.grid)
     system = assemble_linear(form.q11, form.q22, form.grid, spec.rhs, g)
     u_lin = solve_linear(system, spec, stats)
-    f_is_zero = np.ndim(spec.rhs) == 0 and float(spec.rhs) == 0.0
+    f_is_zero = spec.rhs == 0.0
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
     bvals = system.boundary_values[form.grid.boundary_mask()]
     spread = float(np.ptp(bvals)) or 1.0
@@ -161,7 +161,7 @@ def solve_global(cfg, form, stats=None):
              zip(rng.integers(0, form.grid.nx, 40),
                  rng.integers(0, form.grid.ny, 40))]
     zs = rng.normal(0.0, 2.0, 40)
-    env_report = envelope_check(env, list(zip(nodes, zs)))
+    env_violation = envelope_check(env, list(zip(nodes, zs)))
     q_result = (solve_quasilinear(env, g, spec, stats) if spec.quasilinear
                 else None)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
@@ -169,7 +169,7 @@ def solve_global(cfg, form, stats=None):
     info = {
         "linear_max_principle_slack": mp,
         "max_principle_ok": bool(mp <= MP_TOL * spread) if f_is_zero else True,
-        "envelope_max_violation": env_report.max_violation,
+        "envelope_max_violation": env_violation,
     }
     if q_result is not None:
         info["quasilinear_converged"] = bool(q_result.converged)
@@ -366,34 +366,39 @@ def _box_chain(cfg, profile, source, spec, u, eps_min, fmm=None):
     return radii, fields, values, nodes, errors
 
 
-def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
+def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
                       fmm=None):
     """Caccioppoli, Sobolev, Poincare, Moser, log estimates, Harnack, the
-    local bound and the oscillation chain of u on one ball.
+    local bound and the oscillation chain of u (the solver's
+    DiscreteFunction) on one ball.
 
-    The chain radii are measured on box grids of their own (_box_chain),
-    since below a few cells of y-extent a ball on the global grid is a
-    single row of nodes; fmm, when given, records their solves.  Returns
-    (report section, pass flags, notes).
+    This stage decides what the measurements share: f is the config's
+    constant right-hand side cfg.solver.rhs, and the shift m = m(r)
+    (diagnostics.shift_m) is computed once here, for the Caccioppoli ratio
+    of u + m, the Moser ladder, the log estimates and Harnack.  Each
+    measurement gets u's node values.  The chain radii are measured on
+    box grids of their own (_box_chain), since below a few cells of
+    y-extent a ball on the global grid is a single row of nodes; fmm,
+    when given, records their solves.  Returns (report section, pass
+    flags, notes).
     """
-    grid = form.grid
     p = cfg.params
+    f_rhs = cfg.solver.rhs
     analytics, seq = geo.analytics, cuts.seq
-    m = shift_m(u.values, f_rhs, spec.r)
+    vals = u.values
+    m = shift_m(vals, f_rhs, spec.r)
     psi1 = seq.psi[0]
     ball_r = ball(finest, spec.r)
-    cacc = caccioppoli_ratio(DiscreteFunction(grid, u.values + m), psi1, 1.0,
-                             form, f_rhs)
+    cacc = caccioppoli_ratio(vals + m, psi1, 1.0, form, f_rhs)
     sob = sobolev_functional(form, psi1, ball_r, spec.r, p.sigma)
-    poi = poincare_functional(form, u, ball_r, spec.r)
-    moser = moser_iterate(u, finest, spec.r, p.gamma, p.sigma, p.nu, seq,
-                          f_rhs, delta_nu_r=cuts.delta_nu_used, m=m)
-    logest = log_estimate(u, finest, spec.r, cuts.delta_r_used, form, f_rhs,
-                          m=m)
+    poi = poincare_functional(form, vals, ball_r, spec.r)
+    moser = moser_iterate(vals, finest, spec.r, p.gamma, p.sigma, p.nu,
+                          seq.supports, cuts.delta_nu_used, m)
+    logest = log_estimate(vals, finest, spec.r, cuts.delta_r_used, form, m)
     delta_nu0 = _delta_at(analytics, p.nu0 * spec.r)
-    har = harnack_check(u, finest, spec.r, p.nu0, p.sigma, delta_nu0,
-                        C_cal=math.e, f_rhs=f_rhs, m=m)
-    lb = local_bound_check(u, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
+    har = harnack_check(vals, finest, spec.r, p.nu0, p.sigma, delta_nu0, m,
+                        C_cal=math.e)
+    lb = local_bound_check(vals, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
                            f_rhs)
 
     osc = None
@@ -437,7 +442,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
                           "floor_proximity": logest.floor_proximity},
         "harnack": {"quotient": har.quotient, "log_c_har": har.log_c_har,
                     "passed": bool(har.passed), "log_slack": har.log_slack},
-        "local_bound_c": lb.empirical_c,
+        "local_bound_c": lb,
         "oscillation": None if osc is None else {
             "radii": osc.radii.tolist(), "omega": osc.omega.tolist(),
             "alpha": osc.alpha_r.tolist(),
@@ -457,7 +462,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs,
     return section, flags, notes
 
 
-def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None, fmm=None):
+def run_ball(cfg, form, spec, ball_id, u, times=None, fmm=None):
     """The four ball stages in order.  Returns (report, flags, artifacts).
 
     times, when given, gains each stage's wall seconds under its STAGES
@@ -472,7 +477,7 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None, fmm=None):
                                            geo.analytics)
     with _timed(times, "diagnostics"):
         diag, diag_flags, notes = diagnostics_stage(
-            cfg, form, spec, ball_id, finest, geo, cuts, u, f_rhs, fmm)
+            cfg, form, spec, ball_id, finest, geo, cuts, u, fmm)
     constants = {
         "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
         "caccioppoli_c": diag["caccioppoli_c"],
@@ -502,15 +507,14 @@ def run_ball(cfg, form, spec, ball_id, u, f_rhs, times=None, fmm=None):
     return report, flags, artifacts
 
 
-def run_ball_or_skip(cfg, form, spec, ball_id, u, f_rhs, times=None,
-                     fmm=None):
+def run_ball_or_skip(cfg, form, spec, ball_id, u, times=None, fmm=None):
     """run_ball, with a ball the grid cannot measure skipped, not raised.
 
     A skipped ball returns report None, the flag `<ball_id>.skipped` and
     the reason as its one note in artifacts["notes"].
     """
     try:
-        return run_ball(cfg, form, spec, ball_id, u, f_rhs, times, fmm)
+        return run_ball(cfg, form, spec, ball_id, u, times, fmm)
     except (ResolutionError, ChainTooShortError, RangeError,
             GeometryError) as exc:
         return (None, {f"{ball_id}.skipped": True},
@@ -554,7 +558,7 @@ def run_experiment(cfg, out_dir, strict=False):
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
         ball_report, flags, art = run_ball_or_skip(
-            cfg, form, spec, ball_id, u, cfg.solver.rhs, times, fmm)
+            cfg, form, spec, ball_id, u, times, fmm)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
         if ball_report is not None:

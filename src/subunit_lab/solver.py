@@ -345,7 +345,6 @@ class QuasilinearResult:
     converged: bool
     iterations: int
     residuals: list
-    diagnostic: str = ""
 
 
 def solve_quasilinear(env, boundary, spec=None, stats=None):
@@ -388,11 +387,8 @@ def solve_quasilinear(env, boundary, spec=None, stats=None):
         if res <= spec.fp_tol:
             return QuasilinearResult(u=u_k, converged=True, iterations=it,
                                      residuals=residuals)
-    return QuasilinearResult(
-        u=best, converged=False, iterations=spec.fp_max_iter,
-        residuals=residuals,
-        diagnostic=f"no convergence after {spec.fp_max_iter} iterations; "
-                   f"best residual {best_res:.3e}")
+    return QuasilinearResult(u=best, converged=False,
+                             iterations=spec.fp_max_iter, residuals=residuals)
 
 
 def max_principle_slack(u, system):
@@ -409,20 +405,20 @@ def sobolev_functional(form, w, ball_mask, r, sigma=2.0):
     LHS = (mean_supp |w|^{2 sigma})^{1/(2 sigma)},
     RHS = r (mean_supp [grad w]_Q^2)^{1/2} + (mean_supp w^2)^{1/2},
     where mean_supp integrates over the ball and divides by |supp w|.
-    Returns LHS / RHS.  w must vanish outside (a collar inside) the ball.
+    Returns LHS / RHS.  w (node values) must vanish outside (a collar
+    inside) the ball.
     """
     if sigma <= 1.0:
         raise DomainError("sigma must exceed 1")
-    vals = w.values if isinstance(w, DiscreteFunction) else np.asarray(w)
-    supp = vals != 0.0
+    supp = w != 0.0
     if not np.any(supp):
         raise EmptySupportError("w vanishes identically")
     if np.any(supp & ~ball_mask):
         raise GeometryError("w is not compactly supported in the ball")
     area = form.grid.cell_area
     supp_measure = float(supp.sum()) * area
-    wB = vals[ball_mask]
-    g = q_gradient(form, vals)[ball_mask]
+    wB = w[ball_mask]
+    g = q_gradient(form, w)[ball_mask]
     mean = lambda q: float(q.sum()) * area / supp_measure
     lhs = mean(np.abs(wB) ** (2.0 * sigma)) ** (1.0 / (2.0 * sigma))
     rhs = r * math.sqrt(mean(g * g)) + math.sqrt(mean(wB * wB))
@@ -432,19 +428,18 @@ def sobolev_functional(form, w, ball_mask, r, sigma=2.0):
 def poincare_functional(form, w, ball_mask, r):
     """Empirical constant of the L1 Poincare inequality on a ball.
 
-    ratio = integral_B |w - <w>_B|  /  (r * integral_B [grad w]_Q).
-    Constant w returns 0 by the 0/0 convention; a vanishing denominator
-    against a positive numerator raises ZeroGradientError (it would falsify
-    the inequality for this w).
+    ratio = integral_B |w - <w>_B|  /  (r * integral_B [grad w]_Q),
+    for w given by its node values.  Constant w returns 0 by the 0/0
+    convention; a vanishing denominator against a positive numerator
+    raises ZeroGradientError (it would falsify the inequality for this w).
     """
-    vals = w.values if isinstance(w, DiscreteFunction) else np.asarray(w)
     if not np.any(ball_mask):
         raise EmptySupportError("empty ball")
     area = form.grid.cell_area
-    wB = vals[ball_mask]
+    wB = w[ball_mask]
     mean = wB.mean()
     num = float(np.abs(wB - mean).sum()) * area
-    den = float(q_gradient(form, vals)[ball_mask].sum()) * area * r
+    den = float(q_gradient(form, w)[ball_mask].sum()) * area * r
     if den == 0.0:
         if num > 1e-14 * max(1.0, float(np.abs(wB).max())) * area:
             raise ZeroGradientError(

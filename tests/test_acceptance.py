@@ -27,8 +27,9 @@ import pytest
 from subunit_lab.config import ExperimentConfig, SolverSpec
 from subunit_lab.cutoff import build_sequence, build_special_cutoff
 from subunit_lab.diagnostics import (harnack_check, harnack_exponent,
-                                     log_c_har, log_estimate, moser_iterate,
-                                     oscillation_curve, schedule_gamma)
+                                     log_c_har, log_estimate,
+                                     oscillation_curve, schedule_gamma,
+                                     shift_m)
 from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.geometry import (box_sandwich, fill_delta_curve,
                                   growth_condition_check, nondoubling_order,
@@ -37,8 +38,8 @@ from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball, solve_distance
 from subunit_lab.pipeline import run_experiment
 from subunit_lab.reporting import compare, load_report
-from subunit_lab.solver import (DiscreteFunction, assemble_linear,
-                                max_principle_slack, solve_linear)
+from subunit_lab.solver import (assemble_linear, max_principle_slack,
+                                solve_linear)
 from tests.test_cutoff import seq_delta
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src",
@@ -351,7 +352,7 @@ def test_c8_harnack(grushin_form, grushin_field_off_axis):
     deltas = {r: seq_delta(field, r, 0.5) for r in dyadic}
 
     X, Y = g.meshgrid()
-    solutions = [DiscreteFunction(g, X + 2.0)]        # exact affine
+    solutions = [X + 2.0]                             # exact affine
     boundaries = [
         lambda X, Y: 0.5 * X - 0.3 * Y + 2.0,
         lambda X, Y: X + 2.0 + 0.5 * np.sin(3 * X) * np.cos(2 * Y),
@@ -362,15 +363,16 @@ def test_c8_harnack(grushin_form, grushin_field_off_axis):
     for bc in boundaries:
         system = assemble_linear(grushin_form.q11, grushin_form.q22, g,
                                  0.0, bc)
-        solutions.append(solve_linear(system, SolverSpec(lin_tol=1e-12)))
+        solutions.append(
+            solve_linear(system, SolverSpec(lin_tol=1e-12)).values)
 
     checked = passed = 0
     worst_slack = -math.inf
     for u in solutions:
-        assert float(u.values.min()) > 0.0
+        assert float(u.min()) > 0.0
         for r in dyadic:
             rep = harnack_check(u, field, r, 0.5, 2.0, deltas[r],
-                                C_cal=C_HARNACK)
+                                shift_m(u, 0.0, r), C_cal=C_HARNACK)
             checked += 1
             passed += bool(rep.passed)
             worst_slack = max(worst_slack, rep.log_slack)
@@ -428,10 +430,9 @@ def test_c10_oscillation_recursion(pipeline_runs, paper_form,
 
     # degenerate-axis case with the infinitely slow profile
     X, _ = paper_form.grid.meshgrid()
-    u = DiscreteFunction(paper_form.grid, X + 2.0)
     chain = [0.32 * 0.5 ** k for k in range(4)]
     osc = oscillation_curve(
-        u, paper_field_origin, chain, 0.5, 0.5,
+        [X + 2.0] * 4, [paper_field_origin] * 4, chain, 0.5, 0.5,
         lambda r: log_c_har(0.5 * r, 0.5 * r * eval_h(0.25 * r, 9.0), 2.0,
                             C_HARNACK),
         0.0)
@@ -457,13 +458,14 @@ def test_c11_log_estimates_stability():
         f_rhs = 2.0 + 2.0 * form.q22
         bc = (X - a) ** 2 + (Y - b) ** 2
         system = assemble_linear(form.q11, form.q22, g, f_rhs, bc)
-        u = solve_linear(system, SolverSpec(lin_tol=1e-13))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
         field = solve_distance(form, g.nearest_node(a, b), 1e-3)
         consts = []
         for r in (0.24, 0.12, 0.06):
             d_r = seq_delta(field, r, 1.0)
-            rep = log_estimate(u, field, r, d_r, form, f_rhs)
-            consts.append(rep.constants())
+            rep = log_estimate(u, field, r, d_r, form, shift_m(u, f_rhs, r))
+            consts.append((rep.inter_constant, rep.est1_constant,
+                           rep.est2_constant))
         for k, label in enumerate(("inter", "est1", "est2")):
             vals = [c[k] for c in consts]
             if not all(np.isfinite(vals)):

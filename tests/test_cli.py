@@ -99,22 +99,67 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 
 # json.load accepts NaN; each value passed the range checks and ended in a
 # traceback (a range() of a float among them), a run reporting C = nan, or
-# every Picard step against an unreachable tolerance
+# every Picard step against an unreachable tolerance.  A NaN profile
+# parameter ran f = 1 with exit 0, +inf ran and skipped every ball, a
+# negative one exited 4, and a string one, like a NaN or string boundary
+# coefficient, rhs or a fractional seed, ended in a traceback; the string
+# "false" for quasilinear ran Picard with exit 0.  A dotted key is a path
+# into the section; an empty key sets the top-level field.
 @pytest.mark.parametrize("section,key,value", [
     ("params", "sigma", math.nan), ("params", "gamma", math.nan),
     ("params", "C", math.nan), ("params", "lam", math.nan),
     ("params", "j_max", math.nan), ("params", "j_max", 3.5),
     ("solver", "lin_tol", math.nan), ("solver", "fp_tol", math.nan),
-    ("solver", "fp_max_iter", 2.5), ("solver", "lin_max_iter", 2.5)])
+    ("solver", "fp_max_iter", 2.5), ("solver", "lin_max_iter", 2.5),
+    ("profile", "param", math.nan), ("profile", "param", math.inf),
+    ("profile", "param", -1.0), ("profile", "param", "one"),
+    ("solver", "boundary.ax", math.nan), ("solver", "boundary.by", "zero"),
+    ("solver", "boundary.c", math.inf), ("solver", "boundary.amp", math.nan),
+    ("solver", "boundary.kx", math.nan), ("solver", "boundary.ky", "one"),
+    ("solver", "rhs", math.nan), ("solver", "rhs", "half"),
+    ("solver", "quasilinear", "false"),
+    pytest.param("solver", "boundary", [1.0, 2.0], id="boundary-list"),
+    pytest.param("solver", "phi_bounds", [3.0, 1.0], id="phi-reversed"),
+    pytest.param("solver", "phi_bounds", [0.0, 3.0], id="phi-zero"),
+    pytest.param("solver", "phi_bounds", [1.0, math.inf], id="phi-inf"),
+    ("seed", "", 2.5), ("seed", "", math.nan), ("seed", "", "seven")])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
     raw = json.load(open(smoke_cfg_path))
-    raw[section][key] = value
+    path = f"{section}.{key}" if key else section
+    *parents, leaf = path.split(".")
+    target = raw
+    for name in parents:
+        target = target[name]
+    target[leaf] = value
     bad = tmp_path / "bad.json"
     json.dump(raw, open(bad, "w"))
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert f"{section}.{key}" in capsys.readouterr().err
+    assert path in capsys.readouterr().err
+
+
+# the profile's range checks: these exited 4 (a DomainError) or, for a
+# string domain_cap, ended in a traceback
+@pytest.mark.parametrize("profile,path", [
+    ({"kind": "paper_model", "param": 1.0}, "profile.param"),
+    ({"kind": "paper_model", "param": 9.0, "domain_cap": 1.5},
+     "profile.domain_cap"),
+    ({"kind": "paper_model", "param": 9.0, "domain_cap": math.nan},
+     "profile.domain_cap"),
+    ({"kind": "paper_model", "param": 9.0, "domain_cap": "0.9"},
+     "profile.domain_cap"),
+    ({"kind": "cubic", "param": 1.0}, "profile.kind")],
+    ids=["lambda-1", "cap-1.5", "cap-nan", "cap-string", "kind"])
+def test_invalid_profile_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                                capsys, profile, path):
+    raw = json.load(open(smoke_cfg_path))
+    raw["profile"] = profile
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
 
 
 def test_whole_number_float_counts_run_as_ints(tmp_path, smoke_cfg_path,
@@ -402,23 +447,33 @@ def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys,
     assert "conjugate gradient" in capsys.readouterr().err
 
 
-def test_diagnose_skips_ball_like_run(tmp_path, smoke_cfg_path):
-    # r = 0.2 at distance 0.1 from the edge: nu r leaves the measurable
-    # radius band, so `run` skips the ball; `diagnose` must do the same
+@pytest.mark.parametrize("case", ["skipped-ball", "rhs-0.5"])
+def test_diagnose_matches_run(tmp_path, smoke_cfg_path, case):
     raw = json.load(open(smoke_cfg_path))
-    raw["grid"]["nx"] = raw["grid"]["ny"] = 65
-    raw["balls"] = [{"center": [0.4, 0.0], "r": 0.2, "on_axis": False}]
-    p = tmp_path / "edge.json"
+    if case == "skipped-ball":
+        # r = 0.2 at distance 0.1 from the edge: nu r leaves the measurable
+        # radius band, so `run` skips the ball; `diagnose` must do the same
+        raw["grid"]["nx"] = raw["grid"]["ny"] = 65
+        raw["balls"] = [{"center": [0.4, 0.0], "r": 0.2, "on_axis": False}]
+    else:
+        # f != 0 reaches the diagnostics as the shift m(r) = r^2 |f| and
+        # in the Caccioppoli, local bound and oscillation right-hand sides
+        raw["solver"]["rhs"] = 0.5
+    p = tmp_path / f"{case}.json"
     json.dump(raw, open(p, "w"))
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
     rep = load_report(tmp_path / "r" / "report.json")
-    assert rep["flags"]["ball0.skipped"] is True
+    assert rep["flags"].get("ball0.skipped", False) == (case == "skipped-ball")
     assert main(["diagnose", "--config", str(p),
                  "--out", str(tmp_path / "d")]) == 0
     diag = json.load(open(tmp_path / "d" / "diagnostics.json"))
-    assert diag["ball0"]["flags"] == {"ball0.skipped": True}
+    assert diag["ball0"]["flags"] == {k: v for k, v in rep["flags"].items()
+                                      if k.startswith("ball0.")}
     assert diag["ball0"]["notes"] == [n for n in rep["notes"]
-                                      if n.startswith("ball0: skipped")]
+                                      if n.startswith("ball0: ")]
+    if case == "rhs-0.5":
+        assert (diag["ball0"]["diagnostics"]
+                == rep["balls"]["ball0"]["diagnostics"])
 
 
 def test_run_meta_records_linear_solves(smoke_run):

@@ -1,6 +1,7 @@
 """Regularity diagnostics: Caccioppoli, Moser ladder, logs, Harnack, omega."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from subunit_lab.errors import (ChainTooShortError, DomainError,
 from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball, solve_distance
-from subunit_lab.solver import DiscreteFunction, assemble_linear, solve_linear
+from subunit_lab.solver import assemble_linear, solve_linear
 from tests.test_cutoff import seq_delta
 
 
@@ -67,7 +68,7 @@ def grushin_setup():
     delta_r = seq_delta(field, r, 1.0)
     seq = build_sequence(field, form, r, nu, delta_nu, 12)
     X, _ = g.meshgrid()
-    u = DiscreteFunction(g, X + 2.0)     # stencil-exact solution, f = 0
+    u = X + 2.0                          # stencil-exact solution, f = 0
     return dict(grid=g, form=form, field=field, r=r, nu=nu,
                 delta_nu=delta_nu, delta_r=delta_r, seq=seq, u=u)
 
@@ -83,8 +84,8 @@ def paraboloid_setup():
     f_rhs = 2.0 + 2.0 * form.q22
     bc = (X - a) ** 2 + (Y - b) ** 2
     system = assemble_linear(form.q11, form.q22, g, f_rhs, bc)
-    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
-    assert np.max(np.abs(u.values - bc)) < 1e-9      # stencil-exact oracle
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
+    assert np.max(np.abs(u - bc)) < 1e-9             # stencil-exact oracle
     field = solve_distance(form, g.nearest_node(a, b), 1e-3)
     return dict(grid=g, form=form, field=field, u=u, f_rhs=f_rhs,
                 center=(a, b))
@@ -94,7 +95,7 @@ def paraboloid_setup():
 
 def test_caccioppoli_constant_zero(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], np.full(s["grid"].shape, 3.0))
+    w = np.full(s["grid"].shape, 3.0)
     assert caccioppoli_ratio(w, s["seq"].psi[0], 1.0, s["form"], 0.0) == 0.0
 
 
@@ -110,8 +111,7 @@ def test_caccioppoli_affine_bounded_and_refinement_stable(grushin_setup):
         field = solve_distance(form, g.nearest_node(0.2, 0.0), 1e-3)
         seq = build_sequence(field, form, r, nu, delta, 8)
         X, _ = g.meshgrid()
-        u = DiscreteFunction(g, X + 2.0)
-        ratios.append(caccioppoli_ratio(u, seq.psi[0], 1.0, form, 0.0))
+        ratios.append(caccioppoli_ratio(X + 2.0, seq.psi[0], 1.0, form, 0.0))
     assert all(0 < c < 50.0 for c in ratios)
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.20
 
@@ -124,7 +124,7 @@ def test_caccioppoli_beta_half_rejected(grushin_setup):
 
 def test_caccioppoli_positivity_error(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], s["u"].values - 10.0)   # negative somewhere
+    w = s["u"] - 10.0                   # negative somewhere
     with pytest.raises(PositivityError):
         caccioppoli_ratio(w, s["seq"].psi[0], 1.0, s["form"], 0.0)
 
@@ -134,9 +134,9 @@ def test_caccioppoli_positivity_error(grushin_setup):
 def test_moser_constant_solution_flat_ladder(grushin_setup):
     s = grushin_setup
     c, m = 3.0, 1.0
-    w = DiscreteFunction(s["grid"], np.full(s["grid"].shape, c))
-    run = moser_iterate(w, s["field"], s["r"], 1.0, 2.0, s["nu"], s["seq"],
-                        0.0, delta_nu_r=s["delta_nu"], m=m)
+    w = np.full(s["grid"].shape, c)
+    run = moser_iterate(w, s["field"], s["r"], 1.0, 2.0, s["nu"],
+                        s["seq"].supports, s["delta_nu"], m)
     assert all(math.isclose(nj, c + m, rel_tol=1e-12) for nj in run.N)
     assert run.passed
     assert run.truncated_at == -1
@@ -144,15 +144,16 @@ def test_moser_constant_solution_flat_ladder(grushin_setup):
 
 def test_moser_affine_ladder_trend_and_bound(grushin_setup):
     s = grushin_setup
+    m = shift_m(s["u"], 0.0, s["r"])
     run = moser_iterate(s["u"], s["field"], s["r"], 1.0, 2.0, s["nu"],
-                        s["seq"], 0.0, delta_nu_r=s["delta_nu"])
+                        s["seq"].supports, s["delta_nu"], m)
     assert len(run.N) == len(s["seq"].psi)
     assert all(np.isfinite(run.N))
     # the ladder settles after the first steps: increments decay to zero
     incs = [abs(b - a) for a, b in zip(run.N, run.N[1:])]
     assert incs[-1] < 0.25 * max(incs[:3])
     # each N_j sits below the support sup of ubar^gamma (power-mean bracket)
-    ubar = s["u"].values + run.m_shift
+    ubar = s["u"] + m
     for nj, supp in zip(run.N, s["seq"].supports):
         assert nj <= float(ubar[supp].max()) ** run.gamma_used + 1e-9
     assert run.passed                      # observed sup far below the bound
@@ -163,18 +164,19 @@ def test_moser_affine_ladder_trend_and_bound(grushin_setup):
 def test_moser_gamma_negative(grushin_setup):
     s = grushin_setup
     run = moser_iterate(s["u"], s["field"], s["r"], -1.0, 2.0, s["nu"],
-                        s["seq"], 0.0, delta_nu_r=s["delta_nu"])
+                        s["seq"].supports, s["delta_nu"],
+                        shift_m(s["u"], 0.0, s["r"]))
     assert all(np.isfinite(run.N))
     assert not run.shifted
 
 
 def test_moser_overflow_guard_truncates(grushin_setup):
     s = grushin_setup
-    bad = s["u"].values.copy()
+    bad = s["u"].copy()
     i, j = s["field"].source
     bad[i + 1, j] = np.inf
-    run = moser_iterate(bad, s["field"], s["r"], 1.0, 2.0, s["nu"], s["seq"],
-                        0.0, delta_nu_r=s["delta_nu"], m=1.0)
+    run = moser_iterate(bad, s["field"], s["r"], 1.0, 2.0, s["nu"],
+                        s["seq"].supports, s["delta_nu"], 1.0)
     assert run.truncated_at == 0
     assert run.N == []
 
@@ -184,7 +186,7 @@ def test_moser_rejects_bad_gamma(grushin_setup):
     for g in (0.0, 2.5):
         with pytest.raises(DomainError):
             moser_iterate(s["u"], s["field"], s["r"], g, 2.0, s["nu"],
-                          s["seq"], 0.0)
+                          s["seq"].supports, s["delta_nu"], 1.0)
 
 
 def test_scheduler_shifts_near_half_exponent():
@@ -219,9 +221,8 @@ def test_scheduler_negative_gamma_untouched():
 
 def test_log_estimate_constant_solution_zero(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], np.full(s["grid"].shape, 2.0))
-    rep = log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"],
-                       0.0, m=1.0)
+    w = np.full(s["grid"].shape, 2.0)
+    rep = log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"], 1.0)
     assert rep.inter_constant == 0.0
     assert rep.est1_constant == 0.0
     assert rep.est2_constant == 0.0
@@ -230,9 +231,10 @@ def test_log_estimate_constant_solution_zero(grushin_setup):
 def test_log_estimate_affine_finite(grushin_setup):
     s = grushin_setup
     rep = log_estimate(s["u"], s["field"], s["r"], s["delta_r"], s["form"],
-                       0.0)
-    assert all(np.isfinite(rep.constants()))
-    assert all(c > 0 for c in rep.constants())
+                       shift_m(s["u"], 0.0, s["r"]))
+    consts = (rep.inter_constant, rep.est1_constant, rep.est2_constant)
+    assert all(np.isfinite(consts))
+    assert all(c > 0 for c in consts)
     assert not rep.floor_proximity
 
 
@@ -245,9 +247,10 @@ def test_log_estimate_floor_touching_band_stability(paraboloid_setup):
     for r in (0.24, 0.12, 0.06):
         delta_r = seq_delta(s["field"], r, 1.0)
         rep = log_estimate(s["u"], s["field"], r, delta_r, s["form"],
-                           s["f_rhs"])
+                           shift_m(s["u"], s["f_rhs"], r))
         assert rep.floor_proximity          # ubar touches m(r) at the center
-        consts.append(rep.constants())
+        consts.append((rep.inter_constant, rep.est1_constant,
+                       rep.est2_constant))
     for k in range(3):
         vals = [c[k] for c in consts]
         assert max(vals) / min(vals) <= 1.25 / 0.75
@@ -255,10 +258,9 @@ def test_log_estimate_floor_touching_band_stability(paraboloid_setup):
 
 def test_log_estimate_positivity_error(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], s["u"].values - 5.0)
+    w = s["u"] - 5.0
     with pytest.raises(PositivityError):
-        log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"], 0.0,
-                     m=1.0)
+        log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"], 1.0)
 
 
 # ----------------------------------------------------------------- Harnack
@@ -273,8 +275,8 @@ def test_harnack_exponent_identity():
 
 def test_harnack_constant_solution(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], np.ones(s["grid"].shape))
-    rep = harnack_check(w, s["field"], s["r"], 0.5, 2.0, s["delta_nu"], m=1.0)
+    w = np.ones(s["grid"].shape)
+    rep = harnack_check(w, s["field"], s["r"], 0.5, 2.0, s["delta_nu"], 1.0)
     assert rep.quotient == 1.0
     assert rep.passed
 
@@ -284,8 +286,8 @@ def test_harnack_affine_closed_form_quotient(grushin_setup):
     # (x0 + s + c + m)/(x0 - s + c + m) with s = nu0 r
     s = grushin_setup
     nu0 = 0.5
-    rep = harnack_check(s["u"], s["field"], s["r"], nu0, 2.0, s["delta_nu"])
-    m = rep.m_shift
+    m = shift_m(s["u"], 0.0, s["r"])
+    rep = harnack_check(s["u"], s["field"], s["r"], nu0, 2.0, s["delta_nu"], m)
     sx = nu0 * s["r"]
     want = (0.2 + sx + 2.0 + m) / (0.2 - sx + 2.0 + m)
     assert abs(rep.quotient - want) / want < 0.03
@@ -296,29 +298,34 @@ def test_harnack_affine_closed_form_quotient(grushin_setup):
 def test_harnack_on_degenerate_axis_huge_constant(paper_field_origin,
                                                   paper_form):
     X, _ = paper_form.grid.meshgrid()
-    u = DiscreteFunction(paper_form.grid, X + 2.0)
+    u = X + 2.0
     delta = seq_delta(paper_field_origin, 0.2, 0.5)
-    rep = harnack_check(u, paper_field_origin, 0.2, 0.5, 2.0, delta)
+    rep = harnack_check(u, paper_field_origin, 0.2, 0.5, 2.0, delta,
+                        shift_m(u, 0.0, 0.2))
     assert rep.passed
     assert rep.log_c_har > 1e3            # delta/r small: astronomic constant
-    assert math.isinf(rep.c_har)          # overflows floats, logs stay exact
+    # C_Har itself overflows floats; its log stays exact
+    assert rep.log_c_har > math.log(sys.float_info.max)
 
 
 def test_harnack_negative_solution_rejected(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], s["u"].values - 10.0)
+    w = s["u"] - 10.0
     with pytest.raises(PositivityError):
-        harnack_check(w, s["field"], s["r"], 0.5, 2.0, s["delta_nu"], m=0.0)
+        harnack_check(w, s["field"], s["r"], 0.5, 2.0, s["delta_nu"], 0.0)
 
 
 # ----------------------------------------------------------- local bounds
 
 def test_local_bound_constant_solution(grushin_setup):
     s = grushin_setup
-    w = DiscreteFunction(s["grid"], np.full(s["grid"].shape, 4.0))
-    rep = local_bound_check(w, s["field"], s["r"], s["nu"], 2.0,
-                            s["delta_nu"], 0.0)
-    assert math.isclose(rep.empirical_c * rep.prefactor, 1.0, rel_tol=1e-9)
+    w = np.full(s["grid"].shape, 4.0)
+    c = local_bound_check(w, s["field"], s["r"], s["nu"], 2.0,
+                          s["delta_nu"], 0.0)
+    # constant u: sup = bracket, so c is 1 over the prefactor
+    # (delta(nu r)/r)^(-sigma/(sigma-1)) at sigma = 2
+    prefactor = (s["delta_nu"] / s["r"]) ** -2.0
+    assert math.isclose(c * prefactor, 1.0, rel_tol=1e-9)
 
 
 def test_local_bound_refinement_stable():
@@ -329,10 +336,9 @@ def test_local_bound_refinement_stable():
         field = solve_distance(form, (n // 2, n // 2), 1e-3)
         bc = lambda X, Y: 2.0 + 0.5 * np.sin(4 * X) * np.cos(3 * Y)
         system = assemble_linear(form.q11, form.q22, g, 0.0, bc)
-        u = solve_linear(system, SolverSpec(lin_tol=1e-12))
+        u = solve_linear(system, SolverSpec(lin_tol=1e-12)).values
         delta = seq_delta(field, 0.2, 0.5)
-        rep = local_bound_check(u, field, 0.2, 0.5, 2.0, delta, 0.0)
-        vals.append(rep.empirical_c)
+        vals.append(local_bound_check(u, field, 0.2, 0.5, 2.0, delta, 0.0))
     assert abs(vals[0] - vals[1]) / vals[1] < 0.20
 
 
@@ -342,7 +348,7 @@ def test_oscillation_affine_linear_decay(grushin_setup):
     s = grushin_setup
     chain = [s["r"] * 0.5 ** k for k in range(4)]
     osc = oscillation_curve(
-        s["u"], s["field"], chain, 0.5, 0.5,
+        [s["u"]] * 4, [s["field"]] * 4, chain, 0.5, 0.5,
         lambda r: log_c_har(0.5 * r, 0.1 * r, 2.0), 0.0)
     # omega(r) = 2r for the affine solution (ball x-extent is exactly r)
     for r, w in zip(osc.radii, osc.omega):
@@ -355,15 +361,16 @@ def test_oscillation_affine_linear_decay(grushin_setup):
 def test_oscillation_requires_nu0_chain(grushin_setup):
     s = grushin_setup
     with pytest.raises(DomainError):
-        oscillation_curve(s["u"], s["field"], [0.2, 0.13, 0.08, 0.05],
-                          0.5, 0.5, lambda r: 10.0, 0.0)
+        oscillation_curve([s["u"]] * 4, [s["field"]] * 4,
+                          [0.2, 0.13, 0.08, 0.05], 0.5, 0.5,
+                          lambda r: 10.0, 0.0)
 
 
 def test_oscillation_chain_too_short(grushin_setup):
     s = grushin_setup
     with pytest.raises(ChainTooShortError):
-        oscillation_curve(s["u"], s["field"], [0.2, 0.1, 0.05], 0.5, 0.5,
-                          lambda r: 10.0, 0.0)
+        oscillation_curve([s["u"]] * 3, [s["field"]] * 3, [0.2, 0.1, 0.05],
+                          0.5, 0.5, lambda r: 10.0, 0.0)
 
 
 def test_oscillation_on_degenerate_axis_weak_contraction(paper_field_origin,
@@ -372,15 +379,14 @@ def test_oscillation_on_degenerate_axis_weak_contraction(paper_field_origin,
     """Center on the degenerate axis: gamma(r) = 1 to float resolution, yet
     omega still decreases; the analytic delta-law product trend grows."""
     X, _ = paper_form.grid.meshgrid()
-    u = DiscreteFunction(paper_form.grid, X + 2.0)
     chain = [0.32 * 0.5 ** k for k in range(4)]
 
     def analytic_log_c_har(r):
         # delta(nu0 r) = nu0 r h(nu0 r / 2), the paper's delta law
         return log_c_har(0.5 * r, 0.5 * r * eval_h(0.25 * r, 9.0), 2.0)
 
-    osc = oscillation_curve(u, paper_field_origin, chain, 0.5, 0.5,
-                            analytic_log_c_har, 0.0)
+    osc = oscillation_curve([X + 2.0] * 4, [paper_field_origin] * 4, chain,
+                            0.5, 0.5, analytic_log_c_har, 0.0)
     assert osc.monotone
     assert np.all(osc.pair_ok)
     # gamma(r) is decreasing in r (rises toward 1 down the chain): the
@@ -416,7 +422,7 @@ def test_oscillation_paraboloid_with_rhs(paraboloid_setup):
     s = paraboloid_setup
     chain = [0.24 * 0.5 ** k for k in range(4)]
     osc = oscillation_curve(
-        s["u"], s["field"], chain, 0.5, 0.5,
+        [s["u"]] * 4, [s["field"]] * 4, chain, 0.5, 0.5,
         lambda r: log_c_har(0.5 * r, 0.08 * r, 2.0), s["f_rhs"])
     assert osc.monotone
     assert np.all(osc.pair_ok)

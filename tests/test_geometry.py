@@ -154,7 +154,7 @@ def test_upper_window_calibrates_C(grushin_field_origin):
     for r in (0.15, 0.25):
         d, capped, C_used = nondoubling_order(analytics, r,
                                               analytics.C_doubling)
-        ratio = analytics.volume_at(r + d) / analytics.volume_at(r)
+        ratio = analytics.measure(r + d) / analytics.measure(r)
         assert ratio >= 1.25 - 1e-9
         assert ratio <= 2.0 * C_used + 1e-9
 
@@ -169,7 +169,7 @@ def test_window_invariant_on_fresh_radii(grushin_field_origin):
         d, capped, _ = nondoubling_order(analytics, r, C)
         if capped:
             continue
-        ratio = analytics.volume_at(r + d) / analytics.volume_at(r)
+        ratio = analytics.measure(r + d) / analytics.measure(r)
         assert 1.25 - 1e-9 <= ratio <= 2.0 * C * 1.05
 
 
