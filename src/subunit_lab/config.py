@@ -55,13 +55,19 @@ class BallSpec:
 
     def validate(self, path):
         if not _positive_finite(self.r):
-            raise ConfigError("ball radius must be positive and finite",
-                              f"{path}.r")
-        if not all(math.isfinite(c) for c in self.center):
-            raise ConfigError("ball center must be finite", f"{path}.center")
+            raise ConfigError(f"ball radius must be a positive finite "
+                              f"number, got {self.r!r}", f"{path}.r")
+        if not (len(self.center) == 2
+                and all(map(_finite_number, self.center))):
+            raise ConfigError(f"ball center must be two finite numbers, "
+                              f"got {list(self.center)!r}", f"{path}.center")
+        if not isinstance(self.on_axis, bool):
+            raise ConfigError(f"must be true or false, got "
+                              f"{self.on_axis!r}", f"{path}.on_axis")
         if self.on_axis and abs(self.center[0]) > 1e-12:
             raise ConfigError("on_axis ball must sit at x = 0",
                               f"{path}.center")
+        self.r = float(self.r)
 
 
 @dataclass
@@ -80,20 +86,28 @@ class Params:
     cutoff_delta_frac: float = None
 
     def validate(self, path="params"):
+        names = ["sigma", "nu", "nu0", "mu", "eta", "C", "gamma"]
+        if self.cutoff_delta_frac is not None:
+            names.append("cutoff_delta_frac")
+        for name in names:
+            v = getattr(self, name)
+            if not _finite_number(v):
+                raise ConfigError(f"must be a finite number, got {v!r}",
+                                  f"{path}.{name}")
         if self.cutoff_delta_frac is not None and \
                 not 0.0 < self.cutoff_delta_frac < 1.0:
             raise ConfigError("cutoff_delta_frac must lie in (0, 1)",
                               f"{path}.cutoff_delta_frac")
-        if not (_positive_finite(self.sigma) and self.sigma > 1):
-            raise ConfigError("sigma must be finite and > 1", f"{path}.sigma")
+        if not self.sigma > 1:
+            raise ConfigError("sigma must be > 1", f"{path}.sigma")
         for name in ("nu", "nu0", "mu"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1)", f"{path}.{name}")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("eta must lie in (0, 1]", f"{path}.eta")
-        if not (_positive_finite(self.C) and self.C > 1.0):
-            raise ConfigError("C must be finite and > 1", f"{path}.C")
+        if not self.C > 1.0:
+            raise ConfigError("C must be > 1", f"{path}.C")
         if not 0 < abs(self.gamma) <= 2:
             raise ConfigError("gamma must satisfy 0 < |gamma| <= 2",
                               f"{path}.gamma")
@@ -128,7 +142,7 @@ class SolverSpec:
         self.validate()
 
     def validate(self, path="solver"):
-        if not 0.0 < self.theta <= 1.0:
+        if not (_finite_number(self.theta) and 0.0 < self.theta <= 1.0):
             raise ConfigError("theta must lie in (0, 1]", f"{path}.theta")
         for name in ("fp_tol", "lin_tol"):
             if not _positive_finite(getattr(self, name)):
@@ -206,6 +220,10 @@ class ExperimentConfig:
         for key in ("x0", "x1", "y0", "y1", "nx", "ny"):
             if key not in g:
                 raise ConfigError(f"grid.{key} missing", f"grid.{key}")
+        for key in ("x0", "x1", "y0", "y1"):
+            if not _finite_number(g[key]):
+                raise ConfigError(f"must be a finite number, got "
+                                  f"{g[key]!r}", f"grid.{key}")
         counts = (("grid", g, "nx"), ("grid", g, "ny"),
                   ("epsilons", self.epsilons, "rungs"),
                   ("radii", self.radii, "count"))
@@ -271,8 +289,8 @@ class ExperimentConfig:
     def from_dict(cls, d):
         d = dict(d)
         try:
-            balls = [BallSpec(center=tuple(b["center"]), r=float(b["r"]),
-                              on_axis=bool(b.get("on_axis", False)))
+            balls = [BallSpec(center=tuple(b["center"]), r=b["r"],
+                              on_axis=b.get("on_axis", False))
                      for b in d.get("balls", [])]
             params = Params(**d.get("params", {}))
             sv = dict(d.get("solver", {}))

@@ -86,8 +86,8 @@ def _inv_h_logvar(s, lam):
 
 def _quad_piece(a, b, lam, quad_tol):
     """(value, error estimate) of the integral of 1/h(e^s) over (a, b)."""
-    # imported here: scipy.integrate is a large share of the package's
-    # import time, and only paper_model's quadrature uses it
+    # imported here: scipy.integrate is the package's only scipy import on
+    # a run's path, and only paper_model's quadrature makes it
     from scipy.integrate import IntegrationWarning, quad
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)

@@ -12,9 +12,14 @@ Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
 diag(a_y) (x) Ty: every face weight is averaged along y over its grid
 column, and P^-1 is one DST-I along y, one tridiagonal solve in x per sine
-mode and the inverse DST-I (Buzbee, Golub and Nielson 1970).  A form
-diag(q11(x), q22(x)), which every bundled profile is, makes P the system
-itself, so CG stops after one iteration.  For the frozen quasilinear
+mode and the inverse DST-I (Buzbee, Golub and Nielson 1970), on numpy
+alone.  The DST-I is numpy's real FFT of the odd extension, scaled as
+scipy.fft.dst scales it.  The tridiagonal solves are LAPACK dgtsv's
+elimination in its operation order, without its row interchanges: P is
+diagonally dominant, so dgtsv would take none (see _separable_inverse).
+Both match scipy bit for bit; the factors are made once per system.  A
+form diag(q11(x), q22(x)), which every bundled profile is, makes P the
+system itself, so CG stops after one iteration.  For the frozen quasilinear
 coefficients the structural sandwich c_phi Q <= A <= C_phi Q holds face by
 face.  When q11 and q22 depend on x only (every assemble_form field), A/P
 then lies in [c_phi/C_phi, C_phi/c_phi] and cond(P^-1 A) <= (C_phi/c_phi)^2
@@ -40,8 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst, idst
-from scipy.linalg import solve_banded
+from numpy.fft import rfft
 
 from .config import SolverSpec
 from .cutoff import q_gradient
@@ -222,6 +226,26 @@ class SolveStats:
         self.max_pcg_iterations = max(self.max_pcg_iterations, iterations)
 
 
+def _dst1(a, ext, out=None):
+    """Orthonormal DST-I of each row of a (into out when given), by numpy's
+    real FFT.
+
+    ext, an (rows, 2 (n + 1)) buffer whose columns 0 and n + 1 are zero,
+    takes the odd extension [0, a, 0, -a reversed]; its DFT is -2i times
+    the unnormalised DST-I in bins 1..n.  The factor 1/sqrt(2 (n + 1)) is
+    taken in long double and rounded once, and the bins are scaled after
+    the transform, as scipy.fft.dst(type=1, norm="ortho") does, so the
+    result matches it bit for bit.  The DST-I in this norm is its own
+    inverse.
+    """
+    n = a.shape[1]
+    ext[:, 1:n + 1] = a
+    np.negative(a[:, ::-1], out=ext[:, n + 2:])
+    scale = float(np.longdouble(-1) / np.sqrt(np.longdouble(2 * (n + 1))))
+    return np.multiply(rfft(ext, axis=1).imag[:, 1:n + 1], scale,
+                       out=out)
+
+
 def _separable_inverse(system):
     """P^-1 of the column-averaged separable operator.
 
@@ -230,25 +254,49 @@ def _separable_inverse(system):
     (weight a_y per column) the y-faces averaged over the column, so
     P = Tx (x) I + diag(a_y) (x) Ty with Ty = tridiag(-1, 2, -1).  The
     orthonormal DST-I along y diagonalises Ty (eigenvalues
-    2 - 2 cos(pi k / (ny_int + 1))); the sine modes then decouple into
-    tridiagonal systems Tx + lam_k diag(a_y), solved as one banded system
-    with the modes stacked end to end.
+    lam_k = 2 - 2 cos(pi k / (ny_int + 1))); the sine modes then decouple
+    into tridiagonal systems Tx + lam_k diag(a_y), all solved at once with
+    the modes along the second axis.
+
+    Elimination is LAPACK dgtsv's recurrence without its row interchanges,
+    in its operation order, so the solve matches dgtsv bit for bit.  dgtsv
+    swaps rows i and i+1 only when |d'_i| < |dl_i| = a_x(i+1), and in
+    exact arithmetic that never happens: d'_0 = a_x(0) + a_x(1) +
+    lam a_y(0) >= a_x(1), and if d'_i >= a_x(i+1) then d'_(i+1) =
+    a_x(i+2) + lam a_y(i+1) + a_x(i+1) (1 - a_x(i+1) / d'_i) >= a_x(i+2).
+    The factorization is made here, once per system.  A zero (or NaN)
+    pivot means P is singular and raises SingularSystemError.
     """
     ax = system.wx[:, 1:-1].mean(axis=1)          # faces i-(i+1), i < nx-1
     ay = system.wy[1:-1].mean(axis=1)             # interior columns
     nxi, nyi = ay.size, system.wy.shape[1] - 1
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)  # no coupling across modes
-    ab = np.zeros((3, nxi * nyi))
-    ab[0, 1:] = off[:-1]
-    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
-    ab[2, :-1] = off[:-1]
+    du = (-ax[1:-1]).tolist()                     # = dl: Tx is symmetric
+    d = (ax[:-1] + ax[1:])[:, None] + ay[:, None] * lam[None, :]
+    fact = np.empty((nxi - 1, nyi))
+    b = np.empty((nxi, nyi))
+    tmp = np.empty(nyi)
+    # row views, made once: indexing costs as much as a row's arithmetic
+    d_rows, f_rows, b_rows = list(d), list(fact), list(b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, d_i, d_next, f in zip(du, d_rows, d_rows[1:], f_rows):
+            np.divide(c, d_i, out=f)
+            d_next -= np.multiply(f, c, out=tmp)
+    if not np.all(d > 0):
+        raise SingularSystemError("separable preconditioner is singular")
+    ext = np.zeros((nxi, 2 * (nyi + 1)))
+    forward = list(zip(f_rows, b_rows, b_rows[1:]))
+    backward = list(zip(du, d_rows, b_rows, b_rows[1:]))[::-1]
 
     def apply(r):
-        rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
-        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
-        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
-                    axis=1).ravel()
+        _dst1(r.reshape(nxi, nyi), ext, out=b)
+        for f, b_i, b_next in forward:
+            b_next -= np.multiply(f, b_i, out=tmp)
+        b_rows[-1] /= d_rows[-1]
+        for c, d_i, b_i, b_next in backward:
+            b_i -= np.multiply(c, b_next, out=tmp)
+            b_i /= d_i
+        return _dst1(b, ext).ravel()
 
     return apply
 

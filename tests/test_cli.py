@@ -103,8 +103,9 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 # parameter ran f = 1 with exit 0, +inf ran and skipped every ball, a
 # negative one exited 4, and a string one, like a NaN or string boundary
 # coefficient, rhs or a fractional seed, ended in a traceback; the string
-# "false" for quasilinear ran Picard with exit 0.  A dotted key is a path
-# into the section; an empty key sets the top-level field.
+# "false" for quasilinear ran Picard with exit 0; a string theta exited 1
+# naming no field.  A dotted key is a path into the section; an empty key
+# sets the top-level field.
 @pytest.mark.parametrize("section,key,value", [
     ("params", "sigma", math.nan), ("params", "gamma", math.nan),
     ("params", "C", math.nan), ("params", "lam", math.nan),
@@ -117,6 +118,7 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     ("solver", "boundary.c", math.inf), ("solver", "boundary.amp", math.nan),
     ("solver", "boundary.kx", math.nan), ("solver", "boundary.ky", "one"),
     ("solver", "rhs", math.nan), ("solver", "rhs", "half"),
+    ("solver", "theta", "0.7"),
     ("solver", "quasilinear", "false"),
     pytest.param("solver", "boundary", [1.0, 2.0], id="boundary-list"),
     pytest.param("solver", "phi_bounds", [3.0, 1.0], id="phi-reversed"),
@@ -137,6 +139,45 @@ def test_nan_or_fractional_setting_exit_1_with_field_path(
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+
+
+# a string number ended in a traceback (a comparison of a float with a
+# str, or math.isfinite of a str), and a string grid.x0 passed validation;
+# each key path leads from the config's root to the field
+@pytest.mark.parametrize("keys,path", [
+    *(pytest.param(("params", name), f"params.{name}", id=f"params.{name}")
+      for name in ("sigma", "nu", "nu0", "mu", "eta", "C", "gamma",
+                   "cutoff_delta_frac")),
+    *(pytest.param(("grid", name), f"grid.{name}", id=f"grid.{name}")
+      for name in ("x0", "x1", "y0", "y1")),
+    pytest.param(("balls", 0, "center", 0), "balls[0].center", id="center-x"),
+    pytest.param(("balls", 0, "center", 1), "balls[0].center", id="center-y"),
+    pytest.param(("balls", 0, "r"), "balls[0].r", id="r")])
+def test_string_number_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                              capsys, keys, path):
+    raw = json.load(open(smoke_cfg_path))
+    *parents, leaf = keys
+    target = raw
+    for key in parents:
+        target = target[key]
+    target[leaf] = "0.5"
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+
+
+# bool("false") is True: the string ran the ball as an on-axis one
+@pytest.mark.parametrize("value", ["false", 0])
+def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
+    raw = json.load(open(smoke_cfg_path))
+    raw["balls"][0]["on_axis"] = value
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "balls[0].on_axis" in capsys.readouterr().err
 
 
 # the profile's range checks: these exited 4 (a DomainError) or, for a
@@ -596,17 +637,33 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 
 
-def test_pipeline_import_loads_neither_sparse_nor_integrate():
+def test_pipeline_import_loads_neither_sparse_nor_integrate(
+        tmp_path, smoke_cfg_path):
     # each loads inside the one function that needs it, which no bundled
-    # config reaches; a fresh interpreter, since this one has both
+    # config reaches, and the separable preconditioner is numpy's, so the
+    # CLI imports no scipy at all; fresh interpreters, since this one has
+    # scipy loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "
              "('scipy.sparse', 'scipy.integrate') if m in sys.modules])")
-    res = subprocess.run([sys.executable, "-c", child],
-                         env=dict(os.environ, PYTHONPATH=path),
+    res = subprocess.run([sys.executable, "-c", child], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    child = ("import sys, subunit_lab.cli; print([m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')])")
+    res = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+    # a run off the paper_model profile needs no scipy: with
+    # sys.modules["scipy"] = None every scipy import raises ImportError
+    no_scipy = "import sys\nsys.modules['scipy'] = None\n" + RUN_CHILD
+    res = subprocess.run([sys.executable, "-c", no_scipy, smoke_cfg_path,
+                          str(tmp_path / "out")], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_installed_entry_point_runs():

@@ -1,10 +1,13 @@
 """Discrete solver: assembly, maximum principle, Picard, functionals."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import dst, idst
+from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as scipy_cg
@@ -18,7 +21,7 @@ from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                QuasilinearEnvelope, assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
-from subunit_lab.solver import (SolveStats, _harmonic, _norm,
+from subunit_lab.solver import (SolveStats, _dst1, _harmonic, _norm,
                                 _separable_inverse,
                                 assemble_linear, cg, max_principle_slack,
                                 poincare_functional, solve_linear,
@@ -208,6 +211,76 @@ def test_separable_system_exact_preconditioner(profile):
     direct = splu(matrix.tocsc()).solve(system.rhs)
     x = u.values[1:-1, 1:-1].ravel()
     assert np.max(np.abs(x - direct)) < 1e-10
+
+
+def _reference_separable_inverse(system):
+    """P^-1 by scipy: scipy.fft.dst/idst along y and one solve_banded
+    (LAPACK dgtsv) over the sine modes stacked end to end, uncoupled."""
+    ax = system.wx[:, 1:-1].mean(axis=1)
+    ay = system.wy[1:-1].mean(axis=1)
+    nxi, nyi = ay.size, system.wy.shape[1] - 1
+    lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
+    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)
+    ab = np.zeros((3, nxi * nyi))
+    ab[0, 1:] = off[:-1]
+    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
+    ab[2, :-1] = off[:-1]
+
+    def apply(r):
+        rhat = dst(r.reshape(nxi, nyi), type=1, norm="ortho", axis=1)
+        uhat = solve_banded((1, 1), ab, rhat.T.ravel())
+        return idst(uhat.reshape(nyi, nxi).T, type=1, norm="ortho",
+                    axis=1).ravel()
+
+    return apply
+
+
+# odd and even lengths, 2 (n + 1) = 288 not a power of two, and a small n
+@pytest.mark.parametrize("n", [15, 16, 143, 144, 255])
+def test_dst1_matches_scipy_bit_for_bit(n):
+    a = np.random.default_rng(n).standard_normal((7, n))
+    ext = np.zeros((7, 2 * (n + 1)))
+    assert np.array_equal(_dst1(a, ext),
+                          dst(a, type=1, norm="ortho", axis=1))
+
+
+def _face_weights(nx, ny, kind, seed=0):
+    """Random positive face weights on an nx x ny grid; "axis" closes the
+    y-faces of the middle column (the Grushin axis, a_y = 0 there) and
+    "exp" scales the y-faces by exp(-2 / (10 |x|)), 0 on the axis and
+    exponentially small near it (3e-13 next to it at nx = 145)."""
+    rng = np.random.default_rng(seed)
+    wx = rng.uniform(0.5, 2.0, (nx - 1, ny)) * 1e4
+    wy = rng.uniform(0.5, 2.0, (nx, ny - 1)) * 1e4
+    x = np.linspace(-0.5, 0.5, nx)
+    if kind == "axis":
+        wy[nx // 2] = 0.0
+    elif kind == "exp":
+        with np.errstate(divide="ignore"):
+            wy *= np.exp(-2.0 / (10.0 * np.abs(x)))[:, None]
+    return SimpleNamespace(wx=wx, wy=wy)
+
+
+@pytest.mark.parametrize("kind", ["random", "axis", "exp"])
+@pytest.mark.parametrize("shape", [(17, 17), (33, 18), (145, 145),
+                                   (100, 257)], ids="{0[0]}x{0[1]}".format)
+def test_separable_inverse_matches_scipy_bit_for_bit(kind, shape):
+    system = _face_weights(*shape, kind)
+    r = np.random.default_rng(1).standard_normal(
+        (shape[0] - 2) * (shape[1] - 2))
+    M = _separable_inverse(system)
+    expected = _reference_separable_inverse(system)(r)
+    assert np.array_equal(M(r), expected)
+    assert np.array_equal(M(r), expected)      # the factors are reused
+
+
+def test_singular_separable_preconditioner_raises():
+    # every x-face closed and one column without y-faces: that column's
+    # pivot is exactly zero in every sine mode
+    system = _face_weights(17, 17, "axis")
+    system.wx[:] = 0.0
+    with pytest.raises(SingularSystemError):
+        _separable_inverse(system)
 
 
 def test_picard_frozen_system_mesh_independent_iterations():
