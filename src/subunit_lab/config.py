@@ -18,6 +18,16 @@ from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
 
 
+# the pass flags a run reports: the run's own, and each ball's, which the
+# report names ball<k>.<flag> (a skipped ball reports only ball<k>.skipped,
+# which is true, so requiring it would require nothing).  A required_flags
+# entry names one of these, bare (a ball flag then binds every ball) or
+# with its ball's prefix.
+RUN_FLAGS = ("max_principle", "quasilinear_converged")
+BALL_FLAGS = ("containment", "alphas_positive", "growth_increasing",
+              "box_sandwich", "harnack", "moser", "osc_monotone", "osc_pairs")
+
+
 def _number(x):
     """x is an int or a float, not a string or a boolean."""
     return isinstance(x, (int, float)) and not isinstance(x, bool)
@@ -203,8 +213,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
-        if not self.name:
-            raise ConfigError("experiment needs a name", "name")
+        if not (isinstance(self.name, str) and self.name):
+            raise ConfigError(f"experiment needs a name, a non-empty "
+                              f"string, got {self.name!r}", "name")
         for key in ("kind", "param"):
             if key not in self.profile:
                 raise ConfigError("missing", f"profile.{key}")
@@ -238,6 +249,15 @@ class ExperimentConfig:
             raise ConfigError("need at least one ball", "balls")
         for k, b in enumerate(self.balls):
             b.validate(f"balls[{k}]")
+        self._validate_required_flags()
+        if not isinstance(self.compare_budgets, dict):
+            raise ConfigError(f"must be an object, got "
+                              f"{self.compare_budgets!r}", "compare_budgets")
+        for key, budget in self.compare_budgets.items():
+            if not _positive_finite(budget):
+                raise ConfigError(f"a budget must be a positive finite "
+                                  f"number, got {budget!r}",
+                                  f"compare_budgets.{key}")
         e = self.epsilons
         if not _positive_finite(e.get("eps0", 0)) or e.get("rungs", 0) < 3:
             raise ConfigError("epsilon ladder needs finite eps0 > 0 and "
@@ -253,6 +273,20 @@ class ExperimentConfig:
         self.params.validate()
         self.solver.validate()
         return self
+
+    def _validate_required_flags(self):
+        if not isinstance(self.required_flags, list):
+            raise ConfigError(f"must be a list of flag names, got "
+                              f"{self.required_flags!r}", "required_flags")
+        known = set(RUN_FLAGS + BALL_FLAGS) | {
+            f"ball{k}.{flag}" for k in range(len(self.balls))
+            for flag in BALL_FLAGS}
+        for k, name in enumerate(self.required_flags):
+            if not (isinstance(name, str) and name in known):
+                raise ConfigError(
+                    f"names no flag a run reports, got {name!r}; the flags "
+                    f"are {', '.join(RUN_FLAGS + BALL_FLAGS)}, a ball's "
+                    f"also as ball<k>.<flag>", f"required_flags[{k}]")
 
     # -- construction helpers ------------------------------------------------
 
@@ -304,9 +338,8 @@ class ExperimentConfig:
                   epsilons=d.get("epsilons", {"eps0": 0.1, "rungs": 4}),
                   radii=d.get("radii", {"r_max": 0.4, "count": 5}),
                   params=params, solver=solver,
-                  required_flags=list(d.get("required_flags", [])),
-                  compare_budgets=dict(d.get("compare_budgets",
-                                             {"default": 0.30})),
+                  required_flags=d.get("required_flags", []),
+                  compare_budgets=d.get("compare_budgets", {"default": 0.30}),
                   seed=d.get("seed", 0))
         return cfg.validate()
 

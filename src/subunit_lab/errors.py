@@ -25,7 +25,7 @@ class DomainError(SubunitLabError):
 
 class ProfileError(DomainError):
     """A degeneracy profile setting outside its domain; field names it
-    (kind, param or domain_cap)."""
+    (kind, param, domain_cap or quad_tol)."""
 
     def __init__(self, message, field):
         super().__init__(message)

@@ -15,10 +15,13 @@ where the cube root of the negative number ln x is the real one.  h is
 finite and increasing on (0, domain_cap], blows up at 1, and tends to 0
 as x -> 0+ far more slowly than any power of ln ln(1/x) would suggest:
 h is still ~0.84 at x = exp(-1e6).  The quadrature for I(x) runs in the
-log variable t = e^s, where the integrand 1/h(e^s) is smooth and bounded.
-For x < 1/e it is split at s = -1, and the tail piece over (-1, 0) is the
-same for every such x: it is integrated once per (lambda, quad_tol) and
-reused by every column of every grid.
+log variable t = e^s, where the integrand 1/h(e^s) is smooth and bounded,
+by the package's own port of QUADPACK's qags (quadpack.qags), which gives
+SciPy's quad bit for bit on the standard library alone.  For x < 1/e it
+is split at s = -1, and the tail piece over (-1, 0) is the same for every
+such x: it is integrated once per (lambda, quad_tol).  I(|x|) itself is
+memoized per (|x|, lambda, quad_tol), so a column x that recurs, in
+another grid or in the same one at -x, costs no second quadrature.
 
 A quasilinear envelope multiplies the degenerate entry by a bounded
 modulation phi(z), keeping the same form Q as its structural envelope.
@@ -26,7 +29,6 @@ modulation phi(z), keeping the same form Q as its structural envelope.
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,19 +88,51 @@ def _inv_h_logvar(s, lam):
 
 def _quad_piece(a, b, lam, quad_tol):
     """(value, error estimate) of the integral of 1/h(e^s) over (a, b)."""
-    # imported here: scipy.integrate is the package's only scipy import on
-    # a run's path, and only paper_model's quadrature makes it
-    from scipy.integrate import IntegrationWarning, quad
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return quad(_inv_h_logvar, a, b, args=(lam,), limit=200,
-                    epsabs=quad_tol, epsrel=10.0 * quad_tol)
+    # imported here: only paper_model integrates, so a run on another
+    # profile never loads (and, without cached bytecode, never compiles)
+    # the module
+    from .quadpack import qags
+    return qags(lambda s: _inv_h_logvar(s, lam), a, b, epsabs=quad_tol,
+                epsrel=10.0 * quad_tol, limit=200)
 
 
 @functools.lru_cache(maxsize=None)
 def _tail_piece(lam, quad_tol):
     # the piece over (-1, 0) does not depend on x
     return _quad_piece(-1.0, 0.0, lam, quad_tol)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _log_integral(x, lam, quad_tol):
+    """I(x) = integral_x^1 dt/(t h(t)) for 0 < x < 1, by Gauss-Kronrod
+    quadrature (quadpack.qags) in s = ln t.  Memoized per (x, lambda,
+    quad_tol); the LRU bound keeps a long-lived process from growing the
+    memo without limit.
+
+    Split at s = -1: on (-1, 0) the integrand is flat-zero to all orders
+    at the endpoint (x near 1), which defeats a single adaptive pass.
+    The tail piece over (-1, 0) does not depend on x, so it is
+    integrated once per (lambda, quad_tol) (_tail_piece); the sums, the
+    error estimate and its budget are those of two fresh qags calls.
+    x >= 1/e takes one pass over (ln x, 0).  Raises QuadratureError when
+    the summed error estimate exceeds 100 quad_tol max(1, I); a raise is
+    not memoized, so asking again raises again.
+    """
+    lo = math.log(x)
+    if lo < -1.0:
+        pieces = [_quad_piece(lo, -1.0, lam, quad_tol),
+                  _tail_piece(lam, quad_tol)]
+    else:
+        pieces = [_quad_piece(lo, 0.0, lam, quad_tol)]
+    val = err = 0.0
+    for v, e in pieces:
+        val += v
+        err += e
+    budget = 100.0 * quad_tol * max(1.0, abs(val))
+    if err > budget:
+        raise QuadratureError(
+            f"I({x}) error estimate {err:.3e} exceeds budget {budget:.3e}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -121,35 +155,12 @@ class DegeneracyProfile:
             if not 0.0 < self.domain_cap < 1.0:
                 raise ProfileError("domain_cap must lie in (0, 1)",
                                    "domain_cap")
+            if not 0.0 < self.quad_tol < math.inf:
+                raise ProfileError("quad_tol must be positive and finite",
+                                   "quad_tol")
         elif self.param < 0:
             raise ProfileError("profile parameter must be nonnegative",
                                "param")
-
-    def _log_integral(self, x):
-        """I(x) = integral_x^1 dt/(t h(t)) via Gauss-Kronrod in s = ln t.
-
-        Split at s = -1: on (-1, 0) the integrand is flat-zero to all orders
-        at the endpoint (x near 1), which defeats a single adaptive pass.
-        The tail piece over (-1, 0) does not depend on x, so it is
-        integrated once per (lambda, quad_tol) (_tail_piece); the sums, the
-        error estimate and its budget are those of two fresh quad calls.
-        x >= 1/e takes one pass over (ln x, 0).
-        """
-        lam, tol = self.param, self.quad_tol
-        lo = math.log(x)
-        if lo < -1.0:
-            pieces = [_quad_piece(lo, -1.0, lam, tol), _tail_piece(lam, tol)]
-        else:
-            pieces = [_quad_piece(lo, 0.0, lam, tol)]
-        val = err = 0.0
-        for v, e in pieces:
-            val += v
-            err += e
-        budget = 100.0 * tol * max(1.0, abs(val))
-        if err > budget:
-            raise QuadratureError(
-                f"I({x}) error estimate {err:.3e} exceeds budget {budget:.3e}")
-        return val
 
     def _value_pos(self, x):
         # x > 0 assumed
@@ -159,7 +170,7 @@ class DegeneracyProfile:
             return x ** self.param if self.param > 0 else 1.0
         if self.kind == "exponential":
             return math.exp(-self.param / x)
-        return math.exp(-self._log_integral(x))
+        return math.exp(-_log_integral(x, self.param, self.quad_tol))
 
     def value(self, x):
         """f(|x|): even extension, f(0) = 0 for the vanishing profiles."""
@@ -188,7 +199,7 @@ class DegeneracyProfile:
         if ax >= self.domain_cap:
             raise DomainError(
                 f"paper_model restricted to |x| < {self.domain_cap}, got {x}")
-        return -self._log_integral(ax)
+        return -_log_integral(ax, self.param, self.quad_tol)
 
 
 @dataclass(frozen=True)

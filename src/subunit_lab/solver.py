@@ -193,7 +193,8 @@ def _audit_connectivity(grid, wx, wy):
     # boundary by a straight walk in x (or in y), so no island can exist
     if np.all(wx > 0) or np.all(wy > 0):
         return
-    # no bundled config gets here, so scipy.sparse loads only when needed
+    # no bundled config gets here, so scipy.sparse loads only when needed;
+    # it is the package's one scipy import
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     nx, ny = grid.shape

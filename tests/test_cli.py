@@ -13,7 +13,7 @@ import pytest
 
 from subunit_lab import metric, pipeline
 from subunit_lab.cli import main
-from subunit_lab.config import ExperimentConfig
+from subunit_lab.config import BALL_FLAGS, RUN_FLAGS, ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
@@ -104,8 +104,10 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 # negative one exited 4, and a string one, like a NaN or string boundary
 # coefficient, rhs or a fractional seed, ended in a traceback; the string
 # "false" for quasilinear ran Picard with exit 0; a string theta exited 1
-# naming no field.  A dotted key is a path into the section; an empty key
-# sets the top-level field.
+# naming no field.  A name of 5 ran the whole pipeline and then failed
+# the report's schema with a traceback; a budget of "x" ran with exit 0.
+# A dotted key is a path into the section; an empty key sets the
+# top-level field.
 @pytest.mark.parametrize("section,key,value", [
     ("params", "sigma", math.nan), ("params", "gamma", math.nan),
     ("params", "C", math.nan), ("params", "lam", math.nan),
@@ -124,7 +126,13 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     pytest.param("solver", "phi_bounds", [3.0, 1.0], id="phi-reversed"),
     pytest.param("solver", "phi_bounds", [0.0, 3.0], id="phi-zero"),
     pytest.param("solver", "phi_bounds", [1.0, math.inf], id="phi-inf"),
-    ("seed", "", 2.5), ("seed", "", math.nan), ("seed", "", "seven")])
+    ("seed", "", 2.5), ("seed", "", math.nan), ("seed", "", "seven"),
+    ("name", "", 5), ("name", "", ""),
+    ("compare_budgets", "default", "x"),
+    ("compare_budgets", "default", math.nan),
+    ("compare_budgets", "default", -0.3),
+    ("compare_budgets", "default", math.inf),
+    pytest.param("compare_budgets", "", "x", id="budgets-string")])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
     raw = json.load(open(smoke_cfg_path))
@@ -166,6 +174,35 @@ def test_string_number_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+
+
+# a required flag that names no reported flag required nothing: the run
+# exited 0 whatever the flags said
+@pytest.mark.parametrize("required,path", [
+    (["no_such_flag"], "required_flags[0]"),
+    (["harnack", "harnak"], "required_flags[1]"),
+    (["ball1.harnack"], "required_flags[0]"),
+    (["ball0.max_principle"], "required_flags[0]"),
+    (["skipped"], "required_flags[0]"),
+    ([5], "required_flags[0]"),
+    ("harnack", "required_flags")])
+def test_unknown_required_flag_exit_1_with_field_path(
+        tmp_path, smoke_cfg_path, capsys, required, path):
+    raw = json.load(open(smoke_cfg_path))
+    raw["required_flags"] = required
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+
+
+def test_reported_flags_are_the_requirable_ones(smoke_run):
+    # RUN_FLAGS and BALL_FLAGS, which required_flags is checked against,
+    # are the pass flags a run reports; the smoke run reports every one
+    rep = load_report(smoke_run / "report.json")
+    assert set(rep["flags"]) == set(RUN_FLAGS) | {
+        f"ball0.{flag}" for flag in BALL_FLAGS}
 
 
 # bool("false") is True: the string ran the ball as an on-axis one
@@ -607,7 +644,7 @@ PICARD_103 = {
 }
 RUN_CHILD = """
 import sys
-from subunit_lab.config import ExperimentConfig
+from subunit_lab.config import BALL_FLAGS, RUN_FLAGS, ExperimentConfig
 from subunit_lab.pipeline import run_experiment
 _, failed = run_experiment(ExperimentConfig.load(sys.argv[1]), sys.argv[2])
 sys.exit(1 if failed else 0)
@@ -639,10 +676,10 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_pipeline_import_loads_neither_sparse_nor_integrate(
         tmp_path, smoke_cfg_path):
-    # each loads inside the one function that needs it, which no bundled
-    # config reaches, and the separable preconditioner is numpy's, so the
-    # CLI imports no scipy at all; fresh interpreters, since this one has
-    # scipy loaded
+    # scipy.sparse loads inside the one function that needs it, which no
+    # bundled config reaches, the separable preconditioner is numpy's and
+    # paper_model's quadrature is quadpack.qags, so the CLI imports no
+    # scipy at all; fresh interpreters, since this one has scipy loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "
@@ -664,6 +701,27 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
                           str(tmp_path / "out")], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+    # nor does the paper's profile: neither evaluating f, which integrates
+    # I(x), nor a whole run on it (the smoke config with its profile
+    # switched measures its ball with every required flag true)
+    child = ("import sys\nfrom subunit_lab.forms import DegeneracyProfile\n"
+             "DegeneracyProfile('paper_model', 9.0).value(0.3)\n"
+             "print([m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')])")
+    res = subprocess.run([sys.executable, "-c", child], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+    raw = json.load(open(smoke_cfg_path))
+    raw["profile"] = {"kind": "paper_model", "param": 9.0}
+    paper_cfg = tmp_path / "paper-smoke.json"
+    paper_cfg.write_text(json.dumps(raw))
+    res = subprocess.run([sys.executable, "-c", no_scipy, str(paper_cfg),
+                          str(tmp_path / "paper-out")], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    flags = load_report(tmp_path / "paper-out" / "report.json")["flags"]
+    assert "ball0.skipped" not in flags and all(flags.values())
 
 
 def test_installed_entry_point_runs():

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from subunit_lab.errors import DomainError, QuadratureError
+from subunit_lab import forms
+from subunit_lab.errors import DomainError, ProfileError, QuadratureError
 from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
                                _inv_h_logvar, assemble_form, envelope_check,
                                eval_h, eval_h_log, lambda_from_sigma)
@@ -139,6 +140,39 @@ def test_quadrature_error_raised_for_impossible_tolerance():
     p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
     with pytest.raises(QuadratureError):
         p.value(0.5)
+
+
+def test_quadrature_error_raised_again_on_retry():
+    # the memo of I(|x|) keeps values, not raises
+    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
+    for _ in range(2):
+        with pytest.raises(QuadratureError):
+            p.log_value(0.6)
+
+
+def test_log_integral_memoized_per_abs_x(monkeypatch):
+    # a column at -x or in a second grid reuses I(|x|); a tolerance no
+    # other test uses keeps the memo cold for this profile
+    calls = []
+    piece = forms._quad_piece
+    monkeypatch.setattr(forms, "_quad_piece",
+                        lambda *a: calls.append(a) or piece(*a))
+    p = DegeneracyProfile("paper_model", 9.0, quad_tol=3.7e-10)
+    first = [p.log_value(x) for x in (0.2, 0.6)]
+    n = len(calls)
+    assert n == 3                       # (ln 0.2, -1), the tail, (ln 0.6, 0)
+    again = [p.log_value(x) for x in (-0.2, 0.6, -0.6)]
+    assert len(calls) == n and again == [first[0], first[1], first[1]]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_quad_tol_must_be_positive_and_finite(tol):
+    # quad raised ValueError on a tolerance <= 0 (QUADPACK's ier = 6), and
+    # a NaN or infinite one returned a value no budget could judge (I(0.6)
+    # read 0.421894 at NaN and 0.421906 at inf); qags checks neither
+    with pytest.raises(ProfileError) as info:
+        DegeneracyProfile("paper_model", 9.0, quad_tol=tol)
+    assert info.value.field == "quad_tol"
 
 
 def _two_piece_log_integral(x, lam, tol):
