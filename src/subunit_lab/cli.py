@@ -14,7 +14,6 @@ non-convergence, 4 diagnostic hard-fail (a required pass flag is false).
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,7 +25,8 @@ from .errors import (ConfigError, GeometryError, MonotonicityError,
                      RangeError, ResolutionError, SolverError,
                      SubunitLabError)
 from .metric import solve_ladder
-from .reporting import compare, format_diff, json_safe, load_report, write_csv
+from .reporting import (compare, format_diff, load_report, write_csv,
+                        write_json)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,9 +117,7 @@ def cmd_diagnose(args):
             entry["diagnostics"] = ball_report["diagnostics"]
         report[f"ball{k}"] = entry
     path = os.path.join(args.out, "diagnostics.json")
-    with open(path, "w") as fh:
-        json.dump(json_safe(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, report)
     print(f"diagnostics -> {path}")
     return EXIT_OK
 

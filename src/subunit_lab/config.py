@@ -9,13 +9,14 @@ SolverSpec is the one settings type of the solver, which takes it as is.
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
 from .errors import ConfigError, ProfileError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
+from .reporting import write_json
 
 
 # the pass flags a run reports: the run's own, and each ball's, which the
@@ -28,15 +29,11 @@ BALL_FLAGS = ("containment", "alphas_positive", "growth_increasing",
               "box_sandwich", "harnack", "moser", "osc_monotone", "osc_pairs")
 
 
-def _number(x):
-    """x is an int or a float, not a string or a boolean."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _finite_number(x):
-    """x is a number other than NaN and +-Infinity (json.load accepts
-    both)."""
-    return _number(x) and math.isfinite(x)
+    """x is an int or a float, not a string or a boolean, other than NaN
+    and +-Infinity (json.load accepts both)."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and math.isfinite(x)
 
 
 def _positive_finite(x):
@@ -220,8 +217,8 @@ class ExperimentConfig:
             if key not in self.profile:
                 raise ConfigError("missing", f"profile.{key}")
         for key in ("param", "domain_cap"):
-            if key in self.profile and not _number(self.profile[key]):
-                raise ConfigError(f"must be a number, got "
+            if key in self.profile and not _finite_number(self.profile[key]):
+                raise ConfigError(f"must be a finite number, got "
                                   f"{self.profile[key]!r}", f"profile.{key}")
         try:
             self.make_profile()        # the profile's own range checks
@@ -321,27 +318,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        """The validated config of a JSON document.  A key the document
+        lacks keeps its field's default; name, profile, grid and balls
+        have none.  Unknown keys are ignored."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"must be an object, got {d!r}", "config")
+        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        for name in ("name", "profile", "grid", "balls"):
+            if name not in kw:
+                raise ConfigError("missing", name)
+        for name in ("profile", "grid", "epsilons", "radii", "params",
+                     "solver"):
+            if not isinstance(kw.get(name, {}), dict):
+                raise ConfigError(f"must be an object, got {kw[name]!r}",
+                                  name)
+        balls = kw["balls"]
+        if not (isinstance(balls, list)
+                and all(isinstance(b, dict) for b in balls)):
+            raise ConfigError(f"must be a list of objects, got {balls!r}",
+                              "balls")
         try:
-            balls = [BallSpec(center=tuple(b["center"]), r=b["r"],
-                              on_axis=b.get("on_axis", False))
-                     for b in d.get("balls", [])]
-            params = Params(**d.get("params", {}))
-            sv = dict(d.get("solver", {}))
+            kw["balls"] = [BallSpec(center=tuple(b["center"]), r=b["r"],
+                                    on_axis=b.get("on_axis", False))
+                           for b in balls]
+            kw["params"] = Params(**kw.get("params", {}))
+            sv = dict(kw.get("solver", {}))
             if "phi_bounds" in sv:
                 sv["phi_bounds"] = tuple(sv["phi_bounds"])
-            solver = SolverSpec(**sv)
+            kw["solver"] = SolverSpec(**sv)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed config: {exc}", "config") from exc
-        cfg = cls(name=d.get("name", ""), profile=d.get("profile", {}),
-                  grid=d.get("grid", {}), balls=balls,
-                  epsilons=d.get("epsilons", {"eps0": 0.1, "rungs": 4}),
-                  radii=d.get("radii", {"r_max": 0.4, "count": 5}),
-                  params=params, solver=solver,
-                  required_flags=d.get("required_flags", []),
-                  compare_budgets=d.get("compare_budgets", {"default": 0.30}),
-                  seed=d.get("seed", 0))
-        return cfg.validate()
+        return cls(**kw).validate()
 
     @classmethod
     def load(cls, path):
@@ -355,6 +362,4 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict())

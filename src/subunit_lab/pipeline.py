@@ -14,7 +14,8 @@ Artifact layout under the output directory:
     diagnostics/  per-ball JSON with all constants and pass flags
     plots/        self-contained SVG charts
     report.json   the deterministic report (no timestamps)
-    run_meta.json wall-clock metadata, excluded from the determinism contract:
+    run_meta.json wall-clock metadata, excluded from the determinism contract
+                  (indented and key-sorted like every JSON artifact):
                   elapsed seconds, per-stage wall seconds (STAGES, ball
                   stages summed over balls), the solver's work counters,
                   the fast-marching counters (solves, frozen nodes,
@@ -30,7 +31,6 @@ them; the CLI subcommands call them one at a time and write through the
 same table writers.
 """
 
-import json
 import math
 import os
 import time
@@ -50,7 +50,7 @@ from .errors import (ChainTooShortError, DomainError, GeometryError,
                      RangeError, ResolutionError)
 from .forms import QuasilinearEnvelope, assemble_form, envelope_check
 from .metric import FmmStats, ball, solve_distance
-from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_report
+from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_json
 from .solver import (SolveStats, assemble_linear, max_principle_slack,
                      poincare_functional, solve_linear, solve_quasilinear,
                      sobolev_functional)
@@ -569,15 +569,14 @@ def run_experiment(cfg, out_dir, strict=False):
     with _timed(times, "artifacts"):
         _write_solution_artifacts(out, u_lin, q_result)
         report = json_safe(report)
-        write_report(report, out("report.json"))
-    with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
-        json.dump({"elapsed_seconds": time.time() - t0,
-                   "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "stages": times,
-                   "solver": asdict(stats),
-                   "metric": asdict(fmm),
-                   "artifact_bytes": out.sizes()}, fh)
-        fh.write("\n")
+        write_json(out("report.json"), report)
+    write_json(os.path.join(out_dir, "run_meta.json"),
+               {"elapsed_seconds": time.time() - t0,
+                "written_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+                "stages": times,
+                "solver": asdict(stats),
+                "metric": asdict(fmm),
+                "artifact_bytes": out.sizes()})
     failed = _failed_flags(report, cfg, strict)
     return report, failed
 
@@ -696,10 +695,8 @@ def _write_ball_artifacts(out, ball_id, art, ball_report):
                             seq.supports[:4], grid,
                             title=f"{ball_id} cutoff supports")
 
-    with open(out("diagnostics", f"{ball_id}.json"), "w") as fh:
-        json.dump(json_safe(ball_report["diagnostics"]), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    write_json(out("diagnostics", f"{ball_id}.json"),
+               ball_report["diagnostics"])
 
     radii = g["radii"]
     svgplot.line_chart(

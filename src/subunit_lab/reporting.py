@@ -1,30 +1,25 @@
-"""Report persistence, schema validation, CSV export, and report diffing."""
+"""Artifact persistence (one JSON writer, CSV tables) and report diffing.
+
+A report's shape is fixed by the code that builds it.  Its packaged
+contract is schemas/report.schema.json, which the tests check reports
+against; a run does not.
+"""
 
 import csv
-import importlib.resources as resources
 import json
 import math
-
-import jsonschema
 
 from .errors import SchemaMismatchError
 
 SCHEMA_VERSION = "2"
 
 
-def load_schema():
-    ref = resources.files("subunit_lab").joinpath("schemas/report.schema.json")
-    return json.loads(ref.read_text())
-
-
-def validate_report(report):
-    jsonschema.validate(report, load_schema())
-
-
-def write_report(report, path):
-    validate_report(report)
+def write_json(path, obj):
+    """obj through json_safe, indented, key-sorted and newline-terminated:
+    the same object always gives the same bytes."""
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(json_safe(obj), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")
 
 

@@ -1,6 +1,12 @@
 """Shared fixtures.  Distance fields are expensive (fast marching), so the
-standard grids/fields are session-scoped and reused across test modules."""
+standard grids/fields are session-scoped and reused across test modules.
+Every report.json the session writes is checked against the packaged
+schema when the session ends."""
 
+import importlib.resources as resources
+import json
+
+import jsonschema
 import numpy as np
 import pytest
 
@@ -9,6 +15,29 @@ from subunit_lab.grid import GridSpec
 from subunit_lab.metric import solve_distance
 
 EPS_FINE = 1e-3
+
+
+def validate_report(report):
+    """Raise jsonschema.ValidationError unless report fits the packaged
+    schemas/report.schema.json.  jsonschema.validate first checks the
+    schema itself against its metaschema (SchemaError)."""
+    ref = resources.files("subunit_lab").joinpath("schemas/report.schema.json")
+    jsonschema.validate(report, json.loads(ref.read_text()))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def every_report_fits_the_schema(tmp_path_factory):
+    """After the last test, validate every report.json under the session's
+    base temp directory: each test run writes its reports there, child
+    interpreters' included, whatever branch the run took."""
+    yield
+    for path in sorted(tmp_path_factory.getbasetemp().rglob("report.json")):
+        with open(path) as fh:
+            report = json.load(fh)
+        try:
+            validate_report(report)
+        except jsonschema.ValidationError as exc:
+            pytest.fail(f"{path}: {exc.message}")
 
 
 @pytest.fixture(scope="session")

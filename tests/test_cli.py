@@ -8,8 +8,10 @@ import shutil
 import subprocess
 import sys
 
+import jsonschema
 import numpy as np
 import pytest
+from conftest import validate_report
 
 from subunit_lab import metric, pipeline
 from subunit_lab.cli import main
@@ -18,7 +20,7 @@ from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
 from subunit_lab.pipeline import ARTIFACT_DIRS, STAGES, write_grid_csv
-from subunit_lab.reporting import compare, load_report, validate_report
+from subunit_lab.reporting import compare, load_report
 from subunit_lab.svgplot import HEATMAP_CELLS
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
@@ -106,6 +108,9 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 # "false" for quasilinear ran Picard with exit 0; a string theta exited 1
 # naming no field.  A name of 5 ran the whole pipeline and then failed
 # the report's schema with a traceback; a budget of "x" ran with exit 0.
+# A section that is not an object ended in a traceback (epsilons, radii,
+# profile, grid) or exited 1 naming only the config (params, solver,
+# balls and a ball that is not an object).
 # A dotted key is a path into the section; an empty key sets the
 # top-level field.
 @pytest.mark.parametrize("section,key,value", [
@@ -132,7 +137,15 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     ("compare_budgets", "default", math.nan),
     ("compare_budgets", "default", -0.3),
     ("compare_budgets", "default", math.inf),
-    pytest.param("compare_budgets", "", "x", id="budgets-string")])
+    pytest.param("compare_budgets", "", "x", id="budgets-string"),
+    pytest.param("epsilons", "", [1], id="epsilons-list"),
+    pytest.param("radii", "", "x", id="radii-string"),
+    pytest.param("profile", "", 5, id="profile-number"),
+    pytest.param("grid", "", 5, id="grid-number"),
+    pytest.param("params", "", [1], id="params-list"),
+    pytest.param("solver", "", 5, id="solver-number"),
+    pytest.param("balls", "", "x", id="balls-string"),
+    pytest.param("balls", "", ["x"], id="ball-string")])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
     raw = json.load(open(smoke_cfg_path))
@@ -147,6 +160,28 @@ def test_nan_or_fractional_setting_exit_1_with_field_path(
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
+
+
+# name, profile, grid and balls have no default
+@pytest.mark.parametrize("field", ["name", "profile", "grid", "balls"])
+def test_missing_section_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                                capsys, field):
+    raw = json.load(open(smoke_cfg_path))
+    del raw[field]
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert field in capsys.readouterr().err
+
+
+# a document that is not an object ended in a traceback
+def test_config_not_an_object_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("5\n")
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "config: must be an object" in capsys.readouterr().err
 
 
 # a string number ended in a traceback (a comparison of a float with a
@@ -218,7 +253,8 @@ def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
 
 
 # the profile's range checks: these exited 4 (a DomainError) or, for a
-# string domain_cap, ended in a traceback
+# string domain_cap, ended in a traceback; an infinite domain_cap on a
+# profile that ignores it ran, and JSON has no infinity to dump it as
 @pytest.mark.parametrize("profile,path", [
     ({"kind": "paper_model", "param": 1.0}, "profile.param"),
     ({"kind": "paper_model", "param": 9.0, "domain_cap": 1.5},
@@ -227,8 +263,11 @@ def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
      "profile.domain_cap"),
     ({"kind": "paper_model", "param": 9.0, "domain_cap": "0.9"},
      "profile.domain_cap"),
+    ({"kind": "power", "param": 1.0, "domain_cap": math.inf},
+     "profile.domain_cap"),
     ({"kind": "cubic", "param": 1.0}, "profile.kind")],
-    ids=["lambda-1", "cap-1.5", "cap-nan", "cap-string", "kind"])
+    ids=["lambda-1", "cap-1.5", "cap-nan", "cap-string", "cap-inf-power",
+         "kind"])
 def test_invalid_profile_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                 capsys, profile, path):
     raw = json.load(open(smoke_cfg_path))
@@ -286,6 +325,13 @@ def test_smoke_run_all_flags_and_artifact_tree(smoke_run):
     assert (smoke_run / "plots" / "ball0_volumes.svg").exists()
     header = open(smoke_run / "balls" / "ball0.csv").readline().strip()
     assert header == "r,volume,doubling_ratio,delta,delta_over_r,g_of_r"
+
+
+def test_schema_check_rejects_a_non_boolean_flag(smoke_run):
+    rep = load_report(smoke_run / "report.json")
+    rep["flags"]["max_principle"] = "true"
+    with pytest.raises(jsonschema.ValidationError, match="boolean"):
+        validate_report(rep)
 
 
 def test_report_byte_determinism(tmp_path, smoke_cfg_path, smoke_run):
@@ -679,7 +725,8 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
     # scipy.sparse loads inside the one function that needs it, which no
     # bundled config reaches, the separable preconditioner is numpy's and
     # paper_model's quadrature is quadpack.qags, so the CLI imports no
-    # scipy at all; fresh interpreters, since this one has scipy loaded
+    # scipy at all; nor any schema engine, since a run does not validate
+    # its report; fresh interpreters, since this one has scipy loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "
@@ -689,11 +736,17 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
     child = ("import sys, subunit_lab.cli; print([m for m in sys.modules "
-             "if m == 'scipy' or m.startswith('scipy.')])")
+             "if m == 'scipy' or m.startswith(('scipy.', 'jsonschema', "
+             "'referencing'))])")
     res = subprocess.run([sys.executable, "-c", child], env=env,
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    no_schema = "import sys\nsys.modules['jsonschema'] = None\n" + RUN_CHILD
+    res = subprocess.run([sys.executable, "-c", no_schema, smoke_cfg_path,
+                          str(tmp_path / "no-schema-out")], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
     # a run off the paper_model profile needs no scipy: with
     # sys.modules["scipy"] = None every scipy import raises ImportError
     no_scipy = "import sys\nsys.modules['scipy'] = None\n" + RUN_CHILD
