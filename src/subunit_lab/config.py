@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, ProfileError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
-from .reporting import write_json
+from .reporting import DEFAULT_BUDGET, write_json
 
 
 # the pass flags a run reports: the run's own, and each ball's, which the
@@ -54,6 +54,31 @@ def _positive_count(x, path):
     return int(x)
 
 
+def _known_keys(d, keys, path):
+    """A ConfigError naming the first key of the object d that is not among
+    keys, the settings of the section at path ("" for the top level)."""
+    for key in d:
+        if key not in keys:
+            raise ConfigError(f"names no setting; the keys are "
+                              f"{', '.join(keys)}",
+                              f"{path}.{key}" if path else key)
+
+
+def _setting_names(cls):
+    return [f.name for f in fields(cls)]
+
+
+# the keys of the sections a config holds as plain objects
+_SECTION_KEYS = {
+    "profile": ("kind", "param", "domain_cap"),
+    "grid": ("x0", "x1", "y0", "y1", "nx", "ny"),
+    "epsilons": ("eps0", "rungs"),
+    "radii": ("r_max", "count"),
+}
+_BOUNDARY_KEYS = {"affine": ("kind", "ax", "by", "c"),
+                  "trig": ("kind", "c", "amp", "kx", "ky")}
+
+
 @dataclass
 class BallSpec:
     center: tuple          # (x, y) in domain coordinates
@@ -64,10 +89,12 @@ class BallSpec:
         if not _positive_finite(self.r):
             raise ConfigError(f"ball radius must be a positive finite "
                               f"number, got {self.r!r}", f"{path}.r")
-        if not (len(self.center) == 2
+        if not (isinstance(self.center, (list, tuple))
+                and len(self.center) == 2
                 and all(map(_finite_number, self.center))):
             raise ConfigError(f"ball center must be two finite numbers, "
-                              f"got {list(self.center)!r}", f"{path}.center")
+                              f"got {self.center!r}", f"{path}.center")
+        self.center = tuple(self.center)
         if not isinstance(self.on_axis, bool):
             raise ConfigError(f"must be true or false, got "
                               f"{self.on_axis!r}", f"{path}.on_axis")
@@ -165,7 +192,8 @@ class SolverSpec:
         if kind not in ("affine", "trig"):
             raise ConfigError("boundary.kind must be affine or trig",
                               f"{path}.boundary.kind")
-        for name in ("ax", "by", "c", "amp", "kx", "ky"):
+        _known_keys(self.boundary, _BOUNDARY_KEYS[kind], f"{path}.boundary")
+        for name in _BOUNDARY_KEYS[kind][1:]:
             if name in self.boundary and \
                     not _finite_number(self.boundary[name]):
                 raise ConfigError(f"must be a finite number, got "
@@ -175,10 +203,12 @@ class SolverSpec:
             raise ConfigError(f"rhs is the constant f and must be a finite "
                               f"number, got {self.rhs!r}", f"{path}.rhs")
         bounds = self.phi_bounds
-        if not (len(bounds) == 2 and all(map(_finite_number, bounds))
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                and all(map(_finite_number, bounds))
                 and 0.0 < bounds[0] <= bounds[1]):
             raise ConfigError(f"must be finite numbers with 0 < c_phi <= "
                               f"C_phi, got {bounds!r}", f"{path}.phi_bounds")
+        self.phi_bounds = tuple(bounds)
         if not isinstance(self.quasilinear, bool):
             raise ConfigError(f"must be true or false, got "
                               f"{self.quasilinear!r}", f"{path}.quasilinear")
@@ -206,13 +236,16 @@ class ExperimentConfig:
     params: Params = dc_field(default_factory=Params)
     solver: SolverSpec = dc_field(default_factory=SolverSpec)
     required_flags: list = dc_field(default_factory=list)
-    compare_budgets: dict = dc_field(default_factory=lambda: {"default": 0.30})
+    compare_budgets: dict = dc_field(
+        default_factory=lambda: {"default": DEFAULT_BUDGET})
     seed: int = 0
 
     def validate(self):
         if not (isinstance(self.name, str) and self.name):
             raise ConfigError(f"experiment needs a name, a non-empty "
                               f"string, got {self.name!r}", "name")
+        for section, keys in _SECTION_KEYS.items():
+            _known_keys(getattr(self, section), keys, section)
         for key in ("kind", "param"):
             if key not in self.profile:
                 raise ConfigError("missing", f"profile.{key}")
@@ -221,7 +254,7 @@ class ExperimentConfig:
                 raise ConfigError(f"must be a finite number, got "
                                   f"{self.profile[key]!r}", f"profile.{key}")
         try:
-            self.make_profile()        # the profile's own range checks
+            profile = self.make_profile()  # the profile's own range checks
         except ProfileError as exc:
             raise ConfigError(str(exc), f"profile.{exc.field}") from exc
         g = self.grid
@@ -242,10 +275,26 @@ class ExperimentConfig:
         if g["nx"] < 17 or g["ny"] < 17:
             raise ConfigError("grid too coarse for any measurement",
                               "grid.nx/ny")
+        grid = self.make_grid()
+        if profile.kind == "paper_model":
+            # the nodes' own x, as the form is assembled on them
+            xs = grid.xs()
+            for key, x in (("x0", xs[0]), ("x1", xs[-1])):
+                if abs(x) >= profile.domain_cap:
+                    raise ConfigError(
+                        f"the paper_model profile needs |x| < its domain "
+                        f"cap {profile.domain_cap}, got {g[key]!r}",
+                        f"grid.{key}")
         if not self.balls:
             raise ConfigError("need at least one ball", "balls")
         for k, b in enumerate(self.balls):
             b.validate(f"balls[{k}]")
+            try:
+                grid.nearest_node(*b.center)
+            except ConfigError as exc:
+                raise ConfigError(
+                    f"center {list(b.center)!r} lies outside the grid",
+                    f"balls[{k}].center") from exc
         self._validate_required_flags()
         if not isinstance(self.compare_budgets, dict):
             raise ConfigError(f"must be an object, got "
@@ -320,10 +369,12 @@ class ExperimentConfig:
     def from_dict(cls, d):
         """The validated config of a JSON document.  A key the document
         lacks keeps its field's default; name, profile, grid and balls
-        have none.  Unknown keys are ignored."""
+        have none, nor has a ball's center or r.  A key that names no
+        setting is an error naming its path."""
         if not isinstance(d, dict):
             raise ConfigError(f"must be an object, got {d!r}", "config")
-        kw = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        _known_keys(d, _setting_names(cls), "")
+        kw = dict(d)
         for name in ("name", "profile", "grid", "balls"):
             if name not in kw:
                 raise ConfigError("missing", name)
@@ -337,17 +388,17 @@ class ExperimentConfig:
                 and all(isinstance(b, dict) for b in balls)):
             raise ConfigError(f"must be a list of objects, got {balls!r}",
                               "balls")
-        try:
-            kw["balls"] = [BallSpec(center=tuple(b["center"]), r=b["r"],
-                                    on_axis=b.get("on_axis", False))
-                           for b in balls]
-            kw["params"] = Params(**kw.get("params", {}))
-            sv = dict(kw.get("solver", {}))
-            if "phi_bounds" in sv:
-                sv["phi_bounds"] = tuple(sv["phi_bounds"])
-            kw["solver"] = SolverSpec(**sv)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config: {exc}", "config") from exc
+        ball_keys = _setting_names(BallSpec)
+        for k, b in enumerate(balls):
+            _known_keys(b, ball_keys, f"balls[{k}]")
+            for name in ("center", "r"):
+                if name not in b:
+                    raise ConfigError("missing", f"balls[{k}].{name}")
+        kw["balls"] = [BallSpec(**b) for b in balls]
+        for name, spec in (("params", Params), ("solver", SolverSpec)):
+            section = kw.get(name, {})
+            _known_keys(section, _setting_names(spec), name)
+            kw[name] = spec(**section)
         return cls(**kw).validate()
 
     @classmethod

@@ -56,11 +56,13 @@ class GridSpec:
         return (self.x0 + i * self.hx, self.y0 + j * self.hy)
 
     def nearest_node(self, x, y):
-        i = int(round((x - self.x0) / self.hx))
-        j = int(round((y - self.y0) / self.hy))
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise ConfigError(f"point ({x}, {y}) outside the grid", "grid")
-        return (i, j)
+        fi, fj = (x - self.x0) / self.hx, (y - self.y0) / self.hy
+        # the coarse test first: round() of an overflowed quotient raises
+        if -1 < fi < self.nx and -1 < fj < self.ny:
+            i, j = int(round(fi)), int(round(fj))
+            if 0 <= i < self.nx and 0 <= j < self.ny:
+                return (i, j)
+        raise ConfigError(f"point ({x}, {y}) outside the grid", "grid")
 
     def contains_node(self, node):
         i, j = node

@@ -13,6 +13,9 @@ from .errors import SchemaMismatchError
 
 SCHEMA_VERSION = "2"
 
+# the drift budget of a constant that its report's budgets do not name
+DEFAULT_BUDGET = 0.30
+
 
 def write_json(path, obj):
     """obj through json_safe, indented, key-sorted and newline-terminated:
@@ -72,19 +75,21 @@ def _walk_constants(report):
     return out
 
 
-def compare(report_a, report_b, budgets=None):
+def compare(report_a, report_b):
     """Tabulate constant drift between two runs.
 
     Returns (rows, flagged) where rows are (key, a, b, drift, budget, ok)
-    and drift = |a - b| / max(|a|, |b|).  Keys present in only one report
-    are skipped (refinement pairs may differ in resolvable bands).
+    and drift = |a - b| / max(|a|, |b|).  A key's budget is report_a's
+    budget of that key, else its default, else DEFAULT_BUDGET.  Keys
+    present in only one report are skipped (refinement pairs may differ in
+    resolvable bands).
     """
     if report_a.get("schema_version") != report_b.get("schema_version"):
         raise SchemaMismatchError(
             f"schema versions differ: {report_a.get('schema_version')} vs "
             f"{report_b.get('schema_version')}")
-    budgets = budgets or report_a.get("budgets") or {"default": 0.30}
-    default = float(budgets.get("default", 0.30))
+    budgets = report_a.get("budgets") or {}
+    default = float(budgets.get("default", DEFAULT_BUDGET))
     ca, cb = _walk_constants(report_a), _walk_constants(report_b)
     rows, flagged = [], []
     for key in sorted(set(ca) & set(cb)):

@@ -5,8 +5,9 @@ coefficients, held and applied matrix-free as the face weights.  The
 interior operator is symmetric positive semidefinite with M-matrix sign
 structure, so the discrete maximum principle holds for f = 0 and exact
 zeros in q22 are tolerated as long as every interior node connects to the
-boundary through positive-coefficient faces.  The quasilinear problem is
-solved by damped Picard iteration on the frozen-coefficient linear problem.
+boundary through positive-coefficient faces, which assembly audits by a
+flood fill from the boundary.  The quasilinear problem is solved by damped
+Picard iteration on the frozen-coefficient linear problem.
 
 Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
@@ -42,6 +43,7 @@ discrete functions over metric balls.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,24 +195,35 @@ def _audit_connectivity(grid, wx, wy):
     # boundary by a straight walk in x (or in y), so no island can exist
     if np.all(wx > 0) or np.all(wy > 0):
         return
-    # no bundled config gets here, so scipy.sparse loads only when needed;
-    # it is the package's one scipy import
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-    nx, ny = grid.shape
-    n = nx * ny
-    idx = np.arange(n).reshape(nx, ny)
-    rows = np.concatenate([idx[:-1][wx > 0], idx[:, :-1][wy > 0]])
-    cols = np.concatenate([idx[1:][wx > 0], idx[:, 1:][wy > 0]])
-    g = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
-    _, labels = connected_components(g, directed=False)
-    bmask = grid.boundary_mask().ravel()
-    bad = np.flatnonzero(~np.isin(labels, labels[bmask]) & ~bmask)
-    if bad.size:
-        nodes = [(int(k // ny), int(k % ny)) for k in bad]
+    ny = grid.ny
+    reached = _flood_from_boundary(grid, wx, wy)
+    nodes = [(k // ny, k % ny) for k, r in enumerate(reached) if not r]
+    if nodes:
         raise SingularSystemError(
             f"{len(nodes)} interior nodes form degeneracy islands with no "
             f"boundary connection (first: {nodes[:5]})", nodes)
+
+
+def _flood_from_boundary(grid, wx, wy):
+    """Per node (flat, j fastest), whether a path of positive faces links
+    it to a boundary node: a breadth-first flood from every boundary node."""
+    ny = grid.ny
+    # open_x[k]: the face from node k to k + ny is positive; open_y[k]:
+    # the face from k to k + 1.  The last row of open_x and the last column
+    # of open_y are False, and a step below 0 wraps into them, so no index
+    # leaves the grid and no row wraps into the next.
+    open_x = np.pad(wx > 0, ((0, 1), (0, 0))).ravel().tolist()
+    open_y = np.pad(wy > 0, ((0, 0), (0, 1))).ravel().tolist()
+    reached = grid.boundary_mask().ravel().tolist()
+    queue = deque(k for k, r in enumerate(reached) if r)
+    while queue:
+        k = queue.popleft()
+        for m, is_open in ((k - ny, open_x[k - ny]), (k + ny, open_x[k]),
+                           (k - 1, open_y[k - 1]), (k + 1, open_y[k])):
+            if is_open and not reached[m]:
+                reached[m] = True
+                queue.append(m)
+    return reached
 
 
 @dataclass

@@ -20,7 +20,7 @@ from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
 from subunit_lab.pipeline import ARTIFACT_DIRS, STAGES, write_grid_csv
-from subunit_lab.reporting import compare, load_report
+from subunit_lab.reporting import DEFAULT_BUDGET, compare, load_report
 from subunit_lab.svgplot import HEATMAP_CELLS
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
@@ -110,7 +110,10 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 # the report's schema with a traceback; a budget of "x" ran with exit 0.
 # A section that is not an object ended in a traceback (epsilons, radii,
 # profile, grid) or exited 1 naming only the config (params, solver,
-# balls and a ball that is not an object).
+# balls and a ball that is not an object).  A key that names no setting
+# ran with exit 0 (requried_flags, epsilon, grid.nz, profile.lam,
+# radii.cnt, and amp on an affine boundary) or exited 1 naming only the
+# config (params.nuu, solver.lin_tool, and phi_bounds that is no list).
 # A dotted key is a path into the section; an empty key sets the
 # top-level field.
 @pytest.mark.parametrize("section,key,value", [
@@ -145,7 +148,14 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     pytest.param("params", "", [1], id="params-list"),
     pytest.param("solver", "", 5, id="solver-number"),
     pytest.param("balls", "", "x", id="balls-string"),
-    pytest.param("balls", "", ["x"], id="ball-string")])
+    pytest.param("balls", "", ["x"], id="ball-string"),
+    pytest.param("solver", "phi_bounds", 5, id="phi-number"),
+    pytest.param("solver", "boundary.kind", ["affine"], id="kind-list"),
+    pytest.param("requried_flags", "", [], id="unknown-top-level"),
+    pytest.param("epsilon", "", {"eps0": 0.1}, id="unknown-section"),
+    ("grid", "nz", 3), ("profile", "lam", 9.0), ("radii", "cnt", 4),
+    ("epsilons", "eps", 0.1), ("params", "nuu", 0.5),
+    ("solver", "lin_tool", 1e-12), ("solver", "boundary.amp", 0.5)])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
     raw = json.load(open(smoke_cfg_path))
@@ -155,6 +165,67 @@ def test_nan_or_fractional_setting_exit_1_with_field_path(
     for name in parents:
         target = target[name]
     target[leaf] = value
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+
+
+# amp, kx and ky are settings of trig data only (on affine data they name
+# no setting), so their range check is a trig boundary's
+@pytest.mark.parametrize("key", ["amp", "kx", "ky", "c"])
+def test_nan_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                                  capsys, key):
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"]["boundary"] = dict(TRIG, **{key: math.nan})
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert (f"solver.boundary.{key}: must be a finite number"
+            in capsys.readouterr().err)
+
+
+# a key of a ball that names no setting ran with exit 0; a ball without
+# r or center, or with a center that is no list, exited 1 naming only the
+# config; a center off the grid exited 1 naming the grid, after the form
+# and the solve had run, and one far enough off ended in a traceback
+# (round() of an infinite quotient)
+@pytest.mark.parametrize("change,path", [
+    pytest.param({"radius": 0.2}, "balls[0].radius", id="unknown-key"),
+    pytest.param({"r": None}, "balls[0].r", id="no-r"),
+    pytest.param({"center": None}, "balls[0].center", id="no-center"),
+    pytest.param({"center": 5}, "balls[0].center", id="center-number"),
+    pytest.param({"center": [0.0, 2.0]}, "balls[0].center", id="off-grid"),
+    pytest.param({"center": [0.0, 1e308]}, "balls[0].center",
+                 id="far-off-grid")])
+def test_ball_exit_1_with_field_path(tmp_path, smoke_cfg_path, capsys,
+                                     change, path, monkeypatch):
+    raw = json.load(open(smoke_cfg_path))
+    ball = raw["balls"][0]
+    ball.update(change)
+    for key in [k for k, v in change.items() if v is None]:
+        del ball[key]
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    # the config is rejected before any stage runs
+    monkeypatch.setattr(pipeline, "build_form",
+                        lambda cfg: pytest.fail("a stage ran"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert path in capsys.readouterr().err
+
+
+# a paper_model grid past the domain cap exited 4 from the form assembly
+@pytest.mark.parametrize("x0,x1,path", [(-0.95, 0.95, "grid.x0"),
+                                        (-0.5, 0.95, "grid.x1"),
+                                        (-0.9, 0.5, "grid.x0")])
+def test_paper_model_grid_past_domain_cap_exit_1(tmp_path, smoke_cfg_path,
+                                                 capsys, x0, x1, path):
+    raw = json.load(open(smoke_cfg_path))
+    raw["profile"] = {"kind": "paper_model", "param": 9.0}
+    raw["grid"].update(x0=x0, x1=x1)
     bad = tmp_path / "bad.json"
     json.dump(raw, open(bad, "w"))
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
@@ -349,6 +420,28 @@ def test_compare_identical_reports_empty_diff(smoke_run):
     assert rows
     assert not flagged
     assert all(r[3] == 0.0 for r in rows)
+
+
+def test_compare_default_budget_is_the_config_default(smoke_run):
+    # a report that names no budget is compared against the default that
+    # a config without compare_budgets gets
+    rep = load_report(smoke_run / "report.json")
+    rep.pop("budgets")
+    raw = json.load(open(SMOKE))
+    del raw["compare_budgets"]
+    cfg = ExperimentConfig.from_dict(raw)
+    assert cfg.compare_budgets == {"default": DEFAULT_BUDGET}
+    other = json.loads(json.dumps(rep))
+    constants = other["balls"]["ball0"]["constants"]
+    key = next(k for k, v in sorted(constants.items())
+               if isinstance(v, float) and v > 0)
+    constants[key] *= 1.0 - 0.9 * DEFAULT_BUDGET
+    rows, flagged = compare(rep, other)
+    assert {r[4] for r in rows} == {DEFAULT_BUDGET}
+    assert flagged == []
+    constants[key] = rep["balls"]["ball0"]["constants"][key] \
+        * (1.0 - 1.1 * DEFAULT_BUDGET)
+    assert compare(rep, other)[1] == [f"ball0.{key}"]
 
 
 def test_compare_schema_mismatch(smoke_run):
@@ -696,6 +789,22 @@ _, failed = run_experiment(ExperimentConfig.load(sys.argv[1]), sys.argv[2])
 sys.exit(1 if failed else 0)
 """
 
+ISLAND_CHILD = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from subunit_lab.errors import SingularSystemError
+from subunit_lab.grid import GridSpec
+from subunit_lab.solver import assemble_linear
+g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+q = np.ones(g.shape)
+q[10:15, 10:15] = 0.0
+try:
+    assemble_linear(q, q, g)
+except SingularSystemError as exc:
+    print(exc.island_nodes)
+"""
+
 
 def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
@@ -722,11 +831,11 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_pipeline_import_loads_neither_sparse_nor_integrate(
         tmp_path, smoke_cfg_path):
-    # scipy.sparse loads inside the one function that needs it, which no
-    # bundled config reaches, the separable preconditioner is numpy's and
-    # paper_model's quadrature is quadpack.qags, so the CLI imports no
-    # scipy at all; nor any schema engine, since a run does not validate
-    # its report; fresh interpreters, since this one has scipy loaded
+    # the connectivity audit is a flood fill, the separable
+    # preconditioner is numpy's and paper_model's quadrature is
+    # quadpack.qags, so the CLI imports no scipy at all; nor any schema
+    # engine, since a run does not validate its report; fresh
+    # interpreters, since this one has scipy loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "
@@ -775,6 +884,13 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
     assert res.returncode == 0, res.stderr
     flags = load_report(tmp_path / "paper-out" / "report.json")["flags"]
     assert "ball0.skipped" not in flags and all(flags.values())
+    # nor does the connectivity audit find an island: a closed 5 x 5
+    # block is reported node by node
+    res = subprocess.run([sys.executable, "-c", ISLAND_CHILD], env=env,
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == str([(i, j) for i in range(10, 15)
+                                      for j in range(10, 15)])
 
 
 def test_installed_entry_point_runs():

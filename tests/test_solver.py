@@ -327,19 +327,58 @@ def test_degeneracy_island_reported_with_nodes():
     assert (12, 12) in exc.value.island_nodes
 
 
+def _reference_islands(grid, q11, q22):
+    """Interior nodes whose positive-face component holds no boundary
+    node, in linear order, by scipy's connected_components: the reference
+    of the audit's flood fill."""
+    nx, ny = grid.shape
+    wx = _harmonic(q11[:-1, :], q11[1:, :])
+    wy = _harmonic(q22[:, :-1], q22[:, 1:])
+    idx = np.arange(nx * ny).reshape(nx, ny)
+    rows = np.concatenate([idx[:-1][wx > 0], idx[:, :-1][wy > 0]])
+    cols = np.concatenate([idx[1:][wx > 0], idx[:, 1:][wy > 0]])
+    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                          shape=(nx * ny, nx * ny))
+    _, labels = connected_components(graph, directed=False)
+    bmask = grid.boundary_mask().ravel()
+    bad = np.flatnonzero(~np.isin(labels, labels[bmask]) & ~bmask)
+    return [(int(k // ny), int(k % ny)) for k in bad]
+
+
+# seeded random zeros of q11 and q22; 33 x 57 and 57 x 33 put the flood's
+# row ends where a square grid cannot tell a wrapped index from a neighbour
+@pytest.mark.parametrize("shape,density,seed", [
+    ((33, 33), 0.15, 0), ((33, 33), 0.3, 1), ((33, 33), 0.5, 2),
+    ((33, 57), 0.3, 3), ((57, 33), 0.3, 4),
+    ((145, 145), 0.2, 5), ((145, 145), 0.35, 6), ((145, 145), 0.5, 7),
+    ((513, 513), 0.3, 8)])
+def test_audit_islands_match_connected_components(shape, density, seed):
+    rng = np.random.default_rng(seed)
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, *shape)
+    q11 = np.where(rng.random(shape) < density, 0.0, 1.0)
+    q22 = np.where(rng.random(shape) < density, 0.0, 1.0)
+    nodes = _reference_islands(g, q11, q22)
+    assert nodes
+    with pytest.raises(SingularSystemError) as exc:
+        assemble_linear(q11, q22, g, 0.0, 0.0)
+    assert exc.value.island_nodes == nodes
+    assert str(exc.value) == (
+        f"{len(nodes)} interior nodes form degeneracy islands with no "
+        f"boundary connection (first: {nodes[:5]})")
+
+
 def test_audit_builds_no_graph_when_every_row_or_column_is_open(
         monkeypatch):
     # every x-face (or y-face) positive: each node reaches the boundary
-    # along its row (or column), so the audit needs no component search
+    # along its row (or column), so the audit needs no flood fill
     calls = []
+    flood = solver._flood_from_boundary
 
-    def components(*args, **kwargs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return connected_components(*args, **kwargs)
+        return flood(*args, **kwargs)
 
-    # the audit imports the component search when it needs it
-    monkeypatch.setattr("scipy.sparse.csgraph.connected_components",
-                        components)
+    monkeypatch.setattr(solver, "_flood_from_boundary", counted)
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
     ones, zeros = np.ones(g.shape), np.zeros(g.shape)
     assemble_linear(ones, zeros, g, 0.0, 0.0)
