@@ -9,7 +9,7 @@ import csv
 import json
 import math
 
-from .errors import SchemaMismatchError
+from .errors import ConfigError, SchemaMismatchError
 
 SCHEMA_VERSION = "2"
 
@@ -27,8 +27,19 @@ def write_json(path, obj):
 
 
 def load_report(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON object in path; a file that cannot be read or holds no JSON
+    object raises ConfigError naming path."""
+    try:
+        with open(path) as fh:
+            report = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read report {path}: {exc.strerror}") \
+            from exc
+    except ValueError as exc:   # invalid JSON or undecodable bytes
+        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
+    if not isinstance(report, dict):
+        raise ConfigError(f"report {path} is not a JSON object")
+    return report
 
 
 def json_safe(x):

@@ -379,6 +379,57 @@ def test_max_principle_tolerance_scales_with_boundary_range(smoke_cfg_path,
     assert info["max_principle_ok"] is False
 
 
+def test_median_is_numpys_bit_for_bit(monkeypatch):
+    # ties included, but not a tie of 0.0 with -0.0, where either is a
+    # median: the fit's differences of logs are never -0.0
+    rng = np.random.default_rng(20)
+    for n in range(1, 41):
+        x = rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)
+        x[rng.random(n) < 0.1] = 0.0
+        x[rng.random(n) < 0.1] = x[0]
+        for values in (x.tolist(), list(x), x):
+            assert (pipeline._median(values).hex()
+                    == float(np.median(values)).hex()), (n, values)
+    # the two medians of the delta-law fit on grushin-145's ball1: the
+    # pairwise slopes, then the intercepts at the chosen slope
+    raw = json.load(open(os.path.join(os.path.dirname(SMOKE),
+                                      "grushin-box-256.json")))
+    raw["grid"].update(nx=145, ny=145)
+    cfg = ExperimentConfig.from_dict(raw)
+    form = pipeline.build_form(cfg)
+    spec = cfg.balls[1]
+    _, field = pipeline.metric_stage(cfg, form, spec)
+    seen = []
+    median = pipeline._median
+    monkeypatch.setattr(pipeline, "_median",
+                        lambda v: seen.append(v) or median(v))
+    pipeline.geometry_stage(cfg, form, spec, field)
+    assert len(seen) == 2 and isinstance(seen[0], list) and len(seen[0]) > 3
+    for values in seen:
+        assert median(values).hex() == float(np.median(values)).hex()
+
+
+def test_envelope_draw_is_seeded_and_finds_a_violation(smoke_cfg_path):
+    # phi = 2 + tanh z exceeds 2.5 only for z > 0.55, so the violation
+    # and its size come from the draw: 40 draws of z ~ N(0, 2) miss that
+    # with probability 0.61^40 ~ 3e-9.  (A lower bound above 1 would not
+    # test the draw: a11 = q11 violates it by c_phi - 1 at every node.)
+    # The linear solve alone is enough; the draw does not depend on the
+    # Picard loop.
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"].update(phi_bounds=[1.0, 2.5], quasilinear=False)
+    form = pipeline.build_form(ExperimentConfig.from_dict(raw))
+    violations = []
+    for seed in range(5):
+        raw["seed"] = seed
+        cfg = ExperimentConfig.from_dict(raw)
+        info = pipeline.solve_global(cfg, form)[3]
+        assert pipeline.solve_global(cfg, form)[3] == info
+        assert info["envelope_max_violation"] > 0.0
+        violations.append(info["envelope_max_violation"])
+    assert len(set(violations)) > 1
+
+
 def test_missing_config_exit_1(tmp_path):
     code = main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")])
@@ -455,6 +506,23 @@ def test_compare_schema_mismatch(smoke_run):
 def test_compare_cli_exit_codes(tmp_path, smoke_run):
     rep_path = str(smoke_run / "report.json")
     assert main(["compare", rep_path, rep_path]) == 0
+
+
+# each ended in a traceback: FileNotFoundError, JSONDecodeError and an
+# AttributeError from compare's report_a.get
+@pytest.mark.parametrize("content", [None, "{\n", "[1, 2]\n"],
+                         ids=["missing", "invalid-json", "list"])
+def test_compare_bad_report_exit_1_naming_it(tmp_path, smoke_run, capsys,
+                                             content):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    good = str(smoke_run / "report.json")
+    for pair in ([str(bad), good], [good, str(bad)]):
+        assert main(["compare", *pair]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
 
 def test_growth_failure_exit_4(tmp_path, smoke_cfg_path, capsys):
@@ -891,6 +959,42 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == str([(i, j) for i in range(10, 15)
                                       for j in range(10, 15)])
+
+
+LOADS_CHILD = """
+import json, sys
+from subunit_lab.config import ExperimentConfig
+from subunit_lab.forms import assemble_form
+from subunit_lab import pipeline
+with open(sys.argv[1]) as fh:
+    cfg = ExperimentConfig.from_dict(json.load(fh))
+assemble_form(cfg.make_profile(), cfg.make_grid())
+before = set(sys.modules)
+pipeline.run_experiment(cfg, sys.argv[2])
+print(sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("case", ["smoke", "picard-103", "paper-smoke"])
+def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
+    # set-up as the run benchmark times it (package import, config,
+    # profile and form), then a run that imports nothing more: numpy's
+    # median would load numpy.ma, and numpy's generator numpy.random with
+    # hashlib, secrets and its Cython runtime, about 6 MB resident
+    raw = json.load(open(smoke_cfg_path))
+    if case == "picard-103":
+        raw = PICARD_103
+    elif case == "paper-smoke":
+        raw["profile"] = {"kind": "paper_model", "param": 9.0}
+    cfg = tmp_path / f"{case}.json"
+    cfg.write_text(json.dumps(raw))
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", LOADS_CHILD, str(cfg),
+                          str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_installed_entry_point_runs():
