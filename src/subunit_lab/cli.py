@@ -33,6 +33,7 @@ EXIT_CONFIG = 1
 EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_DIAGNOSTIC = 4
+PICARD_FAILED = "solver: quasilinear iteration did not converge"
 
 
 def _load(args):
@@ -107,7 +108,7 @@ def cmd_solve(args):
 def cmd_diagnose(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
-    u, *_ = pipeline.solve_global(cfg, form)
+    u, _, q_result, _ = pipeline.solve_global(cfg, form)
     report = {}
     for k, spec in enumerate(cfg.balls):
         ball_report, flags, art = pipeline.run_ball_or_skip(
@@ -119,6 +120,10 @@ def cmd_diagnose(args):
     path = os.path.join(args.out, "diagnostics.json")
     write_json(path, report)
     print(f"diagnostics -> {path}")
+    if q_result is not None and not q_result.converged:
+        # measured on the linear solution, as `run` does; `run` exits 3 too
+        print(PICARD_FAILED, file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -129,7 +134,7 @@ def cmd_run(args):
     n_true = sum(1 for v in report["flags"].values() if v)
     print(f"{cfg.name}: {n_true}/{n_flags} pass flags true -> {args.out}")
     if not report["flags"].get("quasilinear_converged", True):
-        print("solver: quasilinear iteration did not converge", file=sys.stderr)
+        print(PICARD_FAILED, file=sys.stderr)
         return EXIT_SOLVER
     if failed:
         print(f"required flags failed: {', '.join(failed)}", file=sys.stderr)

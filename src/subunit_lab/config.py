@@ -238,6 +238,9 @@ class ExperimentConfig:
     required_flags: list = dc_field(default_factory=list)
     compare_budgets: dict = dc_field(
         default_factory=lambda: {"default": DEFAULT_BUDGET})
+    # validated and echoed in report.json, but read by no stage; kept so
+    # that configs carrying it, and the run benchmark's --seed, which
+    # writes it, still load
     seed: int = 0
 
     def validate(self):

@@ -25,6 +25,9 @@ another grid or in the same one at -x, costs no second quadrature.
 
 A quasilinear envelope multiplies the degenerate entry by a bounded
 modulation phi(z), keeping the same form Q as its structural envelope.
+Its worst violation of the structural condition
+c_phi xi'Q xi <= xi'A(x, z) xi <= C_phi xi'Q xi over every node, z and
+direction has a closed form (envelope_violation).
 """
 
 import functools
@@ -38,10 +41,6 @@ from .grid import GridSpec
 
 DEFAULT_DOMAIN_CAP = 0.9
 DEFAULT_QUAD_TOL = 1e-10
-
-# probe directions for quadratic-form comparisons (axes and diagonals)
-_S = 1.0 / math.sqrt(2.0)
-PROBE_XIS = ((1.0, 0.0), (0.0, 1.0), (_S, _S), (_S, -_S))
 
 
 def lambda_from_sigma(sigma):
@@ -236,47 +235,36 @@ def assemble_form(profile, grid):
                               underflow_radius=underflow_radius)
 
 
+# the open range of default_phi, approached as z -> -inf and z -> +inf
+PHI_RANGE = (1.0, 3.0)
+
+
 def default_phi(z):
-    """Bounded modulation for the quasilinear demo, range (1, 3)."""
+    """Bounded modulation for the quasilinear demo, range PHI_RANGE."""
     return 2.0 + np.tanh(z)
 
 
 @dataclass(frozen=True)
 class QuasilinearEnvelope:
-    """A(x, z) = diag(q11, phi(z) q22) with declared bounds on phi."""
+    """A(x, z) = diag(q11, phi(z) q22)."""
 
     base: QuadraticFormField
     phi: callable = default_phi
-    c_phi: float = 1.0
-    C_phi: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.c_phi <= self.C_phi:
-            raise DomainError("phi bounds must satisfy 0 < c_phi <= C_phi")
 
     def coefficients(self, z):
         """Frozen diagonal (a11, a22) at modulation state z (scalar or array)."""
         return self.base.q11, self.phi(z) * self.base.q22
 
 
-def envelope_check(env, samples):
-    """Probe the structural sandwich c_phi*xi'Q xi <= xi'A xi <= C_phi*xi'Q xi.
+def envelope_violation(form, c_phi, C_phi):
+    """Worst relative violation of c_phi xi'Q xi <= xi'A xi <= C_phi xi'Q xi
+    for A = diag(q11, default_phi(z) q22), over every node of form, every
+    z and every direction xi, floored at 0.
 
-    samples: iterable of ((i, j), z).  Returns the worst relative violation
-    over the fixed probe set, floored at 0; 0 up to rounding when the
-    declared bounds hold.
+    The quotient xi'A xi / xi'Q xi is 1 along e1 (q11 carries no phi),
+    phi(z) along e2 where q22 > 0, and a convex mix of the two in
+    between.  So its infimum and supremum over the grid are those of {1}
+    and PHI_RANGE, or of {1} alone when q22 is 0 at every node.
     """
-    samples = list(samples)
-    if not samples:
-        raise DomainError("envelope_check needs at least one sample")
-    q11, q22 = env.base.q11, env.base.q22
-    worst = -math.inf
-    for (i, j), z in samples:
-        a11, a22 = q11[i, j], float(env.phi(z)) * q22[i, j]
-        for xi in PROBE_XIS:
-            qv = q11[i, j] * xi[0] ** 2 + q22[i, j] * xi[1] ** 2
-            av = a11 * xi[0] ** 2 + a22 * xi[1] ** 2
-            scale = max(qv, 1e-300)
-            v = max(env.c_phi * qv - av, av - env.C_phi * qv) / scale
-            worst = max(worst, v)
-    return max(worst, 0.0)
+    ratios = (1.0,) + (PHI_RANGE if np.any(form.q22 > 0) else ())
+    return max(0.0, c_phi - min(ratios), max(ratios) - C_phi)

@@ -33,7 +33,6 @@ same table writers.
 
 import math
 import os
-import random
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
@@ -49,7 +48,7 @@ from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
                           oscillation_curve, shift_m)
 from .errors import (ChainTooShortError, DomainError, GeometryError,
                      RangeError, ResolutionError)
-from .forms import QuasilinearEnvelope, assemble_form, envelope_check
+from .forms import QuasilinearEnvelope, assemble_form, envelope_violation
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_json
 from .solver import (SolveStats, assemble_linear, max_principle_slack,
@@ -93,11 +92,6 @@ def _adaptive_radii(field, r_lo_hint, r_hi):
     if lo >= r_hi:
         raise ResolutionError(f"no resolvable radius band below {r_hi:g}")
     return list(np.geomspace(lo, r_hi, VOLUME_RADII))
-
-
-def _delta_at(analytics, r):
-    base_c = analytics.C_doubling if analytics.C_doubling else 2.0
-    return geometry.nondoubling_order(analytics, r, base_c)[0]
 
 
 FLAT_SLOPE_TOL = 0.1
@@ -155,12 +149,9 @@ def solve_global(cfg, form, stats=None):
     """One linear + optional quasilinear solve shared by all balls.
 
     The Dirichlet data is evaluated once, at the form's nodes, and both
-    solves read those values.  The quasilinear envelope's sandwich is
-    probed at 40 (node, z) pairs drawn from random.Random(cfg.seed): the
-    node uniform over the grid, z ~ N(0, 2).  numpy's own import loads
-    the standard library's generator; numpy's generator would be a run's
-    first import of numpy.random and its Cython runtime, about 6 MB
-    resident.
+    solves read those values.  info's envelope_max_violation is the
+    quasilinear envelope's worst violation of the declared phi_bounds
+    over every node and z (forms.envelope_violation), in closed form.
 
     Returns (u, u_lin, q_result, info): u is the solution the ball stages
     measure on, the quasilinear one when it converged and the linear one
@@ -175,12 +166,7 @@ def solve_global(cfg, form, stats=None):
     bvals = system.boundary_values[form.grid.boundary_mask()]
     spread = float(np.ptp(bvals)) or 1.0
 
-    env = QuasilinearEnvelope(base=form, c_phi=spec.phi_bounds[0],
-                              C_phi=spec.phi_bounds[1])
-    rng = random.Random(cfg.seed)
-    samples = [((rng.randrange(form.grid.nx), rng.randrange(form.grid.ny)),
-                rng.gauss(0.0, 2.0)) for _ in range(40)]
-    env_violation = envelope_check(env, samples)
+    env = QuasilinearEnvelope(base=form)
     q_result = (solve_quasilinear(env, g, spec, stats) if spec.quasilinear
                 else None)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
@@ -188,7 +174,8 @@ def solve_global(cfg, form, stats=None):
     info = {
         "linear_max_principle_slack": mp,
         "max_principle_ok": bool(mp <= MP_TOL * spread) if f_is_zero else True,
-        "envelope_max_violation": env_violation,
+        "envelope_max_violation": envelope_violation(form,
+                                                     *spec.phi_bounds),
     }
     if q_result is not None:
         info["quasilinear_converged"] = bool(q_result.converged)
@@ -321,8 +308,8 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
     """
     grid = form.grid
     p = cfg.params
-    delta_nu = _delta_at(analytics, p.nu * spec.r)
-    delta_r = _delta_at(analytics, spec.r)
+    delta_nu = geometry.nondoubling_order(analytics, p.nu * spec.r)[0]
+    delta_r = geometry.nondoubling_order(analytics, spec.r)[0]
     # cutoff ramps must span a few cells or discrete gradients quantize to
     # 1/h; pin to frac*r when configured, else apply a resolution floor
     ramp_floor = 3.0 * max(grid.hx, grid.hy)
@@ -414,7 +401,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
     moser = moser_iterate(vals, finest, spec.r, p.gamma, p.sigma, p.nu,
                           seq.supports, cuts.delta_nu_used, m)
     logest = log_estimate(vals, finest, spec.r, cuts.delta_r_used, form, m)
-    delta_nu0 = _delta_at(analytics, p.nu0 * spec.r)
+    delta_nu0 = geometry.nondoubling_order(analytics, p.nu0 * spec.r)[0]
     har = harnack_check(vals, finest, spec.r, p.nu0, p.sigma, delta_nu0, m,
                         C_cal=math.e)
     lb = local_bound_check(vals, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
@@ -437,8 +424,8 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
             c_fit, s_fit = geo.law
             delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
         else:
-            delta_of = lambda s: _delta_at(analytics,
-                                           max(s, analytics.radii[0]))
+            delta_of = lambda s: geometry.nondoubling_order(
+                analytics, max(s, analytics.radii[0]))[0]
         osc = oscillation_curve(
             chain_u, chain_fields, chain, p.nu0, p.mu,
             lambda r: log_c_har(p.nu0 * r, delta_of(p.nu0 * r), p.sigma,

@@ -30,7 +30,8 @@ from subunit_lab.diagnostics import (harnack_check, harnack_exponent,
                                      log_c_har, log_estimate,
                                      oscillation_curve, schedule_gamma,
                                      shift_m)
-from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
+from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
+                               assemble_form, eval_h)
 from subunit_lab.geometry import (box_sandwich, fill_delta_curve,
                                   growth_condition_check, nondoubling_order,
                                   volume_curve)
@@ -39,7 +40,7 @@ from subunit_lab.metric import ball, solve_distance
 from subunit_lab.pipeline import run_experiment
 from subunit_lab.reporting import compare, load_report
 from subunit_lab.solver import (assemble_linear, max_principle_slack,
-                                solve_linear)
+                                solve_linear, solve_quasilinear)
 from tests.test_cutoff import seq_delta
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src",
@@ -336,6 +337,51 @@ def test_c7_exact_solution_oracle_and_max_principle():
                   f"boundaries")
     assert worst_err < 1e-10
     assert worst_slack < 1e-8
+
+
+# -------------------------------------------------------------- criterion 7b
+
+def _phi_inverse(v):
+    """Inverse of Phi(z) = 2z + ln cosh z, the primitive of the envelope's
+    phi = 2 + tanh z, by Newton's method: Phi' = phi >= 1 and Phi is
+    convex, so the steps converge from any start."""
+    z = 0.5 * v
+    for _ in range(50):
+        step = (2.0 * z + np.log(np.cosh(z)) - v) / (2.0 + np.tanh(z))
+        z = z - step
+        if float(np.max(np.abs(step))) <= 1e-15:
+            return z
+    raise AssertionError("Newton's method for Phi^-1 did not converge")
+
+
+def test_c7b_quasilinear_exact_solution_oracle():
+    # For an x-only form and A = diag(1, phi(u) f(x)^2), u = Phi^-1(a y + b)
+    # is exact: the x-flux is 0 and the y-flux f^2 d/dy Phi(u) = a f^2 does
+    # not depend on y.  Picard must reach it at the scheme's order 2.
+    a, b = 3.0, 1.0
+    exact = lambda X, Y: _phi_inverse(a * Y + b)
+    spec = SolverSpec(theta=0.7, fp_tol=1e-12, lin_tol=1e-13)
+    ok, details = True, []
+    for prof in (DegeneracyProfile("power", 1.0),
+                 DegeneracyProfile("exponential", 0.1),
+                 DegeneracyProfile("paper_model", 9.0)):
+        errors, steps = [], []
+        for n in (65, 129, 257):
+            g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
+            res = solve_quasilinear(QuasilinearEnvelope(
+                base=assemble_form(prof, g)), exact, spec)
+            assert res.converged
+            errors.append(float(np.max(np.abs(res.u.values
+                                              - exact(*g.meshgrid())))))
+            steps.append(res.iterations)
+        orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
+        ok &= all(1.9 <= p <= 2.1 for p in orders)
+        details.append(f"{prof.kind}({prof.param:g}) orders "
+                       f"{', '.join(f'{p:.3f}' for p in orders)}, Picard "
+                       f"steps {'/'.join(map(str, steps))}")
+    record("7b", ok, "quasilinear oracle Phi^-1(3y + 1) on 65^2, 129^2, "
+                     "257^2: " + "; ".join(details) + " (need 2 +- 0.1)")
+    assert ok
 
 
 # --------------------------------------------------------------- criterion 8

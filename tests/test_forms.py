@@ -11,9 +11,9 @@ from scipy.integrate import IntegrationWarning, quad
 
 from subunit_lab import forms
 from subunit_lab.errors import DomainError, ProfileError, QuadratureError
-from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
-                               _inv_h_logvar, assemble_form, envelope_check,
-                               eval_h, eval_h_log, lambda_from_sigma)
+from subunit_lab.forms import (DegeneracyProfile, _inv_h_logvar,
+                               assemble_form, envelope_violation, eval_h,
+                               eval_h_log, lambda_from_sigma)
 from subunit_lab.grid import GridSpec
 
 
@@ -241,46 +241,31 @@ def test_assemble_paper_axis_column_zero():
     assert np.all(form.q22[33, :] > 0.0)
 
 
-def test_envelope_unit_phi_no_violation():
+def _brute_force_violation(form, c_phi, C_phi):
+    """The envelope's worst relative violation, sampled: every node, z over
+    [-40, 40] (where tanh rounds to +-1, so phi reaches both ends of its
+    range) and the four probe directions, the axes and the diagonals."""
+    phi = forms.default_phi(np.linspace(-40.0, 40.0, 161))[:, None, None]
+    q11, q22 = form.q11[None], form.q22[None]
+    worst = 0.0
+    s = 1.0 / math.sqrt(2.0)
+    for x1, x2 in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s)):
+        qv = q11 * x1 ** 2 + q22 * x2 ** 2
+        av = q11 * x1 ** 2 + phi * q22 * x2 ** 2
+        v = np.maximum(c_phi * qv - av, av - C_phi * qv) / np.maximum(qv,
+                                                                      1e-300)
+        worst = max(worst, float(v.max()))
+    return worst
+
+
+@pytest.mark.parametrize("bounds", [(1.0, 3.0), (1.0, 2.5), (1.5, 3.0),
+                                    (0.5, 0.8), (2.0, 2.0), (0.2, 5.0)])
+@pytest.mark.parametrize("kind,param", [("power", 1.0), ("constant", 0.0),
+                                        ("constant", 1.0),
+                                        ("paper_model", 9.0)])
+def test_envelope_violation_is_the_sampled_supremum(kind, param, bounds):
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 17, 17)
-    form = assemble_form(DegeneracyProfile("power", 1.0), g)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-                              c_phi=1.0, C_phi=1.0)
-    violation = envelope_check(env, [((i, j), z) for i in (0, 8, 16)
-                                     for j in (0, 8, 16)
-                                     for z in (-3.0, 0.0, 3.0)])
-    assert violation == 0.0
-
-
-def test_envelope_sin_phi_within_analytic_bounds():
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 17, 17)
-    form = assemble_form(DegeneracyProfile("power", 1.0), g)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + np.sin(z),
-                              c_phi=1.0, C_phi=3.0)
-    zs = np.linspace(-7, 7, 29)
-    violation = envelope_check(env, [((i, j), z) for i in (1, 8, 15)
-                                     for j in (1, 8, 15) for z in zs])
-    assert violation == 0.0
-
-
-def test_envelope_unbounded_phi_reports_violation():
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 17, 17)
-    form = assemble_form(DegeneracyProfile("power", 1.0), g)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 1.0 + z,
-                              c_phi=1.0, C_phi=3.0)
-    # probe off the degenerate axis so the modulated entry is active
-    zs = (-4.0, 0.0, 4.0)
-    violation = envelope_check(env, [((12, 8), z) for z in zs])
-    assert violation > 0.0
-    # the violation is the worst sample's own; phi(0) = 1 lies in bounds
-    per_sample = [envelope_check(env, [((12, 8), z)]) for z in zs]
-    assert violation == max(per_sample)
-    assert per_sample[1] == 0.0
-
-
-def test_envelope_check_empty_samples_rejected():
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 17, 17)
-    form = assemble_form(DegeneracyProfile("power", 1.0), g)
-    env = QuasilinearEnvelope(base=form)
-    with pytest.raises(DomainError):
-        envelope_check(env, [])
+    form = assemble_form(DegeneracyProfile(kind, param), g)
+    # constant(0) has q22 = 0 at every node, which hides phi entirely
+    assert abs(envelope_violation(form, *bounds)
+               - _brute_force_violation(form, *bounds)) <= 1e-14

@@ -17,8 +17,9 @@ from subunit_lab.config import SolverSpec
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
                                 SingularSystemError, ZeroGradientError)
-from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
-                               QuasilinearEnvelope, assemble_form)
+from subunit_lab.forms import (PHI_RANGE, DegeneracyProfile,
+                               QuadraticFormField, QuasilinearEnvelope,
+                               assemble_form)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
 from subunit_lab.solver import (SolveStats, _dst1, _harmonic, _norm,
@@ -438,8 +439,7 @@ def test_energy_identity(grid97):
 
 def test_quasilinear_constant_phi_one_iteration(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + 0.0 * z,
-                              c_phi=2.0, C_phi=2.0)
+    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + 0.0 * z)
     res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
     assert res.converged
     assert res.iterations == 1
@@ -447,7 +447,7 @@ def test_quasilinear_constant_phi_one_iteration(grid97):
 
 def test_quasilinear_tanh_geometric_decay(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form)       # phi = 2 + tanh(z), bounds (1,3)
+    env = QuasilinearEnvelope(base=form)       # phi = 2 + tanh(z)
     bc = lambda X, Y: X + 0.4 * np.sin(3 * Y) + 2.0
     res = solve_quasilinear(env, bc, SolverSpec(theta=0.7, fp_tol=1e-10,
                                                 fp_max_iter=40))
@@ -493,8 +493,7 @@ def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
 def test_quasilinear_stiff_no_convergence_path():
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
     form = assemble_form(DegeneracyProfile("constant", 1.0), g)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + np.tanh(80.0 * z),
-                              c_phi=1.0, C_phi=3.0)
+    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + np.tanh(80.0 * z))
     bc = lambda X, Y: 0.05 * np.sin(6 * X) * np.cos(6 * Y)
     res = solve_quasilinear(env, bc, SolverSpec(theta=1.0, fp_tol=1e-14,
                                                 fp_max_iter=4))
@@ -513,8 +512,8 @@ def test_structural_sandwich_on_solution(grid97):
     fa = QuadraticFormField(grid=grid97, q11=a11.copy(), q22=a22.copy())
     ga2 = q_gradient(fa, res.u.values) ** 2
     # A = diag(1, phi q22) against Q = diag(1, q22): the sandwich constants
-    # are min(1, c_phi) and max(1, C_phi)
-    k, K = min(1.0, env.c_phi), max(1.0, env.C_phi)
+    # are min(1, c_phi) and max(1, C_phi), with phi's range (c_phi, C_phi)
+    k, K = min(1.0, PHI_RANGE[0]), max(1.0, PHI_RANGE[1])
     assert np.all(ga2 >= k * gq2 - 1e-12)
     assert np.all(ga2 <= K * gq2 + 1e-12)
 
