@@ -25,9 +25,9 @@ Modules:
 __version__ = "0.1.0"
 
 from .errors import (ChainTooShortError, ConfigError, DomainError,
-                     EmptySupportError, GeometryError, MonotonicityError,
-                     PositivityError, QuadratureError, RangeError,
-                     ResolutionError, SchemaMismatchError,
+                     EmptySupportError, GeometryError, MeasurementError,
+                     MonotonicityError, PositivityError, QuadratureError,
+                     RangeError, ResolutionError, SchemaMismatchError,
                      SingularSystemError, SolverError, SubunitLabError,
                      ZeroGradientError)
 from .grid import GridSpec

@@ -1,16 +1,16 @@
 """Batch experiment CLI.
 
-Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  Each of
-balls, cutoff, solve and diagnose runs the pipeline up to one stage and
-writes that stage's tables through the writers `run` uses.  dist is the
-one subcommand that solves the config's whole eps ladder: it writes every
-rung over the whole grid, a row for every node (the finest is the field
-`run` measures on, which `run` marches only as far as it reads and lists
-only where it marched), checks that distances grow nodewise as eps
-shrinks (a violation exits 2) and prints the largest increment between
-the last two rungs.
-Exit codes: 0 ok, 1 config error, 2 geometry error, 3 solver
-non-convergence, 4 diagnostic hard-fail (a required pass flag is false).
+Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  balls,
+cutoff and diagnose are prefixes of the ball driver pipeline.run_ball:
+each runs the stages through geometry, cutoff or diagnostics, writes that
+stage's table as `run` does, and skips a ball as `run` does, printing its
+note `ball<k>: skipped (<reason>)`.  dist alone solves the whole eps
+ladder: it writes every rung, a row per node, checks that distances grow
+nodewise as eps shrinks and prints the last rungs' largest increment.
+Exit codes: 0 ok (skipped balls too), 1 config error, 2 geometry error
+(MeasurementError outside the driver, MonotonicityError), 3 solver
+non-convergence (a Picard failure prints PICARD_FAILED on stderr), 4
+diagnostic hard-fail (a required pass flag is false).
 """
 
 import argparse
@@ -21,9 +21,8 @@ import numpy as np
 
 from . import pipeline
 from .config import ExperimentConfig
-from .errors import (ConfigError, GeometryError, MonotonicityError,
-                     RangeError, ResolutionError, SolverError,
-                     SubunitLabError)
+from .errors import (ConfigError, MeasurementError, MonotonicityError,
+                     SolverError, SubunitLabError)
 from .metric import solve_ladder
 from .reporting import (compare, format_diff, load_report, write_csv,
                         write_json)
@@ -58,32 +57,45 @@ def cmd_dist(args):
     return EXIT_OK
 
 
+def _picard_failed():
+    print(PICARD_FAILED, file=sys.stderr)
+    return EXIT_SOLVER
+
+
+def _each_ball(cfg, form, last, u=None):
+    for k, spec in enumerate(cfg.balls):
+        ball_id = f"ball{k}"
+        report, flags, art = pipeline.run_ball(cfg, form, spec, ball_id, u,
+                                               last=last)
+        if report is None:
+            print(art["notes"][0])
+        yield ball_id, report, flags, art
+
+
 def cmd_balls(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
-    for k, spec in enumerate(cfg.balls):
-        _, finest = pipeline.metric_stage(cfg, form, spec)
-        section, geo = pipeline.geometry_stage(cfg, form, spec, finest)
-        pipeline.write_ball_table(os.path.join(args.out, f"ball{k}.csv"),
-                                  section, geo.growth)
-        print(f"ball{k}: C_doubling={geo.analytics.C_doubling:.3f} "
-              f"-> {args.out}")
+    for ball_id, report, _, art in _each_ball(cfg, form, "geometry"):
+        if report is not None:
+            geo = report["geometry"]
+            pipeline.write_ball_table(os.path.join(args.out, f"{ball_id}.csv"),
+                                      geo, art["geo"].growth)
+            print(f"{ball_id}: C_doubling={geo['C_doubling']:.3f} "
+                  f"-> {args.out}")
     return EXIT_OK
 
 
 def cmd_cutoff(args):
     cfg = _load(args)
     form = pipeline.build_form(cfg)
-    for k, spec in enumerate(cfg.balls):
-        _, finest = pipeline.metric_stage(cfg, form, spec)
-        _, geo = pipeline.geometry_stage(cfg, form, spec, finest)
-        section, cuts = pipeline.cutoff_stage(cfg, form, spec, finest,
-                                              geo.analytics)
-        pipeline.write_cutoff_table(
-            os.path.join(args.out, f"ball{k}_cutoffs.csv"), cuts.seq)
-        print(f"ball{k}: {section['n_members']} members, support ratio "
-              f"{section['support_ratio']:.3f}, special grad constant "
-              f"{section['special_grad_constant']:.3f}")
+    for ball_id, report, _, art in _each_ball(cfg, form, "cutoff"):
+        if report is not None:
+            cut = report["cutoff"]
+            path = os.path.join(args.out, f"{ball_id}_cutoffs.csv")
+            pipeline.write_cutoff_table(path, art["cuts"].seq)
+            print(f"{ball_id}: {cut['n_members']} members, support ratio "
+                  f"{cut['support_ratio']:.3f}, special grad constant "
+                  f"{cut['special_grad_constant']:.3f}")
     return EXIT_OK
 
 
@@ -101,7 +113,7 @@ def cmd_solve(args):
         print(f"quasilinear: converged={q_result.converged} "
               f"iterations={q_result.iterations}")
         if not q_result.converged:
-            return EXIT_SOLVER
+            return _picard_failed()
     return EXIT_OK
 
 
@@ -110,20 +122,16 @@ def cmd_diagnose(args):
     form = pipeline.build_form(cfg)
     u, _, q_result, _ = pipeline.solve_global(cfg, form)
     report = {}
-    for k, spec in enumerate(cfg.balls):
-        ball_report, flags, art = pipeline.run_ball_or_skip(
-            cfg, form, spec, f"ball{k}", u)
-        entry = {"flags": flags, "notes": art["notes"]}
-        if ball_report is not None:
-            entry["diagnostics"] = ball_report["diagnostics"]
-        report[f"ball{k}"] = entry
+    for ball_id, rep, flags, art in _each_ball(cfg, form, "diagnostics", u):
+        report[ball_id] = {"flags": flags, "notes": art["notes"]}
+        if rep is not None:
+            report[ball_id]["diagnostics"] = rep["diagnostics"]
     path = os.path.join(args.out, "diagnostics.json")
     write_json(path, report)
     print(f"diagnostics -> {path}")
     if q_result is not None and not q_result.converged:
         # measured on the linear solution, as `run` does; `run` exits 3 too
-        print(PICARD_FAILED, file=sys.stderr)
-        return EXIT_SOLVER
+        return _picard_failed()
     return EXIT_OK
 
 
@@ -134,8 +142,7 @@ def cmd_run(args):
     n_true = sum(1 for v in report["flags"].values() if v)
     print(f"{cfg.name}: {n_true}/{n_flags} pass flags true -> {args.out}")
     if not report["flags"].get("quasilinear_converged", True):
-        print(PICARD_FAILED, file=sys.stderr)
-        return EXIT_SOLVER
+        return _picard_failed()
     if failed:
         print(f"required flags failed: {', '.join(failed)}", file=sys.stderr)
         return EXIT_DIAGNOSTIC
@@ -189,8 +196,7 @@ def main(argv=None):
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (GeometryError, ResolutionError, RangeError,
-            MonotonicityError) as exc:
+    except (MeasurementError, MonotonicityError) as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
     except SubunitLabError as exc:

@@ -40,15 +40,19 @@ class MonotonicityError(SubunitLabError):
     """A sequence that must be monotone is not (signals a scheme bug)."""
 
 
-class ResolutionError(SubunitLabError):
+class MeasurementError(SubunitLabError):
+    """The grid cannot measure a ball: pipeline.run_ball skips it."""
+
+
+class ResolutionError(MeasurementError):
     """Requested measurement is below the grid resolution floor."""
 
 
-class RangeError(SubunitLabError):
+class RangeError(MeasurementError):
     """Requested radius or index leaves the measured range."""
 
 
-class GeometryError(SubunitLabError):
+class GeometryError(MeasurementError):
     """A geometric invariant failed beyond the allowed collar."""
 
 
@@ -76,7 +80,7 @@ class PositivityError(SubunitLabError):
     """A function that must be positive on the relevant set is not."""
 
 
-class ChainTooShortError(SubunitLabError):
+class ChainTooShortError(MeasurementError):
     """Fewer resolvable radii than the oscillation recursion needs."""
 
 

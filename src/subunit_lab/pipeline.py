@@ -23,12 +23,12 @@ Artifact layout under the output directory:
                   artifact subdirectory and to report.json
 
 The PDE is solved once per experiment (solve_global).  Each ball then runs
-four stages in order, each returning its report section and what the next
-stage needs: metric_stage (one eps_min distance field, marched as far as
-the later stages read; its report section is {"eps_min"}),
-geometry_stage, cutoff_stage and diagnostics_stage.  run_ball composes
-them; the CLI subcommands call them one at a time and write through the
-same table writers.
+the four BALL_STAGES in order, each returning its report section and what
+the next stage needs: metric_stage (the eps_min distance field),
+geometry_stage, cutoff_stage and diagnostics_stage.  run_ball drives them
+for `run` and for the CLI's balls, cutoff and diagnose (prefixes through
+geometry, cutoff, diagnostics), and skips a ball whose stages raise
+MeasurementError: each skips a ball as `run` does, and exits 0 for it.
 """
 
 import math
@@ -46,8 +46,8 @@ from .cutoff import (CutoffSequence, SpecialCutoff, build_sequence,
 from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
                           log_c_har, log_estimate, moser_iterate,
                           oscillation_curve, shift_m)
-from .errors import (ChainTooShortError, DomainError, GeometryError,
-                     RangeError, ResolutionError)
+from .errors import (DomainError, GeometryError, MeasurementError,
+                     ResolutionError)
 from .forms import QuasilinearEnvelope, assemble_form, envelope_violation
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_json
@@ -58,9 +58,10 @@ from .solver import (SolveStats, assemble_linear, max_principle_slack,
 MIN_CHAIN = 4
 VOLUME_RADII = 24        # volume-curve radii per ball, before r, nu r, nu0 r
 MP_TOL = 1e-8
+# the ball stages, in run order; run_ball runs a prefix of them
+BALL_STAGES = ("metric", "geometry", "cutoff", "diagnostics")
 # the wall-time spans of run_meta.json's "stages" block, in run order
-STAGES = ("build_form", "solve_global", "metric", "geometry", "cutoff",
-          "diagnostics", "artifacts")
+STAGES = ("build_form", "solve_global", *BALL_STAGES, "artifacts")
 # the subdirectories of a run's output directory (see the layout above)
 ARTIFACT_DIRS = ("distances", "balls", "cutoffs", "solutions", "diagnostics",
                  "plots")
@@ -468,63 +469,58 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
     return section, flags, notes
 
 
-def run_ball(cfg, form, spec, ball_id, u, times=None, fmm=None):
-    """The four ball stages in order.  Returns (report, flags, artifacts).
+def _ball_chain(cfg, form, spec, ball_id, u, fmm):
+    section, finest = metric_stage(cfg, form, spec, fmm)
+    yield section, {}, {"finest": finest}
+    section, geo = geometry_stage(cfg, form, spec, finest)
+    yield section, geo.flags, {"geo": geo}
+    section, cuts = cutoff_stage(cfg, form, spec, finest, geo.analytics)
+    yield section, {}, {"cuts": cuts}
+    section, flags, notes = diagnostics_stage(cfg, form, spec, ball_id,
+                                              finest, geo, cuts, u, fmm)
+    yield section, flags, {"notes": notes}
 
-    times, when given, gains each stage's wall seconds under its STAGES
-    name; fmm, when given, records every fast-marching solve."""
+
+def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,
+             last="diagnostics"):
+    """The ball stages in order, through `last` (a BALL_STAGES name).
+
+    Returns (report, flags, artifacts): a section per stage run, and
+    "constants" once diagnostics (the one reader of u) ran; flags
+    `<ball_id>.<name>`; "finest", "geo", "cuts" as far as the stages ran,
+    and "notes".  A stage that raises MeasurementError skips the ball:
+    report None, the flag `<ball_id>.skipped`, the reason as its one note.
+    times gains each stage's wall seconds; fmm records every FMM solve."""
     times = {} if times is None else times
-    with _timed(times, "metric"):
-        metric_report, finest = metric_stage(cfg, form, spec, fmm)
-    with _timed(times, "geometry"):
-        geometry_report, geo = geometry_stage(cfg, form, spec, finest)
-    with _timed(times, "cutoff"):
-        cutoff_report, cuts = cutoff_stage(cfg, form, spec, finest,
-                                           geo.analytics)
-    with _timed(times, "diagnostics"):
-        diag, diag_flags, notes = diagnostics_stage(
-            cfg, form, spec, ball_id, finest, geo, cuts, u, fmm)
-    constants = {
-        "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
-        "caccioppoli_c": diag["caccioppoli_c"],
-        "harnack_quotient": diag["harnack"]["quotient"],
-        "moser_empirical_c": diag["moser"]["empirical_c"],
-        "log_est_inter": diag["log_estimates"]["inter"],
-        "log_est1": diag["log_estimates"]["est1"],
-        "log_est2": diag["log_estimates"]["est2"],
-        "cutoff_support_ratio": cutoff_report["support_ratio"],
-        "cutoff_grad_envelope": cutoff_report["grad_envelope"],
-        "special_grad_constant": cutoff_report["special_grad_constant"],
-        "local_bound_c": diag["local_bound_c"],
-        "delta_over_r_at_r": cuts.delta_r / spec.r,
-    }
-    report = {
-        "center": [float(c) for c in spec.center],
-        "r": spec.r,
-        "metric": metric_report,
-        "geometry": geometry_report,
-        "cutoff": cutoff_report,
-        "diagnostics": diag,
-        "constants": constants,
-    }
-    artifacts = {"finest": finest, "geo": geo, "cuts": cuts, "notes": notes}
-    flags = {f"{ball_id}.{k}": v
-             for k, v in {**geo.flags, **diag_flags}.items()}
-    return report, flags, artifacts
-
-
-def run_ball_or_skip(cfg, form, spec, ball_id, u, times=None, fmm=None):
-    """run_ball, with a ball the grid cannot measure skipped, not raised.
-
-    A skipped ball returns report None, the flag `<ball_id>.skipped` and
-    the reason as its one note in artifacts["notes"].
-    """
+    report = {"center": [float(c) for c in spec.center], "r": spec.r}
+    flags, art = {}, {"notes": []}
+    chain = _ball_chain(cfg, form, spec, ball_id, u, fmm)
     try:
-        return run_ball(cfg, form, spec, ball_id, u, times, fmm)
-    except (ResolutionError, ChainTooShortError, RangeError,
-            GeometryError) as exc:
+        for stage in BALL_STAGES[:BALL_STAGES.index(last) + 1]:
+            with _timed(times, stage):
+                report[stage], stage_flags, stage_art = next(chain)
+            flags.update(stage_flags)
+            art.update(stage_art)
+    except MeasurementError as exc:
         return (None, {f"{ball_id}.skipped": True},
                 {"notes": [f"{ball_id}: skipped ({exc})"]})
+    if "diagnostics" in report:
+        diag, cut = report["diagnostics"], report["cutoff"]
+        report["constants"] = {
+            "sobolev_c": diag["sobolev_c"], "poincare_c": diag["poincare_c"],
+            "caccioppoli_c": diag["caccioppoli_c"],
+            "harnack_quotient": diag["harnack"]["quotient"],
+            "moser_empirical_c": diag["moser"]["empirical_c"],
+            "log_est_inter": diag["log_estimates"]["inter"],
+            "log_est1": diag["log_estimates"]["est1"],
+            "log_est2": diag["log_estimates"]["est2"],
+            "cutoff_support_ratio": cut["support_ratio"],
+            "cutoff_grad_envelope": cut["grad_envelope"],
+            "special_grad_constant": cut["special_grad_constant"],
+            "local_bound_c": diag["local_bound_c"],
+            "delta_over_r_at_r": art["cuts"].delta_r / spec.r,
+        }
+    return report, {f"{ball_id}.{k}": v for k, v in flags.items()}, art
 
 
 def run_experiment(cfg, out_dir, strict=False):
@@ -563,8 +559,8 @@ def run_experiment(cfg, out_dir, strict=False):
 
     for k, spec in enumerate(cfg.balls):
         ball_id = f"ball{k}"
-        ball_report, flags, art = run_ball_or_skip(
-            cfg, form, spec, ball_id, u, times, fmm)
+        ball_report, flags, art = run_ball(cfg, form, spec, ball_id, u,
+                                           times, fmm)
         report["flags"].update(flags)
         report["notes"].extend(art["notes"])
         if ball_report is not None:

@@ -60,18 +60,11 @@ def json_safe(x):
 
 
 def write_csv(path, header, rows):
+    """header, then rows of Python numbers and strings, via csv.writer."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    # float() first: numpy 2 reprs its scalars as np.float64(...)
-    if isinstance(v, float):
-        return repr(float(v))
-    return v
+        w.writerows(rows)
 
 
 def _walk_constants(report):

@@ -1,6 +1,7 @@
 """CLI: config validation, subcommands, exit codes, determinism, compare."""
 
 import csv
+import importlib
 import json
 import math
 import os
@@ -547,6 +548,7 @@ def test_solver_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
         assert main([command, "--config", str(p), "--out", str(out)]) == 3
         errs[command] = capsys.readouterr().err
     assert errs["diagnose"] == errs["run"] != ""
+    assert errs["solve"] == errs["run"]
     # diagnose still measures, on the linear solution, as run does
     assert (tmp_path / "diagnose" / "diagnostics.json").exists()
 
@@ -623,7 +625,7 @@ def test_subcommands_match_run(tmp_path, smoke_cfg_path, smoke_run):
                 (smoke_run / theirs).read_bytes(), (command, mine)
 
 
-def test_artifact_csv_cells_are_plain_numbers(smoke_run):
+def test_artifact_csv_cells_are_plain_numbers(smoke_run, tmp_path):
     for sub in ("balls", "cutoffs", "distances", "solutions"):
         paths = sorted((smoke_run / sub).glob("*.csv"))
         assert paths, sub
@@ -634,6 +636,18 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run):
             for row in rows:
                 for cell in row:
                     float(cell)
+    # compare's diff.csv: per row a constant's key, four numbers, a verdict
+    report = str(smoke_run / "report.json")
+    assert main(["compare", report, report, "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "diff.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows
+    for key, *numbers, ok in rows:
+        assert key.startswith(("ball0.", "solver.")), key
+        assert len(numbers) == 4
+        for cell in numbers:
+            float(cell)
+        assert ok == "True"
 
 
 def _csv_writer_grid_csv(path, grid, values, name):
@@ -727,6 +741,63 @@ def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys,
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "conjugate gradient" in capsys.readouterr().err
+
+
+def test_subcommands_skip_a_ball_as_run_does(tmp_path, smoke_cfg_path,
+                                             capsys):
+    # ball0 is measured; ball1 is below the resolution floor, so geometry
+    # skips it; ball2's nu r leaves its measured band, so cutoff skips it.
+    # Each subcommand skips a ball when its own stages cannot measure it,
+    # prints run's note for it and goes on to the next ball.
+    raw = json.load(open(smoke_cfg_path))
+    raw["grid"]["nx"] = raw["grid"]["ny"] = 65
+    raw["balls"] = [{"center": [0.0, 0.0], "r": 0.15, "on_axis": True},
+                    {"center": [0.0, 0.0], "r": 0.02, "on_axis": False},
+                    {"center": [0.4, 0.0], "r": 0.2, "on_axis": False}]
+    p = tmp_path / "skips.json"
+    json.dump(raw, open(p, "w"))
+    run = tmp_path / "run"
+    assert main(["run", "--config", str(p), "--out", str(run)]) == 0
+    capsys.readouterr()
+    rep = load_report(run / "report.json")
+    assert sorted(rep["balls"]) == ["ball0"]
+    notes = {n.split(":")[0]: n for n in rep["notes"] if ": skipped (" in n}
+    assert sorted(notes) == ["ball1", "ball2"]
+    skipped = {"balls": ["ball1"], "cutoff": ["ball1", "ball2"],
+               "diagnose": ["ball1", "ball2"]}
+    for command, balls in skipped.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if ": skipped (" in line]
+        assert printed == [notes[b] for b in balls], command
+    for mine, theirs in (("balls/ball0.csv", "balls/ball0.csv"),
+                         ("cutoff/ball0_cutoffs.csv", "cutoffs/ball0.csv")):
+        assert (tmp_path / mine).read_bytes() == (run / theirs).read_bytes()
+    assert not (tmp_path / "cutoff" / "ball2_cutoffs.csv").exists()
+    diag = json.load(open(tmp_path / "diagnose" / "diagnostics.json"))
+    for ball_id, entry in diag.items():
+        assert entry["flags"] == {k: v for k, v in rep["flags"].items()
+                                  if k.startswith(ball_id + ".")}
+        assert entry["notes"] == [n for n in rep["notes"]
+                                  if n.startswith(ball_id + ": ")]
+    assert (diag["ball0"]["diagnostics"]
+            == rep["balls"]["ball0"]["diagnostics"])
+
+
+def test_console_script_is_cli_main(capsys):
+    # the wiring an installed `subunit-lab` runs, checked without installing
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11+
+    root = os.path.join(os.path.dirname(__file__), "..")
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["subunit-lab"].partition(":")
+    assert getattr(importlib.import_module(module), name) is main
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "{dist,balls,cutoff,solve,diagnose,run,compare}" in \
+        capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["skipped-ball", "rhs-0.5"])
