@@ -28,7 +28,7 @@ import numpy as np
 
 from .cutoff import q_gradient
 from .errors import (ChainTooShortError, DomainError, PositivityError)
-from .metric import ball
+from .metric import ball, dilate
 
 FLOOR_M_FACTOR = 1e-6     # m = 1e-6 ||u||_inf when f = 0
 LOG_S_OCTAVES = 10        # level sets s = max|v - <v>| 2^-k, k < 10
@@ -62,15 +62,6 @@ def shift_m(u_values, f_rhs, r):
     return FLOOR_M_FACTOR * max(scale, 1.0)
 
 
-def _dilate(mask):
-    out = mask.copy()
-    out[1:, :] |= mask[:-1, :]
-    out[:-1, :] |= mask[1:, :]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
-    return out
-
-
 def caccioppoli_ratio(u, psi, beta, form, f_rhs=0.0):
     """LHS/RHS of the Caccioppoli inequality for u^beta under cutoff psi.
 
@@ -85,7 +76,7 @@ def caccioppoli_ratio(u, psi, beta, form, f_rhs=0.0):
     supp = psi > 0
     if not np.any(supp):
         raise DomainError("cutoff has empty support")
-    reach = _dilate(supp)
+    reach = dilate(supp)
     if u[reach].min() <= 0.0:
         raise PositivityError("u must be positive on supp psi")
     area = form.grid.cell_area

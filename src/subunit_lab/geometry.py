@@ -15,6 +15,12 @@ function; the upper window |B(r + delta)|/|B(r)| <= 2C is enforced by
 calibrating C.  All r -> 0 statements become trend tests on the
 resolvable dyadic band.
 
+This module decides at which radii a ball is measured and what delta is
+there: march_reach is how far a ball's field is marched, measure_ball
+picks the ball's radius band and builds the volume curve on it, its
+delta(r) table and the fitted delta law, and BallAnalytics.delta_at
+reads delta at a band radius from the table.
+
 Oscillation chains run on box grids: radius rho around (x0, y0) is
 measured on its own grid over [x0 +- rho] x [y0 +- rho F] plus a collar,
 with F the largest subunit y-speed over the box, so every chain ball
@@ -44,6 +50,9 @@ CHECK_COLLAR_CELLS = 1.0  # nodes within this many cells of a box face or
                           # ball edge are not judged (discretization collar)
 DELTA_RESOLUTION = 1e-9   # bisection stop, relative to the radius band
 DOUBLING_SLOPE_TOL = 0.25
+BAND_RADII = 24           # geometric radii of a band, before the callers' own
+FLAT_SLOPE_TOL = 0.1      # fitted delta-law slopes this small are flat
+FIT_MIN_NODES = 150       # the 5/4 jump needs ~40 cells to be trustworthy
 
 
 class VolumeFunction:
@@ -131,6 +140,56 @@ class BallAnalytics:
     doubling_ratios: np.ndarray        # |B(2r)|/|B(r)|, nan where 2r out of range
     delta_curve: np.ndarray = None     # filled by fill_delta_curve
     C_doubling: float = None
+    law: tuple = None                  # (c, s): delta = c r^(s+1), fitted
+
+    def delta_at(self, r):
+        """delta(r) from the table, bit for bit what nondoubling_order
+        finds at r; RangeError unless r is a band radius."""
+        k = int(np.searchsorted(self.radii, r))
+        if k == self.radii.size or self.radii[k] != r:
+            raise RangeError(f"r={r:g} outside measured range "
+                             f"[{self.radii[0]:g}, {self.radii[-1]:g}]")
+        return float(self.delta_curve[k])
+
+
+def _radius_cap(r, margin):
+    return min(2.05 * r, 0.98 * margin)
+
+
+def march_reach(r, margin):
+    """How far to march the field of a ball of radius r centered margin
+    from the domain boundary: 2 cap covers the doubling ratio at the top
+    of its band and the delta search; margin the box-sandwich radii and
+    the special cutoff and log estimate (r + delta <= eta margin); r the
+    ball B(r), read before a ball with r > cap is skipped."""
+    return max(2.0 * _radius_cap(r, margin), margin, r)
+
+
+def measure_ball(field, r, margin, also=(), C=2.0):
+    """The analytics of a ball of radius r centered margin from the domain
+    boundary: the volume curve on its radius band, delta(r) at every band
+    radius (C calibrated from C) and the fitted delta law.
+
+    The band is BAND_RADII geometric radii from max(r/16, r_floor) to the
+    cap min(2.05 r, 0.98 margin), with each radius of `also` in between.
+    r_floor, just above the MIN_BALL_NODES-th smallest nodal distance, is
+    the smallest resolvable radius, and the lower end when r/16 is not
+    below the cap; ResolutionError when it is not below the cap either.
+    """
+    cap = _radius_cap(r, margin)
+    below = field.values[field.values < cap]
+    k = MIN_BALL_NODES - 1
+    r_floor = (float(np.partition(below, k)[k]) * 1.0001 if below.size > k
+               else math.inf)
+    lo = r / 16.0 if r_floor < r / 16.0 < cap else r_floor
+    if lo >= cap:
+        raise ResolutionError(f"no resolvable radius band below {cap:g}")
+    radii = list(np.geomspace(lo, cap, BAND_RADII))
+    radii += [s for s in also if lo <= s <= cap]
+    analytics = volume_curve(field, set(radii))
+    fill_delta_curve(analytics, C)
+    analytics.law = _fitted_delta_law(analytics)
+    return analytics
 
 
 def volume_curve(field, radii):
@@ -236,6 +295,44 @@ def doubling_classification(analytics):
         raise ResolutionError("not enough delta samples to classify")
     slope = np.polyfit(np.log(analytics.radii[mask]), np.log(t[mask]), 1)[0]
     return bool(slope <= DOUBLING_SLOPE_TOL), float(slope)
+
+
+def _median(values):
+    """numpy's median of finite values, bit for bit: the middle element, or
+    the mean of the two middle ones as numpy computes it, (a + b) / 2.
+    (Of 0.0 and -0.0, which sort as equal, either may be the middle one.)
+    Sorting in Python keeps the run from loading numpy.ma, which numpy's
+    median imports."""
+    v = sorted(values)
+    mid = len(v) // 2
+    if len(v) % 2:
+        return float(v[mid])
+    return float((v[mid - 1] + v[mid]) / 2.0)
+
+
+def _fitted_delta_law(analytics):
+    """Power-law fit delta(r) = c r^(s+1) of the measured non-doubling order.
+
+    The growth condition amplifies per-radius quantization noise by
+    lambda (r/delta)^lambda, so trend checks must run on the fitted law,
+    not raw samples.  The fit drops radii whose balls are too small to
+    resolve the 5/4 jump and uses a median-of-pairwise-slopes estimate; a
+    slope within the noise band is snapped to the flat (doubling) law,
+    where the verdict would otherwise flip on the sign of pure noise.
+    Every band radius is a sample, since nondoubling_order finds
+    delta > 0.  Returns (c, s)."""
+    r, delta = analytics.radii, analytics.delta_curve
+    fine = analytics.measure.count(r) >= FIT_MIN_NODES
+    if fine.sum() >= 4:
+        r, delta = r[fine], delta[fine]
+    lr, lt = np.log(r), np.log(delta / r)
+    slopes = [(lt[j] - lt[i]) / (lr[j] - lr[i])
+              for i in range(len(lr)) for j in range(i + 1, len(lr))]
+    s = _median(slopes)
+    if abs(s) <= FLAT_SLOPE_TOL:
+        s = 0.0
+    lnc = _median(lt - s * lr)
+    return math.exp(lnc), s
 
 
 @dataclass(frozen=True)

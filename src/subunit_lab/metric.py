@@ -73,17 +73,23 @@ class FmmStats:
         self.fmm_nodes += int(np.count_nonzero(np.isfinite(field.values)))
 
 
+def dilate(mask):
+    """mask and the four axis neighbours of every mask node."""
+    out = mask.copy()
+    out[1:, :] |= mask[:-1, :]
+    out[:-1, :] |= mask[1:, :]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
 def _triangle_neighbourhood(mask):
     """mask and every node sharing a grid triangle with a mask node.
 
     Each cell splits along its (i, j)-(i+1, j+1) diagonal, so a node's
     triangle neighbours are its four axis neighbours, (i+1, j+1) and
     (i-1, j-1)."""
-    out = mask.copy()
-    out[1:, :] |= mask[:-1, :]
-    out[:-1, :] |= mask[1:, :]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
+    out = dilate(mask)
     out[1:, 1:] |= mask[:-1, :-1]
     out[:-1, :-1] |= mask[1:, 1:]
     return out

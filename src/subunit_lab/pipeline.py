@@ -29,6 +29,13 @@ geometry_stage, cutoff_stage and diagnostics_stage.  run_ball drives them
 for `run` and for the CLI's balls, cutoff and diagnose (prefixes through
 geometry, cutoff, diagnostics), and skips a ball whose stages raise
 MeasurementError: each skips a ball as `run` does, and exits 0 for it.
+
+The geometry module decides at which radii a ball is measured and what
+delta(r) is there: metric_stage marches to geometry.march_reach,
+geometry_stage builds the radius band, its delta(r) table and the fitted
+delta law with geometry.measure_ball, and cutoff_stage and
+diagnostics_stage read delta(nu r), delta(r) and delta(nu0 r) from that
+table (BallAnalytics.delta_at).
 """
 
 import math
@@ -56,7 +63,6 @@ from .solver import (SolveStats, assemble_linear, max_principle_slack,
                      sobolev_functional)
 
 MIN_CHAIN = 4
-VOLUME_RADII = 24        # volume-curve radii per ball, before r, nu r, nu0 r
 MP_TOL = 1e-8
 # the ball stages, in run order; run_ball runs a prefix of them
 BALL_STAGES = ("metric", "geometry", "cutoff", "diagnostics")
@@ -75,70 +81,6 @@ def _timed(times, stage):
         yield
     finally:
         times[stage] = times.get(stage, 0.0) + time.perf_counter() - t0
-
-
-def _adaptive_radii(field, r_lo_hint, r_hi):
-    """Geometric radius band [smallest resolvable, r_hi] for the volume curve.
-
-    Reads only the nodes below r_hi, all of which a field marched to r_hi
-    holds."""
-    min_nodes = geometry.MIN_BALL_NODES
-    sv = np.sort(field.values[field.values < r_hi].ravel())
-    if sv.size < min_nodes:
-        raise ResolutionError(f"no resolvable radius band below {r_hi:g}")
-    r_floor = float(sv[min_nodes - 1]) * 1.0001
-    lo = max(r_lo_hint, r_floor)
-    if lo >= r_hi:
-        lo = r_floor
-    if lo >= r_hi:
-        raise ResolutionError(f"no resolvable radius band below {r_hi:g}")
-    return list(np.geomspace(lo, r_hi, VOLUME_RADII))
-
-
-FLAT_SLOPE_TOL = 0.1
-FIT_MIN_NODES = 150      # the 5/4 jump needs ~40 cells to be trustworthy
-
-
-def _median(values):
-    """numpy's median of finite values, bit for bit: the middle element, or
-    the mean of the two middle ones as numpy computes it, (a + b) / 2.
-    (Of 0.0 and -0.0, which sort as equal, either may be the middle one.)
-    Sorting in Python keeps the run from loading numpy.ma, which numpy's
-    median imports."""
-    v = sorted(values)
-    mid = len(v) // 2
-    if len(v) % 2:
-        return float(v[mid])
-    return float((v[mid - 1] + v[mid]) / 2.0)
-
-
-def _fitted_delta_law(analytics):
-    """Power-law fit delta(r) = c r^(s+1) of the measured non-doubling order.
-
-    The growth condition amplifies per-radius quantization noise by
-    lambda (r/delta)^lambda, so trend checks must run on the fitted law,
-    not raw samples.  The fit drops radii whose balls are too small to
-    resolve the 5/4 jump and uses a median-of-pairwise-slopes estimate; a
-    slope within the noise band is snapped to the flat (doubling) law,
-    where the verdict would otherwise flip on the sign of pure noise.
-    Returns (c, s) or None."""
-    r = analytics.radii
-    t = analytics.delta_curve / r
-    mask = t > 0
-    counts = analytics.measure.count(r)
-    strict = mask & (counts >= FIT_MIN_NODES)
-    if strict.sum() >= 4:
-        mask = strict
-    if mask.sum() < 3:
-        return None
-    lr, lt = np.log(r[mask]), np.log(t[mask])
-    slopes = [(lt[j] - lt[i]) / (lr[j] - lr[i])
-              for i in range(len(lr)) for j in range(i + 1, len(lr))]
-    s = _median(slopes)
-    if abs(s) <= FLAT_SLOPE_TOL:
-        s = 0.0
-    lnc = _median(lt - s * lr)
-    return math.exp(lnc), s
 
 
 def build_form(cfg):
@@ -184,29 +126,18 @@ def solve_global(cfg, form, stats=None):
     return u, u_lin, q_result, info
 
 
-def _radius_cap(r, margin):
-    """Largest radius of a ball's volume curve, for ball radius r and
-    Euclidean distance margin from its center to the boundary."""
-    return min(2.05 * r, 0.98 * margin)
-
-
 def metric_stage(cfg, form, spec, fmm=None):
     """The distance field at eps_min, the finest rung of the config's eps
     ladder, from the node nearest the ball's center: one fast-marching
     solve, the field every later stage measures on.
 
-    The march reaches max(2 r_cap, margin, r), the largest radius a later
-    stage reads: 2 r_cap covers the doubling ratio at the top radius and
-    the delta search; margin covers the box-sandwich radii (<= 0.98
-    margin) and the special cutoff and log estimate (r + delta <= eta
-    margin); r covers B(r) itself, read before a ball with r > r_cap is
-    skipped.  Returns (report section {"eps_min"}, field).  fmm, when
+    The march reaches geometry.march_reach, the largest radius a later
+    stage reads.  Returns (report section {"eps_min"}, field).  fmm, when
     given, records the solve and the reach (metric.FmmStats).
     """
     grid = form.grid
     source = grid.nearest_node(*spec.center)
-    margin = grid.boundary_distance(source)
-    reach = max(2.0 * _radius_cap(spec.r, margin), margin, spec.r)
+    reach = geometry.march_reach(spec.r, grid.boundary_distance(source))
     finest = solve_distance(form, source, cfg.epsilon_ladder()[-1], reach)
     if fmm is not None:
         fmm.record(finest)
@@ -216,45 +147,39 @@ def metric_stage(cfg, form, spec, fmm=None):
 
 @dataclass
 class BallGeometry:
-    analytics: geometry.BallAnalytics   # volume curve with delta(r) filled
-    law: tuple | None                   # fitted delta(r) = c r^(s+1): (c, s)
+    analytics: geometry.BallAnalytics   # band, delta(r) table, fitted law
     growth: geometry.GrowthReport | None
     flags: dict                         # this stage's pass flags
+    notes: list                         # why a check was not judged
 
 
 def geometry_stage(cfg, form, spec, finest):
-    """Volume curve and delta(r) on the finest field, the fitted delta law,
-    the growth check, containment and (on the axis) the box sandwich.
-
-    Volumes and delta(r) come from the piecewise-linear ball measure.
+    """The ball's analytics on the finest field (geometry.measure_ball: the
+    volume curve and delta(r) on a band that holds nu0 r, nu r and r where
+    they fall inside it, and the fitted delta law), the growth check,
+    containment and (on the axis) the box sandwich.  The growth condition
+    is a small-r test, judged on the band radii below 1: on fewer than
+    three it is not judged (no flag, a note).
     Returns (report section, BallGeometry).
     """
-    grid = form.grid
     p = cfg.params
-    margin = grid.boundary_distance(finest.source)
-    r_cap = _radius_cap(spec.r, margin)
-    radii = _adaptive_radii(finest, spec.r / 16.0, r_cap)
-    for must in (p.nu0 * spec.r, p.nu * spec.r, spec.r):
-        if radii[0] <= must <= r_cap:
-            radii.append(must)
-    radii = sorted(set(radii))
-    analytics = geometry.volume_curve(finest, radii)
-    geometry.fill_delta_curve(analytics, p.C)
-    try:
-        doubling, slope = geometry.doubling_classification(analytics)
-    except (ResolutionError, GeometryError):
-        doubling, slope = False, float("nan")
+    margin = form.grid.boundary_distance(finest.source)
+    analytics = geometry.measure_ball(
+        finest, spec.r, margin, (p.nu0 * spec.r, p.nu * spec.r, spec.r), p.C)
+    radii = analytics.radii
+    doubling, slope = geometry.doubling_classification(analytics)
 
-    growth = None
-    law = _fitted_delta_law(analytics)
-    if law is not None:
-        c_fit, s_fit = law
-        fitted = c_fit * analytics.radii ** (s_fit + 1.0)
-        dec = slice(None, None, -1)
+    growth, notes = None, []
+    small = radii[radii < 1.0][::-1]
+    if small.size >= 3:
+        c_fit, s_fit = analytics.law
         growth = geometry.growth_condition_check(
-            analytics.radii[dec], fitted[dec], p.lam, p.C)
+            small, c_fit * small ** (s_fit + 1.0), p.lam, p.C)
+    else:
+        notes.append(f"growth condition not judged: {small.size} band "
+                     f"radii below 1, it needs 3")
 
-    cont_radii = [r for r in cfg.dyadic_radii() if radii[0] <= r <= r_cap]
+    cont_radii = [r for r in cfg.dyadic_radii() if radii[0] <= r <= radii[-1]]
     cont = geometry.containment_check(finest, cont_radii or [spec.r])
 
     box_reports = []
@@ -265,11 +190,11 @@ def geometry_stage(cfg, form, spec, finest):
                                                          form.profile))
 
     section = {
-        "radii": analytics.radii.tolist(),
+        "radii": radii.tolist(),
         "volumes": analytics.volumes.tolist(),
         "doubling_ratios": analytics.doubling_ratios.tolist(),
         "delta": analytics.delta_curve.tolist(),
-        "delta_over_r": (analytics.delta_curve / analytics.radii).tolist(),
+        "delta_over_r": (analytics.delta_curve / radii).tolist(),
         "C_doubling": analytics.C_doubling,
         "doubling_classified": doubling,
         "delta_slope": slope,
@@ -287,7 +212,7 @@ def geometry_stage(cfg, form, spec, finest):
         flags["growth_increasing"] = bool(growth.increasing)
     if box_reports:
         flags["box_sandwich"] = all(b.ok for b in box_reports)
-    return section, BallGeometry(analytics, law, growth, flags)
+    return section, BallGeometry(analytics, growth, flags, notes)
 
 
 @dataclass
@@ -303,14 +228,15 @@ class BallCutoffs:
 def cutoff_stage(cfg, form, spec, finest, analytics):
     """The accumulating cutoff sequence at nu r and the special cutoff at r.
 
-    Their increments are the measured delta(nu r) and delta(r), floored so
-    each ramp spans a few cells, or pinned to cutoff_delta_frac * r when
-    the config sets it.  Returns (report section, BallCutoffs).
+    Their increments are delta(nu r) and delta(r) from the band's table,
+    floored so each ramp spans a few cells, or pinned to
+    cutoff_delta_frac * r when the config sets it.  Returns (report
+    section, BallCutoffs).
     """
     grid = form.grid
     p = cfg.params
-    delta_nu = geometry.nondoubling_order(analytics, p.nu * spec.r)[0]
-    delta_r = geometry.nondoubling_order(analytics, spec.r)[0]
+    delta_nu = analytics.delta_at(p.nu * spec.r)
+    delta_r = analytics.delta_at(spec.r)
     # cutoff ramps must span a few cells or discrete gradients quantize to
     # 1/h; pin to frac*r when configured, else apply a resolution floor
     ramp_floor = 3.0 * max(grid.hx, grid.hy)
@@ -402,7 +328,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
     moser = moser_iterate(vals, finest, spec.r, p.gamma, p.sigma, p.nu,
                           seq.supports, cuts.delta_nu_used, m)
     logest = log_estimate(vals, finest, spec.r, cuts.delta_r_used, form, m)
-    delta_nu0 = geometry.nondoubling_order(analytics, p.nu0 * spec.r)[0]
+    delta_nu0 = analytics.delta_at(p.nu0 * spec.r)
     har = harnack_check(vals, finest, spec.r, p.nu0, p.sigma, delta_nu0, m,
                         C_cal=math.e)
     lb = local_bound_check(vals, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
@@ -421,12 +347,8 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
         # the Harnack constant down the chain uses the fitted delta law:
         # nu0*r leaves the measured band and per-radius deltas are noise
         # under the huge exponent anyway
-        if geo.law is not None:
-            c_fit, s_fit = geo.law
-            delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
-        else:
-            delta_of = lambda s: geometry.nondoubling_order(
-                analytics, max(s, analytics.radii[0]))[0]
+        c_fit, s_fit = analytics.law
+        delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
         osc = oscillation_curve(
             chain_u, chain_fields, chain, p.nu0, p.mu,
             lambda r: log_c_har(p.nu0 * r, delta_of(p.nu0 * r), p.sigma,
@@ -473,7 +395,8 @@ def _ball_chain(cfg, form, spec, ball_id, u, fmm):
     section, finest = metric_stage(cfg, form, spec, fmm)
     yield section, {}, {"finest": finest}
     section, geo = geometry_stage(cfg, form, spec, finest)
-    yield section, geo.flags, {"geo": geo}
+    yield section, geo.flags, {"geo": geo,
+                               "notes": [f"{ball_id}: {n}" for n in geo.notes]}
     section, cuts = cutoff_stage(cfg, form, spec, finest, geo.analytics)
     yield section, {}, {"cuts": cuts}
     section, flags, notes = diagnostics_stage(cfg, form, spec, ball_id,
@@ -500,6 +423,7 @@ def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,
             with _timed(times, stage):
                 report[stage], stage_flags, stage_art = next(chain)
             flags.update(stage_flags)
+            art["notes"] += stage_art.pop("notes", [])
             art.update(stage_art)
     except MeasurementError as exc:
         return (None, {f"{ball_id}.skipped": True},

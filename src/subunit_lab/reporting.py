@@ -27,8 +27,10 @@ def write_json(path, obj):
 
 
 def load_report(path):
-    """The JSON object in path; a file that cannot be read or holds no JSON
-    object raises ConfigError naming path."""
+    """The JSON object in path.  ConfigError naming path when the file
+    cannot be read or holds no JSON object, and naming the field too when
+    a section compare reads is malformed: budgets, balls, a ball or its
+    constants, or solver not an object, or a budget not a number."""
     try:
         with open(path) as fh:
             report = json.load(fh)
@@ -39,6 +41,22 @@ def load_report(path):
         raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
     if not isinstance(report, dict):
         raise ConfigError(f"report {path} is not a JSON object")
+    budgets, balls = report.get("budgets", {}), report.get("balls", {})
+    objects = [("budgets", budgets), ("balls", balls),
+               ("solver", report.get("solver", {}))]
+    if isinstance(balls, dict):
+        for ball_id, ball in balls.items():
+            objects.append((f"balls.{ball_id}", ball))
+            if isinstance(ball, dict):
+                objects.append((f"balls.{ball_id}.constants",
+                                ball.get("constants", {})))
+    for field, value in objects:
+        if not isinstance(value, dict):
+            raise ConfigError(f"report {path}: {field} is not an object")
+    for key, budget in budgets.items():
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)):
+            raise ConfigError(f"report {path}: budgets.{key} is not a "
+                              f"number")
     return report
 
 

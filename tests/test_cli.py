@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import validate_report
 
-from subunit_lab import metric, pipeline
+from subunit_lab import geometry, metric, pipeline
 from subunit_lab.cli import main
 from subunit_lab.config import BALL_FLAGS, RUN_FLAGS, ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
@@ -389,7 +389,7 @@ def test_median_is_numpys_bit_for_bit(monkeypatch):
         x[rng.random(n) < 0.1] = 0.0
         x[rng.random(n) < 0.1] = x[0]
         for values in (x.tolist(), list(x), x):
-            assert (pipeline._median(values).hex()
+            assert (geometry._median(values).hex()
                     == float(np.median(values)).hex()), (n, values)
     # the two medians of the delta-law fit on grushin-145's ball1: the
     # pairwise slopes, then the intercepts at the chosen slope
@@ -401,8 +401,8 @@ def test_median_is_numpys_bit_for_bit(monkeypatch):
     spec = cfg.balls[1]
     _, field = pipeline.metric_stage(cfg, form, spec)
     seen = []
-    median = pipeline._median
-    monkeypatch.setattr(pipeline, "_median",
+    median = geometry._median
+    monkeypatch.setattr(geometry, "_median",
                         lambda v: seen.append(v) or median(v))
     pipeline.geometry_stage(cfg, form, spec, field)
     assert len(seen) == 2 and isinstance(seen[0], list) and len(seen[0]) > 3
@@ -500,21 +500,55 @@ def test_compare_cli_exit_codes(tmp_path, smoke_run):
     assert main(["compare", rep_path, rep_path]) == 0
 
 
-# each ended in a traceback: FileNotFoundError, JSONDecodeError and an
-# AttributeError from compare's report_a.get
-@pytest.mark.parametrize("content", [None, "{\n", "[1, 2]\n"],
-                         ids=["missing", "invalid-json", "list"])
+# edits of a readable report that leave a section compare reads
+# malformed, with the field the error names
+BAD_SECTIONS = {
+    "budgets-list": (lambda rep: rep.update(budgets=[0.3]), "budgets"),
+    "budget-string": (lambda rep: rep["budgets"].update(default="x"),
+                      "budgets.default"),
+    "balls-list": (lambda rep: rep.update(balls=[1]), "balls"),
+    "ball-number": (lambda rep: rep["balls"].update(ball0=5), "balls.ball0"),
+    "constants-list": (lambda rep: rep["balls"]["ball0"].update(
+        constants=[1.0]), "balls.ball0.constants"),
+    "solver-string": (lambda rep: rep.update(solver="x"), "solver"),
+}
+
+
+# each ended in a traceback: FileNotFoundError, JSONDecodeError, and an
+# AttributeError or ValueError from compare reading the report
+@pytest.mark.parametrize("content", [None, "{\n", "[1, 2]\n", *BAD_SECTIONS],
+                         ids=["missing", "invalid-json", "list",
+                              *BAD_SECTIONS])
 def test_compare_bad_report_exit_1_naming_it(tmp_path, smoke_run, capsys,
                                              content):
     bad = tmp_path / "bad.json"
-    if content is not None:
-        bad.write_text(content)
     good = str(smoke_run / "report.json")
+    field = ""
+    if content in BAD_SECTIONS:
+        edit, field = BAD_SECTIONS[content]
+        rep = load_report(good)
+        edit(rep)
+        bad.write_text(json.dumps(rep))
+    elif content is not None:
+        bad.write_text(content)
     for pair in ([str(bad), good], [good, str(bad)]):
         assert main(["compare", *pair]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert str(bad) in err
+        assert str(bad) in err and f" {field}" in err
+
+
+def test_strict_compare_fails_a_constant_over_budget(tmp_path, smoke_run,
+                                                     capsys):
+    good = str(smoke_run / "report.json")
+    rep = load_report(good)
+    rep["balls"]["ball0"]["constants"]["sobolev_c"] *= 2.0
+    drifted = tmp_path / "drifted.json"
+    drifted.write_text(json.dumps(rep))
+    assert main(["compare", good, str(drifted)]) == 0
+    assert "1 of " in capsys.readouterr().out
+    assert main(["--strict", "compare", good, str(drifted)]) == 4
+    assert main(["--strict", "compare", good, good]) == 0
 
 
 def test_growth_failure_exit_4(tmp_path, smoke_cfg_path, capsys):
@@ -530,6 +564,68 @@ def test_growth_failure_exit_4(tmp_path, smoke_cfg_path, capsys):
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 4
     assert "growth_increasing" in capsys.readouterr().err
+
+
+def test_strict_run_fails_any_false_flag(tmp_path, smoke_cfg_path, capsys):
+    # the growth condition fails here (see above), but no config requires
+    # the flag: only --strict makes the false flag fail the run
+    raw = json.load(open(smoke_cfg_path))
+    raw["profile"] = {"kind": "exponential", "param": 0.1}
+    raw["balls"] = [{"center": [0.0, 0.0], "r": 0.2, "on_axis": False}]
+    p = tmp_path / "exp.json"
+    json.dump(raw, open(p, "w"))
+    assert main(["run", "--config", str(p), "--out",
+                 str(tmp_path / "lax")]) == 0
+    report = json.load(open(tmp_path / "lax" / "report.json"))
+    assert report["flags"]["ball0.growth_increasing"] is False
+    capsys.readouterr()
+    assert main(["--strict", "run", "--config", str(p), "--out",
+                 str(tmp_path / "strict")]) == 4
+    err = capsys.readouterr().err
+    assert err == "required flags failed: ball0.growth_increasing\n"
+
+
+def _smoke_variant(tmp_path, smoke_cfg_path, extent, n, ball, **params):
+    raw = json.load(open(smoke_cfg_path))
+    raw["grid"].update(x0=-extent, x1=extent, y0=-extent, y1=extent, nx=n,
+                       ny=n)
+    raw["balls"] = [ball]
+    raw["radii"] = {"r_max": 2.0 * ball["r"], "count": 4}
+    raw["params"].update(params)
+    raw["solver"]["boundary"]["c"] = 2.0 * extent + 2.0   # u stays positive
+    p = tmp_path / "variant.json"
+    json.dump(raw, open(p, "w"))
+    return str(p)
+
+
+def test_growth_is_judged_on_the_band_radii_below_1(tmp_path, smoke_cfg_path):
+    # the band of r = 0.6 reaches 1.23; the parent checked the growth
+    # condition on every band radius and exited 4 ("need r < 1")
+    p = _smoke_variant(tmp_path, smoke_cfg_path, 2.0, 65,
+                       {"center": [0.0, 0.0], "r": 0.6, "on_axis": True})
+    out = tmp_path / "o"
+    assert main(["run", "--config", p, "--out", str(out)]) == 0
+    report = json.load(open(out / "report.json"))
+    assert all(report["flags"].values()) and report["notes"] == []
+    assert report["balls"]["ball0"]["geometry"]["growth_increasing"] is True
+    rows = list(csv.DictReader(open(out / "balls" / "ball0.csv")))
+    assert float(rows[-1]["r"]) > 1.0 > float(rows[0]["r"])
+    for row in rows:
+        assert math.isnan(float(row["g_of_r"])) == (float(row["r"]) >= 1.0)
+
+
+def test_growth_not_judged_below_three_small_radii(tmp_path, smoke_cfg_path):
+    # at 33^2 on [-8, 8]^2 the band of r = 3 starts above 1
+    p = _smoke_variant(tmp_path, smoke_cfg_path, 8.0, 33,
+                       {"center": [0.0, 0.0], "r": 3.0, "on_axis": False},
+                       nu=0.75, nu0=0.75, eta=0.9)
+    out = tmp_path / "o"
+    assert main(["run", "--config", p, "--out", str(out)]) == 0
+    report = json.load(open(out / "report.json"))
+    assert report["balls"]["ball0"]["geometry"]["growth_increasing"] is None
+    assert "ball0.growth_increasing" not in report["flags"]
+    assert report["notes"] == ["ball0: growth condition not judged: 0 band "
+                               "radii below 1, it needs 3"]
 
 
 def test_solver_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):

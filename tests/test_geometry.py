@@ -75,6 +75,27 @@ def test_nondoubling_order_range_error(euclid_field):
         nondoubling_order(analytics, 0.9, 2.0)
 
 
+def test_delta_lookup_is_the_bisection_on_the_band(grushin_field_origin):
+    # measure_ball's table holds delta at every band radius, bit for bit
+    # what the bisection finds there; the radii a stage asks for join the
+    # band where they fall inside it, and any other radius is refused
+    field, r = grushin_field_origin, 0.17
+    margin = field.grid.boundary_distance(field.source)
+    an = geometry.measure_ball(field, r, margin, (1e-6, 0.5 * r, r))
+    radii = an.radii.tolist()
+    assert 0.5 * r in radii and r in radii and 1e-6 not in radii
+    assert len(radii) == geometry.BAND_RADII + 2
+    assert radii[-1] == 2.05 * r
+    assert geometry.march_reach(r, margin) >= 2.0 * radii[-1]
+    for s in radii:
+        assert an.delta_at(s) == nondoubling_order(an, s)[0]
+    c_fit, s_fit = an.law
+    assert c_fit > 0 and math.isfinite(s_fit)
+    for s in (0.99 * radii[0], 0.5 * (radii[0] + radii[1]), 1.01 * radii[-1]):
+        with pytest.raises(RangeError):
+            an.delta_at(s)
+
+
 def test_constant_volume_plateau_capped_or_range_error(euclid_field):
     # degenerate test input: nodes beyond 0.05 unreachable, so the volume
     # curve is frozen at |B(0.05)| over the whole measured band
