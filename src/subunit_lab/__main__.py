@@ -1,0 +1,8 @@
+"""`python -m subunit_lab <subcommand> ...` runs the subunit-lab CLI."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

@@ -1,12 +1,14 @@
-"""Batch experiment CLI.
+"""Batch experiment CLI, run as `subunit-lab` or `python -m subunit_lab`.
 
 Subcommands: dist, balls, cutoff, solve, diagnose, run, compare.  balls,
 cutoff and diagnose are prefixes of the ball driver pipeline.run_ball:
 each runs the stages through geometry, cutoff or diagnostics, writes that
-stage's table as `run` does, and skips a ball as `run` does, printing its
-note `ball<k>: skipped (<reason>)`.  dist alone solves the whole eps
-ladder: it writes every rung, a row per node, checks that distances grow
-nodewise as eps shrinks and prints the last rungs' largest increment.
+stage's table as `run` does, and skips a ball as `run` does.  Each prints
+a ball's notes in order, the lines `run` adds to report.json's notes: a
+skip, `ball<k>: skipped (<reason>)`, or a check not judged.  dist alone
+solves the whole eps ladder: it writes every rung, a row per node, checks
+that distances grow nodewise as eps shrinks and prints the last rungs'
+largest increment.
 Exit codes: 0 ok (skipped balls too), 1 config error, 2 geometry error
 (MeasurementError outside the driver, MonotonicityError), 3 solver
 non-convergence (a Picard failure prints PICARD_FAILED on stderr), 4
@@ -67,8 +69,8 @@ def _each_ball(cfg, form, last, u=None):
         ball_id = f"ball{k}"
         report, flags, art = pipeline.run_ball(cfg, form, spec, ball_id, u,
                                                last=last)
-        if report is None:
-            print(art["notes"][0])
+        for note in art["notes"]:
+            print(note)
         yield ball_id, report, flags, art
 
 

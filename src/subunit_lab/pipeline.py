@@ -9,10 +9,14 @@ Artifact layout under the output directory:
                   full marches, every node
     balls/        per-ball radius table (r, volume, doubling_ratio, delta,
                   delta_over_r, g_of_r)
-    cutoffs/      per-j cutoff table and nesting diagram
+    cutoffs/      per-j cutoff table (CSV) and nesting diagram (SVG
+                  around an embedded PNG of the first four supports)
     solutions/    linear/quasilinear solutions and residual history
     diagnostics/  per-ball JSON with all constants and pass flags
-    plots/        self-contained SVG charts
+    plots/        self-contained SVG charts: the solution heatmap
+                  (an embedded PNG, one pixel per sampled node) and each
+                  ball's vector line charts; an embedded PNG's bytes are
+                  fixed for a given zlib build
     report.json   the deterministic report (no timestamps)
     run_meta.json wall-clock metadata, excluded from the determinism contract
                   (indented and key-sorted like every JSON artifact):

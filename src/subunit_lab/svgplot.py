@@ -1,12 +1,17 @@
 """Minimal self-contained SVG output: line charts, log-log charts, heatmaps.
 
 No plotting dependency; every figure is a standalone .svg written directly.
-Deterministic output for identical data, with no timestamps: coordinates
-and sizes are formatted with .2f (axis ticks .1f), tick labels with .3g
-and a heatmap's range label with .4g.
+Line charts are vector.  The heatmap and the nesting diagram are raster:
+one unsmoothed <image>, an embedded PNG of one pixel per sampled cell.
+Deterministic output for identical data and a given zlib build, with no
+timestamps: coordinates and sizes are formatted with .2f (axis ticks .1f),
+tick labels with .3g and a heatmap's range label with .4g.
 """
 
+import binascii
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -45,31 +50,28 @@ def _header(title):
     ]
 
 
-def _cell_attrs(cols, rows, cw, ch, width, pitch, pad):
-    """The rect's x attribute for each column index in cols, its y and
-    width attributes for each row index in rows, and its height attribute
-    for a run of n rows, n = 0 .. len(rows): column i starts at
-    MARGIN + i * cw, row j, counted up from the bottom, has its top at
-    H - MARGIN - (j + 1) * ch, and n rows are n * pitch + pad high."""
-    xs = [f'<rect x="{MARGIN + i * cw:.2f}" ' for i in cols]
-    ys = [f'y="{H - MARGIN - (j + 1) * ch:.2f}" width="{width:.2f}" '
-          for j in rows]
-    heights = [f'height="{n * pitch + pad:.2f}" ' for n in range(len(ys) + 1)]
-    return xs, ys, heights
+def _chunk(kind, data):
+    return (struct.pack(">I", len(data)) + kind + data
+            + struct.pack(">I", zlib.crc32(kind + data)))
 
 
-def _runs(codes):
-    """Each column's runs of equal code in a 2-D array, column by column
-    and bottom-up (row 0 first): (column, top row, length) lists.  A
-    negative code marks a blank cell, which no run holds."""
-    first = np.ones(codes.shape, dtype=bool)
-    first[:, 1:] = codes[:, 1:] != codes[:, :-1]
-    last = np.ones(codes.shape, dtype=bool)
-    last[:, :-1] = first[:, 1:]
-    filled = codes >= 0
-    cols, bottoms = np.nonzero(first & filled)
-    tops = np.nonzero(last & filled)[1]
-    return cols.tolist(), tops.tolist(), (tops - bottoms + 1).tolist()
+def _image(x, y, width, height, cells):
+    """An unsmoothed <image> over the box with top-left corner (x, y): an
+    RGBA PNG, 8 bits a channel, filter 0 on every row, one IDAT, whose
+    pixel in column i and row j, counted up from the bottom, is the uint8
+    RGBA cells[i, j]."""
+    mx, my, _ = cells.shape
+    raw = np.zeros((my, 1 + 4 * mx), dtype=np.uint8)
+    raw[:, 1:] = cells[:, ::-1].transpose(1, 0, 2).reshape(my, 4 * mx)
+    png = (b"\x89PNG\r\n\x1a\n"
+           + _chunk(b"IHDR", struct.pack(">IIBBBBB", mx, my, 8, 6, 0, 0, 0))
+           + _chunk(b"IDAT", zlib.compress(raw.tobytes(), 9))
+           + _chunk(b"IEND", b""))
+    href = binascii.b2a_base64(png, newline=False).decode("ascii")
+    return (f'<image x="{x:.2f}" y="{y:.2f}" width="{width:.2f}" '
+            f'height="{height:.2f}" preserveAspectRatio="none" '
+            f'image-rendering="pixelated" '
+            f'href="data:image/png;base64,{href}"/>')
 
 
 def _write(path, parts):
@@ -178,13 +180,10 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
 
 
 def heatmap(path, values, title=""):
-    """Coarse rect-based heatmap of a grid function: every
+    """Coarse raster heatmap of a grid function: every
     max(1, n // HEATMAP_CELLS)-th node along an axis of n nodes is a cell
-    and non-finite cells stay blank.  Each column's runs of cells of one
-    colour are one rect each, drawn column by column and bottom-up, so a
-    rect paints every cell it spans, with the 0.5 overlap of each cell
-    onto the one to its right and the one below, as one rect per cell
-    drawn in that order would."""
+    of the plot box, coloured rgb(int(255 t), 80, int(255 (1 - t))) for t
+    the value scaled to [0, 1]; non-finite cells stay blank."""
     v = np.asarray(values, dtype=float)
     finite = np.isfinite(v)
     if not finite.any():
@@ -194,43 +193,43 @@ def heatmap(path, values, title=""):
     nx, ny = v.shape
     sx = max(1, nx // HEATMAP_CELLS)
     sy = max(1, ny // HEATMAP_CELLS)
-    vv = v[::sx, ::sy]
     ff = finite[::sx, ::sy]
-    mx, my = vv.shape
-    cw = (W - 2 * MARGIN) / mx
-    ch = (H - 2 * MARGIN) / my
-    xs, ys, heights = _cell_attrs(range(mx), range(my), cw, ch, cw + 0.5,
-                                  ch, 0.5)
-    t = (np.where(ff, vv, lo) - lo) / span
-    # 0 <= t <= 1, so each channel is a byte and 256 red + blue names a colour
-    codes = np.where(ff, 256 * (255 * t).astype(int)
-                     + (255 * (1 - t)).astype(int), -1)
-    cols, tops, lengths = _runs(codes)
-    colours, which = np.unique(codes[cols, tops], return_inverse=True)
-    fills = [f'fill="rgb({c >> 8},80,{c & 255})"/>' for c in colours.tolist()]
+    t = (np.where(ff, v[::sx, ::sy], lo) - lo) / span
+    # 0 <= t <= 1, so the byte cast truncates each channel as int() does
+    cells = np.dstack([255 * t, np.full(t.shape, 80.0), 255 * (1 - t),
+                       np.full(t.shape, 255.0)]).astype(np.uint8)
+    cells[~ff] = 0
     parts = _header(title)
-    parts += [f"{xs[i]}{ys[j]}{heights[n]}{fills[k]}"
-              for i, j, n, k in zip(cols, tops, lengths, which.tolist())]
+    parts.append(_image(MARGIN, MARGIN, W - 2 * MARGIN, H - 2 * MARGIN,
+                        cells))
     parts.append(f'<text x="{MARGIN}" y="{H - 20}" font-family="sans-serif" '
                  f'font-size="10">range [{lo:.4g}, {hi:.4g}]</text>')
     _write(path, parts)
 
 
 def nesting_diagram(path, supports, grid, title="cutoff supports"):
-    """Nested support outlines E_1 > E_2 > ... as stacked translucent fills,
-    sampled every max(1, nx // 120)-th node: each column's runs of sampled
-    nodes in a support are one rect each, so every sampled node is under
-    one fill per support that holds it."""
-    parts = _header(title)
+    """Nested supports E_1 > E_2 > ... as stacked translucent fills,
+    sampled every step = max(1, nx // 120)-th node: node (i, j) is a
+    step x step-node cell at x = MARGIN + i * cw, top at
+    H - MARGIN - (j + 1) * ch, coloured by the fills (opacity 0.18) of the
+    supports that hold it over white in order; blank outside them all."""
     nx, ny = grid.shape
-    cw = (W - 2 * MARGIN) / nx
-    ch = (H - 2 * MARGIN) / ny
+    cw, ch = (W - 2 * MARGIN) / nx, (H - 2 * MARGIN) / ny
     step = max(1, nx // 120)
-    xs, ys, heights = _cell_attrs(range(0, nx, step), range(0, ny, step),
-                                  cw, ch, cw * step, ch * step, 0.0)
-    for k, m in enumerate(supports):
-        fill = f'fill="{PALETTE[k % len(PALETTE)]}" fill-opacity="0.18"/>'
-        cols, tops, lengths = _runs(np.where(m[::step, ::step], 0, -1))
-        parts += [f"{xs[i]}{ys[j]}{heights[n]}{fill}"
-                  for i, j, n in zip(cols, tops, lengths)]
+    # the set of supports that hold each sampled node, one bit a support
+    held = sum(m[::step, ::step].astype(np.int64) << k
+               for k, m in enumerate(supports))
+    colours = np.zeros((held.max() + 1, 4), dtype=np.uint8)
+    for bits in range(1, len(colours)):
+        rgb = [255.0] * 3
+        for k in range(bits.bit_length()):
+            if bits >> k & 1:
+                fill = bytes.fromhex(PALETTE[k % len(PALETTE)][1:])
+                rgb = [c + 0.18 * (f - c) for c, f in zip(rgb, fill)]
+        colours[bits] = [round(c) for c in rgb] + [255]
+    my = held.shape[1]
+    parts = _header(title)
+    parts.append(_image(MARGIN, H - MARGIN - ((my - 1) * step + 1) * ch,
+                        held.shape[0] * step * cw, my * step * ch,
+                        colours[held]))
     _write(path, parts)

@@ -1,10 +1,15 @@
 """Shared fixtures.  Distance fields are expensive (fast marching), so the
 standard grids/fields are session-scoped and reused across test modules.
 Every report.json the session writes is checked against the packaged
-schema when the session ends."""
+schema when the session ends.  svg_image reads the raster of a heatmap or
+nesting diagram back."""
 
+import base64
 import importlib.resources as resources
 import json
+import struct
+import xml.etree.ElementTree as ET
+import zlib
 
 import jsonschema
 import numpy as np
@@ -23,6 +28,47 @@ def validate_report(report):
     schema itself against its metaschema (SchemaError)."""
     ref = resources.files("subunit_lab").joinpath("schemas/report.schema.json")
     jsonschema.validate(report, json.loads(ref.read_text()))
+
+
+def read_png(data):
+    """The (h, w, 4) pixels, row 0 on top, of a PNG as svgplot writes
+    one, read strictly: the signature, then IHDR, one IDAT and IEND, each
+    with its CRC; 8-bit RGBA, no interlace; the IDAT inflates to
+    h * (1 + 4 w) bytes and every row's filter byte is 0."""
+    assert data[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(data):
+        n, = struct.unpack(">I", data[pos:pos + 4])
+        kind, body = data[pos + 4:pos + 8], data[pos + 8:pos + 8 + n]
+        crc, = struct.unpack(">I", data[pos + 8 + n:pos + 12 + n])
+        assert zlib.crc32(kind + body) == crc, kind
+        chunks.append((kind, body))
+        pos += 12 + n
+    assert pos == len(data)
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"]
+    w, h, depth, colour, *methods = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (depth, colour, methods) == (8, 6, [0, 0, 0])
+    raw = zlib.decompress(chunks[1][1])
+    assert len(raw) == h * (1 + 4 * w)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(h, 1 + 4 * w)
+    assert not rows[:, 0].any()
+    return rows[:, 1:].reshape(h, w, 4)
+
+
+def svg_image(path):
+    """The one <image> of an SVG: its box (x, y, width, height) and the
+    pixels of the PNG its href embeds, which it shows unsmoothed."""
+    ns = "{http://www.w3.org/2000/svg}"
+    images = list(ET.parse(path).getroot().iter(f"{ns}image"))
+    assert len(images) == 1
+    el = images[0]
+    assert el.get("preserveAspectRatio") == "none"
+    assert el.get("image-rendering") == "pixelated"
+    prefix = "data:image/png;base64,"
+    assert el.get("href").startswith(prefix)
+    png = base64.b64decode(el.get("href")[len(prefix):], validate=True)
+    box = tuple(float(el.get(k)) for k in ("x", "y", "width", "height"))
+    return box, read_png(png)
 
 
 @pytest.fixture(scope="session", autouse=True)

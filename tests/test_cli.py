@@ -12,7 +12,7 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
-from conftest import validate_report
+from conftest import svg_image, validate_report
 
 from subunit_lab import geometry, metric, pipeline
 from subunit_lab.cli import main
@@ -614,18 +614,41 @@ def test_growth_is_judged_on_the_band_radii_below_1(tmp_path, smoke_cfg_path):
         assert math.isnan(float(row["g_of_r"])) == (float(row["r"]) >= 1.0)
 
 
-def test_growth_not_judged_below_three_small_radii(tmp_path, smoke_cfg_path):
+def _growth_unjudged_variant(tmp_path, smoke_cfg_path):
     # at 33^2 on [-8, 8]^2 the band of r = 3 starts above 1
-    p = _smoke_variant(tmp_path, smoke_cfg_path, 8.0, 33,
-                       {"center": [0.0, 0.0], "r": 3.0, "on_axis": False},
-                       nu=0.75, nu0=0.75, eta=0.9)
+    return _smoke_variant(tmp_path, smoke_cfg_path, 8.0, 33,
+                          {"center": [0.0, 0.0], "r": 3.0, "on_axis": False},
+                          nu=0.75, nu0=0.75, eta=0.9)
+
+
+GROWTH_UNJUDGED = ("ball0: growth condition not judged: 0 band radii below "
+                   "1, it needs 3")
+
+
+def test_growth_not_judged_below_three_small_radii(tmp_path, smoke_cfg_path):
+    p = _growth_unjudged_variant(tmp_path, smoke_cfg_path)
     out = tmp_path / "o"
     assert main(["run", "--config", p, "--out", str(out)]) == 0
     report = json.load(open(out / "report.json"))
     assert report["balls"]["ball0"]["geometry"]["growth_increasing"] is None
     assert "ball0.growth_increasing" not in report["flags"]
-    assert report["notes"] == ["ball0: growth condition not judged: 0 band "
-                               "radii below 1, it needs 3"]
+    assert report["notes"] == [GROWTH_UNJUDGED]
+
+
+@pytest.mark.parametrize("command", ["balls", "cutoff"])
+def test_subcommands_print_a_measured_ball_s_notes(tmp_path, smoke_cfg_path,
+                                                   capsys, command):
+    # the ball is measured, its growth condition is not judged: the
+    # subcommand says why its g_of_r column is nan, as `run` notes it
+    p = _growth_unjudged_variant(tmp_path, smoke_cfg_path)
+    out = tmp_path / command
+    assert main([command, "--config", p, "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == GROWTH_UNJUDGED
+    assert len(lines) == 2 and lines[1].startswith("ball0: ")
+    if command == "balls":
+        rows = list(csv.DictReader(open(out / "ball0.csv")))
+        assert all(math.isnan(float(row["g_of_r"])) for row in rows)
 
 
 def test_solver_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
@@ -974,15 +997,16 @@ def test_run_meta_records_artifact_bytes(smoke_run):
 
 def test_smoke_run_artifacts_scale_with_what_they_hold(smoke_run,
                                                        smoke_cfg_path):
-    # the affine solution x + 2 has one colour up each sampled column of
-    # its heatmap, and each distance CSV has one row per node its field
-    # froze
+    # the heatmap is one pixel per sampled node, and the affine solution
+    # x + 2 one colour up each column of it; each distance CSV has one row
+    # per node its field froze
     cfg = ExperimentConfig.load(smoke_cfg_path)
     form = pipeline.build_form(cfg)
-    nx = form.grid.nx
-    columns = len(range(0, nx, max(1, nx // HEATMAP_CELLS)))
-    svg = (smoke_run / "plots" / "solution.svg").read_bytes()
-    assert 0 < svg.count(b"<rect x=") <= 2 * columns
+    cells = [len(range(0, n, max(1, n // HEATMAP_CELLS)))
+             for n in (form.grid.ny, form.grid.nx)]
+    _, pixels = svg_image(smoke_run / "plots" / "solution.svg")
+    assert list(pixels.shape) == cells + [4]
+    assert (pixels == pixels[:1]).all() and (pixels[..., 3] == 255).all()
     for k, spec in enumerate(cfg.balls):
         _, field = pipeline.metric_stage(cfg, form, spec)
         path = smoke_run / "distances" / f"ball{k}_finest.csv"
@@ -1159,6 +1183,22 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # `python -m subunit_lab` is the CLI without an installed entry point
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "subunit_lab", "--help"],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "{dist,balls,cutoff,solve,diagnose,run,compare}" in res.stdout
+    res = subprocess.run([sys.executable, "-m", "subunit_lab", "run",
+                          "--config", str(tmp_path / "missing.json"),
+                          "--out", str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 1
+    assert res.stderr.startswith("config error: ")
 
 
 def test_installed_entry_point_runs():

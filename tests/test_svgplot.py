@@ -1,13 +1,15 @@
 """SVG writers: the grid heatmap and the cutoff nesting diagram, which
-draw one rect per run of equal colour up a column, paint every sampled
-cell as the per-cell loops they replaced did."""
+embed one PNG pixel per sampled cell, show every sampled cell as the
+per-cell rect loops they replaced painted it."""
 
 import math
 import xml.etree.ElementTree as ET
 from bisect import bisect_left, bisect_right
+from functools import cache
 
 import numpy as np
 import pytest
+from conftest import svg_image
 
 from subunit_lab.grid import GridSpec
 from subunit_lab.svgplot import H, MARGIN, PALETTE, W, heatmap, nesting_diagram
@@ -107,34 +109,13 @@ def _heatmap_probes(shape):
             sorted(H - MARGIN - (j + 0.5) * ch for j in range(my)))
 
 
-def _nesting_probes(n):
+def _nesting_probes(nx, ny):
     # the centre of every sampled node's step x step cell
-    step = max(1, n // 120)
-    cw, ch = (W - 2 * MARGIN) / n, (H - 2 * MARGIN) / n
-    return ([MARGIN + (i + step / 2) * cw for i in range(0, n, step)],
+    step = max(1, nx // 120)
+    cw, ch = (W - 2 * MARGIN) / nx, (H - 2 * MARGIN) / ny
+    return ([MARGIN + (i + step / 2) * cw for i in range(0, nx, step)],
             sorted(H - MARGIN - (j + 1 - step / 2) * ch
-                   for j in range(0, n, step)))
-
-
-def _colour_runs(values):
-    # one per maximal run of sampled cells of one colour up a column
-    cells = 160
-    v = np.asarray(values, dtype=float)
-    finite = np.isfinite(v)
-    lo, hi = float(v[finite].min()), float(v[finite].max())
-    span = hi - lo if hi > lo else 1.0
-    sx, sy = (max(1, n // cells) for n in v.shape)
-    runs = 0
-    for column in v[::sx, ::sy]:
-        prev = None
-        for x in column.tolist():
-            colour = None
-            if math.isfinite(x):
-                t = (x - lo) / span
-                colour = (int(255 * t), int(255 * (1 - t)))
-                runs += colour != prev
-            prev = colour
-    return runs
+                   for j in range(0, ny, step)))
 
 
 def _field(nx, ny, seed):
@@ -147,14 +128,54 @@ def _field(nx, ny, seed):
     return values
 
 
-def _assert_same_rendering(new, old, probes):
-    paints = _paints(new, *probes)
-    assert paints == _paints(old, *probes)
-    return paints
+@cache
+def _composite(stack):
+    """The colour a tuple of (fill, fill-opacity) paints shows, each
+    painted over the ones before it."""
+    rgb = (0.0, 0.0, 0.0)
+    for fill, opacity in stack:
+        if fill == "white":
+            colour = (255, 255, 255)
+        elif fill.startswith("#"):
+            colour = tuple(bytes.fromhex(fill[1:]))
+        else:
+            colour = tuple(int(c) for c in fill[4:-1].split(","))
+        a = float(opacity)
+        rgb = tuple(c * (1 - a) + f * a for c, f in zip(rgb, colour))
+    return rgb
 
 
-def _rects(path):
-    return path.read_bytes().count(b"<rect x=")
+def _assert_same_picture(new, old, probes, tol):
+    """The pixel of new's image under each probe point shows what old's
+    rects stack there: blank (all zero) where old paints the background
+    alone, else opaque and within tol of the stack's colour in each
+    channel.  new draws no rect but the background, and each of old's
+    rects has its corner on a corner of new's pixel grid.  Returns old's
+    stacks and new's pixels."""
+    stacks = _paints(old, *probes)
+    background = [("white", "1")]
+    assert _paints(new, *probes) == [[background] * len(probes[1])
+                                     for _ in probes[0]]
+    (x, y, width, height), pixels = svg_image(new)
+    h, w, _ = pixels.shape
+    pw, ph = width / w, height / h
+    cols = ((np.array(probes[0]) - x) / pw).astype(int)
+    rows = ((np.array(probes[1]) - y) / ph).astype(int)
+    shown = pixels[rows][:, cols].transpose(1, 0, 2)
+    painted = np.array([[p != background for p in col] for col in stacks])
+    expected = np.array([[_composite(tuple(p)) for p in col]
+                         for col in stacks])
+    assert (shown[..., 3] == np.where(painted, 255, 0)).all()
+    assert not shown[~painted].any()
+    assert np.abs(shown[painted][:, :3] - expected[painted]).max() <= tol
+    rects = [el for el in ET.parse(old).getroot().iter(f"{{{SVG_NS}}}rect")
+             if el.get("x") is not None]
+    for key, lo, pitch, n in (("x", x, pw, w), ("y", y, ph, h)):
+        at = np.array([float(el.get(key)) for el in rects])
+        k = np.round((at - lo) / pitch)
+        assert ((0 <= k) & (k < n)).all()
+        assert np.abs(lo + k * pitch - at).max() < 0.011
+    return stacks, pixels
 
 
 @pytest.mark.parametrize("nx,ny,blanks", [(145, 145, 5), (513, 513, 4),
@@ -164,40 +185,45 @@ def test_heatmap_matches_reference_rendering(tmp_path, nx, ny, blanks):
     values = _field(nx, ny, nx + ny)
     heatmap(tmp_path / "new.svg", values, title="u")
     _reference_heatmap(tmp_path / "old.svg", values, title="u")
-    paints = _assert_same_rendering(tmp_path / "new.svg", tmp_path / "old.svg",
-                                    _heatmap_probes(values.shape))
-    # a blank cell shows the background alone, a filled one one rect on it
+    probes = _heatmap_probes(values.shape)
+    paints, pixels = _assert_same_picture(
+        tmp_path / "new.svg", tmp_path / "old.svg", probes, 0)
+    # one pixel per sampled cell; a blank cell shows the background
+    # alone, a filled one one rect on it
+    assert pixels.shape[:2] == (len(probes[1]), len(probes[0]))
     assert sum(len(p) == 1 for col in paints for p in col) == blanks
     assert all(len(p) <= 2 for col in paints for p in col)
-    assert _rects(tmp_path / "new.svg") == _colour_runs(values)
-    assert _rects(tmp_path / "new.svg") < _rects(tmp_path / "old.svg")
+    assert np.count_nonzero(pixels[..., 3] == 0) == blanks
 
 
 def test_heatmap_constant_field_matches_reference_rendering(tmp_path):
-    # lo == hi: every channel reads t = 0; the blank node splits its column
+    # lo == hi: every channel reads t = 0
     values = np.full((41, 23), 2.5)
     values[7, 7] = math.nan
     heatmap(tmp_path / "new.svg", values)
     _reference_heatmap(tmp_path / "old.svg", values)
-    _assert_same_rendering(tmp_path / "new.svg", tmp_path / "old.svg",
-                           _heatmap_probes(values.shape))
-    new = (tmp_path / "new.svg").read_bytes()
-    assert new.count(b'fill="rgb(0,80,255)"') == 41 + 1 == _rects(
-        tmp_path / "new.svg")
-    assert b"range [2.5, 2.5]" in new
+    _, pixels = _assert_same_picture(tmp_path / "new.svg",
+                                     tmp_path / "old.svg",
+                                     _heatmap_probes(values.shape), 0)
+    painted = pixels[..., 3] == 255
+    assert np.count_nonzero(~painted) == 1
+    assert (pixels[painted] == (0, 80, 255, 255)).all()
+    assert b"range [2.5, 2.5]" in (tmp_path / "new.svg").read_bytes()
 
 
 @pytest.mark.parametrize("nx,ny", [(145, 145), (513, 301)],
                          ids=["145", "513x301-step3"])
-def test_heatmap_x_only_field_draws_one_rect_per_column(tmp_path, nx, ny):
+def test_heatmap_x_only_field_is_one_colour_per_column(tmp_path, nx, ny):
     grid = GridSpec(-1.0, 1.0, -0.5, 1.5, nx, ny)
     X, _ = grid.meshgrid()
     values = 3.0 * X + 2.0
     heatmap(tmp_path / "new.svg", values)
     _reference_heatmap(tmp_path / "old.svg", values)
-    _assert_same_rendering(tmp_path / "new.svg", tmp_path / "old.svg",
-                           _heatmap_probes(values.shape))
-    assert _rects(tmp_path / "new.svg") == len(range(0, nx, max(1, nx // 160)))
+    _, pixels = _assert_same_picture(tmp_path / "new.svg",
+                                     tmp_path / "old.svg",
+                                     _heatmap_probes(values.shape), 0)
+    assert pixels.shape[1] == len(range(0, nx, max(1, nx // 160)))
+    assert (pixels == pixels[:1]).all()
 
 
 def test_heatmap_without_finite_values_raises(tmp_path):
@@ -205,26 +231,32 @@ def test_heatmap_without_finite_values_raises(tmp_path):
         heatmap(tmp_path / "none.svg", np.full((5, 4), math.nan))
 
 
-@pytest.mark.parametrize("n", [145, 257], ids=["145", "257-step2"])
-def test_nesting_diagram_matches_reference_rendering(tmp_path, n):
-    grid = GridSpec(-1.0, 1.0, -0.5, 1.5, n, n)
+@pytest.mark.parametrize("nx,ny,whole", [(145, 145, True),
+                                         (257, 257, True),
+                                         (257, 131, False)],
+                         ids=["145", "257-step2", "257x131-step2-blank"])
+def test_nesting_diagram_matches_reference_rendering(tmp_path, nx, ny, whole):
+    grid = GridSpec(-1.0, 1.0, -0.5, 1.5, nx, ny)
     X, Y = grid.meshgrid()
     r = np.hypot(X - 0.1, Y - 0.4)
-    supports = [np.ones(grid.shape, dtype=bool)]
+    supports = [np.ones(grid.shape, dtype=bool)] if whole else []
     supports += [r < rad for rad in (0.9, 0.5, 0.2)]
-    # an empty support, and one with a hole: two runs up some columns
+    # an empty support, and one with a hole across some columns
     supports += [np.zeros(grid.shape, dtype=bool),
                  (r < 0.7) & (np.abs(Y - 0.4) > 0.1)]
     nesting_diagram(tmp_path / "new.svg", supports, grid, title="B cutoffs")
     _reference_nesting_diagram(tmp_path / "old.svg", supports, grid,
                                title="B cutoffs")
-    paints = _assert_same_rendering(tmp_path / "new.svg",
-                                    tmp_path / "old.svg", _nesting_probes(n))
-    # every sampled node is under the background and the whole-grid support
-    assert all(p[:2] == [("white", "1"), (PALETTE[0], "0.18")]
-               for col in paints for p in col)
-    new = (tmp_path / "new.svg").read_bytes()
-    columns = len(range(0, n, max(1, n // 120)))
-    assert new.count(f'fill="{PALETTE[0]}"'.encode()) == columns
-    assert new.count(f'fill="{PALETTE[4]}"'.encode()) == 0
-    assert _rects(tmp_path / "new.svg") < _rects(tmp_path / "old.svg") // 10
+    probes = _nesting_probes(nx, ny)
+    paints, pixels = _assert_same_picture(
+        tmp_path / "new.svg", tmp_path / "old.svg", probes, 1)
+    assert pixels.shape[:2] == (len(probes[1]), len(probes[0]))
+    blank = pixels[..., 3] == 0
+    if whole:
+        # every sampled node is under the background and the whole-grid
+        # support
+        assert all(p[:2] == [("white", "1"), (PALETTE[0], "0.18")]
+                   for col in paints for p in col)
+        assert not blank.any()
+    else:
+        assert 0 < np.count_nonzero(blank) < blank.size
