@@ -6,9 +6,9 @@ each runs the stages through geometry, cutoff or diagnostics, writes that
 stage's table as `run` does, and skips a ball as `run` does.  Each prints
 a ball's notes in order, the lines `run` adds to report.json's notes: a
 skip, `ball<k>: skipped (<reason>)`, or a check not judged.  dist alone
-solves the whole eps ladder: it writes every rung, a row per node, checks
-that distances grow nodewise as eps shrinks and prints the last rungs'
-largest increment.
+solves the whole eps ladder: it writes every rung, a whole-grid .npz
+(pipeline.write_grid_npz), checks that distances grow nodewise as eps
+shrinks and prints the last rungs' largest increment.
 Exit codes: 0 ok (skipped balls too), 1 config error, 2 geometry error
 (MeasurementError outside the driver, MonotonicityError), 3 solver
 non-convergence (a Picard failure prints PICARD_FAILED on stderr), 4
@@ -50,9 +50,9 @@ def cmd_dist(args):
         source = form.grid.nearest_node(*spec.center)
         ladder = solve_ladder(form, source, cfg.epsilon_ladder())
         for f in ladder:
-            pipeline.write_grid_csv(
-                os.path.join(args.out, f"ball{k}_eps{f.epsilon:g}.csv"),
-                form.grid, f.values, "value")
+            pipeline.write_grid_npz(
+                os.path.join(args.out, f"ball{k}_eps{f.epsilon:g}.npz"),
+                form.grid, f.values)
         last = ladder[-1].values - ladder[-2].values
         print(f"ball{k}: {len(ladder)} distance fields -> {args.out}; "
               f"max last increment {last[np.isfinite(last)].max():.3e}")

@@ -19,8 +19,9 @@ then freezes every node below the reach and every node of a grid triangle
 touching one (the triangulation geometry.VolumeFunction measures on), and
 leaves every other node +inf.  Nodes freeze in value order, so each
 finite value is bit-identical to the full march's.  The pipeline's fields
-are bounded this way, and distances/*_finest.csv lists only their frozen
-nodes; solve_ladder, and with it `dist`, marches the whole grid.
+are bounded this way, and distances/*_finest.npz holds only the box of
+their frozen nodes; solve_ladder, and with it `dist`, marches the whole
+grid.
 
 The marching loop works on plain Python lists and a bytearray, not numpy
 scalars, over the grid padded by one sentinel ring.  Sentinel nodes are

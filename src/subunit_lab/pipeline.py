@@ -3,10 +3,10 @@ diagnostics, persisting a deterministic artifact tree.
 
 Artifact layout under the output directory:
 
-    distances/    finest-eps field per ball (x, y, value CSV), one row per
-                  node its bounded march froze (metric_stage) and none for
-                  the +inf nodes beyond the ball's reach; `dist` writes
-                  full marches, every node
+    distances/    finest-eps field per ball (metric_stage), a compressed
+                  .npz (write_grid_npz) cropped to the box of the nodes
+                  its bounded march froze, every node outside it +inf;
+                  `dist` writes full marches, whole grids, the same way
     balls/        per-ball radius table (r, volume, doubling_ratio, delta,
                   delta_over_r, g_of_r)
     cutoffs/      per-j cutoff table (CSV) and nesting diagram (SVG
@@ -45,9 +45,10 @@ table (BallAnalytics.delta_at).
 import math
 import os
 import time
+# np.savez_compressed imports zipfile lazily: load it at set-up instead
+import zipfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import compress, islice
 
 import numpy as np
 
@@ -497,7 +498,7 @@ def run_experiment(cfg, out_dir, strict=False):
                 _write_ball_artifacts(out, ball_id, art, ball_report)
 
     with _timed(times, "artifacts"):
-        _write_solution_artifacts(out, u_lin, q_result)
+        _write_solution_artifacts(out, u, u_lin, q_result)
         report = json_safe(report)
         write_json(out("report.json"), report)
     write_json(os.path.join(out_dir, "run_meta.json"),
@@ -524,37 +525,52 @@ def _failed_flags(report, cfg, strict):
 
 
 def write_grid_csv(path, grid, values, name):
-    """One (x, y, name) row per grid node whose value is not +inf, x outer
-    and y inner.
+    """One (x, y, name) row per grid node, x outer and y inner.
 
-    +inf marks a node a bounded march did not reach, so a bounded field
-    lists only the nodes it froze and a node without a row is +inf; a
-    full march or a solution has every row.  Every cell is repr of a
-    Python float (shortest round trip; -inf, nan and -0.0 as Python
-    spells them) and every line ends in CRLF: the bytes csv.writer gives
-    for repr(float(v)) of each meshgrid cell, since a float's repr holds
-    no delimiter, quote or line end.  Each x and each y is formatted once
-    and each written value once, and each x column goes to the file in
-    one write, so no string spans the whole file.
+    Every cell is repr of a Python float (shortest round trip; inf, -inf,
+    nan and -0.0 as Python spells them) and every line ends in CRLF: the
+    bytes csv.writer gives for repr(float(v)) of each meshgrid cell, since
+    a float's repr holds no delimiter, quote or line end.  Each x and each
+    y is formatted once and each value once, and each x column goes to the
+    file in one write, so no string spans the whole file.
     Raises DomainError unless values has the grid's shape.
     """
     if values.shape != grid.shape:
         raise DomainError(f"{name}: values of shape {values.shape} on a "
                           f"grid of shape {grid.shape}")
-    ny = grid.shape[1]
-    kept = values != math.inf
-    counts = kept.sum(axis=1).tolist()
     ys = [repr(y) + "," for y in grid.ys().tolist()]
-    cells = map(repr, values[kept].tolist())
     with open(path, "w", newline="") as fh:
         fh.write(f"x,y,{name}\r\n")
-        for x, column, n in zip(grid.xs().tolist(), kept, counts):
-            if n == 0:
-                continue
+        for x, column in zip(grid.xs().tolist(), values):
             x = repr(x) + ","
-            col_ys = ys if n == ny else compress(ys, column.tolist())
-            fh.write("".join([f"{x}{y}{v}\r\n"
-                              for y, v in zip(col_ys, islice(cells, n))]))
+            fh.write("".join([f"{x}{y}{v!r}\r\n"
+                              for y, v in zip(ys, column.tolist())]))
+
+
+def write_grid_npz(path, grid, values):
+    """A distance field as np.savez_compressed arrays x, y and value, cut
+    to the bounding box of the nodes that are not +inf (a bounded march's
+    frozen nodes; a full march's box is the whole grid).
+
+    x and y are the grid axes on the box and value the field on it:
+    value[i, j] is the field at (x[i], y[j]), +inf at a node in the box
+    the march did not freeze.  Every node outside the box is +inf.  numpy
+    dates every zip member 1980-01-01, so the bytes are fixed for a given
+    zlib build.  Raises DomainError unless values has the grid's shape and
+    a node that is not +inf.
+    """
+    if values.shape != grid.shape:
+        raise DomainError(f"distance field of shape {values.shape} on a "
+                          f"grid of shape {grid.shape}")
+    kept = values != math.inf
+    rows = np.flatnonzero(kept.any(axis=1))
+    cols = np.flatnonzero(kept.any(axis=0))
+    if rows.size == 0:
+        raise DomainError("distance field is +inf at every node")
+    i = slice(rows[0], rows[-1] + 1)
+    j = slice(cols[0], cols[-1] + 1)
+    np.savez_compressed(path, x=grid.xs()[i], y=grid.ys()[j],
+                        value=values[i, j])
 
 
 def write_ball_table(path, geometry_report, growth):
@@ -599,11 +615,12 @@ class _ArtifactPaths:
         return sizes
 
 
-def _write_solution_artifacts(out, u_lin, q_result):
+def _write_solution_artifacts(out, u, u_lin, q_result):
     grid = u_lin.grid
     write_grid_csv(out("solutions", "linear.csv"), grid, u_lin.values, "u")
-    svgplot.heatmap(out("plots", "solution.svg"), u_lin.values,
-                    title="linear solution")
+    svgplot.heatmap(out("plots", "solution.svg"), u.values,
+                    title="linear solution" if u is u_lin
+                    else "quasilinear solution")
     if q_result is not None:
         write_grid_csv(out("solutions", "quasilinear.csv"), grid,
                        q_result.u.values, "u")
@@ -615,8 +632,8 @@ def _write_solution_artifacts(out, u_lin, q_result):
 def _write_ball_artifacts(out, ball_id, art, ball_report):
     finest = art["finest"]
     grid = finest.grid
-    write_grid_csv(out("distances", f"{ball_id}_finest.csv"), grid,
-                   finest.values, "value")
+    write_grid_npz(out("distances", f"{ball_id}_finest.npz"), grid,
+                   finest.values)
     g = ball_report["geometry"]
     write_ball_table(out("balls", f"{ball_id}.csv"), g, art["geo"].growth)
     seq = art["cuts"].seq

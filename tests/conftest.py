@@ -2,11 +2,12 @@
 standard grids/fields are session-scoped and reused across test modules.
 Every report.json the session writes is checked against the packaged
 schema when the session ends.  svg_image reads the raster of a heatmap or
-nesting diagram back."""
+nesting diagram back, and read_npz a distance field's .npz."""
 
 import base64
 import importlib.resources as resources
 import json
+import math
 import struct
 import xml.etree.ElementTree as ET
 import zlib
@@ -69,6 +70,25 @@ def svg_image(path):
     png = base64.b64decode(el.get("href")[len(prefix):], validate=True)
     box = tuple(float(el.get(k)) for k in ("x", "y", "width", "height"))
     return box, read_png(png)
+
+
+def read_npz(path, grid):
+    """The whole-grid field a distance .npz holds, its crop with +inf
+    around it, and the crop's shape.  The file must hold exactly x, y and
+    value, no pickled object, with x and y the grid's axes on the crop bit
+    for bit."""
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["value", "x", "y"]
+        x, y, value = npz["x"], npz["y"], npz["value"]
+    assert x.dtype == y.dtype == value.dtype == np.float64
+    assert value.shape == (x.size, y.size)
+    i = int(np.flatnonzero(grid.xs() == x[0])[0])
+    j = int(np.flatnonzero(grid.ys() == y[0])[0])
+    assert x.tobytes() == grid.xs()[i:i + x.size].tobytes()
+    assert y.tobytes() == grid.ys()[j:j + y.size].tobytes()
+    full = np.full(grid.shape, math.inf)
+    full[i:i + x.size, j:j + y.size] = value
+    return full, value.shape
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -6,13 +6,15 @@ import json
 import math
 import os
 import shutil
+import site
 import subprocess
 import sys
+import zipfile
 
 import jsonschema
 import numpy as np
 import pytest
-from conftest import svg_image, validate_report
+from conftest import read_npz, svg_image, validate_report
 
 from subunit_lab import geometry, metric, pipeline
 from subunit_lab.cli import main
@@ -20,9 +22,10 @@ from subunit_lab.config import BALL_FLAGS, RUN_FLAGS, ExperimentConfig
 from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
-from subunit_lab.pipeline import ARTIFACT_DIRS, STAGES, write_grid_csv
+from subunit_lab.pipeline import (ARTIFACT_DIRS, STAGES, write_grid_csv,
+                                  write_grid_npz)
 from subunit_lab.reporting import DEFAULT_BUDGET, compare, load_report
-from subunit_lab.svgplot import HEATMAP_CELLS
+from subunit_lab.svgplot import HEATMAP_CELLS, heatmap
 
 SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
                      "configs", "euclidean-smoke.json")
@@ -729,8 +732,8 @@ def test_subcommands_match_run(tmp_path, smoke_cfg_path, smoke_run):
     # each subcommand runs the pipeline stage it shows, so its table is
     # the one `run` writes, byte for byte
     finest = ExperimentConfig.load(smoke_cfg_path).epsilon_ladder()[-1]
-    pairs = {"dist": [(f"ball0_eps{finest:g}.csv",
-                       "distances/ball0_finest.csv")],
+    pairs = {"dist": [(f"ball0_eps{finest:g}.npz",
+                       "distances/ball0_finest.npz")],
              "balls": [("ball0.csv", "balls/ball0.csv")],
              "cutoff": [("ball0_cutoffs.csv", "cutoffs/ball0.csv")],
              "solve": [("linear.csv", "solutions/linear.csv"),
@@ -745,7 +748,7 @@ def test_subcommands_match_run(tmp_path, smoke_cfg_path, smoke_run):
 
 
 def test_artifact_csv_cells_are_plain_numbers(smoke_run, tmp_path):
-    for sub in ("balls", "cutoffs", "distances", "solutions"):
+    for sub in ("balls", "cutoffs", "solutions"):
         paths = sorted((smoke_run / sub).glob("*.csv"))
         assert paths, sub
         for path in paths:
@@ -767,25 +770,38 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run, tmp_path):
         for cell in numbers:
             float(cell)
         assert ok == "True"
+    # each distance field is three float64 arrays, no pickled object
+    grid = ExperimentConfig.load(SMOKE).make_grid()
+    paths = sorted((smoke_run / "distances").iterdir())
+    assert [p.suffix for p in paths] == [".npz"]
+    for path in paths:
+        read_npz(path, grid)
 
 
 def _csv_writer_grid_csv(path, grid, values, name):
     # the former write_grid_csv: meshgrid rows through csv.writer, each
-    # cell formatted as repr(float(v)), here without the +inf rows
+    # cell formatted as repr(float(v))
     X, Y = grid.meshgrid()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("x", "y", name))
         for row in zip(X.ravel(), Y.ravel(), values.ravel()):
-            if row[2] != math.inf:
-                w.writerow([repr(float(v)) for v in row])
+            w.writerow([repr(float(v)) for v in row])
 
 
-def _grid_field(grid):
+GRID = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
+
+
+def _grid_values(grid):
     values = np.random.default_rng(5).normal(size=grid.shape)
     values[0, :5] = [math.inf, math.nan, -0.0, 1e-300, 5e-324]
     values[-1, -3:] = [-math.inf, 0.0, -5e-324]
+    return values
+
+
+def _grid_field(grid):
     # a bounded march's holes: a whole column, a column's top, a lone node
+    values = _grid_values(grid)
     values[3] = math.inf
     values[7, 9:] = math.inf
     values[20, 11] = math.inf
@@ -793,35 +809,31 @@ def _grid_field(grid):
 
 
 def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
-    grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
-    values = _grid_field(grid)
-    write_grid_csv(tmp_path / "new.csv", grid, values, "value")
-    _csv_writer_grid_csv(tmp_path / "old.csv", grid, values, "value")
+    values = _grid_values(GRID)
+    write_grid_csv(tmp_path / "new.csv", GRID, values, "value")
+    _csv_writer_grid_csv(tmp_path / "old.csv", GRID, values, "value")
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
-    inf_nodes = 1 + 23 + (23 - 9) + 1
-    assert new.count(b"\r\n") == 41 * 23 - inf_nodes + 1
-    assert b",inf\r\n" not in new and b",-inf\r\n" in new
-    # node (0, 0) is +inf, so the first row is node (0, 1)
-    assert new.split(b"\r\n")[1].startswith(b"-1.3,")
-    assert new.split(b"\r\n")[1].endswith(b",nan") and b",-0.0\r\n" in new
+    assert new.count(b"\r\n") == 41 * 23 + 1
+    assert b",-inf\r\n" in new and b",-0.0\r\n" in new
+    # node (0, 0) is +inf, a row like any other; node (0, 1) is nan
+    rows = new.split(b"\r\n")
+    assert rows[1] == b"-1.3,-0.7,inf" and rows[2].endswith(b",nan")
 
 
 def test_write_grid_csv_round_trips_every_value(tmp_path):
-    # every row reads back as its node's value, bit for bit, and every
-    # node without a row is +inf
-    grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
-    values = _grid_field(grid)
-    write_grid_csv(tmp_path / "f.csv", grid, values, "value")
+    # one row per node, each reading back as its node's value, bit for bit
+    values = _grid_values(GRID)
+    write_grid_csv(tmp_path / "f.csv", GRID, values, "value")
     with open(tmp_path / "f.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "y", "value"]
-    node = {(x, y): (i, j) for i, x in enumerate(grid.xs().tolist())
-            for j, y in enumerate(grid.ys().tolist())}
-    back = np.full(grid.shape, math.inf)
+    node = {(x, y): (i, j) for i, x in enumerate(GRID.xs().tolist())
+            for j, y in enumerate(GRID.ys().tolist())}
+    back = np.full(GRID.shape, 7.0)
     for x, y, v in rows[1:]:
         back[node[float(x), float(y)]] = float(v)
-    assert len(rows) - 1 == np.count_nonzero(values != math.inf)
+    assert len(rows) - 1 == values.size
     assert back.view(np.int64).tolist() == values.view(np.int64).tolist()
 
 
@@ -835,6 +847,61 @@ def test_write_grid_csv_rejects_values_off_the_grid(tmp_path, shape):
     grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
     with pytest.raises(DomainError, match="shape"):
         write_grid_csv(tmp_path / "bad.csv", grid, np.zeros(shape), "value")
+    with pytest.raises(DomainError, match="shape"):
+        write_grid_npz(tmp_path / "bad.npz", grid, np.zeros(shape))
+    assert not os.listdir(tmp_path)
+
+
+def test_write_grid_npz_round_trips_every_value(tmp_path):
+    # the holes, nan, -inf, -0.0 and subnormals read back bit for bit;
+    # a finite node in the first and last column and row keeps the whole
+    # grid, and a field with one finite node is a 1 x 1 crop
+    values = _grid_field(GRID)
+    write_grid_npz(tmp_path / "f.npz", GRID, values)
+    back, crop = read_npz(tmp_path / "f.npz", GRID)
+    assert crop == GRID.shape
+    assert back.view(np.int64).tolist() == values.view(np.int64).tolist()
+    one = np.full(GRID.shape, math.inf)
+    one[17, 5] = 0.25
+    write_grid_npz(tmp_path / "one.npz", GRID, one)
+    back, crop = read_npz(tmp_path / "one.npz", GRID)
+    assert crop == (1, 1)
+    assert back.view(np.int64).tolist() == one.view(np.int64).tolist()
+
+
+def test_write_grid_npz_crops_to_the_finite_box(tmp_path):
+    box = np.full(GRID.shape, math.inf)
+    box[4:9, 2:20] = np.random.default_rng(3).uniform(size=(5, 18))
+    box[4, 2] = box[8, 19] = math.inf
+    write_grid_npz(tmp_path / "box.npz", GRID, box)
+    back, crop = read_npz(tmp_path / "box.npz", GRID)
+    assert crop == (5, 18)
+    assert back.view(np.int64).tolist() == box.view(np.int64).tolist()
+    with pytest.raises(DomainError, match="every node"):
+        write_grid_npz(tmp_path / "inf.npz", GRID,
+                       np.full(GRID.shape, math.inf))
+    assert not (tmp_path / "inf.npz").exists()
+    # a full march's field is the whole grid
+    full = np.random.default_rng(4).uniform(size=GRID.shape)
+    write_grid_npz(tmp_path / "full.npz", GRID, full)
+    back, crop = read_npz(tmp_path / "full.npz", GRID)
+    assert crop == GRID.shape
+    assert back.view(np.int64).tolist() == full.view(np.int64).tolist()
+
+
+def test_write_grid_npz_bytes_are_fixed(tmp_path):
+    # numpy dates each zip member 1980-01-01, so two writes are equal
+    values = _grid_field(GRID)
+    write_grid_npz(tmp_path / "a.npz", GRID, values)
+    write_grid_npz(tmp_path / "b.npz", GRID, values)
+    assert (tmp_path / "a.npz").read_bytes() == \
+        (tmp_path / "b.npz").read_bytes()
+    with zipfile.ZipFile(tmp_path / "a.npz") as zf:
+        infos = zf.infolist()
+    assert sorted(i.filename for i in infos) == ["value.npy", "x.npy",
+                                                 "y.npy"]
+    assert all(i.date_time[0] == 1980 for i in infos)
+    assert all(i.compress_type == zipfile.ZIP_DEFLATED for i in infos)
 
 
 TRIG = {"kind": "trig", "amp": 0.5, "kx": 1.0, "ky": 1.0, "c": 2.0}
@@ -998,8 +1065,8 @@ def test_run_meta_records_artifact_bytes(smoke_run):
 def test_smoke_run_artifacts_scale_with_what_they_hold(smoke_run,
                                                        smoke_cfg_path):
     # the heatmap is one pixel per sampled node, and the affine solution
-    # x + 2 one colour up each column of it; each distance CSV has one row
-    # per node its field froze
+    # x + 2 one colour up each column of it; each distance .npz holds a
+    # finite value per node its field froze
     cfg = ExperimentConfig.load(smoke_cfg_path)
     form = pipeline.build_form(cfg)
     cells = [len(range(0, n, max(1, n // HEATMAP_CELLS)))
@@ -1009,9 +1076,10 @@ def test_smoke_run_artifacts_scale_with_what_they_hold(smoke_run,
     assert (pixels == pixels[:1]).all() and (pixels[..., 3] == 255).all()
     for k, spec in enumerate(cfg.balls):
         _, field = pipeline.metric_stage(cfg, form, spec)
-        path = smoke_run / "distances" / f"ball{k}_finest.csv"
-        rows = path.read_bytes().count(b"\r\n") - 1
-        assert rows == np.count_nonzero(np.isfinite(field.values))
+        value, _ = read_npz(smoke_run / "distances" / f"ball{k}_finest.npz",
+                            form.grid)
+        assert np.count_nonzero(np.isfinite(value)) == \
+            np.count_nonzero(np.isfinite(field.values))
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -1168,7 +1236,10 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
     # set-up as the run benchmark times it (package import, config,
     # profile and form), then a run that imports nothing more: numpy's
     # median would load numpy.ma, and numpy's generator numpy.random with
-    # hashlib, secrets and its Cython runtime, about 6 MB resident
+    # hashlib, secrets and its Cython runtime, about 6 MB resident.  The
+    # child runs under -S, with site-packages on its path but no .pth
+    # file run, since one may preload what a clean interpreter does not
+    # (np.savez_compressed's zipfile, with shutil and pathlib)
     raw = json.load(open(smoke_cfg_path))
     if case == "picard-103":
         raw = PICARD_103
@@ -1176,13 +1247,39 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
         raw["profile"] = {"kind": "paper_model", "param": 9.0}
     cfg = tmp_path / f"{case}.json"
     cfg.write_text(json.dumps(raw))
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", LOADS_CHILD, str(cfg),
+    path = os.pathsep.join(filter(None, [SRC, *site.getsitepackages(),
+                                         os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-S", "-c", LOADS_CHILD, str(cfg),
                           str(tmp_path / "out")],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_solution_plot_is_the_measured_solution(tmp_path, smoke_cfg_path):
+    # trig data makes the quasilinear solution differ from the linear one;
+    # the heatmap draws u, the converged quasilinear solution the balls
+    # are measured on
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"]["boundary"] = TRIG
+    p = tmp_path / "trig.json"
+    p.write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    cfg = ExperimentConfig.load(p)
+    u, u_lin, q_result, _ = pipeline.solve_global(cfg,
+                                                  pipeline.build_form(cfg))
+    assert q_result.converged and u is q_result.u
+    plot = out / "plots" / "solution.svg"
+    assert "quasilinear solution" in plot.read_text()
+    drawn = {}
+    for name, values in (("u", q_result.u.values), ("u_lin", u_lin.values)):
+        heatmap(tmp_path / f"{name}.svg", values)
+        drawn[name] = svg_image(tmp_path / f"{name}.svg")[1]
+    pixels = svg_image(plot)[1]
+    assert (pixels == drawn["u"]).all()
+    assert not (pixels == drawn["u_lin"]).all()
 
 
 def test_python_m_runs_the_cli(tmp_path):

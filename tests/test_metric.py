@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import read_npz
 
 from subunit_lab import metric
 from subunit_lab.config import ExperimentConfig
@@ -255,10 +256,11 @@ def test_run_with_full_marches_writes_the_same_outputs(tmp_path, monkeypatch,
                                                        name):
     # bounded marches change nothing a run reports: with every march
     # forced to the whole grid, report.json and every artifact but the
-    # distance CSVs and run_meta.json are the same, and each distance CSV
-    # is the full one's rows for the nodes its bounded march froze, in the
-    # same order.  paper-4balls on its own 145^2 grid measures every ball
-    # (at 65^2 every ball is skipped); edge-balls skips every ball
+    # distance files and run_meta.json are the same, and each distance
+    # file holds the full march's value at every node its bounded march
+    # froze and +inf at every other node.  paper-4balls on its own 145^2
+    # grid measures every ball (at 65^2 every ball is skipped); edge-balls
+    # skips every ball
     if name == "paper-4balls":
         cfg = ExperimentConfig.load(PAPER_4BALLS)
     else:
@@ -294,20 +296,23 @@ def test_run_with_full_marches_writes_the_same_outputs(tmp_path, monkeypatch,
 
     distances = sorted((tmp_path / "bounded" / "distances").iterdir())
     assert [p.name for p in distances] == sorted(
-        f"{b}_finest.csv" for b in report["balls"])
+        f"{b}_finest.npz" for b in report["balls"])
     assert len(fields) == len(cfg.balls)
     for k, field in enumerate(fields):
-        path = tmp_path / "bounded" / "distances" / f"ball{k}_finest.csv"
+        name = f"ball{k}_finest.npz"
         if f"ball{k}" not in report["balls"]:
             continue
         frozen = np.isfinite(field.values)
         assert not frozen.all()
-        # the full march reaches every node, so its file has every row
-        head, *rows = (tmp_path / "full" / "distances" / path.name) \
-            .read_bytes().split(b"\r\n")[:-1]
-        assert len(rows) == frozen.size
-        kept = [rows[n] for n in np.flatnonzero(frozen).tolist()]
-        assert path.read_bytes() == b"\r\n".join([head] + kept + [b""])
+        # the full march reaches every node, so its file is the whole grid
+        full, crop = read_npz(tmp_path / "full" / "distances" / name,
+                              field.grid)
+        assert crop == field.grid.shape and np.isfinite(full).all()
+        bounded, _ = read_npz(tmp_path / "bounded" / "distances" / name,
+                              field.grid)
+        expected = np.where(frozen, full, math.inf)
+        assert bounded.view(np.int64).tolist() == \
+            expected.view(np.int64).tolist()
 
 
 def test_ladder_paper_model_monotone_increments(paper_form):
