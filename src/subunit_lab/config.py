@@ -1,15 +1,28 @@
 """Declarative experiment configuration: validation and lossless round-trip.
 
 A config is one JSON document.  Lengths are in domain units, angles none,
-radii in metric units of the subunit distance.  Validation failures carry
-the dotted field path for the CLI's exit-1 message.  This module is the
-one home of the experiment's settings, their defaults and their checks;
+radii in metric units of the subunit distance.  This module is the one
+home of the experiment's settings, their defaults and their checks;
 SolverSpec is the one settings type of the solver, which takes it as is.
+
+Each setting has one rule, written next to its default as a spec: a JSON
+type and, for a number, its interval ("number (0, 1]", "whole [17, inf)").
+One function, _check, holds every section to its table of specs: the top
+level, profile, grid, epsilons, radii, each ball, params, solver, its
+boundary and compare_budgets.  Code checks only what compares settings or
+needs the grid or the profile: a non-empty name, the profile's own
+checks, a paper_model grid inside the domain cap, a ball center on the
+grid (at x = 0 when on_axis), the required_flags names, 0 < c_phi <=
+C_phi, gamma != 0, lam from sigma when unset and the boundary kind.  Each
+failure is a ConfigError naming the dotted field path, for the CLI's
+exit-1 message.
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass, field as dc_field, fields
+import operator
+from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields
+from functools import cache
 
 import numpy as np
 
@@ -36,120 +49,157 @@ def _finite_number(x):
         and math.isfinite(x)
 
 
-def _positive_finite(x):
-    """x is a finite number > 0."""
-    return _finite_number(x) and x > 0
+# the JSON types a rule names that need no more than isinstance
+_TYPES = {"bool": (bool, "true or false"), "text": (str, "a string"),
+          "list": (list, "a list"), "object": (dict, "an object")}
 
 
-def _whole_number(x):
-    """x is a finite integral number; False on 3.5 as on NaN."""
-    return _finite_number(x) and x == int(x)
+@cache
+def _rule(spec):
+    """The rule of spec: a function of a value and its path that returns
+    the value as its setting holds it, or raises.  spec is a JSON type:
+    bool, text, list, object, pair (two finite numbers, held as a tuple),
+    number (finite) or whole (a finite integral number, held as an int),
+    a number's followed by its interval, as in mathematics ("number (0,
+    1]", "whole [17, inf)"); "or null" admits null.  A function is its
+    own rule."""
+    if callable(spec):
+        return spec
+    null = spec.endswith(" or null")
+    kind, _, interval = spec.removesuffix(" or null").partition(" ")
+    hold = None
+    if kind in _TYPES:
+        types, what = _TYPES[kind]
+        passes = lambda x: isinstance(x, types)
+    elif kind == "pair":
+        what, hold = "two finite numbers", tuple
+        passes = lambda x: isinstance(x, (list, tuple)) and len(x) == 2 \
+            and all(map(_finite_number, x))
+    else:
+        hold = int if kind == "whole" else None
+        what = ("a whole number" if hold else "a finite number") + \
+            (f" in {interval}" if interval else "")
+        lo, hi = map(float, (interval or "(-inf, inf)")[1:-1].split(","))
+        low = operator.le if interval.startswith("[") else operator.lt
+        high = operator.le if interval.endswith("]") else operator.lt
+        passes = lambda x: _finite_number(x) and low(lo, x) \
+            and high(x, hi) and (hold is None or x == int(x))
+    what += " or null" if null else ""
+
+    def read(x, path):
+        if x is None and null:
+            return None
+        if not passes(x):
+            raise ConfigError(f"must be {what}, got {x!r}", path)
+        return x if hold is None else hold(x)
+    return read
 
 
-def _positive_count(x, path):
-    """x as an int when it is a whole number >= 1 (12.0 included), else a
-    ConfigError naming path."""
-    if not (_whole_number(x) and x >= 1):
-        raise ConfigError(f"must be a whole number >= 1, got {x!r}", path)
-    return int(x)
-
-
-def _known_keys(d, keys, path):
-    """A ConfigError naming the first key of the object d that is not among
-    keys, the settings of the section at path ("" for the top level)."""
-    for key in d:
-        if key not in keys:
+def _check(d, table, path, required=(), every=None):
+    """The settings of the object d at the dotted path ("" for the whole
+    document), each as the rule of its spec in table holds it.  d names
+    no key outside table (every, when given, is the spec of any other
+    key), holds each key of required, and each value passes its rule;
+    else a ConfigError naming the path of the first that does not."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"must be an object, got {d!r}", path or "config")
+    at = lambda key: f"{path}.{key}" if path else key
+    settings = {}
+    for key, value in d.items():
+        spec = table.get(key, every)
+        if spec is None:
             raise ConfigError(f"names no setting; the keys are "
-                              f"{', '.join(keys)}",
-                              f"{path}.{key}" if path else key)
+                              f"{', '.join(table)}", at(key))
+        settings[key] = _rule(spec)(value, at(key))
+    for key in required:
+        if key not in d:
+            raise ConfigError("missing", at(key))
+    return settings
 
 
-def _setting_names(cls):
-    return [f.name for f in fields(cls)]
+def _section(table, required=None, every=None, build=None):
+    """The rule of an object checked against table, which requires every
+    key of table unless required names them: the object is held as
+    build(**settings), or as given, so a plain section echoes as written."""
+    def read(x, path):
+        settings = _check(x, table, path,
+                          table if required is None else required, every)
+        return x if build is None else build(**settings)
+    return read
 
 
-# the keys of the sections a config holds as plain objects
-_SECTION_KEYS = {
-    "profile": ("kind", "param", "domain_cap"),
-    "grid": ("x0", "x1", "y0", "y1", "nx", "ny"),
-    "epsilons": ("eps0", "rungs"),
-    "radii": ("r_max", "count"),
-}
-_BOUNDARY_KEYS = {"affine": ("kind", "ax", "by", "c"),
-                  "trig": ("kind", "c", "amp", "kx", "ky")}
+def _items(spec):
+    """The rule of a list whose k-th item at path passes spec at path[k]."""
+    return lambda x, path: [_rule(spec)(v, f"{path}[{k}]") for k, v
+                            in enumerate(_rule("list")(x, path))]
+
+
+def _setting(spec, default=MISSING):
+    """A settings type's field: its rule's spec and its default (a
+    function makes a mutable one; none makes the setting required)."""
+    kind = "default_factory" if callable(default) else "default"
+    return dc_field(**{kind: default}, metadata={"spec": spec})
+
+
+def _specs(cls):
+    """The table of a settings type: each field's spec."""
+    return {f.name: f.metadata["spec"] for f in fields(cls)}
+
+
+def _hold(obj, path):
+    """Check each field of a settings type at path against its rule, and
+    hold it as the rule reads it."""
+    vars(obj).update(_check(vars(obj), _specs(obj), path))
+
+
+def _settings_of(cls):
+    """The rule of an object holding the settings of cls: it is held as
+    cls built from them, and a field without default is required."""
+    required = [f.name for f in fields(cls)
+                if f.default is MISSING and f.default_factory is MISSING]
+    return _section(_specs(cls), required, build=cls)
 
 
 @dataclass
 class BallSpec:
-    center: tuple          # (x, y) in domain coordinates
-    r: float
-    on_axis: bool = False  # run box-sandwich checks (requires x = 0)
+    center: tuple = _setting("pair")       # (x, y), domain coordinates
+    r: float = _setting("number (0, inf)")
+    # run box-sandwich checks (requires x = 0)
+    on_axis: bool = _setting("bool", False)
 
-    def validate(self, path):
-        if not _positive_finite(self.r):
-            raise ConfigError(f"ball radius must be a positive finite "
-                              f"number, got {self.r!r}", f"{path}.r")
-        if not (isinstance(self.center, (list, tuple))
-                and len(self.center) == 2
-                and all(map(_finite_number, self.center))):
-            raise ConfigError(f"ball center must be two finite numbers, "
-                              f"got {self.center!r}", f"{path}.center")
-        self.center = tuple(self.center)
-        if not isinstance(self.on_axis, bool):
-            raise ConfigError(f"must be true or false, got "
-                              f"{self.on_axis!r}", f"{path}.on_axis")
-        if self.on_axis and abs(self.center[0]) > 1e-12:
-            raise ConfigError("on_axis ball must sit at x = 0",
-                              f"{path}.center")
+    def __post_init__(self):
         self.r = float(self.r)
 
 
 @dataclass
 class Params:
-    sigma: float = 2.0
-    nu: float = 0.5
-    nu0: float = 0.5
-    mu: float = 0.5
-    eta: float = 0.25
-    C: float = 2.0
-    gamma: float = 1.0
-    lam: float = None          # defaults to (5 sigma - 1)/(sigma - 1)
-    j_max: int = 12
+    sigma: float = _setting("number (1, inf)", 2.0)
+    nu: float = _setting("number (0, 1)", 0.5)
+    nu0: float = _setting("number (0, 1)", 0.5)
+    mu: float = _setting("number (0, 1)", 0.5)
+    eta: float = _setting("number (0, 1]", 0.25)
+    C: float = _setting("number (1, inf)", 2.0)
+    gamma: float = _setting("number [-2, 2]", 1.0)      # and not 0
+    # defaults to (5 sigma - 1)/(sigma - 1)
+    lam: float = _setting("number (1, inf) or null", None)
+    j_max: int = _setting("whole [1, inf)", 12)
     # pin cutoff increments to frac*r instead of the measured delta: keeps
     # ramp geometry identical across grid resolutions (refinement compares)
-    cutoff_delta_frac: float = None
+    cutoff_delta_frac: float = _setting("number (0, 1) or null", None)
 
-    def validate(self, path="params"):
-        names = ["sigma", "nu", "nu0", "mu", "eta", "C", "gamma"]
-        if self.cutoff_delta_frac is not None:
-            names.append("cutoff_delta_frac")
-        for name in names:
-            v = getattr(self, name)
-            if not _finite_number(v):
-                raise ConfigError(f"must be a finite number, got {v!r}",
-                                  f"{path}.{name}")
-        if self.cutoff_delta_frac is not None and \
-                not 0.0 < self.cutoff_delta_frac < 1.0:
-            raise ConfigError("cutoff_delta_frac must lie in (0, 1)",
-                              f"{path}.cutoff_delta_frac")
-        if not self.sigma > 1:
-            raise ConfigError("sigma must be > 1", f"{path}.sigma")
-        for name in ("nu", "nu0", "mu"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1)", f"{path}.{name}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]", f"{path}.eta")
-        if not self.C > 1.0:
-            raise ConfigError("C must be > 1", f"{path}.C")
-        if not 0 < abs(self.gamma) <= 2:
+    def __post_init__(self):
+        _hold(self, "params")
+        if self.gamma == 0:
             raise ConfigError("gamma must satisfy 0 < |gamma| <= 2",
-                              f"{path}.gamma")
-        if self.lam is None:
+                              "params.gamma")
+        if self.lam is None:     # derived, and held to lam's rule too
             self.lam = lambda_from_sigma(self.sigma)
-        if not (_positive_finite(self.lam) and self.lam > 1):
-            raise ConfigError("lambda must be finite and > 1", f"{path}.lam")
-        self.j_max = _positive_count(self.j_max, f"{path}.j_max")
+            _hold(self, "params")
+
+
+# the Dirichlet data of each boundary kind: its coefficients' defaults
+_BOUNDARY = {"affine": {"ax": 1.0, "by": 0.0, "c": 2.0},
+             "trig": {"c": 2.0, "amp": 0.5, "kx": 1.0, "ky": 1.0}}
 
 
 @dataclass
@@ -161,123 +211,78 @@ class SolverSpec:
     runs at all (quasilinear) and the declared bounds of phi.  Every
     instance is validated when built."""
 
-    theta: float = 0.7
-    fp_tol: float = 1e-9
-    fp_max_iter: int = 40
-    lin_tol: float = 1e-12
-    lin_max_iter: int = 40000
-    boundary: dict = dc_field(default_factory=lambda: {
-        "kind": "affine", "ax": 1.0, "by": 0.0, "c": 2.0})
-    rhs: float = 0.0
-    quasilinear: bool = True
-    phi_bounds: tuple = (1.0, 3.0)
+    theta: float = _setting("number (0, 1]", 0.7)
+    fp_tol: float = _setting("number (0, inf)", 1e-9)
+    fp_max_iter: int = _setting("whole [1, inf)", 40)
+    lin_tol: float = _setting("number (0, inf)", 1e-12)
+    lin_max_iter: int = _setting("whole [1, inf)", 40000)
+    # an object of one kind's table, checked when built
+    boundary: dict = _setting("object", lambda: {"kind": "affine",
+                                                **_BOUNDARY["affine"]})
+    rhs: float = _setting("number", 0.0)
+    quasilinear: bool = _setting("bool", True)
+    phi_bounds: tuple = _setting("pair", (1.0, 3.0))   # 0 < c_phi <= C_phi
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self, path="solver"):
-        if not (_finite_number(self.theta) and 0.0 < self.theta <= 1.0):
-            raise ConfigError("theta must lie in (0, 1]", f"{path}.theta")
-        for name in ("fp_tol", "lin_tol"):
-            if not _positive_finite(getattr(self, name)):
-                raise ConfigError(f"{name} must be positive and finite",
-                                  f"{path}.{name}")
-        for name in ("fp_max_iter", "lin_max_iter"):
-            count = _positive_count(getattr(self, name), f"{path}.{name}")
-            setattr(self, name, count)
-        if not isinstance(self.boundary, dict):
-            raise ConfigError(f"must be an object, got {self.boundary!r}",
-                              f"{path}.boundary")
+        _hold(self, "solver")
         kind = self.boundary.get("kind")
         if kind not in ("affine", "trig"):
             raise ConfigError("boundary.kind must be affine or trig",
-                              f"{path}.boundary.kind")
-        _known_keys(self.boundary, _BOUNDARY_KEYS[kind], f"{path}.boundary")
-        for name in _BOUNDARY_KEYS[kind][1:]:
-            if name in self.boundary and \
-                    not _finite_number(self.boundary[name]):
-                raise ConfigError(f"must be a finite number, got "
-                                  f"{self.boundary[name]!r}",
-                                  f"{path}.boundary.{name}")
-        if not _finite_number(self.rhs):
-            raise ConfigError(f"rhs is the constant f and must be a finite "
-                              f"number, got {self.rhs!r}", f"{path}.rhs")
-        bounds = self.phi_bounds
-        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                and all(map(_finite_number, bounds))
-                and 0.0 < bounds[0] <= bounds[1]):
+                              "solver.boundary.kind")
+        _check(self.boundary, {"kind": "text", **dict.fromkeys(
+            _BOUNDARY[kind], "number")}, "solver.boundary")
+        if not 0.0 < self.phi_bounds[0] <= self.phi_bounds[1]:
             raise ConfigError(f"must be finite numbers with 0 < c_phi <= "
-                              f"C_phi, got {bounds!r}", f"{path}.phi_bounds")
-        self.phi_bounds = tuple(bounds)
-        if not isinstance(self.quasilinear, bool):
-            raise ConfigError(f"must be true or false, got "
-                              f"{self.quasilinear!r}", f"{path}.quasilinear")
+                              f"C_phi, got {self.phi_bounds!r}",
+                              "solver.phi_bounds")
 
     def boundary_values(self, grid):
         """The Dirichlet data at every node of grid: ax x + by y + c
         (affine) or c + amp sin(pi kx x) cos(pi ky y) (trig)."""
         X, Y = grid.meshgrid()
-        b = self.boundary
-        c = b.get("c", 2.0)
+        b = {**_BOUNDARY[self.boundary["kind"]], **self.boundary}
         if b["kind"] == "affine":
-            return b.get("ax", 1.0) * X + b.get("by", 0.0) * Y + c
-        return c + b.get("amp", 0.5) * np.sin(math.pi * b.get("kx", 1.0) * X) \
-            * np.cos(math.pi * b.get("ky", 1.0) * Y)
+            return b["ax"] * X + b["by"] * Y + b["c"]
+        return b["c"] + b["amp"] * np.sin(math.pi * b["kx"] * X) \
+            * np.cos(math.pi * b["ky"] * Y)
 
 
 @dataclass
 class ExperimentConfig:
-    name: str
-    profile: dict
-    grid: dict
-    balls: list
-    epsilons: dict = dc_field(default_factory=lambda: {"eps0": 0.1, "rungs": 4})
-    radii: dict = dc_field(default_factory=lambda: {"r_max": 0.4, "count": 5})
-    params: Params = dc_field(default_factory=Params)
-    solver: SolverSpec = dc_field(default_factory=SolverSpec)
-    required_flags: list = dc_field(default_factory=list)
-    compare_budgets: dict = dc_field(
-        default_factory=lambda: {"default": DEFAULT_BUDGET})
+    name: str = _setting("text")                       # and not empty
+    profile: dict = _setting(_section(
+        {"kind": "text", "param": "number", "domain_cap": "number"},
+        required=("kind", "param")))
+    grid: dict = _setting(_section(
+        {"x0": "number", "x1": "number", "y0": "number", "y1": "number",
+         "nx": "whole [17, inf)", "ny": "whole [17, inf)"}))
+    balls: list = _setting(_items(_settings_of(BallSpec)))   # and not empty
+    epsilons: dict = _setting(_section(
+        {"eps0": "number (0, inf)", "rungs": "whole [3, inf)"}),
+        lambda: {"eps0": 0.1, "rungs": 4})
+    radii: dict = _setting(_section(
+        {"r_max": "number (0, inf)", "count": "whole [3, inf)"}),
+        lambda: {"r_max": 0.4, "count": 5})
+    params: Params = _setting(_settings_of(Params), Params)
+    solver: SolverSpec = _setting(_settings_of(SolverSpec), SolverSpec)
+    required_flags: list = _setting("list", list)
+    compare_budgets: dict = _setting(_section({}, every="number (0, inf)"),
+                                    lambda: {"default": DEFAULT_BUDGET})
     # validated and echoed in report.json, but read by no stage; kept so
     # that configs carrying it, and the run benchmark's --seed, which
     # writes it, still load
-    seed: int = 0
+    seed: int = _setting("whole [0, inf)", 0)
 
     def validate(self):
-        if not (isinstance(self.name, str) and self.name):
-            raise ConfigError(f"experiment needs a name, a non-empty "
-                              f"string, got {self.name!r}", "name")
-        for section, keys in _SECTION_KEYS.items():
-            _known_keys(getattr(self, section), keys, section)
-        for key in ("kind", "param"):
-            if key not in self.profile:
-                raise ConfigError("missing", f"profile.{key}")
-        for key in ("param", "domain_cap"):
-            if key in self.profile and not _finite_number(self.profile[key]):
-                raise ConfigError(f"must be a finite number, got "
-                                  f"{self.profile[key]!r}", f"profile.{key}")
+        """The checks that compare settings with each other or need the
+        grid or the profile; from_dict has held each setting to its rule."""
+        if not self.name:
+            raise ConfigError("experiment needs a name, a non-empty string",
+                              "name")
         try:
             profile = self.make_profile()  # the profile's own range checks
         except ProfileError as exc:
             raise ConfigError(str(exc), f"profile.{exc.field}") from exc
-        g = self.grid
-        for key in ("x0", "x1", "y0", "y1", "nx", "ny"):
-            if key not in g:
-                raise ConfigError(f"grid.{key} missing", f"grid.{key}")
-        for key in ("x0", "x1", "y0", "y1"):
-            if not _finite_number(g[key]):
-                raise ConfigError(f"must be a finite number, got "
-                                  f"{g[key]!r}", f"grid.{key}")
-        counts = (("grid", g, "nx"), ("grid", g, "ny"),
-                  ("epsilons", self.epsilons, "rungs"),
-                  ("radii", self.radii, "count"))
-        for section, d, key in counts:
-            if key in d and not _whole_number(d[key]):
-                raise ConfigError(f"{key} must be a whole number, got "
-                                  f"{d[key]!r}", f"{section}.{key}")
-        if g["nx"] < 17 or g["ny"] < 17:
-            raise ConfigError("grid too coarse for any measurement",
-                              "grid.nx/ny")
         grid = self.make_grid()
         if profile.kind == "paper_model":
             # the nodes' own x, as the form is assembled on them
@@ -286,47 +291,20 @@ class ExperimentConfig:
                 if abs(x) >= profile.domain_cap:
                     raise ConfigError(
                         f"the paper_model profile needs |x| < its domain "
-                        f"cap {profile.domain_cap}, got {g[key]!r}",
+                        f"cap {profile.domain_cap}, got {self.grid[key]!r}",
                         f"grid.{key}")
         if not self.balls:
             raise ConfigError("need at least one ball", "balls")
         for k, b in enumerate(self.balls):
-            b.validate(f"balls[{k}]")
+            if b.on_axis and abs(b.center[0]) > 1e-12:
+                raise ConfigError("on_axis ball must sit at x = 0",
+                                  f"balls[{k}].center")
             try:
                 grid.nearest_node(*b.center)
             except ConfigError as exc:
                 raise ConfigError(
                     f"center {list(b.center)!r} lies outside the grid",
                     f"balls[{k}].center") from exc
-        self._validate_required_flags()
-        if not isinstance(self.compare_budgets, dict):
-            raise ConfigError(f"must be an object, got "
-                              f"{self.compare_budgets!r}", "compare_budgets")
-        for key, budget in self.compare_budgets.items():
-            if not _positive_finite(budget):
-                raise ConfigError(f"a budget must be a positive finite "
-                                  f"number, got {budget!r}",
-                                  f"compare_budgets.{key}")
-        e = self.epsilons
-        if not _positive_finite(e.get("eps0", 0)) or e.get("rungs", 0) < 3:
-            raise ConfigError("epsilon ladder needs finite eps0 > 0 and "
-                              ">= 3 rungs", "epsilons")
-        if self.radii.get("count", 0) < 3 or \
-                not _positive_finite(self.radii.get("r_max", 0)):
-            raise ConfigError("radii spec needs finite r_max > 0 and "
-                              "count >= 3", "radii")
-        if not (_whole_number(self.seed) and self.seed >= 0):
-            raise ConfigError(f"must be a whole number >= 0, got "
-                              f"{self.seed!r}", "seed")
-        self.seed = int(self.seed)
-        self.params.validate()
-        self.solver.validate()
-        return self
-
-    def _validate_required_flags(self):
-        if not isinstance(self.required_flags, list):
-            raise ConfigError(f"must be a list of flag names, got "
-                              f"{self.required_flags!r}", "required_flags")
         known = set(RUN_FLAGS + BALL_FLAGS) | {
             f"ball{k}.{flag}" for k in range(len(self.balls))
             for flag in BALL_FLAGS}
@@ -336,6 +314,7 @@ class ExperimentConfig:
                     f"names no flag a run reports, got {name!r}; the flags "
                     f"are {', '.join(RUN_FLAGS + BALL_FLAGS)}, a ball's "
                     f"also as ball<k>.<flag>", f"required_flags[{k}]")
+        return self
 
     # -- construction helpers ------------------------------------------------
 
@@ -374,35 +353,7 @@ class ExperimentConfig:
         lacks keeps its field's default; name, profile, grid and balls
         have none, nor has a ball's center or r.  A key that names no
         setting is an error naming its path."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"must be an object, got {d!r}", "config")
-        _known_keys(d, _setting_names(cls), "")
-        kw = dict(d)
-        for name in ("name", "profile", "grid", "balls"):
-            if name not in kw:
-                raise ConfigError("missing", name)
-        for name in ("profile", "grid", "epsilons", "radii", "params",
-                     "solver"):
-            if not isinstance(kw.get(name, {}), dict):
-                raise ConfigError(f"must be an object, got {kw[name]!r}",
-                                  name)
-        balls = kw["balls"]
-        if not (isinstance(balls, list)
-                and all(isinstance(b, dict) for b in balls)):
-            raise ConfigError(f"must be a list of objects, got {balls!r}",
-                              "balls")
-        ball_keys = _setting_names(BallSpec)
-        for k, b in enumerate(balls):
-            _known_keys(b, ball_keys, f"balls[{k}]")
-            for name in ("center", "r"):
-                if name not in b:
-                    raise ConfigError("missing", f"balls[{k}].{name}")
-        kw["balls"] = [BallSpec(**b) for b in balls]
-        for name, spec in (("params", Params), ("solver", SolverSpec)):
-            section = kw.get(name, {})
-            _known_keys(section, _setting_names(spec), name)
-            kw[name] = spec(**section)
-        return cls(**kw).validate()
+        return _settings_of(cls)(d, "").validate()
 
     @classmethod
     def load(cls, path):

@@ -32,6 +32,7 @@ from .metric import ball, dilate
 
 FLOOR_M_FACTOR = 1e-6     # m = 1e-6 ||u||_inf when f = 0
 LOG_S_OCTAVES = 10        # level sets s = max|v - <v>| 2^-k, k < 10
+MIN_CHAIN = 4             # radii an oscillation chain needs at least
 
 
 def mu_beta(beta):
@@ -319,9 +320,9 @@ def oscillation_curve(us, fields, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
         raise DomainError("need one field and one u per chain radius")
     samples = sorted(zip(radii, fields, us), key=lambda s: -s[0])
     radii = np.asarray([s[0] for s in samples])
-    if radii.size < 4:
+    if radii.size < MIN_CHAIN:
         raise ChainTooShortError(
-            f"need >= 4 resolvable radii, got {radii.size}")
+            f"need >= {MIN_CHAIN} resolvable radii, got {radii.size}")
     steps = radii[1:] / radii[:-1]
     if np.any(np.abs(steps - nu0) > 1e-9):
         raise DomainError("radii must form a nu0-chain")

@@ -55,9 +55,9 @@ import numpy as np
 from . import geometry, svgplot
 from .cutoff import (CutoffSequence, SpecialCutoff, build_sequence,
                      build_special_cutoff)
-from .diagnostics import (caccioppoli_ratio, harnack_check, local_bound_check,
-                          log_c_har, log_estimate, moser_iterate,
-                          oscillation_curve, shift_m)
+from .diagnostics import (MIN_CHAIN, caccioppoli_ratio, harnack_check,
+                          local_bound_check, log_c_har, log_estimate,
+                          moser_iterate, oscillation_curve, shift_m)
 from .errors import (DomainError, GeometryError, MeasurementError,
                      ResolutionError)
 from .forms import QuasilinearEnvelope, assemble_form, envelope_violation
@@ -67,7 +67,6 @@ from .solver import (SolveStats, assemble_linear, max_principle_slack,
                      poincare_functional, solve_linear, solve_quasilinear,
                      sobolev_functional)
 
-MIN_CHAIN = 4
 MP_TOL = 1e-8
 # the ball stages, in run order; run_ball runs a prefix of them
 BALL_STAGES = ("metric", "geometry", "cutoff", "diagnostics")

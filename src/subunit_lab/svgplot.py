@@ -141,19 +141,16 @@ class _Canvas:
                 f'font-size="11">{label}</text>')
 
 
-def _finite_positive(series, log):
-    vals = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if np.isfinite(x) and np.isfinite(y) and (not log or (x > 0 and y > 0)):
-                vals.append((x, y))
-    return vals
-
-
 def line_chart(path, series, title="", xlabel="", ylabel="",
                xlog=False, ylog=False):
-    """series: list of (label, xs, ys).  Writes a standalone SVG."""
-    pts = _finite_positive(series, xlog or ylog)
+    """series: list of (label, xs, ys).  Writes a standalone SVG of the
+    points each axis can draw (finite, and > 0 on a log axis), over the
+    range of those points."""
+    drawn = [(label, [(x, y) for x, y in zip(xs, ys)
+                      if np.isfinite(x) and np.isfinite(y)
+                      and (not xlog or x > 0) and (not ylog or y > 0)])
+             for label, xs, ys in series]
+    pts = [p for _, kept in drawn for p in kept]
     if not pts:
         raise ValueError("nothing to plot")
     xs = [p[0] for p in pts]
@@ -169,12 +166,9 @@ def line_chart(path, series, title="", xlabel="", ylabel="",
     padx, pady = 0.05 * (xhi - xlo), 0.08 * (yhi - ylo)
     c = _Canvas(title, xlabel, ylabel)
     c.axes(xlo - padx, xhi + padx, ylo - pady, yhi + pady, xlog, ylog)
-    for k, (label, sx, sy) in enumerate(series):
-        keep = [(x, y) for x, y in zip(sx, sy)
-                if np.isfinite(x) and np.isfinite(y)
-                and (not xlog or x > 0) and (not ylog or y > 0)]
-        if keep:
-            c.polyline([p[0] for p in keep], [p[1] for p in keep],
+    for k, (label, kept) in enumerate(drawn):
+        if kept:
+            c.polyline([p[0] for p in kept], [p[1] for p in kept],
                        PALETTE[k % len(PALETTE)], label, k)
     _write(path, c.parts)
 

@@ -27,8 +27,9 @@ from subunit_lab.pipeline import (ARTIFACT_DIRS, STAGES, write_grid_csv,
 from subunit_lab.reporting import DEFAULT_BUDGET, compare, load_report
 from subunit_lab.svgplot import HEATMAP_CELLS, heatmap
 
-SMOKE = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
-                     "configs", "euclidean-smoke.json")
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
+                       "configs")
+SMOKE = os.path.join(CONFIGS, "euclidean-smoke.json")
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +45,16 @@ def smoke_run(tmp_path_factory, smoke_cfg_path):
     return out
 
 
-def test_config_roundtrip(tmp_path, smoke_cfg_path):
-    cfg = ExperimentConfig.load(smoke_cfg_path)
+@pytest.mark.parametrize("name", ["euclidean-smoke", "grushin-box-256",
+                                  "grushin-box"])
+def test_config_roundtrip(tmp_path, name):
+    cfg = ExperimentConfig.load(os.path.join(CONFIGS, f"{name}.json"))
     p = tmp_path / "echo.json"
     cfg.dump(p)
     cfg2 = ExperimentConfig.load(p)
     assert cfg.to_dict() == cfg2.to_dict()
+    assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() \
+        == cfg.to_dict()
 
 
 def test_malformed_config_exit_1_with_field_path(tmp_path, smoke_cfg_path,
@@ -159,7 +164,28 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     pytest.param("epsilon", "", {"eps0": 0.1}, id="unknown-section"),
     ("grid", "nz", 3), ("profile", "lam", 9.0), ("radii", "cnt", 4),
     ("epsilons", "eps", 0.1), ("params", "nuu", 0.5),
-    ("solver", "lin_tool", 1e-12), ("solver", "boundary.amp", 0.5)])
+    ("solver", "lin_tool", 1e-12), ("solver", "boundary.amp", 0.5),
+    # every other setting fed NaN or a string (each exited 1 naming it)
+    *((key, "", math.nan) for key in (
+        "name", "required_flags", "compare_budgets", "balls", "profile",
+        "grid", "epsilons", "radii", "params", "solver")),
+    *((section, "", "x") for section in (
+        "profile", "grid", "epsilons", "params", "solver")),
+    ("profile", "kind", math.nan),
+    *(("grid", key, math.nan) for key in ("x0", "x1", "y0", "y1")),
+    ("grid", "nx", "129"), ("grid", "ny", "129"),
+    ("epsilons", "rungs", "3"), ("radii", "count", "4"),
+    *(("params", key, math.nan) for key in (
+        "nu", "nu0", "mu", "eta", "cutoff_delta_frac")),
+    ("params", "lam", "9"), ("params", "j_max", "12"),
+    *(("solver", key, math.nan) for key in (
+        "theta", "fp_max_iter", "lin_max_iter", "boundary", "boundary.kind",
+        "boundary.by", "quasilinear", "phi_bounds")),
+    ("solver", "fp_tol", "1e-9"), ("solver", "fp_max_iter", "30"),
+    ("solver", "lin_tol", "1e-12"), ("solver", "lin_max_iter", "400"),
+    ("solver", "boundary", "affine"), ("solver", "boundary.kind", "cubic"),
+    ("solver", "boundary.ax", "one"), ("solver", "boundary.c", "two"),
+    ("solver", "phi_bounds", "1, 3")])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
     raw = json.load(open(smoke_cfg_path))
@@ -183,6 +209,20 @@ def test_nan_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                   capsys, key):
     raw = json.load(open(smoke_cfg_path))
     raw["solver"]["boundary"] = dict(TRIG, **{key: math.nan})
+    bad = tmp_path / "bad.json"
+    json.dump(raw, open(bad, "w"))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert (f"solver.boundary.{key}: must be a finite number"
+            in capsys.readouterr().err)
+
+
+# a string coefficient of trig data ended in a traceback
+@pytest.mark.parametrize("key", ["amp", "kx", "ky", "c"])
+def test_string_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
+                                                     capsys, key):
+    raw = json.load(open(smoke_cfg_path))
+    raw["solver"]["boundary"] = dict(TRIG, **{key: "1.0"})
     bad = tmp_path / "bad.json"
     json.dump(raw, open(bad, "w"))
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
@@ -316,7 +356,7 @@ def test_reported_flags_are_the_requirable_ones(smoke_run):
 
 
 # bool("false") is True: the string ran the ball as an on-axis one
-@pytest.mark.parametrize("value", ["false", 0])
+@pytest.mark.parametrize("value", ["false", 0, math.nan])
 def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
     raw = json.load(open(smoke_cfg_path))
     raw["balls"][0]["on_axis"] = value
@@ -1083,14 +1123,17 @@ def test_smoke_run_artifacts_scale_with_what_they_hold(smoke_run,
 
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
-# trig data under the exponential profile on 103^2: the quasilinear run
-# takes the Picard path, and its PCG vectors have 101^2 > 10000 entries,
-# where OpenBLAS spreads a dot product over its threads
-PICARD_103 = {
-    "name": "picard-103", "seed": 0,
+# trig data under the exponential profile on 145^2: the quasilinear run
+# takes the Picard path, and its PCG vectors have 143^2 > 10000 entries,
+# where OpenBLAS spreads a dot product over its threads.  145^2 is the
+# coarsest of 103^2, 121^2, 129^2 and 145^2 that measures the ball (the
+# others skip it: r = 0.085 lies below the measured radius band), so the
+# ball stages and their artifacts run on the Picard path too
+PICARD_145 = {
+    "name": "picard-145", "seed": 0,
     "profile": {"kind": "exponential", "param": 0.1},
     "grid": {"x0": -0.5, "x1": 0.5, "y0": -0.5, "y1": 0.5,
-             "nx": 103, "ny": 103},
+             "nx": 145, "ny": 145},
     "epsilons": {"eps0": 0.1, "rungs": 4},
     "radii": {"r_max": 0.4, "count": 5},
     "balls": [{"center": [0.0, 0.0], "r": 0.17, "on_axis": True}],
@@ -1135,10 +1178,15 @@ def _tree_bytes(root):
             if p.is_file() and p.name != "run_meta.json"}
 
 
+def _assert_ball0_measured(out):
+    rep = load_report(out / "report.json")
+    assert "ball0" in rep["balls"] and "ball0.skipped" not in rep["flags"]
+
+
 def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
     # each child interpreter gets its own BLAS thread count
-    cfg = tmp_path / "picard-103.json"
-    cfg.write_text(json.dumps(PICARD_103))
+    cfg = tmp_path / "picard-145.json"
+    cfg.write_text(json.dumps(PICARD_145))
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     trees = []
     for threads in ("1", "2"):
@@ -1149,6 +1197,7 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
                              text=True)
         assert res.returncode == 0, res.stderr
         trees.append(_tree_bytes(out))
+        _assert_ball0_measured(out)
     assert sorted(trees[0]) == sorted(trees[1])
     assert [f for f in trees[0] if trees[0][f] != trees[1][f]] == []
 
@@ -1231,7 +1280,7 @@ print(sorted(set(sys.modules) - before))
 """
 
 
-@pytest.mark.parametrize("case", ["smoke", "picard-103", "paper-smoke"])
+@pytest.mark.parametrize("case", ["smoke", "picard-145", "paper-smoke"])
 def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
     # set-up as the run benchmark times it (package import, config,
     # profile and form), then a run that imports nothing more: numpy's
@@ -1241,8 +1290,8 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
     # file run, since one may preload what a clean interpreter does not
     # (np.savez_compressed's zipfile, with shutil and pathlib)
     raw = json.load(open(smoke_cfg_path))
-    if case == "picard-103":
-        raw = PICARD_103
+    if case == "picard-145":
+        raw = PICARD_145
     elif case == "paper-smoke":
         raw["profile"] = {"kind": "paper_model", "param": 9.0}
     cfg = tmp_path / f"{case}.json"
@@ -1255,6 +1304,7 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+    _assert_ball0_measured(tmp_path / "out")
 
 
 def test_solution_plot_is_the_measured_solution(tmp_path, smoke_cfg_path):

@@ -12,7 +12,8 @@ import pytest
 from conftest import svg_image
 
 from subunit_lab.grid import GridSpec
-from subunit_lab.svgplot import H, MARGIN, PALETTE, W, heatmap, nesting_diagram
+from subunit_lab.svgplot import (H, MARGIN, PALETTE, W, heatmap, line_chart,
+                                 nesting_diagram)
 
 SVG_NS = "http://www.w3.org/2000/svg"
 
@@ -260,3 +261,25 @@ def test_nesting_diagram_matches_reference_rendering(tmp_path, nx, ny, whole):
         assert not blank.any()
     else:
         assert 0 < np.count_nonzero(blank) < blank.size
+
+
+# an oscillation chart's axes: log r, linear omega.  The range was taken
+# from the points > 0 on both axes while the polyline kept omega <= 0, so
+# such points were drawn below the plot box; an all-zero omega raised
+# "nothing to plot"
+@pytest.mark.parametrize("ys", [[0.3, 0.1, 0.0, -0.01], [0.0] * 4],
+                         ids=["through-zero", "all-zero"])
+def test_line_chart_draws_every_point_inside_the_box(tmp_path, ys):
+    xs = [0.4, 0.2, 0.1, 0.05]
+    # x <= 0 has no place on a log axis, nor has a NaN anywhere
+    line_chart(tmp_path / "osc.svg", [("omega", xs + [0.0, 0.3],
+                                       ys + [0.2, math.nan])],
+               xlog=True, ylog=False)
+    root = ET.parse(tmp_path / "osc.svg").getroot()
+    circles = root.findall(f"{{{SVG_NS}}}circle")
+    assert len(circles) == len(xs)
+    for c in circles:
+        assert MARGIN <= float(c.get("cx")) <= W - MARGIN
+        assert MARGIN <= float(c.get("cy")) <= H - MARGIN
+    line = root.find(f"{{{SVG_NS}}}polyline").get("points").split()
+    assert len(line) == len(xs)
