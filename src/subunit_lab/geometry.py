@@ -64,21 +64,33 @@ class VolumeFunction:
     changes are summed once in breakpoint order, so a query is one
     searchsorted plus a quadratic.  A triangle narrower than _FLAT
     max(1, c) is a step at a, whose error stays inside [a, c].  Triangles
-    touching a node with a non-finite distance lie outside every ball.  Queries beyond the
-    field's reach raise RangeError: a bounded march leaves the triangles
-    there out.
+    touching a node with a non-finite distance lie outside every ball.
+    Queries beyond the field's reach raise RangeError: a bounded march
+    leaves the triangles there out.
+
+    It keeps, for the n triangles with finite vertices, the 3 n sorted
+    breakpoints (breaks), the running coefficients (q2, q1, q0) after each
+    (coeffs, 3 n x 3, a transposed view of one 3 x 3 n table), the total
+    area and the sorted finite nodal distances (nodes, for count).  The
+    construction holds one n x 3 vertex table and one 3 n jumps table
+    besides these, and fills, orders and sums the coefficients in place.
     """
 
     def __init__(self, field):
         d = field.values
         self.reach = field.reach
         area = 0.5 * field.grid.cell_area
-        p00, p11 = d[:-1, :-1].ravel(), d[1:, 1:].ravel()
-        tri = np.stack([np.concatenate([p00, p00]),
-                        np.concatenate([d[1:, :-1].ravel(),
-                                        d[:-1, 1:].ravel()]),
-                        np.concatenate([p11, p11])], axis=1)
-        tri = tri[np.all(np.isfinite(tri), axis=1)]
+        # each cell's two triangles: (i, j), (i+1, j), (i+1, j+1) for all
+        # cells, then (i, j), (i, j+1), (i+1, j+1)
+        tri = np.empty((2, d.shape[0] - 1, d.shape[1] - 1, 3))
+        tri[:, :, :, 0] = d[:-1, :-1]
+        tri[0, :, :, 1] = d[1:, :-1]
+        tri[1, :, :, 1] = d[:-1, 1:]
+        tri[:, :, :, 2] = d[1:, 1:]
+        tri = tri.reshape(-1, 3)
+        finite = np.all(np.isfinite(tri), axis=1)
+        if not finite.all():
+            tri = tri[finite]
         tri.sort(axis=1)
         a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
         w = c - a
@@ -88,18 +100,52 @@ class VolumeFunction:
         b = np.where((b - a < _SNAP * w) | flat, a, b)
         k1 = np.where(b > a, area / (w * np.where(b > a, b - a, 1.0)), 0.0)
         k2 = np.where(c > b, area / (w * np.where(c > b, c - b, 1.0)), 0.0)
-        z = np.zeros_like(a)
-        piece1 = np.stack([k1, -2.0 * k1 * a, k1 * a * a], axis=1)
-        piece2 = np.stack([-k2, 2.0 * k2 * c, area - k2 * c * c], axis=1)
-        full = np.stack([z, z, z + area], axis=1)
-        piece2[flat] = full[flat]          # a flat triangle is a step at a
         breaks = np.concatenate([a, b, c])
-        jumps = np.concatenate([piece1, piece2 - piece1, full - piece2])
+        del w, b            # free them before the tables are built
         order = np.argsort(breaks, kind="stable")
         self.breaks = breaks[order]
-        self.coeffs = np.cumsum(jumps[order], axis=0)
-        self.total = area * a.size
-        self.nodes = np.sort(d[np.isfinite(d)].ravel())
+
+        # the changes of each coefficient at the breakpoints a, b and c,
+        # one coefficient at a time, into one table that is taken in
+        # breakpoint order row by row and summed in place
+        n = a.size
+        jumps = breaks      # reused: its values are no longer needed
+        piece1, piece2, above = jumps[:n], jumps[n:2 * n], jumps[2 * n:]
+        coeffs = np.empty((3, 3 * n))
+        q2, q1, q0 = coeffs
+
+        def take(row, full):
+            """piece1 is the coefficient on [a, b], piece2 on [b, c] (a
+            flat triangle's full value there: a step at a) and full above
+            c: their jumps at a, b and c, in breakpoint order, into row."""
+            np.subtract(full, piece2, out=above)
+            np.subtract(piece2, piece1, out=piece2)
+            # every index is in range, so "clip" clips nothing; unlike the
+            # default mode it writes to row without a temporary copy
+            np.take(jumps, order, out=row, mode="clip")
+
+        piece1[:] = k1                                  # q2 = k1, -k2, 0
+        np.negative(k2, out=piece2)
+        piece2[flat] = 0.0
+        take(q2, 0.0)
+        np.multiply(k1, -2.0, out=piece1)               # q1 = -2 k1 a,
+        piece1 *= a                                     # 2 k2 c, 0
+        np.multiply(k2, 2.0, out=piece2)
+        piece2 *= c
+        piece2[flat] = 0.0
+        take(q1, 0.0)
+        np.multiply(k1, a, out=piece1)                  # q0 = k1 a^2,
+        piece1 *= a                                     # A - k2 c^2, A
+        np.multiply(k2, c, out=piece2)
+        piece2 *= c
+        np.subtract(area, piece2, out=piece2)
+        piece2[flat] = area
+        take(q0, area)
+        np.cumsum(coeffs, axis=1, out=coeffs)
+        self.coeffs = coeffs.T
+        self.total = area * n
+        self.nodes = d[np.isfinite(d)]
+        self.nodes.sort()
 
     @property
     def s_max(self):

@@ -103,7 +103,8 @@ def solve_global(cfg, form, stats=None):
     Returns (u, u_lin, q_result, info): u is the solution the ball stages
     measure on, the quasilinear one when it converged and the linear one
     otherwise.  stats, when given, records every linear solve
-    (solver.SolveStats)."""
+    (solver.SolveStats).  The linear system is freed before Picard
+    starts."""
     spec = cfg.solver
     g = spec.boundary_values(form.grid)
     system = assemble_linear(form.q11, form.q22, form.grid, spec.rhs, g)
@@ -112,6 +113,7 @@ def solve_global(cfg, form, stats=None):
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
     bvals = system.boundary_values[form.grid.boundary_mask()]
     spread = float(np.ptp(bvals)) or 1.0
+    del system      # Picard assembles its own systems: free this one first
 
     env = QuasilinearEnvelope(base=form)
     q_result = (solve_quasilinear(env, g, spec, stats) if spec.quasilinear
@@ -452,7 +454,11 @@ def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,
 
 
 def run_experiment(cfg, out_dir, strict=False):
-    """Run the full pipeline; returns (report, failed_required_flags)."""
+    """Run the full pipeline; returns (report, failed_required_flags).
+
+    A ball's arrays (its field, its analytics with the volume function,
+    its cutoffs) are freed once its artifacts are written, before the
+    next ball's stages run."""
     t0 = time.time()
     cfg.validate()
     for sub in ARTIFACT_DIRS:
@@ -495,6 +501,8 @@ def run_experiment(cfg, out_dir, strict=False):
             report["balls"][ball_id] = ball_report
             with _timed(times, "artifacts"):
                 _write_ball_artifacts(out, ball_id, art, ball_report)
+        # the ball's field, analytics and cutoffs go before the next ball
+        del art
 
     with _timed(times, "artifacts"):
         _write_solution_artifacts(out, u, u_lin, q_result)

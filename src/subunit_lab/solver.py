@@ -98,7 +98,13 @@ def _node_faces(wx, wy):
 
 @dataclass
 class LinearSystem:
-    """The interior system -L_h u = rhs, held as its face weights."""
+    """The interior system -L_h u = rhs, held as its face weights.
+
+    It keeps one copy of each: the face weights wx and wy, each interior
+    node's diagonal, the right-hand side and the full-grid boundary data
+    (which the frozen systems of one Picard solve share, read-only), plus
+    two interior-sized work arrays of apply.  No matrix is built, and
+    _separable_inverse reads the same face weights."""
 
     grid: object
     rhs: np.ndarray                # interior, j fastest, boundary folded in
@@ -108,47 +114,36 @@ class LinearSystem:
     diag: np.ndarray               # (nx-2, ny-2) sum of each node's four faces
 
     def __post_init__(self):
-        # apply works on flat rows of width ny: v sits in a zero-padded
-        # copy of the grid, so the neighbours of the interior nodes are
-        # the padded array shifted by -ny, -1, +1 and +ny.  A run of n
-        # entries from the first interior node covers every interior node,
-        # plus the two padding columns between rows, whose face weights
-        # are 0 and whose results apply drops.  The buffers are reused, so
-        # apply is not reentrant.
+        # apply's work arrays, reused, so apply is not reentrant: v sits
+        # in a zero-padded copy of the interior, whose shifts by one node
+        # are the four neighbours of every interior node
         nxi, nyi = self.diag.shape
-        w = nyi + 2
-        n = (nxi - 1) * w + nyi
-
-        def rows(a):
-            out = np.zeros((nxi, w))
-            out[:, :nyi] = a
-            return out.ravel()[:n]
-
-        left, right, down, up = _node_faces(self.wx, self.wy)
-        # -(left v) rounds as (-left) v: IEEE products are sign-symmetric
-        self._faces = (rows(-left), rows(right), rows(down), rows(up))
-        self._diag = rows(self.diag)
-        self._padded = np.zeros((nxi + 2) * w)
-        self._out = np.zeros(nxi * w)
-        self._term = np.empty(n)
+        self._padded = np.zeros((nxi + 2, nyi + 2))
+        self._term = np.empty((nxi, nyi))
 
     def apply(self, v):
         """-L_h v for a flat interior vector v (j fastest), zero outside."""
-        neg_left, right, down, up = self._faces
+        left, right, down, up = _node_faces(self.wx, self.wy)
         p, t = self._padded, self._term
-        nxi, nyi = self.diag.shape
-        w, n = nyi + 2, t.size
-        p.reshape(nxi + 2, w)[1:-1, 1:-1] = v.reshape(nxi, nyi)
-        c = w + 1                  # padded index of the first interior node
-        out = self._out[:n]
+        p[1:-1, 1:-1] = v.reshape(t.shape)
         # the terms in the sorted column order of a CSR matrix of -L_h, so
-        # each sum rounds as scipy's csr_matvec rounds it, bit for bit
-        np.multiply(neg_left, p[c - w:c - w + n], out=out)
-        out -= np.multiply(down, p[c - 1:c - 1 + n], out=t)
-        out += np.multiply(self._diag, p[c:c + n], out=t)
-        out -= np.multiply(up, p[c + 1:c + 1 + n], out=t)
-        out -= np.multiply(right, p[c + w:c + w + n], out=t)
-        return self._out.reshape(nxi, w)[:, :nyi].ravel()
+        # each sum rounds as scipy's csr_matvec rounds it, bit for bit;
+        # -(left v) rounds as (-left) v: IEEE products are sign-symmetric
+        out = np.multiply(left, p[:-2, 1:-1])
+        np.negative(out, out=out)
+        out -= np.multiply(down, p[1:-1, :-2], out=t)
+        out += np.multiply(self.diag, p[1:-1, 1:-1], out=t)
+        out -= np.multiply(up, p[1:-1, 2:], out=t)
+        out -= np.multiply(right, p[2:, 1:-1], out=t)
+        return out.ravel()
+
+
+def _boundary_grid(grid, boundary):
+    """The Dirichlet data on the boundary nodes and 0 inside, read-only:
+    boundary is a callable (X, Y) -> values, an array or a constant."""
+    g = np.where(grid.boundary_mask(), _grid_values(grid, boundary), 0.0)
+    g.setflags(write=False)
+    return g
 
 
 def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
@@ -163,6 +158,12 @@ def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
     SingularSystemError when some interior connected component (under
     positive faces) touches no boundary node, reporting the island nodes.
     """
+    return _assemble(q11, q22, grid, rhs, _boundary_grid(grid, boundary))
+
+
+def _assemble(q11, q22, grid, rhs, g):
+    """assemble_linear with the boundary data g already on the grid, as
+    _boundary_grid gives it (the system keeps g itself, not a copy)."""
     q11 = np.asarray(q11, dtype=float)
     q22 = np.asarray(q22, dtype=float)
     nx, ny = grid.shape
@@ -177,7 +178,6 @@ def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
     left, right, down, up = _node_faces(wx, wy)
     diag = ((left + right) + down) + up
 
-    g = np.where(grid.boundary_mask(), _grid_values(grid, boundary), 0.0)
     b = -_grid_values(grid, rhs)[1:-1, 1:-1]
     b += left * g[:-2, 1:-1]
     b += right * g[2:, 1:-1]
@@ -315,14 +315,15 @@ def _separable_inverse(system):
     return apply
 
 
-def _dot(a, b):
+def _dot(a, b, out=None):
     """a . b as numpy's pairwise sum, which runs in this thread only and
-    rounds the same whatever the BLAS thread count."""
-    return float(np.add.reduce(a * b))
+    rounds the same whatever the BLAS thread count.  out, when given,
+    takes the products."""
+    return float(np.add.reduce(np.multiply(a, b, out=out)))
 
 
-def _norm(a):
-    return math.sqrt(_dot(a, a))
+def _norm(a, out=None):
+    return math.sqrt(_dot(a, a, out))
 
 
 def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
@@ -333,29 +334,35 @@ def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
     against max(atol, rtol |b|), callback(x) runs once per step, and info
     is 0 on convergence or maxiter when the steps ran out.  Inner products
     and norms are pairwise sums (_dot), so from a cold start the iteration
-    count is scipy's and x agrees with it to rounding.  x0 is not modified.
+    count is scipy's and x agrees with it to rounding.  x0, of b's size in
+    any shape, is not modified.  x, r and p are updated in place, and one
+    work vector takes every product.
     """
     bnrm2 = _norm(b)
     atol = max(atol, rtol * bnrm2)
     if bnrm2 == 0.0:
         return np.zeros_like(b), 0
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+    x = (np.zeros_like(b) if x0 is None
+         else np.array(x0, dtype=float).reshape(b.shape))
     r = b - A(x) if x.any() else b.copy()
+    work = np.empty_like(b)
     rho_prev, p = None, None
     for iteration in range(maxiter):
-        if _norm(r) < atol:
+        if _norm(r, work) < atol:
             return x, 0
         z = M(r)
-        rho = _dot(r, z)
+        rho = _dot(r, z, work)
         if iteration > 0:
             p *= rho / rho_prev
             p += z
         else:
             p = z.copy()
+        del z       # z and q die before the next M and A make theirs
         q = A(p)
-        alpha = rho / _dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        alpha = rho / _dot(p, q, work)
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(q, alpha, out=work)
+        del q
         rho_prev = rho
         if callback is not None:
             callback(x)
@@ -368,12 +375,12 @@ def solve_linear(system, spec=None, stats=None, x0=None):
     Conjugate gradients (cg) preconditioned by the column-averaged
     separable operator (see the module docstring): one iteration when the
     system is separable, a mesh-independent handful under the quasilinear
-    sandwich.  x0, a flat interior vector, starts CG there instead of at
-    zero.  CG stops at relative residual spec.lin_tol (spec a SolverSpec,
-    SolverSpec() when None) and raises SolverError when the true residual,
-    a pairwise-summed norm like CG's own, still misses it after
-    spec.lin_max_iter iterations.  When given, stats records the
-    iterations.
+    sandwich.  x0, the interior values (flat, j fastest, or as an
+    (nx-2, ny-2) array), starts CG there instead of at zero.  CG stops at
+    relative residual spec.lin_tol (spec a SolverSpec, SolverSpec() when
+    None) and raises SolverError when the true residual, a pairwise-summed
+    norm like CG's own, still misses it after spec.lin_max_iter
+    iterations.  When given, stats records the iterations.
     """
     spec = spec or SolverSpec()
     b = system.rhs
@@ -422,15 +429,18 @@ def solve_quasilinear(env, boundary, spec=None, stats=None):
     iterate meeting the sup-norm tolerance, with the residual history.
     Non-convergence is reported on the result (best iterate and
     diagnostic), not raised.  stats, when given, records every frozen
-    linear solve.
+    linear solve.  The boundary data is put on the grid once and every
+    frozen system shares it; a frozen system and its coefficients are
+    freed before the next step assembles its own.
     """
     spec = spec or SolverSpec()
     grid = env.base.grid
+    g = _boundary_grid(grid, boundary)    # every frozen system shares it
 
     def frozen_solve(z, previous=None):
-        a11, a22 = env.coefficients(z)
-        system = assemble_linear(a11, a22, grid, spec.rhs, boundary)
-        x0 = None if previous is None else previous.values[1:-1, 1:-1].ravel()
+        # the coefficients die with the assembly, before the solve runs
+        system = _assemble(*env.coefficients(z), grid, spec.rhs, g)
+        x0 = None if previous is None else previous.values[1:-1, 1:-1]
         return solve_linear(system, spec, stats, x0)
 
     u_k = u_star = frozen_solve(np.zeros(grid.shape))
@@ -438,10 +448,8 @@ def solve_quasilinear(env, boundary, spec=None, stats=None):
     residuals = []
     for it in range(1, spec.fp_max_iter + 1):
         u_star = frozen_solve(u_k.values, u_star)
-        u_next = DiscreteFunction(
-            grid=grid, values=(1.0 - spec.theta) * u_k.values
-            + spec.theta * u_star.values)
-        res = float(np.max(np.abs(u_next.values - u_k.values)))
+        values, res = _damped_step(u_k.values, u_star.values, spec.theta)
+        u_next = DiscreteFunction(grid=grid, values=values)
         residuals.append(res)
         if res < best_res:
             best, best_res = u_next, res
@@ -451,6 +459,17 @@ def solve_quasilinear(env, boundary, spec=None, stats=None):
                                      residuals=residuals)
     return QuasilinearResult(u=best, converged=False,
                              iterations=spec.fp_max_iter, residuals=residuals)
+
+
+def _damped_step(u_k, u_star, theta):
+    """(1 - theta) u_k + theta u_star, a new array (u_k may still be
+    returned), and its sup-norm distance from u_k; one work array, freed
+    on return."""
+    values = np.multiply(u_k, 1.0 - theta)
+    step = np.multiply(u_star, theta)
+    values += step
+    np.subtract(values, u_k, out=step)
+    return values, float(np.max(np.abs(step, out=step)))
 
 
 def max_principle_slack(u, system):

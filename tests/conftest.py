@@ -2,13 +2,15 @@
 standard grids/fields are session-scoped and reused across test modules.
 Every report.json the session writes is checked against the packaged
 schema when the session ends.  svg_image reads the raster of a heatmap or
-nesting diagram back, and read_npz a distance field's .npz."""
+nesting diagram back, read_npz a distance field's .npz, and
+traced_grid_peak measures a call's peak memory in grid-sized arrays."""
 
 import base64
 import importlib.resources as resources
 import json
 import math
 import struct
+import tracemalloc
 import xml.etree.ElementTree as ET
 import zlib
 
@@ -89,6 +91,26 @@ def read_npz(path, grid):
     full = np.full(grid.shape, math.inf)
     full[i:i + x.size, j:j + y.size] = value
     return full, value.shape
+
+
+def traced_grid_peak(shape, fn, *args):
+    """fn(*args) and the most memory that call held at once, what it
+    returns included, in float64 arrays of the grid's shape: tracemalloc's
+    peak over the bytes traced when the call began, divided by
+    nx * ny * 8.  numpy reports its array buffers to tracemalloc, so
+    every grid-sized copy counts."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return result, peak / (shape[0] * shape[1] * 8)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -9,6 +9,7 @@ import shutil
 import site
 import subprocess
 import sys
+import weakref
 import zipfile
 
 import jsonschema
@@ -498,6 +499,41 @@ def test_report_byte_determinism(tmp_path, smoke_cfg_path, smoke_run):
     a = (smoke_run / "report.json").read_bytes()
     b = (out2 / "report.json").read_bytes()
     assert a == b
+
+
+def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
+                                                       monkeypatch):
+    # grushin-145 (the bench workload) measures two balls.  When ball1's
+    # stages start, nothing of ball0 is alive: not its field, its
+    # analytics with the volume function, or its cutoffs
+    raw = json.load(open(os.path.join(CONFIGS, "grushin-box-256.json")))
+    raw["grid"].update(nx=145, ny=145)
+    cfg = ExperimentConfig.from_dict(raw)
+    assert len(cfg.balls) == 2
+    run_ball = pipeline.run_ball
+    probes, alive_at_start = [], {}
+
+    def probed(cfg, form, spec, ball_id, *args, **kwargs):
+        alive_at_start[ball_id] = [name for name, ref in probes
+                                   if ref() is not None]
+        report, flags, art = run_ball(cfg, form, spec, ball_id, *args,
+                                      **kwargs)
+        finest, geo, cuts = art["finest"], art["geo"], art["cuts"]
+        held = {"field": finest, "field.values": finest.values,
+                "analytics": geo.analytics,
+                "volume_function": geo.analytics.measure,
+                "volume_breaks": geo.analytics.measure.breaks,
+                "cutoffs": cuts, "sequence": cuts.seq,
+                "psi1": cuts.seq.psi[0], "special": cuts.special}
+        probes.extend((f"{ball_id}.{name}", weakref.ref(obj))
+                      for name, obj in held.items())
+        return report, flags, art
+
+    monkeypatch.setattr(pipeline, "run_ball", probed)
+    report, failed = pipeline.run_experiment(cfg, str(tmp_path / "out"))
+    assert sorted(report["balls"]) == ["ball0", "ball1"] and not failed
+    assert len(probes) == 18
+    assert alive_at_start == {"ball0": [], "ball1": []}
 
 
 def test_compare_identical_reports_empty_diff(smoke_run):

@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_grid_peak
 
 from subunit_lab import geometry
 from subunit_lab.errors import (DomainError, GeometryError, RangeError,
                                 ResolutionError)
-from subunit_lab.forms import DegeneracyProfile, eval_h
+from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.geometry import (box_ball, box_sandwich, containment_check,
                                   doubling_classification, fill_delta_curve,
                                   growth_condition_check, nondoubling_order,
@@ -165,6 +166,76 @@ def test_thin_triangle_keeps_larger_volumes_exact(width):
     for s, volume in ((0.75, 0.25), (1.0, 0.3), (1.4, 0.38)):
         assert exact(s) == pytest.approx(volume, abs=1e-15)
         assert abs(measure(s) - volume) <= width, s
+
+
+def _reference_volume_function(field):
+    """VolumeFunction's tables built the plain way, every triangle-sized
+    table side by side: the reference the in-place construction must
+    match byte for byte.  Returns (breaks, coeffs, total, nodes)."""
+    d = field.values
+    area = 0.5 * field.grid.cell_area
+    p00, p11 = d[:-1, :-1].ravel(), d[1:, 1:].ravel()
+    tri = np.stack([np.concatenate([p00, p00]),
+                    np.concatenate([d[1:, :-1].ravel(), d[:-1, 1:].ravel()]),
+                    np.concatenate([p11, p11])], axis=1)
+    tri = tri[np.all(np.isfinite(tri), axis=1)]
+    tri.sort(axis=1)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    w = c - a
+    flat = w <= geometry._FLAT * np.maximum(1.0, c)
+    w = np.where(flat, 1.0, w)
+    b = np.where(c - b < geometry._SNAP * w, c, b)
+    b = np.where((b - a < geometry._SNAP * w) | flat, a, b)
+    k1 = np.where(b > a, area / (w * np.where(b > a, b - a, 1.0)), 0.0)
+    k2 = np.where(c > b, area / (w * np.where(c > b, c - b, 1.0)), 0.0)
+    z = np.zeros_like(a)
+    piece1 = np.stack([k1, -2.0 * k1 * a, k1 * a * a], axis=1)
+    piece2 = np.stack([-k2, 2.0 * k2 * c, area - k2 * c * c], axis=1)
+    full = np.stack([z, z, z + area], axis=1)
+    piece2[flat] = full[flat]
+    breaks = np.concatenate([a, b, c])
+    jumps = np.concatenate([piece1, piece2 - piece1, full - piece2])
+    order = np.argsort(breaks, kind="stable")
+    return (breaks[order], np.cumsum(jumps[order], axis=0), area * a.size,
+            np.sort(d[np.isfinite(d)].ravel()))
+
+
+def _exponential_field(reach):
+    # non-square, source off the center: the triangle order and the +inf
+    # filtering of a bounded march both show in the tables
+    g = GridSpec(-0.5, 0.5, -0.4, 0.6, 61, 47)
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+    return solve_distance(form, (37, 19), 0.0125, reach)
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(lambda: _exponential_field(0.6), id="bounded"),
+    pytest.param(lambda: _exponential_field(math.inf), id="full"),
+    pytest.param(lambda: _thin_triangle_field(1e-3), id="thin-triangle"),
+    pytest.param(lambda: _thin_triangle_field(0.0), id="thin-triangle-flat"),
+])
+def test_volume_function_matches_reference_bytes(field):
+    field = field()
+    breaks, coeffs, total, nodes = _reference_volume_function(field)
+    measure = geometry.VolumeFunction(field)
+    assert measure.breaks.shape == breaks.shape
+    assert measure.coeffs.shape == coeffs.shape
+    assert measure.breaks.tobytes() == breaks.tobytes()
+    assert measure.coeffs.tobytes() == coeffs.tobytes()
+    assert np.float64(measure.total).tobytes() == np.float64(total).tobytes()
+    assert measure.nodes.tobytes() == nodes.tobytes()
+
+
+def test_volume_function_memory_ceiling():
+    # a full field on 129^2 (32768 triangles) keeps breaks (6 grid arrays)
+    # and coeffs (18) and reads 46.9 grid arrays at its peak; the
+    # side-by-side construction read 106.6.  The ceiling leaves a margin
+    # of 1.1, under one triangle-sized table (2)
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 129, 129)
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+    field = solve_distance(form, (64, 64), 0.0125)
+    _, peak = traced_grid_peak(g.shape, geometry.VolumeFunction, field)
+    assert peak <= 48.0, peak
 
 
 def test_upper_window_calibrates_C(grushin_field_origin):

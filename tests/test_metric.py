@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import read_npz
+from conftest import read_npz, traced_grid_peak
 
 from subunit_lab import metric
 from subunit_lab.config import ExperimentConfig
@@ -97,6 +97,19 @@ def test_kernel_matches_reference_bytes(kind, param, nx, ny):
             got = solve_distance(form, source, eps).values
             want = _reference_solve_distance(form, source, eps)
             assert got.tobytes() == want.tobytes(), (source, eps)
+
+
+def test_full_march_memory_ceiling():
+    # a full march on 129^2 reads 10.35 grid arrays at its peak: the four
+    # array('d') tables, the values list and its floats, the heap, and the
+    # returned field.  With the tables as lists of floats it read 24.7.
+    # The ceiling leaves a margin of 0.65, under one grid array
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 129, 129)
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+    field, peak = traced_grid_peak(g.shape, solve_distance, form, (64, 64),
+                                   0.0125)
+    assert np.isfinite(field.values).all()
+    assert peak <= 11.0, peak
 
 
 def test_source_distance_exact_zero(euclid_field):

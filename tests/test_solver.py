@@ -11,6 +11,7 @@ from scipy.linalg import solve_banded
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as scipy_cg
+from conftest import traced_grid_peak
 
 from subunit_lab import solver
 from subunit_lab.config import SolverSpec
@@ -467,6 +468,24 @@ def test_quasilinear_consistency_reassemble(grid97):
     system = assemble_linear(a11, a22, grid97, spec.rhs, affine)
     u2 = solve_linear(system, spec)
     assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * spec.fp_tol * 10
+
+
+def test_quasilinear_memory_ceiling():
+    # the exp-picard problem on 129^2 reads 21.6 grid arrays at its peak,
+    # inside a frozen solve's preconditioner: the system's face weights,
+    # diagonal, right-hand side and two work arrays, the factors and
+    # transform buffers of P^-1, CG's x, r, p and one work vector, the
+    # shared boundary data and the Picard iterates.  With padded copies of
+    # the face weights, the frozen coefficients held through each solve
+    # and fresh CG and Picard temporaries it read 30.3.  The ceiling
+    # leaves a margin of 0.9, under one grid array
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 129, 129)
+    env = QuasilinearEnvelope(
+        base=assemble_form(DegeneracyProfile("exponential", 0.1), g))
+    spec = SolverSpec(theta=0.7, fp_tol=1e-9)
+    res, peak = traced_grid_peak(g.shape, solve_quasilinear, env, trig, spec)
+    assert res.converged and res.iterations > 1
+    assert peak <= 22.5, peak
 
 
 def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
