@@ -1,7 +1,7 @@
 """Accumulating cutoff sequences and the special logarithmic-estimate cutoff.
 
-Both constructions are piecewise-linear ramps in the value of a regularized
-distance field.  The accumulating sequence uses the radii recursion
+Both constructions are piecewise-linear ramps (ramp) in the value of a
+regularized distance field.  The accumulating sequence uses the radii recursion
 
     r_1 = r - (1 - nu) delta
     r_j = r - (1 - nu) delta * sum_{i=0}^{j-1} (1 - delta/r)^i
@@ -10,7 +10,8 @@ distance field.  The accumulating sequence uses the radii recursion
 so r_j decreases strictly to nu*r.  psi_j ramps from 1 below r_{j+1} to 0
 above r_j; with a single shared distance field the nesting and plateau
 properties hold exactly and the per-j gradient bound follows from the ramp
-slope times the discrete bound on [grad d]_Q.
+slope times the discrete bound on [grad d]_Q.  A sequence stores no member:
+CutoffSequence.member rebuilds psi_j from the field and the radii.
 
 The special cutoff phi_r ramps from 1 below r + delta/2 to 0 above r + delta.
 This window realizes all three contract properties (support inside
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GeometryError, RangeError
-from .metric import ball
+from .metric import DistanceField, ball
 
 
 def q_gradient(form, w):
@@ -63,21 +64,32 @@ def cutoff_radii(r, nu, delta, j_max):
     return radii
 
 
+def ramp(d, r_out, r_in):
+    """The cutoff of distance values d: 1 below r_in, 0 above r_out."""
+    return np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
+
+
 @dataclass
 class CutoffSequence:
+    """psi_1 ... psi_J, held as the shared field and the radii."""
+    field: DistanceField  # the shared distance field
     radii: list          # r_1 ... r_{J+1}
-    psi: list            # grid functions psi_1 ... psi_J
     supports: list       # boolean masks E_1 ... E_J
     grad_bounds: list    # observed max [grad psi_j]_Q
     support_ratio: float  # max_j |E_j| / |E_{j+1}|
     grad_envelope: float  # max_j grad_bounds[j] * (1-nu) delta (1-delta/r)^j
 
+    def member(self, j):
+        """psi_{j+1}: 1 below r_{j+2}, 0 above r_{j+1}, a new array."""
+        return ramp(self.field.values, self.radii[j], self.radii[j + 1])
+
 
 def build_sequence(field, form, r, nu, delta, j_max):
     """Construct psi_1..psi_J from one distance field and validate (cutoff).
 
-    The four structural properties are checked before returning:
-      - E_1 inside B(center, r), and B(center, nu r) inside every plateau;
+    One pass: each member is built, checked, measured (support, gradient
+    bound) and dropped before the next.  The four structural properties:
+      - E_j inside B(center, r), and B(center, nu r) inside every plateau;
       - E_{j+1} inside {psi_j = 1} (exact with the shared field);
       - support ratios |E_j|/|E_{j+1}| finite (reported);
       - ramp slopes consistent with the (1 - delta/r)^j envelope (reported).
@@ -87,35 +99,25 @@ def build_sequence(field, form, r, nu, delta, j_max):
     radii = cutoff_radii(r, nu, delta, j_max)
     if field.values[field.source] != 0.0:
         raise GeometryError("field does not vanish at its source")
-    d = field.values
-    q = 1.0 - delta / r
-
-    psis, supports, grads = [], [], []
-    n_j = len(radii) - 1
-    for j in range(n_j):
-        r_out, r_in = radii[j], radii[j + 1]
-        width = r_out - r_in
-        if width <= 0:
-            break
-        psi = np.clip((r_out - d) / width, 0.0, 1.0)
-        psis.append(psi)
-        supports.append(psi > 0.0)
-        grads.append(float(q_gradient(form, psi).max()))
-    if not psis:
+    if len(radii) < 2:
         raise GeometryError("no usable cutoff members (delta too close to r)")
-
+    q = 1.0 - delta / r
     ball_r = ball(field, r)
     plateau_core = ball(field, nu * r)
-    for j, psi in enumerate(psis):
-        if np.any(supports[j] & ~ball_r):
+
+    supports, grads, plateau = [], [], None
+    for j in range(len(radii) - 1):
+        psi = ramp(field.values, radii[j], radii[j + 1])
+        support = psi > 0.0
+        if plateau is not None and np.any(support & ~plateau):
+            raise GeometryError(f"E_{j+1} not inside the plateau of psi_{j}")
+        if np.any(support & ~ball_r):
             raise GeometryError(f"support of psi_{j+1} leaves B(center, r)")
         if not np.all(psi[plateau_core] == 1.0):
             raise GeometryError(f"psi_{j+1} not 1 on B(center, nu r)")
-        if j + 1 < len(psis):
-            plateau_j = psi == 1.0
-            if np.any(supports[j + 1] & ~plateau_j):
-                raise GeometryError(
-                    f"E_{j+2} not inside the plateau of psi_{j+1}")
+        supports.append(support)
+        grads.append(float(q_gradient(form, psi).max()))
+        plateau = psi == 1.0
 
     counts = np.array([int(m.sum()) for m in supports], dtype=float)
     if np.any(counts == 0):
@@ -123,7 +125,7 @@ def build_sequence(field, form, r, nu, delta, j_max):
     ratio = float(np.max(counts[:-1] / counts[1:])) if len(counts) > 1 else 1.0
     envelope = max(g * (1.0 - nu) * delta * q ** (j + 1)
                    for j, g in enumerate(grads))
-    return CutoffSequence(radii=radii, psi=psis, supports=supports,
+    return CutoffSequence(field=field, radii=radii, supports=supports,
                           grad_bounds=grads, support_ratio=ratio,
                           grad_envelope=float(envelope))
 
@@ -152,10 +154,9 @@ def build_special_cutoff(field, form, r, delta, eta):
         raise GeometryError(
             f"B(center, r + delta) breaches the domain margin: "
             f"r + delta = {r + delta:g} > eta * dist = {margin:g}")
-    d = field.values
     r_in = r + 0.5 * delta
     r_out = r + delta
-    phi = np.clip((r_out - d) / (r_out - r_in), 0.0, 1.0)
+    phi = ramp(field.values, r_out, r_in)
     support = phi > 0.0
 
     if np.any(support & ~ball(field, r_out)):

@@ -53,8 +53,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import geometry, svgplot
-from .cutoff import (CutoffSequence, SpecialCutoff, build_sequence,
-                     build_special_cutoff)
+from .cutoff import CutoffSequence, build_sequence, build_special_cutoff
 from .diagnostics import (MIN_CHAIN, caccioppoli_ratio, harnack_check,
                           local_bound_check, log_c_har, log_estimate,
                           moser_iterate, oscillation_curve, shift_m)
@@ -224,9 +223,7 @@ def geometry_stage(cfg, form, spec, finest):
 @dataclass
 class BallCutoffs:
     seq: CutoffSequence
-    special: SpecialCutoff
     delta_nu: float         # measured delta(nu r)
-    delta_r: float          # measured delta(r)
     delta_nu_used: float    # floored or pinned: the sequence's increment
     delta_r_used: float     # floored or pinned: the special cutoff's
 
@@ -237,15 +234,15 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
     Their increments are delta(nu r) and delta(r) from the band's table,
     floored so each ramp spans a few cells, or pinned to
     cutoff_delta_frac * r when the config sets it.  Returns (report
-    section, BallCutoffs).
+    section, BallCutoffs); of the special cutoff only its gradient
+    constant, in the section, outlives the stage.
     """
-    grid = form.grid
     p = cfg.params
     delta_nu = analytics.delta_at(p.nu * spec.r)
     delta_r = analytics.delta_at(spec.r)
     # cutoff ramps must span a few cells or discrete gradients quantize to
     # 1/h; pin to frac*r when configured, else apply a resolution floor
-    ramp_floor = 3.0 * max(grid.hx, grid.hy)
+    ramp_floor = 3.0 * max(form.grid.hx, form.grid.hy)
     if p.cutoff_delta_frac is not None:
         delta_nu_used = p.cutoff_delta_frac * spec.r
         delta_r_used = p.cutoff_delta_frac * spec.r
@@ -256,7 +253,7 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
     seq = build_sequence(finest, form, spec.r, p.nu, delta_nu_used, p.j_max)
     special = build_special_cutoff(finest, form, spec.r, delta_r_used, p.eta)
     section = {
-        "n_members": len(seq.psi),
+        "n_members": len(seq.supports),
         "support_ratio": seq.support_ratio,
         "grad_envelope": seq.grad_envelope,
         "grad_bounds": seq.grad_bounds,
@@ -266,8 +263,7 @@ def cutoff_stage(cfg, form, spec, finest, analytics):
         "special_delta_used": delta_r_used,
         "special_grad_constant": special.grad_constant,
     }
-    return section, BallCutoffs(seq, special, delta_nu, delta_r,
-                                delta_nu_used, delta_r_used)
+    return section, BallCutoffs(seq, delta_nu, delta_nu_used, delta_r_used)
 
 
 def _box_chain(cfg, profile, source, spec, u, eps_min, fmm=None):
@@ -326,7 +322,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
     analytics, seq = geo.analytics, cuts.seq
     vals = u.values
     m = shift_m(vals, f_rhs, spec.r)
-    psi1 = seq.psi[0]
+    psi1 = seq.member(0)
     ball_r = ball(finest, spec.r)
     cacc = caccioppoli_ratio(vals + m, psi1, 1.0, form, f_rhs)
     sob = sobolev_functional(form, psi1, ball_r, spec.r, p.sigma)
@@ -448,7 +444,8 @@ def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,
             "cutoff_grad_envelope": cut["grad_envelope"],
             "special_grad_constant": cut["special_grad_constant"],
             "local_bound_c": diag["local_bound_c"],
-            "delta_over_r_at_r": art["cuts"].delta_r / spec.r,
+            "delta_over_r_at_r":
+                art["geo"].analytics.delta_at(spec.r) / spec.r,
         }
     return report, {f"{ball_id}.{k}": v for k, v in flags.items()}, art
 
@@ -596,7 +593,7 @@ def write_ball_table(path, geometry_report, growth):
 def write_cutoff_table(path, seq):
     """One row per member of the cutoff sequence."""
     rows = [(j + 1, seq.radii[j], int(seq.supports[j].sum()),
-             seq.grad_bounds[j]) for j in range(len(seq.psi))]
+             seq.grad_bounds[j]) for j in range(len(seq.supports))]
     write_csv(path, ("j", "r_j", "support_nodes", "grad_bound"), rows)
 
 

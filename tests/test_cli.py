@@ -505,13 +505,16 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
                                                        monkeypatch):
     # grushin-145 (the bench workload) measures two balls.  When ball1's
     # stages start, nothing of ball0 is alive: not its field, its
-    # analytics with the volume function, or its cutoffs
+    # analytics with the volume function, or its cutoffs.  The special
+    # cutoff dies with the cutoff stage, which hands on its constant only
     raw = json.load(open(os.path.join(CONFIGS, "grushin-box-256.json")))
     raw["grid"].update(nx=145, ny=145)
     cfg = ExperimentConfig.from_dict(raw)
     assert len(cfg.balls) == 2
     run_ball = pipeline.run_ball
-    probes, alive_at_start = [], {}
+    cutoff_stage = pipeline.cutoff_stage
+    build_special_cutoff = pipeline.build_special_cutoff
+    probes, alive_at_start, specials, special_alive = [], {}, [], []
 
     def probed(cfg, form, spec, ball_id, *args, **kwargs):
         alive_at_start[ball_id] = [name for name, ref in probes
@@ -523,17 +526,29 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
                 "analytics": geo.analytics,
                 "volume_function": geo.analytics.measure,
                 "volume_breaks": geo.analytics.measure.breaks,
-                "cutoffs": cuts, "sequence": cuts.seq,
-                "psi1": cuts.seq.psi[0], "special": cuts.special}
+                "cutoffs": cuts, "sequence": cuts.seq}
         probes.extend((f"{ball_id}.{name}", weakref.ref(obj))
                       for name, obj in held.items())
         return report, flags, art
 
+    def special_probed(*args, **kwargs):
+        special = build_special_cutoff(*args, **kwargs)
+        specials.append(weakref.ref(special))
+        return special
+
+    def cutoff_probed(*args, **kwargs):
+        result = cutoff_stage(*args, **kwargs)
+        special_alive.append(specials[-1]() is not None)
+        return result
+
     monkeypatch.setattr(pipeline, "run_ball", probed)
+    monkeypatch.setattr(pipeline, "build_special_cutoff", special_probed)
+    monkeypatch.setattr(pipeline, "cutoff_stage", cutoff_probed)
     report, failed = pipeline.run_experiment(cfg, str(tmp_path / "out"))
     assert sorted(report["balls"]) == ["ball0", "ball1"] and not failed
-    assert len(probes) == 18
+    assert len(probes) == 14
     assert alive_at_start == {"ball0": [], "ball1": []}
+    assert len(specials) == 2 and special_alive == [False, False]
 
 
 def test_compare_identical_reports_empty_diff(smoke_run):

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import EPS_FINE, traced_grid_peak
 from subunit_lab.cutoff import (build_sequence, build_special_cutoff,
                                 cutoff_radii, q_gradient)
 from subunit_lab.errors import DomainError, GeometryError
+from subunit_lab.forms import assemble_form
 from subunit_lab.geometry import fill_delta_curve, nondoubling_order, volume_curve
-from subunit_lab.metric import ball
+from subunit_lab.metric import ball, solve_distance
 
 
 def seq_delta(field, r, nu):
@@ -90,10 +92,11 @@ def test_sequence_properties_euclidean(euclid_field, euclid_form):
     seq = build_sequence(euclid_field, euclid_form, r, nu, delta, 8)
     ball_r = ball(euclid_field, r)
     plateau_core = ball(euclid_field, nu * r)
-    for j, psi in enumerate(seq.psi):
+    for j in range(len(seq.supports)):
+        psi = seq.member(j)
         assert not np.any(seq.supports[j] & ~ball_r)          # E_j in B(y,r)
         assert np.all(psi[plateau_core] == 1.0)               # plateau
-        if j + 1 < len(seq.psi):
+        if j + 1 < len(seq.supports):
             assert np.all(psi[seq.supports[j + 1]] == 1.0)    # nesting
     assert seq.support_ratio < 4.0
     assert seq.grad_envelope < 10.0
@@ -105,7 +108,7 @@ def test_sequence_gradient_tracks_ramp_slope(euclid_field, euclid_form):
     delta = seq_delta(euclid_field, r, nu)
     seq = build_sequence(euclid_field, euclid_form, r, nu, delta, 8)
     h = euclid_form.grid.hx
-    for j in range(len(seq.psi)):
+    for j in range(len(seq.supports)):
         width = seq.radii[j] - seq.radii[j + 1]
         if width < 3.0 * h:
             break                          # sub-cell ramps saturate at 1/h
@@ -137,6 +140,102 @@ def test_sequence_support_ratio_stable_under_refinement(grushin_profile):
         seq = build_sequence(f, form, 0.2, 0.5, delta, 8)
         ratios.append(seq.support_ratio)
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.20
+
+
+def _reference_build_sequence(field, form, r, nu, delta, j_max):
+    """The sequence built the plain way, every member kept side by side
+    and checked in a second pass: the reference the one-pass construction
+    must match byte for byte.  Returns (radii, psis, supports,
+    grad_bounds, support_ratio, grad_envelope)."""
+    radii = cutoff_radii(r, nu, delta, j_max)
+    if field.values[field.source] != 0.0:
+        raise GeometryError("field does not vanish at its source")
+    d = field.values
+    q = 1.0 - delta / r
+    psis, supports, grads = [], [], []
+    for j in range(len(radii) - 1):
+        r_out, r_in = radii[j], radii[j + 1]
+        width = r_out - r_in
+        if width <= 0:
+            break
+        psi = np.clip((r_out - d) / width, 0.0, 1.0)
+        psis.append(psi)
+        supports.append(psi > 0.0)
+        grads.append(float(q_gradient(form, psi).max()))
+    if not psis:
+        raise GeometryError("no usable cutoff members (delta too close to r)")
+    ball_r = ball(field, r)
+    plateau_core = ball(field, nu * r)
+    for j, psi in enumerate(psis):
+        if np.any(supports[j] & ~ball_r):
+            raise GeometryError(f"support of psi_{j+1} leaves B(center, r)")
+        if not np.all(psi[plateau_core] == 1.0):
+            raise GeometryError(f"psi_{j+1} not 1 on B(center, nu r)")
+        if j + 1 < len(psis) and np.any(supports[j + 1] & ~(psi == 1.0)):
+            raise GeometryError(f"E_{j+2} not inside the plateau of psi_{j+1}")
+    counts = np.array([int(m.sum()) for m in supports], dtype=float)
+    if np.any(counts == 0):
+        raise GeometryError("empty cutoff support")
+    ratio = float(np.max(counts[:-1] / counts[1:])) if len(counts) > 1 else 1.0
+    envelope = max(g * (1.0 - nu) * delta * q ** (j + 1)
+                   for j, g in enumerate(grads))
+    return radii, psis, supports, grads, ratio, float(envelope)
+
+
+def _floats(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("field_name, r, j_max", [
+    ("euclid_field", 0.3, 8),
+    ("grushin_field_off_axis", 0.2, 12),
+    ("paper_field_origin", 0.2, 12),
+    ("grushin_field_off_axis", 0.2, 1),
+], ids=["euclidean", "grushin-off-axis", "paper-model", "one-member"])
+def test_sequence_matches_reference_bytes(request, field_name, r, j_max):
+    field = request.getfixturevalue(field_name)
+    form = request.getfixturevalue(field_name.split("_")[0] + "_form")
+    delta = seq_delta(field, r, 0.5)
+    radii, psis, supports, grads, ratio, envelope = \
+        _reference_build_sequence(field, form, r, 0.5, delta, j_max)
+    seq = build_sequence(field, form, r, 0.5, delta, j_max)
+    assert len(seq.supports) == len(psis) == (1 if j_max == 1 else j_max)
+    assert _floats(seq.radii) == _floats(radii)
+    assert _floats(seq.grad_bounds) == _floats(grads)
+    assert _floats(seq.support_ratio) == _floats(ratio)
+    assert _floats(seq.grad_envelope) == _floats(envelope)
+    for j, psi in enumerate(psis):
+        assert seq.supports[j].tobytes() == supports[j].tobytes()
+        member = seq.member(j)
+        assert member.dtype == psi.dtype and member.shape == psi.shape
+        assert member.tobytes() == psi.tobytes()
+
+
+def test_sequence_no_usable_member_matches_reference(euclid_field,
+                                                     euclid_form):
+    # delta = r puts r_1 at nu r at once: the recursion has one radius
+    with pytest.raises(GeometryError) as ref:
+        _reference_build_sequence(euclid_field, euclid_form, 0.3, 0.5, 0.3, 12)
+    with pytest.raises(GeometryError) as new:
+        build_sequence(euclid_field, euclid_form, 0.3, 0.5, 0.3, 12)
+    assert str(new.value) == str(ref.value)
+    assert "no usable cutoff members" in str(new.value)
+
+
+def test_sequence_memory_ceiling(grid129, grushin_profile):
+    # one member at a time: at j_max 12 the peak reads 7.9 grid arrays
+    # (the q-gradient's temporaries, one member, its plateau and twelve
+    # boolean supports) against 18.6 with every member kept; from j_max 4
+    # to 12 it grows by 1.0 (eight more supports), against 9.0
+    form = assemble_form(grushin_profile, grid129)
+    field = solve_distance(form, grid129.nearest_node(0.2, 0.0), EPS_FINE)
+    peaks = {}
+    for j_max in (4, 12):
+        seq, peaks[j_max] = traced_grid_peak(
+            grid129.shape, build_sequence, field, form, 0.2, 0.5, 0.04, j_max)
+        assert len(seq.supports) == j_max
+    assert peaks[12] <= 8.5, peaks
+    assert peaks[12] - peaks[4] <= 1.5, peaks
 
 
 def test_special_cutoff_euclidean_window(euclid_field, euclid_form):

@@ -96,7 +96,7 @@ def paraboloid_setup():
 def test_caccioppoli_constant_zero(grushin_setup):
     s = grushin_setup
     w = np.full(s["grid"].shape, 3.0)
-    assert caccioppoli_ratio(w, s["seq"].psi[0], 1.0, s["form"], 0.0) == 0.0
+    assert caccioppoli_ratio(w, s["seq"].member(0), 1.0, s["form"], 0.0) == 0.0
 
 
 def test_caccioppoli_affine_bounded_and_refinement_stable(grushin_setup):
@@ -111,7 +111,8 @@ def test_caccioppoli_affine_bounded_and_refinement_stable(grushin_setup):
         field = solve_distance(form, g.nearest_node(0.2, 0.0), 1e-3)
         seq = build_sequence(field, form, r, nu, delta, 8)
         X, _ = g.meshgrid()
-        ratios.append(caccioppoli_ratio(X + 2.0, seq.psi[0], 1.0, form, 0.0))
+        ratios.append(caccioppoli_ratio(X + 2.0, seq.member(0), 1.0, form,
+                                        0.0))
     assert all(0 < c < 50.0 for c in ratios)
     assert abs(ratios[0] - ratios[1]) / ratios[1] < 0.20
 
@@ -119,14 +120,14 @@ def test_caccioppoli_affine_bounded_and_refinement_stable(grushin_setup):
 def test_caccioppoli_beta_half_rejected(grushin_setup):
     s = grushin_setup
     with pytest.raises(DomainError):
-        caccioppoli_ratio(s["u"], s["seq"].psi[0], 0.5, s["form"], 0.0)
+        caccioppoli_ratio(s["u"], s["seq"].member(0), 0.5, s["form"], 0.0)
 
 
 def test_caccioppoli_positivity_error(grushin_setup):
     s = grushin_setup
     w = s["u"] - 10.0                   # negative somewhere
     with pytest.raises(PositivityError):
-        caccioppoli_ratio(w, s["seq"].psi[0], 1.0, s["form"], 0.0)
+        caccioppoli_ratio(w, s["seq"].member(0), 1.0, s["form"], 0.0)
 
 
 # ------------------------------------------------------------ Moser ladder
@@ -147,7 +148,7 @@ def test_moser_affine_ladder_trend_and_bound(grushin_setup):
     m = shift_m(s["u"], 0.0, s["r"])
     run = moser_iterate(s["u"], s["field"], s["r"], 1.0, 2.0, s["nu"],
                         s["seq"].supports, s["delta_nu"], m)
-    assert len(run.N) == len(s["seq"].psi)
+    assert len(run.N) == len(s["seq"].supports)
     assert all(np.isfinite(run.N))
     # the ladder settles after the first steps: increments decay to zero
     incs = [abs(b - a) for a, b in zip(run.N, run.N[1:])]

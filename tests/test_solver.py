@@ -559,7 +559,7 @@ def test_sobolev_cutoff_on_grushin_ball(grushin_field_off_axis, grushin_form):
     delta = seq_delta(grushin_field_off_axis, r, 0.5)
     seq = build_sequence(grushin_field_off_axis, grushin_form, r, 0.5, delta, 6)
     mask = ball(grushin_field_off_axis, r)
-    ratio = sobolev_functional(grushin_form, seq.psi[0], mask, r, 2.0)
+    ratio = sobolev_functional(grushin_form, seq.member(0), mask, r, 2.0)
     assert np.isfinite(ratio) and ratio > 0
 
 
