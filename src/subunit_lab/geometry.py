@@ -17,9 +17,11 @@ resolvable dyadic band.
 
 This module decides at which radii a ball is measured and what delta is
 there: march_reach is how far a ball's field is marched, measure_ball
-picks the ball's radius band and builds the volume curve on it, its
-delta(r) table and the fitted delta law, and BallAnalytics.delta_at
-reads delta at a band radius from the table.
+picks the ball's radius band, and volume_curve builds the finished
+analytics on it (the volumes, the doubling ratios, the delta(r) table and
+the fitted delta law) from one volume function that it does not keep.
+BallAnalytics.delta_at reads delta at a band radius from the table and
+BallAnalytics.law_at evaluates the fitted law.
 
 Oscillation chains run on box grids: radius rho around (x0, y0) is
 measured on its own grid over [x0 +- rho] x [y0 +- rho F] plus a collar,
@@ -176,17 +178,17 @@ class VolumeFunction:
         return np.searchsorted(self.nodes, s, side="left")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BallAnalytics:
-    """Per-center volume curve and derived non-doubling quantities."""
+    """A ball's volume curve on its radius band and the non-doubling
+    quantities derived from it, built finished by volume_curve."""
 
     radii: np.ndarray
     volumes: np.ndarray
-    measure: VolumeFunction            # |B(center, s)| at any s, and counts
     doubling_ratios: np.ndarray        # |B(2r)|/|B(r)|, nan where 2r out of range
-    delta_curve: np.ndarray = None     # filled by fill_delta_curve
-    C_doubling: float = None
-    law: tuple = None                  # (c, s): delta = c r^(s+1), fitted
+    delta_curve: np.ndarray            # delta(r) at every radius
+    C_doubling: float                  # C calibrated over the band
+    law: tuple                         # (c, s): delta = c r^(s+1), fitted
 
     def delta_at(self, r):
         """delta(r) from the table, bit for bit what nondoubling_order
@@ -196,6 +198,11 @@ class BallAnalytics:
             raise RangeError(f"r={r:g} outside measured range "
                              f"[{self.radii[0]:g}, {self.radii[-1]:g}]")
         return float(self.delta_curve[k])
+
+    def law_at(self, r):
+        """The fitted delta law c r^(s+1) at r (a scalar or an array)."""
+        c, s = self.law
+        return c * r ** (s + 1.0)
 
 
 def _radius_cap(r, margin):
@@ -213,8 +220,7 @@ def march_reach(r, margin):
 
 def measure_ball(field, r, margin, also=(), C=2.0):
     """The analytics of a ball of radius r centered margin from the domain
-    boundary: the volume curve on its radius band, delta(r) at every band
-    radius (C calibrated from C) and the fitted delta law.
+    boundary: volume_curve on its radius band.
 
     The band is BAND_RADII geometric radii from max(r/16, r_floor) to the
     cap min(2.05 r, 0.98 margin), with each radius of `also` in between.
@@ -232,14 +238,14 @@ def measure_ball(field, r, margin, also=(), C=2.0):
         raise ResolutionError(f"no resolvable radius band below {cap:g}")
     radii = list(np.geomspace(lo, cap, BAND_RADII))
     radii += [s for s in also if lo <= s <= cap]
-    analytics = volume_curve(field, set(radii))
-    fill_delta_curve(analytics, C)
-    analytics.law = _fitted_delta_law(analytics)
-    return analytics
+    return volume_curve(field, set(radii), C)
 
 
-def volume_curve(field, radii):
-    """Measure |B(center, r)| over the given radii.
+def volume_curve(field, radii, C=2.0):
+    """The finished analytics of the field's ball over the given radii:
+    |B(center, r)|, the doubling ratio, delta(r) (nondoubling_order on the
+    band of the radii, C calibrated from C), C_doubling and the fitted
+    delta law.  The volume function they are read from is not kept.
 
     Volumes are areas of the piecewise-linear balls {d_h < r}; the node
     count is the resolution floor.  Raises ResolutionError when any
@@ -261,12 +267,22 @@ def volume_curve(field, radii):
     for k, r in enumerate(radii):
         if 2.0 * r <= measure.s_max:
             ratios[k] = measure(2.0 * r) / volumes[k]
-    return BallAnalytics(radii=radii, volumes=volumes, measure=measure,
-                         doubling_ratios=ratios)
+    band = (radii[0], radii[-1])
+    deltas = []
+    for r in radii:
+        d, _, C = nondoubling_order(measure, band, float(r), C)
+        deltas.append(d)
+    deltas = np.asarray(deltas)
+    return BallAnalytics(radii=radii, volumes=volumes,
+                         doubling_ratios=ratios, delta_curve=deltas,
+                         C_doubling=C,
+                         law=_fitted_delta_law(radii, deltas, counts))
 
 
-def nondoubling_order(analytics, r, C=2.0):
-    """Smallest delta with |B(r+delta)| / |B(r)| >= 5/4 (bisection).
+def nondoubling_order(vol, band, r, C=2.0):
+    """Smallest delta with vol(r+delta) / vol(r) >= 5/4 (bisection), for
+    the volume function vol of a ball measured on the radius band
+    (lo, hi), which holds r.
 
     Returns (delta, capped, C_used).  delta is capped at r (doubling at that
     scale) when even |B(2r)|/|B(r)| < 5/4 never happens below the cap.  The
@@ -275,19 +291,18 @@ def nondoubling_order(analytics, r, C=2.0):
     """
     if C <= 1.0:
         raise DomainError("C must exceed 1")
-    radii = analytics.radii
-    if not (radii[0] <= r <= radii[-1]):
+    r_lo, r_hi = band
+    if not (r_lo <= r <= r_hi):
         raise RangeError(f"r={r:g} outside measured range "
-                         f"[{radii[0]:g}, {radii[-1]:g}]")
-    vol = analytics.measure
+                         f"[{r_lo:g}, {r_hi:g}]")
     v_r = vol(r)
     if v_r <= 0:
         raise ResolutionError(f"empty ball at r={r:g}")
     s_max = vol.s_max
     target = RATIO_LOW * v_r
-    resolution = max(1e-12, (radii[-1] - radii[0]) * DELTA_RESOLUTION)
+    resolution = max(1e-12, (r_hi - r_lo) * DELTA_RESOLUTION)
 
-    hi_limit = min(r + r, s_max, radii[-1] + (radii[-1] - radii[0]))
+    hi_limit = min(r + r, s_max, r_hi + (r_hi - r_lo))
     if vol(min(2.0 * r, s_max)) < target and vol(hi_limit) < target:
         if 2.0 * r > s_max and vol(s_max) < target:
             raise RangeError(
@@ -314,18 +329,6 @@ def nondoubling_order(analytics, r, C=2.0):
     return float(delta), bool(capped), float(C_used)
 
 
-def fill_delta_curve(analytics, C=2.0):
-    """Extract delta(r) at every measured radius; calibrates C_doubling."""
-    deltas = []
-    C_run = C
-    for r in analytics.radii:
-        d, _, C_run = nondoubling_order(analytics, float(r), max(C_run, C))
-        deltas.append(d)
-    analytics.delta_curve = np.asarray(deltas)
-    analytics.C_doubling = C_run
-    return analytics
-
-
 def doubling_classification(analytics):
     """Doubling verdict for the band: delta(r)/r not decaying toward 0.
 
@@ -333,8 +336,6 @@ def doubling_classification(analytics):
     DOUBLING_SLOPE_TOL in magnitude (flat) or negative (growing as r
     decreases) classifies the band as doubling at the measured scales.
     """
-    if analytics.delta_curve is None:
-        raise GeometryError("delta curve not filled")
     t = analytics.delta_curve / analytics.radii
     mask = t > 0
     if mask.sum() < 2:
@@ -356,7 +357,7 @@ def _median(values):
     return float((v[mid - 1] + v[mid]) / 2.0)
 
 
-def _fitted_delta_law(analytics):
+def _fitted_delta_law(r, delta, counts):
     """Power-law fit delta(r) = c r^(s+1) of the measured non-doubling order.
 
     The growth condition amplifies per-radius quantization noise by
@@ -366,9 +367,8 @@ def _fitted_delta_law(analytics):
     slope within the noise band is snapped to the flat (doubling) law,
     where the verdict would otherwise flip on the sign of pure noise.
     Every band radius is a sample, since nondoubling_order finds
-    delta > 0.  Returns (c, s)."""
-    r, delta = analytics.radii, analytics.delta_curve
-    fine = analytics.measure.count(r) >= FIT_MIN_NODES
+    delta > 0.  counts holds each radius's node count.  Returns (c, s)."""
+    fine = counts >= FIT_MIN_NODES
     if fine.sum() >= 4:
         r, delta = r[fine], delta[fine]
     lr, lt = np.log(r), np.log(delta / r)

@@ -39,7 +39,9 @@ delta(r) is there: metric_stage marches to geometry.march_reach,
 geometry_stage builds the radius band, its delta(r) table and the fitted
 delta law with geometry.measure_ball, and cutoff_stage and
 diagnostics_stage read delta(nu r), delta(r) and delta(nu0 r) from that
-table (BallAnalytics.delta_at).
+table (BallAnalytics.delta_at).  The growth check and the Harnack
+constant down the oscillation chain read the fitted law
+(BallAnalytics.law_at).
 """
 
 import math
@@ -177,9 +179,8 @@ def geometry_stage(cfg, form, spec, finest):
     growth, notes = None, []
     small = radii[radii < 1.0][::-1]
     if small.size >= 3:
-        c_fit, s_fit = analytics.law
         growth = geometry.growth_condition_check(
-            small, c_fit * small ** (s_fit + 1.0), p.lam, p.C)
+            small, analytics.law_at(small), p.lam, p.C)
     else:
         notes.append(f"growth condition not judged: {small.size} band "
                      f"radii below 1, it needs 3")
@@ -349,12 +350,10 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
         # the Harnack constant down the chain uses the fitted delta law:
         # nu0*r leaves the measured band and per-radius deltas are noise
         # under the huge exponent anyway
-        c_fit, s_fit = analytics.law
-        delta_of = lambda s: c_fit * s ** (s_fit + 1.0)
         osc = oscillation_curve(
             chain_u, chain_fields, chain, p.nu0, p.mu,
-            lambda r: log_c_har(p.nu0 * r, delta_of(p.nu0 * r), p.sigma,
-                                math.e),
+            lambda r: log_c_har(p.nu0 * r, analytics.law_at(p.nu0 * r),
+                                p.sigma, math.e),
             f_rhs)
 
     section = {
@@ -453,9 +452,8 @@ def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,
 def run_experiment(cfg, out_dir, strict=False):
     """Run the full pipeline; returns (report, failed_required_flags).
 
-    A ball's arrays (its field, its analytics with the volume function,
-    its cutoffs) are freed once its artifacts are written, before the
-    next ball's stages run."""
+    A ball's arrays (its field, its analytics, its cutoffs) are freed
+    once its artifacts are written, before the next ball's stages run."""
     t0 = time.time()
     cfg.validate()
     for sub in ARTIFACT_DIRS:

@@ -505,16 +505,20 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
                                                        monkeypatch):
     # grushin-145 (the bench workload) measures two balls.  When ball1's
     # stages start, nothing of ball0 is alive: not its field, its
-    # analytics with the volume function, or its cutoffs.  The special
-    # cutoff dies with the cutoff stage, which hands on its constant only
+    # analytics or its cutoffs.  The volume function the analytics are
+    # built from dies with the geometry stage, and the special cutoff
+    # with the cutoff stage, which hands on its constant only
     raw = json.load(open(os.path.join(CONFIGS, "grushin-box-256.json")))
     raw["grid"].update(nx=145, ny=145)
     cfg = ExperimentConfig.from_dict(raw)
     assert len(cfg.balls) == 2
     run_ball = pipeline.run_ball
+    geometry_stage = pipeline.geometry_stage
     cutoff_stage = pipeline.cutoff_stage
     build_special_cutoff = pipeline.build_special_cutoff
+    VolumeFunction = geometry.VolumeFunction
     probes, alive_at_start, specials, special_alive = [], {}, [], []
+    volume_functions, volume_alive = [], []
 
     def probed(cfg, form, spec, ball_id, *args, **kwargs):
         alive_at_start[ball_id] = [name for name, ref in probes
@@ -524,12 +528,20 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
         finest, geo, cuts = art["finest"], art["geo"], art["cuts"]
         held = {"field": finest, "field.values": finest.values,
                 "analytics": geo.analytics,
-                "volume_function": geo.analytics.measure,
-                "volume_breaks": geo.analytics.measure.breaks,
                 "cutoffs": cuts, "sequence": cuts.seq}
         probes.extend((f"{ball_id}.{name}", weakref.ref(obj))
                       for name, obj in held.items())
         return report, flags, art
+
+    def volume_probed(field):
+        vol = VolumeFunction(field)
+        volume_functions.append(weakref.ref(vol))
+        return vol
+
+    def geometry_probed(*args, **kwargs):
+        result = geometry_stage(*args, **kwargs)
+        volume_alive.append([ref() is not None for ref in volume_functions])
+        return result
 
     def special_probed(*args, **kwargs):
         special = build_special_cutoff(*args, **kwargs)
@@ -542,12 +554,16 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
         return result
 
     monkeypatch.setattr(pipeline, "run_ball", probed)
+    monkeypatch.setattr(geometry, "VolumeFunction", volume_probed)
+    monkeypatch.setattr(pipeline, "geometry_stage", geometry_probed)
     monkeypatch.setattr(pipeline, "build_special_cutoff", special_probed)
     monkeypatch.setattr(pipeline, "cutoff_stage", cutoff_probed)
     report, failed = pipeline.run_experiment(cfg, str(tmp_path / "out"))
     assert sorted(report["balls"]) == ["ball0", "ball1"] and not failed
-    assert len(probes) == 14
+    assert len(probes) == 10
     assert alive_at_start == {"ball0": [], "ball1": []}
+    assert len(volume_functions) == 2
+    assert volume_alive == [[False], [False, False]]
     assert len(specials) == 2 and special_alive == [False, False]
 
 

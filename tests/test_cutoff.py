@@ -12,7 +12,7 @@ from subunit_lab.cutoff import (build_sequence, build_special_cutoff,
                                 cutoff_radii, q_gradient)
 from subunit_lab.errors import DomainError, GeometryError
 from subunit_lab.forms import assemble_form
-from subunit_lab.geometry import fill_delta_curve, nondoubling_order, volume_curve
+from subunit_lab.geometry import volume_curve
 from subunit_lab.metric import ball, solve_distance
 
 
@@ -22,10 +22,7 @@ def seq_delta(field, r, nu):
     r_lo = max(float(sv[25]) * 1.01, r / 8.0)
     radii = list(np.geomspace(min(r_lo, nu * r), min(2.0 * r, 0.45), 16))
     radii.append(nu * r)
-    analytics = volume_curve(field, sorted(set(radii)))
-    fill_delta_curve(analytics, 2.0)
-    d, _, _ = nondoubling_order(analytics, nu * r, analytics.C_doubling)
-    return d
+    return volume_curve(field, set(radii)).delta_at(nu * r)
 
 
 def test_radii_closed_form_matches_term_by_term():

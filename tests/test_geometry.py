@@ -10,8 +10,8 @@ from subunit_lab import geometry
 from subunit_lab.errors import (DomainError, GeometryError, RangeError,
                                 ResolutionError)
 from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
-from subunit_lab.geometry import (box_ball, box_sandwich, containment_check,
-                                  doubling_classification, fill_delta_curve,
+from subunit_lab.geometry import (VolumeFunction, box_ball, box_sandwich,
+                                  containment_check, doubling_classification,
                                   growth_condition_check, nondoubling_order,
                                   volume_curve)
 from subunit_lab.grid import GridSpec
@@ -40,10 +40,9 @@ def test_grushin_axis_delta_matches_dilation_law(grushin_field_origin):
     # |B(0, r)| ~ r^3 and delta(r)/r = 1.25^(1/3) - 1 at every r; a
     # node-count volume steps whole rows at once on the axis and misses it
     want = 1.25 ** (1.0 / 3.0) - 1.0
-    radii = list(np.geomspace(0.1, 0.45, 16)) + [0.17, 0.25]
-    analytics = volume_curve(grushin_field_origin, radii)
+    vol = VolumeFunction(grushin_field_origin)
     for r in (0.17, 0.25):
-        d, capped, _ = nondoubling_order(analytics, r, 2.0)
+        d, capped, _ = nondoubling_order(vol, (0.1, 0.45), r, 2.0)
         assert not capped
         assert abs(d / r - want) <= 0.1 * want
 
@@ -57,11 +56,11 @@ def test_resolution_floor_raises(euclid_field):
 def test_euclidean_delta_proportional_to_r(euclid_field):
     # area law: |B(r+d)|/|B(r)| = 5/4 at d = (sqrt(5)/2 - 1) r = 0.118 r
     radii = list(np.geomspace(0.08, 0.42, 18))
-    analytics = volume_curve(euclid_field, radii)
-    fill_delta_curve(analytics, C=2.0)
+    analytics = volume_curve(euclid_field, radii, C=2.0)
+    vol = VolumeFunction(euclid_field)
     want = math.sqrt(1.25) - 1.0
     for r in (0.12, 0.2, 0.3):
-        d, capped, _ = nondoubling_order(analytics, r, 2.0)
+        d, capped, _ = nondoubling_order(vol, (0.08, 0.42), r, 2.0)
         assert not capped
         assert abs(d / r - want) < 0.25 * want
     doubling, slope = doubling_classification(analytics)
@@ -70,10 +69,8 @@ def test_euclidean_delta_proportional_to_r(euclid_field):
 
 
 def test_nondoubling_order_range_error(euclid_field):
-    radii = [0.1, 0.15, 0.2]
-    analytics = volume_curve(euclid_field, radii)
     with pytest.raises(RangeError):
-        nondoubling_order(analytics, 0.9, 2.0)
+        nondoubling_order(VolumeFunction(euclid_field), (0.1, 0.2), 0.9, 2.0)
 
 
 def test_delta_lookup_is_the_bisection_on_the_band(grushin_field_origin):
@@ -88,13 +85,50 @@ def test_delta_lookup_is_the_bisection_on_the_band(grushin_field_origin):
     assert len(radii) == geometry.BAND_RADII + 2
     assert radii[-1] == 2.05 * r
     assert geometry.march_reach(r, margin) >= 2.0 * radii[-1]
+    vol, band = VolumeFunction(field), (radii[0], radii[-1])
     for s in radii:
-        assert an.delta_at(s) == nondoubling_order(an, s)[0]
+        assert an.delta_at(s) == nondoubling_order(vol, band, s)[0]
     c_fit, s_fit = an.law
     assert c_fit > 0 and math.isfinite(s_fit)
+    assert an.law_at(r) == c_fit * r ** (s_fit + 1.0)
     for s in (0.99 * radii[0], 0.5 * (radii[0] + radii[1]), 1.01 * radii[-1]):
         with pytest.raises(RangeError):
             an.delta_at(s)
+
+
+def _band_and_floor(field, r):
+    """measure_ball's radii for a ball of radius r on field, and r_floor,
+    just above the MIN_BALL_NODES-th smallest nodal distance."""
+    margin = field.grid.boundary_distance(field.source)
+    d = np.sort(field.values, axis=None)
+    return (geometry.measure_ball(field, r, margin).radii,
+            float(d[geometry.MIN_BALL_NODES - 1]) * 1.0001)
+
+
+def test_band_starts_at_the_floor_when_r_over_16_is_unresolved(
+        grushin_field_origin, euclid_field):
+    # the band's lower end is r_floor when r/16 lies below it, else r/16.
+    # Every band radius then holds MIN_BALL_NODES nodes or more, so
+    # volume_curve's resolution floor never refuses a band measure_ball
+    # picked.  On the Grushin axis the nearest nodes lie along x only
+    band, r_floor = _band_and_floor(grushin_field_origin, 0.17)
+    assert 0.17 / 16.0 < r_floor and band[0] == r_floor
+    band_r16, r_floor = _band_and_floor(euclid_field, 0.3)
+    assert r_floor < 0.3 / 16.0 and band_r16[0] == 0.3 / 16.0
+    for f, radii in ((grushin_field_origin, band), (euclid_field, band_r16)):
+        held = [np.count_nonzero(f.values < s) for s in radii]
+        assert min(held) >= geometry.MIN_BALL_NODES
+
+
+def test_no_band_below_a_cap_under_the_node_floor(euclid_field):
+    # fewer than MIN_BALL_NODES nodes lie below the cap 0.98 margin: no
+    # radius there is resolvable, so measure_ball builds no band
+    margin = float(np.sort(euclid_field.values, axis=None)
+                   [geometry.MIN_BALL_NODES - 1])
+    assert (np.count_nonzero(euclid_field.values < 0.98 * margin)
+            < geometry.MIN_BALL_NODES)
+    with pytest.raises(ResolutionError, match="no resolvable radius band"):
+        geometry.measure_ball(euclid_field, 1.0, margin)
 
 
 def test_constant_volume_plateau_capped_or_range_error(euclid_field):
@@ -105,11 +139,13 @@ def test_constant_volume_plateau_capped_or_range_error(euclid_field):
         epsilon=euclid_field.epsilon,
         values=np.where(euclid_field.values < 0.05, euclid_field.values,
                         np.inf))
-    radii = [0.1, 0.15, 0.2]
-    analytics = volume_curve(plateau, radii)
-    assert analytics.volumes[0] == analytics.volumes[-1]
+    vol = VolumeFunction(plateau)
+    assert vol(0.1) == vol(0.2)
     with pytest.raises(RangeError):
-        nondoubling_order(analytics, 0.1, 2.0)
+        nondoubling_order(vol, (0.1, 0.2), 0.1, 2.0)
+    # the analytics of the band raise the same, from the same search
+    with pytest.raises(RangeError):
+        volume_curve(plateau, [0.1, 0.15, 0.2])
 
 
 def test_volume_beyond_reach_raises(grushin_form):
@@ -240,13 +276,13 @@ def test_volume_function_memory_ceiling():
 
 def test_upper_window_calibrates_C(grushin_field_origin):
     radii = list(np.geomspace(0.1, 0.45, 16))
-    analytics = volume_curve(grushin_field_origin, radii)
-    fill_delta_curve(analytics, C=1.001)
+    analytics = volume_curve(grushin_field_origin, radii, C=1.001)
+    vol = VolumeFunction(grushin_field_origin)
     # the 5/4 jump cannot exceed 2C once C is calibrated
     for r in (0.15, 0.25):
-        d, capped, C_used = nondoubling_order(analytics, r,
+        d, capped, C_used = nondoubling_order(vol, (0.1, 0.45), r,
                                               analytics.C_doubling)
-        ratio = analytics.measure(r + d) / analytics.measure(r)
+        ratio = vol(r + d) / vol(r)
         assert ratio >= 1.25 - 1e-9
         assert ratio <= 2.0 * C_used + 1e-9
 
@@ -254,14 +290,13 @@ def test_upper_window_calibrates_C(grushin_field_origin):
 def test_window_invariant_on_fresh_radii(grushin_field_origin):
     # post-hoc check on radii not used by the bisection
     radii = list(np.geomspace(0.1, 0.45, 16))
-    analytics = volume_curve(grushin_field_origin, radii)
-    fill_delta_curve(analytics, C=2.0)
-    C = analytics.C_doubling
+    C = volume_curve(grushin_field_origin, radii, C=2.0).C_doubling
+    vol = VolumeFunction(grushin_field_origin)
     for r in (0.13, 0.21, 0.34):
-        d, capped, _ = nondoubling_order(analytics, r, C)
+        d, capped, _ = nondoubling_order(vol, (0.1, 0.45), r, C)
         if capped:
             continue
-        ratio = analytics.measure(r + d) / analytics.measure(r)
+        ratio = vol(r + d) / vol(r)
         assert 1.25 - 1e-9 <= ratio <= 2.0 * C * 1.05
 
 
