@@ -12,8 +12,8 @@ Modules:
                  rungs with their nodewise monotonicity check
     geometry     ball volumes, non-doubling order, growth condition, boxes
     cutoff       accumulating cutoff sequences and the special cutoff
-    solver       5-point assembly and its connectivity audit, PCG, damped
-                 Picard, Sobolev/Poincare functionals
+    solver       5-point assembly, PCG, damped Picard, Sobolev/Poincare
+                 functionals
     diagnostics  Caccioppoli, Moser ladder, log estimates, Harnack, oscillation
     pipeline     the run's stages and its artifact tree
     reporting    the JSON writer, CSV tables and report comparison

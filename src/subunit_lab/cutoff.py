@@ -29,17 +29,25 @@ from .metric import DistanceField, ball
 
 
 def q_gradient(form, w):
-    """[grad w]_Q = sqrt(q11 (Dx w)^2 + q22 (Dy w)^2).
+    """[grad w]_Q = sqrt((Dx w)^2 + q22 (Dy w)^2), a new array.
 
-    Centered differences in the interior, one-sided at the boundary.
+    Centered differences in the interior, one-sided at the boundary.  The
+    terms are formed in place, in the formula's operation order, so the
+    call holds at most four grid arrays, np.gradient's own included.
     """
     grid = form.grid
     w = np.asarray(w, dtype=float)
     if w.shape != grid.shape:
         raise DomainError("w must be defined on the full grid")
     gx = np.gradient(w, grid.hx, axis=0)
+    gx *= gx
     gy = np.gradient(w, grid.hy, axis=1)
-    return np.sqrt(form.q11 * gx * gx + form.q22 * gy * gy)
+    out = np.multiply(form.q22, gy)
+    out *= gy
+    del gy
+    out += gx
+    del gx
+    return np.sqrt(out, out=out)
 
 
 def cutoff_radii(r, nu, delta, j_max):

@@ -61,11 +61,8 @@ class SolverError(SubunitLabError):
 
 
 class SingularSystemError(SubunitLabError):
-    """Interior nodes form a totally degenerate island with no boundary link."""
-
-    def __init__(self, message, island_nodes=()):
-        super().__init__(message)
-        self.island_nodes = list(island_nodes)
+    """An assembled system has a zero diagonal or its separable
+    preconditioner a zero pivot."""
 
 
 class EmptySupportError(SubunitLabError):

@@ -203,25 +203,26 @@ class DegeneracyProfile:
 
 @dataclass(frozen=True)
 class QuadraticFormField:
-    """Diagonal nonnegative form Q = diag(q11, q22) sampled on a grid."""
+    """The form Q = diag(1, q22) sampled on a grid, q22 >= 0.
+
+    The first entry is 1 by construction, as in the paper's
+    Q = diag(1, f(x)^2), so only q22 is held."""
 
     grid: GridSpec
-    q11: np.ndarray
     q22: np.ndarray
     profile: DegeneracyProfile | None = None
     underflow_radius: float = 0.0   # largest |x| whose q22 column is exactly 0
 
     def __post_init__(self):
-        if self.q11.shape != self.grid.shape or self.q22.shape != self.grid.shape:
-            raise DomainError("q11/q22 shape does not match the grid")
-        if np.any(self.q11 < 0) or np.any(self.q22 < 0):
+        if self.q22.shape != self.grid.shape:
+            raise DomainError("q22 shape does not match the grid")
+        if np.any(self.q22 < 0):
             raise DomainError("form entries must be nonnegative")
-        self.q11.setflags(write=False)
         self.q22.setflags(write=False)
 
 
 def assemble_form(profile, grid):
-    """Model field q11 = 1, q22 = f(x)^2 on the grid."""
+    """Model field Q = diag(1, f(x)^2) on the grid."""
     xs = grid.xs()
     if profile.kind == "paper_model" and np.max(np.abs(xs)) >= profile.domain_cap:
         raise DomainError("grid x-range exceeds the paper_model domain cap")
@@ -229,9 +230,8 @@ def assemble_form(profile, grid):
     q22_col = fvals ** 2
     zero_cols = np.abs(xs)[q22_col == 0.0]
     underflow_radius = float(zero_cols.max()) if zero_cols.size else 0.0
-    q11 = np.ones(grid.shape)
     q22 = np.broadcast_to(q22_col[:, None], grid.shape).copy()
-    return QuadraticFormField(grid=grid, q11=q11, q22=q22, profile=profile,
+    return QuadraticFormField(grid=grid, q22=q22, profile=profile,
                               underflow_radius=underflow_radius)
 
 
@@ -246,25 +246,27 @@ def default_phi(z):
 
 @dataclass(frozen=True)
 class QuasilinearEnvelope:
-    """A(x, z) = diag(q11, phi(z) q22)."""
+    """A(x, z) = diag(1, phi(z) q22)."""
 
     base: QuadraticFormField
     phi: callable = default_phi
 
     def coefficients(self, z):
-        """Frozen diagonal (a11, a22) at modulation state z (scalar or array)."""
-        return self.base.q11, self.phi(z) * self.base.q22
+        """The frozen a22 = phi(z) q22 at modulation state z (scalar or
+        array); a11 is 1."""
+        return self.phi(z) * self.base.q22
 
 
 def envelope_violation(form, c_phi, C_phi):
     """Worst relative violation of c_phi xi'Q xi <= xi'A xi <= C_phi xi'Q xi
-    for A = diag(q11, default_phi(z) q22), over every node of form, every
+    for A = diag(1, default_phi(z) q22), over every node of form, every
     z and every direction xi, floored at 0.
 
-    The quotient xi'A xi / xi'Q xi is 1 along e1 (q11 carries no phi),
-    phi(z) along e2 where q22 > 0, and a convex mix of the two in
-    between.  So its infimum and supremum over the grid are those of {1}
-    and PHI_RANGE, or of {1} alone when q22 is 0 at every node.
+    The quotient xi'A xi / xi'Q xi is 1 along e1, where both forms have
+    the unit first entry, phi(z) along e2 where q22 > 0, and a convex mix
+    of the two in between.  So its infimum and supremum over the grid are
+    those of {1} and PHI_RANGE, or of {1} alone when q22 is 0 at every
+    node.
     """
     ratios = (1.0,) + (PHI_RANGE if np.any(form.q22 > 0) else ())
     return max(0.0, c_phi - min(ratios), max(ratios) - C_phi)

@@ -1,11 +1,11 @@
 """Subunit distance fields via a monotone anisotropic eikonal solver.
 
-For a diagonal form Q = diag(q11, q22) the subunit constraint
+For the form Q = diag(1, q22) the subunit constraint
 (gamma' . xi)^2 <= xi' Q xi for all xi is exactly the ellipse constraint
-(g1')^2/q11 + (g2')^2/q22 <= 1, so the regularized subunit distance
+(g1')^2 + (g2')^2/q22 <= 1, so the regularized subunit distance
 d_eps(x0, .) solves the eikonal equation
 
-    (q11 + eps^2) (d_x)^2 + (q22 + eps^2) (d_y)^2 = 1.
+    (1 + eps^2) (d_x)^2 + (q22 + eps^2) (d_y)^2 = 1.
 
 We discretize with the Godunov upwind scheme and march causally
 (fast marching, single pass).  d_eps increases monotonically as eps
@@ -25,9 +25,11 @@ grid.
 
 The marching loop runs in plain Python, not on numpy scalars, over the
 grid padded by one sentinel ring.  Sentinel nodes are frozen, hold +inf
-and are never updated, so the loop needs no bounds checks.  The four
-per-node tables (the quadratic coefficients AX and BY, the one-sided
-steps SX and SY) are array('d') buffers, 8 bytes a node, which numpy
+and are never updated, so the loop needs no bounds checks.  The x
+direction's coefficient 1 + eps^2 is the same at every node, so its
+quadratic coefficient and one-sided step are two scalars.  The march
+keeps two per-node tables, the y direction's quadratic coefficient BY
+and one-sided step SY: array('d') buffers, 8 bytes a node, which numpy
 fills once through a view of their memory (each entry the same correctly
 rounded IEEE operation as a per-node evaluation); as lists they held a
 Python float object for every node, 32 bytes each.  The values stay a
@@ -111,15 +113,16 @@ def solve_distance(form, source, epsilon, reach=math.inf):
     touching one, is frozen; all other nodes are +inf.  Frozen values equal
     the full march's bit for bit (reach = inf marches the whole grid).
 
-    The march runs over the grid padded by one sentinel ring, on the
-    array('d') tables AX, BY, SX and SY (1.0 on the sentinels), a list of
-    values and a bytearray of frozen flags (see the module docstring for
-    why the values are a list).  Sentinels are frozen from the start, hold
-    +inf and are never updated, so no neighbour lookup needs a bounds
-    check: a frozen +inf neighbour never lowers an upwind minimum.  The
-    heap holds (value, padded index); row-major padding preserves the
-    order of linear node indices, so ties in the causal ordering break by
-    linear node index and results are bit-deterministic.
+    The march runs over the grid padded by one sentinel ring, on the x
+    direction's scalars AX and SX, the array('d') tables BY and SY (1.0 on
+    the sentinels), a list of values and a bytearray of frozen flags (see
+    the module docstring for why the values are a list).  Sentinels are
+    frozen from the start, hold +inf and are never updated, so no
+    neighbour lookup needs a bounds check: a frozen +inf neighbour never
+    lowers an upwind minimum.  The heap holds (value, padded index);
+    row-major padding preserves the order of linear node indices, so ties
+    in the causal ordering break by linear node index and results are
+    bit-deterministic.
     """
     if not (epsilon > 0.0 and math.isfinite(epsilon)):
         raise ConfigError("epsilon must be positive and finite",
@@ -138,18 +141,17 @@ def solve_distance(form, source, epsilon, reach=math.inf):
         t = array("d", [1.0]) * size
         return t, np.frombuffer(t).reshape(nx + 2, w)[1:-1, 1:-1]
 
-    # per-node quadratic coefficients and one-sided steps, written by numpy
-    # straight into the tables: AX = alpha / hx^2 and SX = hx / sqrt(alpha)
-    # for alpha = q11 + eps^2, BY and SY likewise from beta = q22 + eps^2
+    # quadratic coefficients and one-sided steps: AX = alpha / hx^2 and
+    # SX = hx / sqrt(alpha) for alpha = 1 + eps^2, the same at every node;
+    # BY and SY likewise from beta = q22 + eps^2, per node, written by
+    # numpy straight into the tables
     e2 = epsilon * epsilon
-    AX, ax = table()
+    alpha = 1.0 + e2
+    AX = alpha / (hx * hx)
+    SX = hx / math.sqrt(alpha)
     BY, by = table()
-    SX, sx = table()
     SY, sy = table()
-    coef = np.add(form.q11, e2)       # alpha, x-direction coefficient
-    np.divide(coef, hx * hx, out=ax)
-    np.divide(hx, np.sqrt(coef, out=sx), out=sx)
-    np.add(form.q22, e2, out=coef)    # beta, y-direction coefficient
+    coef = np.add(form.q22, e2)       # beta, y-direction coefficient
     np.divide(coef, hy * hy, out=by)
     np.divide(hy, np.sqrt(coef, out=sy), out=sy)
     del coef
@@ -199,11 +201,10 @@ def solve_distance(form, source, epsilon, reach=math.inf):
                     b = t
             u = inf
             if a < inf and b < inf:
-                A = AX[nb]
                 B = BY[nb]
-                S = A + B
-                P = A * a + B * b
-                disc = P * P - S * (A * a * a + B * b * b - 1.0)
+                S = AX + B
+                P = AX * a + B * b
+                disc = P * P - S * (AX * a * a + B * b * b - 1.0)
                 if disc >= 0.0:
                     cand = (P + sqrt(disc)) / S
                     if cand >= a and cand >= b:
@@ -211,7 +212,7 @@ def solve_distance(form, source, epsilon, reach=math.inf):
             if u == inf:
                 # one-sided fallback (causality not met or single neighbor)
                 if a < inf:
-                    u = a + SX[nb]
+                    u = a + SX
                 if b < inf:
                     t = b + SY[nb]
                     if t < u:

@@ -108,7 +108,7 @@ def solve_global(cfg, form, stats=None):
     starts."""
     spec = cfg.solver
     g = spec.boundary_values(form.grid)
-    system = assemble_linear(form.q11, form.q22, form.grid, spec.rhs, g)
+    system = assemble_linear(form.q22, form.grid, spec.rhs, g)
     u_lin = solve_linear(system, spec, stats)
     f_is_zero = spec.rhs == 0.0
     mp = max_principle_slack(u_lin, system) if f_is_zero else 0.0
@@ -302,8 +302,7 @@ def _box_chain(cfg, profile, source, spec, u, eps_min, fmm=None):
     return radii, fields, values, nodes, errors
 
 
-def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
-                      fmm=None):
+def diagnostics_stage(cfg, form, spec, finest, geo, cuts, u, fmm=None):
     """Caccioppoli, Sobolev, Poincare, Moser, log estimates, Harnack, the
     local bound and the oscillation chain of u (the solver's
     DiscreteFunction) on one ball.
@@ -316,7 +315,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
     box grids of their own (_box_chain), since below a few cells of
     y-extent a ball on the global grid is a single row of nodes; fmm,
     when given, records their solves.  Returns (report section, pass
-    flags, notes).
+    flags, notes); _ball_chain prefixes the notes with the ball's id.
     """
     p = cfg.params
     f_rhs = cfg.solver.rhs
@@ -343,7 +342,7 @@ def diagnostics_stage(cfg, form, spec, ball_id, finest, geo, cuts, u,
         chain, chain_fields, chain_u, chain_nodes, interp_err = _box_chain(
             cfg, form.profile, finest.source, spec, u, finest.epsilon, fmm)
     except (GeometryError, ResolutionError) as exc:
-        notes.append(f"{ball_id}: oscillation chain skipped ({exc})")
+        notes.append(f"oscillation chain skipped ({exc})")
         chain, chain_nodes = [], []
     chain_short = len(chain) < MIN_CHAIN
     if not chain_short:
@@ -400,9 +399,9 @@ def _ball_chain(cfg, form, spec, ball_id, u, fmm):
                                "notes": [f"{ball_id}: {n}" for n in geo.notes]}
     section, cuts = cutoff_stage(cfg, form, spec, finest, geo.analytics)
     yield section, {}, {"cuts": cuts}
-    section, flags, notes = diagnostics_stage(cfg, form, spec, ball_id,
-                                              finest, geo, cuts, u, fmm)
-    yield section, flags, {"notes": notes}
+    section, flags, notes = diagnostics_stage(cfg, form, spec, finest, geo,
+                                              cuts, u, fmm)
+    yield section, flags, {"notes": [f"{ball_id}: {n}" for n in notes]}
 
 
 def run_ball(cfg, form, spec, ball_id, u=None, times=None, fmm=None,

@@ -2,12 +2,14 @@
 
 Discretization: 5-point finite differences with harmonic-mean face
 coefficients, held and applied matrix-free as the face weights.  The
+coefficient is diag(1, a22), as the form Q = diag(1, f(x)^2) is: every
+x-face weighs 1/hx^2 and the y-faces are harmonic means of a22.  The
 interior operator is symmetric positive semidefinite with M-matrix sign
-structure, so the discrete maximum principle holds for f = 0 and exact
-zeros in q22 are tolerated as long as every interior node connects to the
-boundary through positive-coefficient faces, which assembly audits by a
-flood fill from the boundary.  The quasilinear problem is solved by damped
-Picard iteration on the frozen-coefficient linear problem.
+structure, so the discrete maximum principle holds for f = 0.  Exact
+zeros in a22 are tolerated: they close y-faces only, and the 1/hx^2
+x-faces link every node to the boundary along its row.  The quasilinear
+problem is solved by damped Picard iteration on the frozen-coefficient
+linear problem.
 
 Linear solves use conjugate gradients preconditioned by the exact inverse
 of the system's column-averaged separable operator P = Tx (x) I +
@@ -19,15 +21,14 @@ scipy.fft.dst scales it.  The tridiagonal solves are LAPACK dgtsv's
 elimination in its operation order, without its row interchanges: P is
 diagonally dominant, so dgtsv would take none (see _separable_inverse).
 Both match scipy bit for bit; the factors are made once per system.  A
-form diag(q11(x), q22(x)), which every bundled profile is, makes P the
-system itself, so CG stops after one iteration.  For the frozen quasilinear
+form diag(1, q22(x)), which every bundled profile is, makes P the system
+itself, so CG stops after one iteration.  For the frozen quasilinear
 coefficients the structural sandwich c_phi Q <= A <= C_phi Q holds face by
-face.  When q11 and q22 depend on x only (every assemble_form field), A/P
-then lies in [c_phi/C_phi, C_phi/c_phi] and cond(P^-1 A) <= (C_phi/c_phi)^2
-whatever the grid (Concus and Golub 1973).  P is symmetric positive
-definite once the connectivity audit passes: it could only be singular on
-a block of columns with no y-faces closed off by zero x-faces, and such
-nodes have no positive-face path to the boundary.
+face.  When q22 depends on x only (every assemble_form field), A/P then
+lies in [c_phi/C_phi, C_phi/c_phi] and cond(P^-1 A) <= (C_phi/c_phi)^2
+whatever the grid (Concus and Golub 1973).  The same row links make P
+symmetric positive definite: its x-part Tx, with every face 1/hx^2, is
+the Dirichlet second difference, and the y-part adds a semidefinite term.
 
 Every solve takes its settings as the config's SolverSpec, the one
 settings type (SolverSpec() when none is given); the Dirichlet data is
@@ -43,7 +44,6 @@ discrete functions over metric balls.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,34 +146,32 @@ def _boundary_grid(grid, boundary):
     return g
 
 
-def assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
-    """Assemble the interior 5-point system for frozen coefficients.
+def assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
+    """Assemble the interior 5-point system of diag(1, q22), frozen.
 
-    Face coefficients are harmonic means of the nodal q values, so an exact
-    zero on one side closes the face.  No matrix is built: the system is
-    the face weights, diag = ((left + right) + down) + up, and rhs = -f +
-    w g over the faces (i-1, j), (i+1, j), (i, j-1), (i, j+1) in turn, with
-    g = 0 inside.  Each sum runs in the order of a CSR assembly of the same
-    operator, so the values match it bit for bit.  Raises
-    SingularSystemError when some interior connected component (under
-    positive faces) touches no boundary node, reporting the island nodes.
+    Every x-face weighs 1/hx^2; the y-faces are harmonic means of the
+    nodal q22 values, so an exact zero on one side closes the face.  No
+    matrix is built: the system is the face weights, diag = ((left +
+    right) + down) + up, and rhs = -f + w g over the faces (i-1, j),
+    (i+1, j), (i, j-1), (i, j+1) in turn, with g = 0 inside.  Each sum
+    runs in the order of a CSR assembly of the same operator, so the
+    values match it bit for bit.
     """
-    return _assemble(q11, q22, grid, rhs, _boundary_grid(grid, boundary))
+    return _assemble(q22, grid, rhs, _boundary_grid(grid, boundary))
 
 
-def _assemble(q11, q22, grid, rhs, g):
+def _assemble(q22, grid, rhs, g):
     """assemble_linear with the boundary data g already on the grid, as
     _boundary_grid gives it (the system keeps g itself, not a copy)."""
-    q11 = np.asarray(q11, dtype=float)
     q22 = np.asarray(q22, dtype=float)
     nx, ny = grid.shape
-    if q11.shape != (nx, ny) or q22.shape != (nx, ny):
+    if q22.shape != (nx, ny):
         raise DomainError("coefficient shape mismatch")
-    if np.any(q11 < 0) or np.any(q22 < 0):
+    if np.any(q22 < 0):
         raise DomainError("form must be nonnegative")
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
 
-    wx = _harmonic(q11[:-1, :], q11[1:, :]) / hx2   # faces (i,j)-(i+1,j)
+    wx = np.full((nx - 1, ny), 1.0 / hx2)           # faces (i,j)-(i+1,j)
     wy = _harmonic(q22[:, :-1], q22[:, 1:]) / hy2   # faces (i,j)-(i,j+1)
     left, right, down, up = _node_faces(wx, wy)
     diag = ((left + right) + down) + up
@@ -184,46 +182,8 @@ def _assemble(q11, q22, grid, rhs, g):
     b += down * g[1:-1, :-2]
     b += up * g[1:-1, 2:]
 
-    _audit_connectivity(grid, wx, wy)
     return LinearSystem(grid=grid, rhs=b.ravel(), boundary_values=g,
                         wx=wx, wy=wy, diag=diag)
-
-
-def _audit_connectivity(grid, wx, wy):
-    """Find interior components with no positive-face path to the boundary."""
-    # all x-faces (or all y-faces) positive: every node reaches the
-    # boundary by a straight walk in x (or in y), so no island can exist
-    if np.all(wx > 0) or np.all(wy > 0):
-        return
-    ny = grid.ny
-    reached = _flood_from_boundary(grid, wx, wy)
-    nodes = [(k // ny, k % ny) for k, r in enumerate(reached) if not r]
-    if nodes:
-        raise SingularSystemError(
-            f"{len(nodes)} interior nodes form degeneracy islands with no "
-            f"boundary connection (first: {nodes[:5]})", nodes)
-
-
-def _flood_from_boundary(grid, wx, wy):
-    """Per node (flat, j fastest), whether a path of positive faces links
-    it to a boundary node: a breadth-first flood from every boundary node."""
-    ny = grid.ny
-    # open_x[k]: the face from node k to k + ny is positive; open_y[k]:
-    # the face from k to k + 1.  The last row of open_x and the last column
-    # of open_y are False, and a step below 0 wraps into them, so no index
-    # leaves the grid and no row wraps into the next.
-    open_x = np.pad(wx > 0, ((0, 1), (0, 0))).ravel().tolist()
-    open_y = np.pad(wy > 0, ((0, 0), (0, 1))).ravel().tolist()
-    reached = grid.boundary_mask().ravel().tolist()
-    queue = deque(k for k, r in enumerate(reached) if r)
-    while queue:
-        k = queue.popleft()
-        for m, is_open in ((k - ny, open_x[k - ny]), (k + ny, open_x[k]),
-                           (k - 1, open_y[k - 1]), (k + 1, open_y[k])):
-            if is_open and not reached[m]:
-                reached[m] = True
-                queue.append(m)
-    return reached
 
 
 @dataclass
@@ -439,7 +399,7 @@ def solve_quasilinear(env, boundary, spec=None, stats=None):
 
     def frozen_solve(z, previous=None):
         # the coefficients die with the assembly, before the solve runs
-        system = _assemble(*env.coefficients(z), grid, spec.rhs, g)
+        system = _assemble(env.coefficients(z), grid, spec.rhs, g)
         x0 = None if previous is None else previous.values[1:-1, 1:-1]
         return solve_linear(system, spec, stats, x0)
 

@@ -20,7 +20,8 @@ from conftest import read_npz, svg_image, validate_report
 from subunit_lab import geometry, metric, pipeline
 from subunit_lab.cli import main
 from subunit_lab.config import BALL_FLAGS, RUN_FLAGS, ExperimentConfig
-from subunit_lab.errors import ConfigError, DomainError, SchemaMismatchError
+from subunit_lab.errors import (ConfigError, DomainError, ResolutionError,
+                                SchemaMismatchError)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
 from subunit_lab.pipeline import (ARTIFACT_DIRS, STAGES, write_grid_csv,
@@ -1122,6 +1123,25 @@ def test_diagnose_matches_run(tmp_path, smoke_cfg_path, case):
                 == rep["balls"]["ball0"]["diagnostics"])
 
 
+def test_a_skipped_chain_is_noted_once_per_ball(tmp_path, smoke_cfg_path,
+                                               monkeypatch):
+    # the diagnostics stage notes a skipped oscillation chain without the
+    # ball's id, and the ball chain prefixes it, as it prefixes geometry's
+    def no_chain(*args, **kwargs):
+        raise ResolutionError("probe")
+
+    monkeypatch.setattr(pipeline, "_box_chain", no_chain)
+    assert main(["run", "--config", smoke_cfg_path,
+                 "--out", str(tmp_path / "r")]) == 0
+    rep = load_report(tmp_path / "r" / "report.json")
+    assert rep["notes"] == ["ball0: oscillation chain skipped (probe)"]
+    assert rep["balls"]["ball0"]["diagnostics"]["chain_too_short"]
+    assert main(["diagnose", "--config", smoke_cfg_path,
+                 "--out", str(tmp_path / "d")]) == 0
+    diag = json.load(open(tmp_path / "d" / "diagnostics.json"))
+    assert diag["ball0"]["notes"] == rep["notes"]
+
+
 def test_run_meta_records_linear_solves(smoke_run):
     # linear solve plus two Picard solves, all separable on affine data:
     # the two zero-start solves take at least one iteration each, while
@@ -1223,23 +1243,6 @@ _, failed = run_experiment(ExperimentConfig.load(sys.argv[1]), sys.argv[2])
 sys.exit(1 if failed else 0)
 """
 
-ISLAND_CHILD = """
-import sys
-sys.modules["scipy"] = None
-import numpy as np
-from subunit_lab.errors import SingularSystemError
-from subunit_lab.grid import GridSpec
-from subunit_lab.solver import assemble_linear
-g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-q = np.ones(g.shape)
-q[10:15, 10:15] = 0.0
-try:
-    assemble_linear(q, q, g)
-except SingularSystemError as exc:
-    print(exc.island_nodes)
-"""
-
-
 def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
             if p.is_file() and p.name != "run_meta.json"}
@@ -1271,11 +1274,10 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 def test_pipeline_import_loads_neither_sparse_nor_integrate(
         tmp_path, smoke_cfg_path):
-    # the connectivity audit is a flood fill, the separable
-    # preconditioner is numpy's and paper_model's quadrature is
-    # quadpack.qags, so the CLI imports no scipy at all; nor any schema
-    # engine, since a run does not validate its report; fresh
-    # interpreters, since this one has scipy loaded
+    # the separable preconditioner is numpy's and paper_model's
+    # quadrature is quadpack.qags, so the CLI imports no scipy at all;
+    # nor any schema engine, since a run does not validate its report;
+    # fresh interpreters, since this one has scipy loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "
@@ -1324,13 +1326,6 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
     assert res.returncode == 0, res.stderr
     flags = load_report(tmp_path / "paper-out" / "report.json")["flags"]
     assert "ball0.skipped" not in flags and all(flags.values())
-    # nor does the connectivity audit find an island: a closed 5 x 5
-    # block is reported node by node
-    res = subprocess.run([sys.executable, "-c", ISLAND_CHILD], env=env,
-                         capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == str([(i, j) for i in range(10, 15)
-                                      for j in range(10, 15)])
 
 
 LOADS_CHILD = """

@@ -83,7 +83,7 @@ def paraboloid_setup():
     X, Y = g.meshgrid()
     f_rhs = 2.0 + 2.0 * form.q22
     bc = (X - a) ** 2 + (Y - b) ** 2
-    system = assemble_linear(form.q11, form.q22, g, f_rhs, bc)
+    system = assemble_linear(form.q22, g, f_rhs, bc)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
     assert np.max(np.abs(u - bc)) < 1e-9             # stencil-exact oracle
     field = solve_distance(form, g.nearest_node(a, b), 1e-3)
@@ -336,7 +336,7 @@ def test_local_bound_refinement_stable():
         form = assemble_form(DegeneracyProfile("constant", 1.0), g)
         field = solve_distance(form, (n // 2, n // 2), 1e-3)
         bc = lambda X, Y: 2.0 + 0.5 * np.sin(4 * X) * np.cos(3 * Y)
-        system = assemble_linear(form.q11, form.q22, g, 0.0, bc)
+        system = assemble_linear(form.q22, g, 0.0, bc)
         u = solve_linear(system, SolverSpec(lin_tol=1e-12)).values
         delta = seq_delta(field, 0.2, 0.5)
         vals.append(local_bound_check(u, field, 0.2, 0.5, 2.0, delta, 0.0))

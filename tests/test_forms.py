@@ -222,7 +222,8 @@ def test_power_profile_properties(x, k):
 def test_assemble_constant_is_euclidean(grid129=None):
     g = GridSpec(-1.0, 1.0, -1.0, 1.0, 33, 33)
     form = assemble_form(DegeneracyProfile("constant", 1.0), g)
-    assert np.all(form.q11 == 1.0)
+    # the first entry is 1 by construction: the form holds q22 alone
+    assert not hasattr(form, "q11")
     assert np.all(form.q22 == 1.0)
 
 
@@ -246,12 +247,12 @@ def _brute_force_violation(form, c_phi, C_phi):
     [-40, 40] (where tanh rounds to +-1, so phi reaches both ends of its
     range) and the four probe directions, the axes and the diagonals."""
     phi = forms.default_phi(np.linspace(-40.0, 40.0, 161))[:, None, None]
-    q11, q22 = form.q11[None], form.q22[None]
+    q22 = form.q22[None]
     worst = 0.0
     s = 1.0 / math.sqrt(2.0)
     for x1, x2 in ((1.0, 0.0), (0.0, 1.0), (s, s), (s, -s)):
-        qv = q11 * x1 ** 2 + q22 * x2 ** 2
-        av = q11 * x1 ** 2 + phi * q22 * x2 ** 2
+        qv = x1 ** 2 + q22 * x2 ** 2
+        av = x1 ** 2 + phi * q22 * x2 ** 2
         v = np.maximum(c_phi * qv - av, av - C_phi * qv) / np.maximum(qv,
                                                                       1e-300)
         worst = max(worst, float(v.max()))

@@ -30,7 +30,7 @@ def _reference_solve_distance(form, source, epsilon):
     nx, ny = form.grid.shape
     hx, hy = form.grid.hx, form.grid.hy
     e2 = epsilon * epsilon
-    alpha = (form.q11 + e2).ravel()
+    alpha = 1 + e2
     beta = (form.q22 + e2).ravel()
     values = np.full(nx * ny, np.inf)
     frozen = np.zeros(nx * ny, dtype=bool)
@@ -61,7 +61,7 @@ def _reference_solve_distance(form, source, epsilon):
                 b = values[nb - 1]
             if jj < ny - 1 and frozen[nb + 1]:
                 b = min(b, values[nb + 1])
-            A = alpha[nb] / (hx * hx)
+            A = alpha / (hx * hx)
             B = beta[nb] / (hy * hy)
             u = inf
             if a < inf and b < inf:
@@ -74,7 +74,7 @@ def _reference_solve_distance(form, source, epsilon):
                         u = cand
             if u == inf:
                 if a < inf:
-                    u = a + hx / math.sqrt(alpha[nb])
+                    u = a + hx / math.sqrt(alpha)
                 if b < inf:
                     u = min(u, b + hy / math.sqrt(beta[nb]))
             if u < values[nb]:
@@ -100,16 +100,17 @@ def test_kernel_matches_reference_bytes(kind, param, nx, ny):
 
 
 def test_full_march_memory_ceiling():
-    # a full march on 129^2 reads 10.35 grid arrays at its peak: the four
-    # array('d') tables, the values list and its floats, the heap, and the
-    # returned field.  With the tables as lists of floats it read 24.7.
-    # The ceiling leaves a margin of 0.65, under one grid array
+    # a full march on 129^2 reads 8.66 grid arrays at its peak: the two
+    # array('d') tables BY and SY, the values list and its floats, the
+    # heap, and the returned field.  With the x direction's two tables
+    # beside them it read 10.73, and with four tables as lists of floats
+    # 24.7.  The ceiling leaves a margin of 0.84, under one grid array
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 129, 129)
     form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
     field, peak = traced_grid_peak(g.shape, solve_distance, form, (64, 64),
                                    0.0125)
     assert np.isfinite(field.values).all()
-    assert peak <= 11.0, peak
+    assert peak <= 9.5, peak
 
 
 def test_source_distance_exact_zero(euclid_field):

@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.fft import dst, idst
 from scipy.linalg import solve_banded
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator, splu
 from scipy.sparse.linalg import cg as scipy_cg
 from conftest import traced_grid_peak
@@ -41,13 +40,14 @@ def affine(X, Y):
     return X + 2.0
 
 
-def _reference_assemble_linear(q11, q22, grid, rhs=0.0, boundary=0.0):
-    """The interior 5-point system assembled as a CSR matrix: index maps,
+def _reference_assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
+    """The interior 5-point system of diag(1, q22) assembled as a CSR
+    matrix: index maps,
     one COO block per stencil direction and the boundary folded into the
     right-hand side with np.add.at.  The reference the matrix-free system
     must match bit for bit; returns (matrix, rhs)."""
     nx, ny = grid.shape
-    wx = _harmonic(q11[:-1, :], q11[1:, :]) / grid.hx ** 2
+    wx = np.full((nx - 1, ny), 1.0 / grid.hx ** 2)
     wy = _harmonic(q22[:, :-1], q22[:, 1:]) / grid.hy ** 2
     X, Y = grid.meshgrid()
     u_bd = np.broadcast_to(boundary(X, Y) if callable(boundary)
@@ -96,17 +96,15 @@ def _reference_solve(matrix, b, system, spec):
 @pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
 @pytest.mark.parametrize("shape", [(33, 33), (41, 23), (145, 145), (20, 57)])
 def test_matrix_free_system_matches_csr_reference(shape, random_f):
-    # positive random coefficients with a zero q11 column and a zero q22
-    # column, apart and off the boundary, so every node still reaches it
+    # random q22 with a zero column off the boundary; the unit first
+    # entry links every node to the boundary along its row
     g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
-    q11 = rng.uniform(0.2, 2.0, g.shape)
     q22 = rng.uniform(0.0, 1.5, g.shape) ** 2
-    q11[shape[0] // 3, :] = 0.0
     q22[2 * shape[0] // 3, :] = 0.0
     f = rng.normal(size=g.shape) if random_f else 0.0
-    system = assemble_linear(q11, q22, g, f, trig)
-    matrix, rhs = _reference_assemble_linear(q11, q22, g, f, trig)
+    system = assemble_linear(q22, g, f, trig)
+    matrix, rhs = _reference_assemble_linear(q22, g, f, trig)
     assert (system.rhs + 0.0).tobytes() == (rhs + 0.0).tobytes()
     for _ in range(3):
         v = rng.normal(size=rhs.size)
@@ -123,9 +121,9 @@ def _frozen_picard_system(n):
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
     form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
     X, Y = g.meshgrid()
-    a11, a22 = QuasilinearEnvelope(base=form).coefficients(
+    a22 = QuasilinearEnvelope(base=form).coefficients(
         4.0 * (trig(X, Y) - 2.0))
-    return assemble_linear(a11, a22, g, 0.0, trig)
+    return assemble_linear(a22, g, 0.0, trig)
 
 
 @pytest.mark.parametrize("n,tol", [(65, 1e-12), (129, 1e-8)])
@@ -158,7 +156,7 @@ def test_cg_zero_rhs_and_untouched_start():
 
 def test_harmonic_identity_euclidean(grid97):
     form = assemble_form(DegeneracyProfile("constant", 1.0), grid97)
-    system = assemble_linear(form.q11, form.q22, grid97, 0.0, affine)
+    system = assemble_linear(form.q22, grid97, 0.0, affine)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -166,7 +164,7 @@ def test_harmonic_identity_euclidean(grid97):
 
 def test_grushin_affine_is_stencil_exact(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    system = assemble_linear(form.q11, form.q22, grid97, 0.0, affine)
+    system = assemble_linear(form.q22, grid97, 0.0, affine)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -176,18 +174,19 @@ def test_general_affine_family_exact(grid97):
     # u = a x + b y + c is stencil-exact for any x-dependent diagonal form
     form = assemble_form(DegeneracyProfile("exponential", 0.3), grid97)
     bc = lambda X, Y: 0.7 * X - 1.3 * Y + 2.5
-    system = assemble_linear(form.q11, form.q22, grid97, 0.0, bc)
+    system = assemble_linear(form.q22, grid97, 0.0, bc)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, Y = grid97.meshgrid()
     assert np.max(np.abs(u.values - bc(X, Y))) < 1e-9
 
 
 def test_paper_model_zero_column_still_solvable():
-    # exact zero q22 on the axis: q11 = 1 keeps the system connected
+    # exact zero q22 on the axis: the unit first entry keeps every node
+    # linked to the boundary
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
     form = assemble_form(DegeneracyProfile("paper_model", 9.0), g)
     assert np.all(form.q22[32, :] == 0.0)
-    system = assemble_linear(form.q11, form.q22, g, 0.0, affine)
+    system = assemble_linear(form.q22, g, 0.0, affine)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = g.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -204,12 +203,12 @@ def test_separable_system_exact_preconditioner(profile):
     # q = diag(1, f(x)^2): the separable preconditioner is the system
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
     form = assemble_form(profile, g)
-    system = assemble_linear(form.q11, form.q22, g, 0.0, trig)
+    system = assemble_linear(form.q22, g, 0.0, trig)
     stats = SolveStats()
     u = solve_linear(system, SolverSpec(), stats)
     assert stats.linear_solves == 1
     assert 1 <= stats.max_pcg_iterations <= 2
-    matrix, _ = _reference_assemble_linear(form.q11, form.q22, g, 0.0, trig)
+    matrix, _ = _reference_assemble_linear(form.q22, g, 0.0, trig)
     direct = splu(matrix.tocsc()).solve(system.rhs)
     x = u.values[1:-1, 1:-1].ravel()
     assert np.max(np.abs(x - direct)) < 1e-10
@@ -301,96 +300,37 @@ def test_picard_frozen_system_mesh_independent_iterations():
     assert abs(counts[1] - counts[0]) <= 3
 
 
-def test_zero_q11_column_solves_by_pcg():
-    # q11 = 0 on a whole interior column closes its x-faces; q22 = 1 still
-    # links every node of it to the boundary rows, and P (the system
-    # itself, as q depends on x only) stays positive definite
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    q11 = np.ones(g.shape)
-    q11[16, :] = 0.0
-    system = assemble_linear(q11, np.ones(g.shape), g, 0.0, trig)
-    stats = SolveStats()
-    u = solve_linear(system, SolverSpec(), stats)
-    assert 1 <= stats.pcg_iterations <= 2
+def _any_q22(case):
+    """A grid and a q22 >= 0 on it: zero at every node, or seeded random
+    zeros at density 0.5 between random positive values."""
+    shape = (145, 145) if case == "random-145" else (33, 57)
+    g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
+    if case == "zero":
+        return g, np.zeros(g.shape)
+    rng = np.random.default_rng(shape[0] + shape[1])
+    q22 = rng.uniform(0.0, 2.0, g.shape)
+    q22[rng.random(g.shape) < 0.5] = 0.0
+    return g, q22
+
+
+@pytest.mark.parametrize("case", ["zero", "random-33x57", "random-145"])
+def test_any_nonnegative_q22_assembles_and_solves(case):
+    # zeros in q22 close y-faces only: the 1/hx^2 x-faces link every node
+    # to the boundary along its row, so every such system is definite
+    g, q22 = _any_q22(case)
+    spec = SolverSpec()
+    system = assemble_linear(q22, g, 0.0, trig)
+    u = solve_linear(system, spec)
     x = u.values[1:-1, 1:-1].ravel()
-    res = np.linalg.norm(system.rhs - system.apply(x))
-    assert res < 1e-12 * np.linalg.norm(system.rhs)
-
-
-def test_degeneracy_island_reported_with_nodes():
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    q11 = np.ones(g.shape)
-    q22 = np.ones(g.shape)
-    q11[10:15, 10:15] = 0.0
-    q22[10:15, 10:15] = 0.0
-    with pytest.raises(SingularSystemError) as exc:
-        assemble_linear(q11, q22, g, 0.0, 0.0)
-    assert len(exc.value.island_nodes) == 25
-    assert (12, 12) in exc.value.island_nodes
-
-
-def _reference_islands(grid, q11, q22):
-    """Interior nodes whose positive-face component holds no boundary
-    node, in linear order, by scipy's connected_components: the reference
-    of the audit's flood fill."""
-    nx, ny = grid.shape
-    wx = _harmonic(q11[:-1, :], q11[1:, :])
-    wy = _harmonic(q22[:, :-1], q22[:, 1:])
-    idx = np.arange(nx * ny).reshape(nx, ny)
-    rows = np.concatenate([idx[:-1][wx > 0], idx[:, :-1][wy > 0]])
-    cols = np.concatenate([idx[1:][wx > 0], idx[:, 1:][wy > 0]])
-    graph = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                          shape=(nx * ny, nx * ny))
-    _, labels = connected_components(graph, directed=False)
-    bmask = grid.boundary_mask().ravel()
-    bad = np.flatnonzero(~np.isin(labels, labels[bmask]) & ~bmask)
-    return [(int(k // ny), int(k % ny)) for k in bad]
-
-
-# seeded random zeros of q11 and q22; 33 x 57 and 57 x 33 put the flood's
-# row ends where a square grid cannot tell a wrapped index from a neighbour
-@pytest.mark.parametrize("shape,density,seed", [
-    ((33, 33), 0.15, 0), ((33, 33), 0.3, 1), ((33, 33), 0.5, 2),
-    ((33, 57), 0.3, 3), ((57, 33), 0.3, 4),
-    ((145, 145), 0.2, 5), ((145, 145), 0.35, 6), ((145, 145), 0.5, 7),
-    ((513, 513), 0.3, 8)])
-def test_audit_islands_match_connected_components(shape, density, seed):
-    rng = np.random.default_rng(seed)
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, *shape)
-    q11 = np.where(rng.random(shape) < density, 0.0, 1.0)
-    q22 = np.where(rng.random(shape) < density, 0.0, 1.0)
-    nodes = _reference_islands(g, q11, q22)
-    assert nodes
-    with pytest.raises(SingularSystemError) as exc:
-        assemble_linear(q11, q22, g, 0.0, 0.0)
-    assert exc.value.island_nodes == nodes
-    assert str(exc.value) == (
-        f"{len(nodes)} interior nodes form degeneracy islands with no "
-        f"boundary connection (first: {nodes[:5]})")
-
-
-def test_audit_builds_no_graph_when_every_row_or_column_is_open(
-        monkeypatch):
-    # every x-face (or y-face) positive: each node reaches the boundary
-    # along its row (or column), so the audit needs no flood fill
-    calls = []
-    flood = solver._flood_from_boundary
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return flood(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_flood_from_boundary", counted)
-    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    ones, zeros = np.ones(g.shape), np.zeros(g.shape)
-    assemble_linear(ones, zeros, g, 0.0, 0.0)
-    assemble_linear(zeros, ones, g, 0.0, 0.0)
-    assert calls == []
-    q11, q22 = ones.copy(), ones.copy()
-    q11[16, 16] = 0.0
-    q22[8, 8] = 0.0
-    assemble_linear(q11, q22, g, 0.0, 0.0)
-    assert calls == [1]
+    assert (_norm(system.rhs - system.apply(x))
+            <= spec.lin_tol * max(_norm(system.rhs), 1.0))
+    assert max_principle_slack(u, system) <= 1e-12
+    if case == "zero":
+        # no y-faces: each row is the 1-D Dirichlet problem, whose
+        # solution is the linear interpolant of the row's two ends
+        t = ((g.xs() - g.x0) / (g.x1 - g.x0))[:, None]
+        line = (1.0 - t) * u.values[0] + t * u.values[-1]
+        assert np.max(np.abs(u.values - line)[:, 1:-1]) <= 1e-12
 
 
 @pytest.mark.parametrize("name,value", [
@@ -420,7 +360,7 @@ def test_maximum_principle_random_boundaries(grid97):
         coef = rng.normal(size=4)
         bc = lambda X, Y: (coef[0] + coef[1] * X + coef[2] * Y
                            + coef[3] * np.sin(3 * X + 2 * Y))
-        system = assemble_linear(form.q11, form.q22, grid97, 0.0, bc)
+        system = assemble_linear(form.q22, grid97, 0.0, bc)
         u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         spread = float(np.ptp(system.boundary_values[grid97.boundary_mask()]))
         assert max_principle_slack(u, system) <= 1e-8 * max(spread, 1.0)
@@ -430,7 +370,7 @@ def test_energy_identity(grid97):
     # u' S u = u' b to linear-solver tolerance (discrete weak formulation)
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     bc = lambda X, Y: X + 0.3 * np.sin(4 * Y) + 2.0
-    system = assemble_linear(form.q11, form.q22, grid97, 0.5, bc)
+    system = assemble_linear(form.q22, grid97, 0.5, bc)
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     x = u.values[1:-1, 1:-1].ravel()
     lhs = float(x @ system.apply(x))
@@ -464,8 +404,8 @@ def test_quasilinear_consistency_reassemble(grid97):
     spec = SolverSpec(theta=0.7, fp_tol=1e-11)
     res = solve_quasilinear(env, affine, spec)
     assert res.converged
-    a11, a22 = env.coefficients(res.u.values)
-    system = assemble_linear(a11, a22, grid97, spec.rhs, affine)
+    a22 = env.coefficients(res.u.values)
+    system = assemble_linear(a22, grid97, spec.rhs, affine)
     u2 = solve_linear(system, spec)
     assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * spec.fp_tol * 10
 
@@ -527,8 +467,8 @@ def test_structural_sandwich_on_solution(grid97):
     env = QuasilinearEnvelope(base=form)
     res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
     gq2 = q_gradient(form, res.u.values) ** 2
-    a11, a22 = env.coefficients(res.u.values)
-    fa = QuadraticFormField(grid=grid97, q11=a11.copy(), q22=a22.copy())
+    a22 = env.coefficients(res.u.values)
+    fa = QuadraticFormField(grid=grid97, q22=a22)
     ga2 = q_gradient(fa, res.u.values) ** 2
     # A = diag(1, phi q22) against Q = diag(1, q22): the sandwich constants
     # are min(1, c_phi) and max(1, C_phi), with phi's range (c_phi, C_phi)
@@ -597,12 +537,12 @@ def test_poincare_linear_on_disk_closed_form(euclid_field, euclid_form):
 
 
 def test_poincare_jump_zero_gradient_raises():
+    # w jumps across y = 0 and is constant along x, the one direction
+    # the unit first entry sees: with q22 = 0 its Q-gradient vanishes
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
-    q11 = np.zeros(g.shape)
-    q22 = np.zeros(g.shape)
-    form = QuadraticFormField(grid=g, q11=q11, q22=q22)
-    X, _ = g.meshgrid()
-    w = np.sign(X)
+    form = QuadraticFormField(grid=g, q22=np.zeros(g.shape))
+    _, Y = g.meshgrid()
+    w = np.sign(Y)
     mask = np.ones(g.shape, dtype=bool)
     with pytest.raises(ZeroGradientError):
         poincare_functional(form, w, mask, 0.3)
