@@ -28,6 +28,5 @@ from .errors import (ChainTooShortError, ConfigError, DomainError,
                      EmptySupportError, GeometryError, MeasurementError,
                      MonotonicityError, PositivityError, QuadratureError,
                      RangeError, ResolutionError, SchemaMismatchError,
-                     SingularSystemError, SolverError, SubunitLabError,
-                     ZeroGradientError)
+                     SolverError, SubunitLabError, ZeroGradientError)
 from .grid import GridSpec

@@ -60,11 +60,6 @@ class SolverError(SubunitLabError):
     """An iterative linear solve did not reach its tolerance."""
 
 
-class SingularSystemError(SubunitLabError):
-    """An assembled system has a zero diagonal or its separable
-    preconditioner a zero pivot."""
-
-
 class EmptySupportError(SubunitLabError):
     """Functional requested for an identically zero function."""
 

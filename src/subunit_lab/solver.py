@@ -12,11 +12,12 @@ problem is solved by damped Picard iteration on the frozen-coefficient
 linear problem.
 
 Linear solves use conjugate gradients preconditioned by the exact inverse
-of the system's column-averaged separable operator P = Tx (x) I +
-diag(a_y) (x) Ty: every face weight is averaged along y over its grid
-column, and P^-1 is one DST-I along y, one tridiagonal solve in x per sine
-mode and the inverse DST-I (Buzbee, Golub and Nielson 1970), on numpy
-alone.  The DST-I is numpy's real FFT of the odd extension, scaled as
+of the separable operator P = Tx (x) I + diag(a_y) (x) Ty.  Tx is the
+system's own x-part, 1/hx^2 tridiag(-1, 2, -1), so P differs from the
+system only in its y-faces, each replaced by the mean of its grid column,
+and P^-1 is one DST-I along y, one tridiagonal solve in x per sine mode
+and the inverse DST-I (Buzbee, Golub and Nielson 1970), on numpy alone.
+The DST-I is numpy's real FFT of the odd extension, scaled as
 scipy.fft.dst scales it.  The tridiagonal solves are LAPACK dgtsv's
 elimination in its operation order, without its row interchanges: P is
 diagonally dominant, so dgtsv would take none (see _separable_inverse).
@@ -26,9 +27,9 @@ itself, so CG stops after one iteration.  For the frozen quasilinear
 coefficients the structural sandwich c_phi Q <= A <= C_phi Q holds face by
 face.  When q22 depends on x only (every assemble_form field), A/P then
 lies in [c_phi/C_phi, C_phi/c_phi] and cond(P^-1 A) <= (C_phi/c_phi)^2
-whatever the grid (Concus and Golub 1973).  The same row links make P
-symmetric positive definite: its x-part Tx, with every face 1/hx^2, is
-the Dirichlet second difference, and the y-part adds a semidefinite term.
+whatever the grid (Concus and Golub 1973).  Tx, the Dirichlet second
+difference, makes P and the system symmetric positive definite, whatever
+the y-part adds: no diagonal or pivot can vanish.
 
 Every solve takes its settings as the config's SolverSpec, the one
 settings type (SolverSpec() when none is given); the Dirichlet data is
@@ -52,7 +53,7 @@ from numpy.fft import rfft
 from .config import SolverSpec
 from .cutoff import q_gradient
 from .errors import (DomainError, EmptySupportError, GeometryError,
-                     SingularSystemError, SolverError, ZeroGradientError)
+                     SolverError, ZeroGradientError)
 
 __all__ = [
     "DiscreteFunction", "SolveStats", "LinearSystem",
@@ -91,25 +92,21 @@ def _harmonic(a, b):
     return h
 
 
-def _node_faces(wx, wy):
-    """Interior nodes' faces toward (i-1, j), (i+1, j), (i, j-1), (i, j+1)."""
-    return wx[:-1, 1:-1], wx[1:, 1:-1], wy[1:-1, :-1], wy[1:-1, 1:]
-
-
 @dataclass
 class LinearSystem:
     """The interior system -L_h u = rhs, held as its face weights.
 
-    It keeps one copy of each: the face weights wx and wy, each interior
-    node's diagonal, the right-hand side and the full-grid boundary data
-    (which the frozen systems of one Picard solve share, read-only), plus
-    two interior-sized work arrays of apply.  No matrix is built, and
-    _separable_inverse reads the same face weights."""
+    It keeps one copy of each: the one x-face weight cx = 1/hx^2, the
+    y-face weights wy, each interior node's diagonal, the right-hand side
+    and the full-grid boundary data (which the frozen systems of one
+    Picard solve share, read-only), plus two interior-sized work arrays of
+    apply.  No matrix is built, and _separable_inverse reads the same face
+    weights.  Every interior diagonal is at least 2 cx."""
 
     grid: object
     rhs: np.ndarray                # interior, j fastest, boundary folded in
     boundary_values: np.ndarray    # full-grid boundary data (interior entries 0)
-    wx: np.ndarray                 # (nx-1, ny) face weights (i,j)-(i+1,j)
+    cx: float                      # 1/hx^2, every face (i,j)-(i+1,j)
     wy: np.ndarray                 # (nx, ny-1) face weights (i,j)-(i,j+1)
     diag: np.ndarray               # (nx-2, ny-2) sum of each node's four faces
 
@@ -123,18 +120,18 @@ class LinearSystem:
 
     def apply(self, v):
         """-L_h v for a flat interior vector v (j fastest), zero outside."""
-        left, right, down, up = _node_faces(self.wx, self.wy)
+        cx, down, up = self.cx, self.wy[1:-1, :-1], self.wy[1:-1, 1:]
         p, t = self._padded, self._term
         p[1:-1, 1:-1] = v.reshape(t.shape)
         # the terms in the sorted column order of a CSR matrix of -L_h, so
         # each sum rounds as scipy's csr_matvec rounds it, bit for bit;
-        # -(left v) rounds as (-left) v: IEEE products are sign-symmetric
-        out = np.multiply(left, p[:-2, 1:-1])
+        # -(cx v) rounds as (-cx) v: IEEE products are sign-symmetric
+        out = np.multiply(cx, p[:-2, 1:-1])
         np.negative(out, out=out)
         out -= np.multiply(down, p[1:-1, :-2], out=t)
         out += np.multiply(self.diag, p[1:-1, 1:-1], out=t)
         out -= np.multiply(up, p[1:-1, 2:], out=t)
-        out -= np.multiply(right, p[2:, 1:-1], out=t)
+        out -= np.multiply(cx, p[2:, 1:-1], out=t)
         return out.ravel()
 
 
@@ -149,13 +146,13 @@ def _boundary_grid(grid, boundary):
 def assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
     """Assemble the interior 5-point system of diag(1, q22), frozen.
 
-    Every x-face weighs 1/hx^2; the y-faces are harmonic means of the
+    Every x-face weighs cx = 1/hx^2; the y-faces are harmonic means of the
     nodal q22 values, so an exact zero on one side closes the face.  No
-    matrix is built: the system is the face weights, diag = ((left +
-    right) + down) + up, and rhs = -f + w g over the faces (i-1, j),
-    (i+1, j), (i, j-1), (i, j+1) in turn, with g = 0 inside.  Each sum
-    runs in the order of a CSR assembly of the same operator, so the
-    values match it bit for bit.
+    matrix is built: the system is the face weights, diag = ((cx + cx) +
+    down) + up, and rhs = -f + w g over the faces (i-1, j), (i+1, j),
+    (i, j-1), (i, j+1) in turn, with g = 0 inside.  Each sum runs in the
+    order of a CSR assembly of the same operator, so the values match it
+    bit for bit.
     """
     return _assemble(q22, grid, rhs, _boundary_grid(grid, boundary))
 
@@ -171,19 +168,19 @@ def _assemble(q22, grid, rhs, g):
         raise DomainError("form must be nonnegative")
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
 
-    wx = np.full((nx - 1, ny), 1.0 / hx2)           # faces (i,j)-(i+1,j)
+    cx = 1.0 / hx2                                  # faces (i,j)-(i+1,j)
     wy = _harmonic(q22[:, :-1], q22[:, 1:]) / hy2   # faces (i,j)-(i,j+1)
-    left, right, down, up = _node_faces(wx, wy)
-    diag = ((left + right) + down) + up
+    down, up = wy[1:-1, :-1], wy[1:-1, 1:]
+    diag = ((cx + cx) + down) + up
 
     b = -_grid_values(grid, rhs)[1:-1, 1:-1]
-    b += left * g[:-2, 1:-1]
-    b += right * g[2:, 1:-1]
+    b += cx * g[:-2, 1:-1]
+    b += cx * g[2:, 1:-1]
     b += down * g[1:-1, :-2]
     b += up * g[1:-1, 2:]
 
     return LinearSystem(grid=grid, rhs=b.ravel(), boundary_values=g,
-                        wx=wx, wy=wy, diag=diag)
+                        cx=cx, wy=wy, diag=diag)
 
 
 @dataclass
@@ -221,54 +218,51 @@ def _dst1(a, ext, out=None):
 
 
 def _separable_inverse(system):
-    """P^-1 of the column-averaged separable operator.
+    """P^-1 of the separable operator.
 
-    Interior unknowns are ordered (i, j) with j fastest.  P's x-faces are
-    the system's x-faces averaged over the interior rows and its y-faces
-    (weight a_y per column) the y-faces averaged over the column, so
-    P = Tx (x) I + diag(a_y) (x) Ty with Ty = tridiag(-1, 2, -1).  The
-    orthonormal DST-I along y diagonalises Ty (eigenvalues
-    lam_k = 2 - 2 cos(pi k / (ny_int + 1))); the sine modes then decouple
-    into tridiagonal systems Tx + lam_k diag(a_y), all solved at once with
-    the modes along the second axis.
+    Interior unknowns are ordered (i, j) with j fastest.  P's x-part is
+    the system's own, Tx = c tridiag(-1, 2, -1) with c = system.cx =
+    1/hx^2, and its y-faces (weight a_y per column) are the system's
+    y-faces averaged over the column, so P = Tx (x) I + diag(a_y) (x) Ty
+    with Ty = tridiag(-1, 2, -1).  The orthonormal DST-I along y
+    diagonalises Ty (eigenvalues lam_k = 2 - 2 cos(pi k / (ny_int + 1)));
+    the sine modes then decouple into tridiagonal systems
+    Tx + lam_k diag(a_y), all solved at once with the modes along the
+    second axis.
 
     Elimination is LAPACK dgtsv's recurrence without its row interchanges,
     in its operation order, so the solve matches dgtsv bit for bit.  dgtsv
-    swaps rows i and i+1 only when |d'_i| < |dl_i| = a_x(i+1), and in
-    exact arithmetic that never happens: d'_0 = a_x(0) + a_x(1) +
-    lam a_y(0) >= a_x(1), and if d'_i >= a_x(i+1) then d'_(i+1) =
-    a_x(i+2) + lam a_y(i+1) + a_x(i+1) (1 - a_x(i+1) / d'_i) >= a_x(i+2).
-    The factorization is made here, once per system.  A zero (or NaN)
-    pivot means P is singular and raises SingularSystemError.
+    swaps rows i and i+1 only when |d'_i| < |dl_i| = c, and in exact
+    arithmetic that never happens: d'_0 = 2c + lam a_y(0) >= c, and if
+    d'_i >= c then d'_(i+1) = 2c + lam a_y(i+1) - c^2 / d'_i >= c.  So
+    every pivot is at least c > 0.  The factorization is made here, once
+    per system.
     """
-    ax = system.wx[:, 1:-1].mean(axis=1)          # faces i-(i+1), i < nx-1
+    cx = system.cx
     ay = system.wy[1:-1].mean(axis=1)             # interior columns
     nxi, nyi = ay.size, system.wy.shape[1] - 1
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    du = (-ax[1:-1]).tolist()                     # = dl: Tx is symmetric
-    d = (ax[:-1] + ax[1:])[:, None] + ay[:, None] * lam[None, :]
+    du = -cx                                      # = dl: Tx is symmetric
+    d = (cx + cx) + ay[:, None] * lam[None, :]
     fact = np.empty((nxi - 1, nyi))
     b = np.empty((nxi, nyi))
     tmp = np.empty(nyi)
     # row views, made once: indexing costs as much as a row's arithmetic
     d_rows, f_rows, b_rows = list(d), list(fact), list(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for c, d_i, d_next, f in zip(du, d_rows, d_rows[1:], f_rows):
-            np.divide(c, d_i, out=f)
-            d_next -= np.multiply(f, c, out=tmp)
-    if not np.all(d > 0):
-        raise SingularSystemError("separable preconditioner is singular")
+    for d_i, d_next, f in zip(d_rows, d_rows[1:], f_rows):
+        np.divide(du, d_i, out=f)
+        d_next -= np.multiply(f, du, out=tmp)
     ext = np.zeros((nxi, 2 * (nyi + 1)))
     forward = list(zip(f_rows, b_rows, b_rows[1:]))
-    backward = list(zip(du, d_rows, b_rows, b_rows[1:]))[::-1]
+    backward = list(zip(d_rows, b_rows, b_rows[1:]))[::-1]
 
     def apply(r):
         _dst1(r.reshape(nxi, nyi), ext, out=b)
         for f, b_i, b_next in forward:
             b_next -= np.multiply(f, b_i, out=tmp)
         b_rows[-1] /= d_rows[-1]
-        for c, d_i, b_i, b_next in backward:
-            b_i -= np.multiply(c, b_next, out=tmp)
+        for d_i, b_i, b_next in backward:
+            b_i -= np.multiply(du, b_next, out=tmp)
             b_i /= d_i
         return _dst1(b, ext).ravel()
 
@@ -287,21 +281,23 @@ def _norm(a, out=None):
 
 
 def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
-    """Preconditioned conjugate gradients for A x = b; returns (x, info).
+    """Preconditioned conjugate gradients for A x = b; returns (x, info,
+    iterations).
 
     A and M are callables v -> A v and r -> M^-1 r.  The recurrence is
     scipy.sparse.linalg.cg's: the residual is tested before each step
-    against max(atol, rtol |b|), callback(x) runs once per step, and info
-    is 0 on convergence or maxiter when the steps ran out.  Inner products
-    and norms are pairwise sums (_dot), so from a cold start the iteration
-    count is scipy's and x agrees with it to rounding.  x0, of b's size in
-    any shape, is not modified.  x, r and p are updated in place, and one
-    work vector takes every product.
+    against max(atol, rtol |b|), callback(x), when given, runs once per
+    step, info is 0 on convergence or maxiter when the steps ran out, and
+    iterations counts the steps taken.  Inner products and norms are
+    pairwise sums (_dot), so from a cold start the iteration count is
+    scipy's and x agrees with it to rounding.  x0, of b's size in any
+    shape, is not modified.  x, r and p are updated in place, and one work
+    vector takes every product.
     """
     bnrm2 = _norm(b)
     atol = max(atol, rtol * bnrm2)
     if bnrm2 == 0.0:
-        return np.zeros_like(b), 0
+        return np.zeros_like(b), 0, 0
     x = (np.zeros_like(b) if x0 is None
          else np.array(x0, dtype=float).reshape(b.shape))
     r = b - A(x) if x.any() else b.copy()
@@ -309,7 +305,7 @@ def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
     rho_prev, p = None, None
     for iteration in range(maxiter):
         if _norm(r, work) < atol:
-            return x, 0
+            return x, 0, iteration
         z = M(r)
         rho = _dot(r, z, work)
         if iteration > 0:
@@ -326,36 +322,28 @@ def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
         rho_prev = rho
         if callback is not None:
             callback(x)
-    return x, maxiter
+    return x, maxiter, maxiter
 
 
 def solve_linear(system, spec=None, stats=None, x0=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction.
 
-    Conjugate gradients (cg) preconditioned by the column-averaged
-    separable operator (see the module docstring): one iteration when the
-    system is separable, a mesh-independent handful under the quasilinear
-    sandwich.  x0, the interior values (flat, j fastest, or as an
-    (nx-2, ny-2) array), starts CG there instead of at zero.  CG stops at
-    relative residual spec.lin_tol (spec a SolverSpec, SolverSpec() when
-    None) and raises SolverError when the true residual, a pairwise-summed
-    norm like CG's own, still misses it after spec.lin_max_iter
-    iterations.  When given, stats records the iterations.
+    Conjugate gradients (cg) preconditioned by the separable operator (see
+    the module docstring): one iteration when the system is separable, a
+    mesh-independent handful under the quasilinear sandwich.  x0, the
+    interior values (flat, j fastest, or as an (nx-2, ny-2) array), starts
+    CG there instead of at zero.  CG stops at relative residual
+    spec.lin_tol (spec a SolverSpec, SolverSpec() when None) and raises
+    SolverError when the true residual, a pairwise-summed norm like CG's
+    own, still misses it after spec.lin_max_iter iterations.  When given,
+    stats records the iterations.
     """
     spec = spec or SolverSpec()
     b = system.rhs
-    if np.any(system.diag <= 0):
-        raise SingularSystemError("zero diagonal in assembled system")
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
     atol = spec.lin_tol * max(_norm(b), 1.0)
-    x, info = cg(system.apply, b, x0, rtol=spec.lin_tol, atol=atol,
-                 maxiter=spec.lin_max_iter, M=_separable_inverse(system),
-                 callback=count)
+    x, info, iterations = cg(system.apply, b, x0, rtol=spec.lin_tol,
+                             atol=atol, maxiter=spec.lin_max_iter,
+                             M=_separable_inverse(system))
     # cg tests convergence before each step, so a solve that met the
     # tolerance on its last allowed step still reports info > 0
     if info != 0 and _norm(b - system.apply(x)) > atol:

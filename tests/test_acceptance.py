@@ -20,6 +20,7 @@ import math
 import os
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -526,8 +527,8 @@ def test_c11_log_estimates_stability():
 def test_c12_determinism_and_refinement(pipeline_runs):
     out256, rep256 = pipeline_runs["grushin-box-256"]
     out_rerun, _ = pipeline_runs["rerun"]
-    a = open(os.path.join(out256, "report.json"), "rb").read()
-    b = open(os.path.join(out_rerun, "report.json"), "rb").read()
+    a = Path(out256, "report.json").read_bytes()
+    b = Path(out_rerun, "report.json").read_bytes()
     byte_stable = a == b
 
     _, rep512 = pipeline_runs["grushin-box"]

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import weakref
 import zipfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -32,6 +33,19 @@ from subunit_lab.svgplot import HEATMAP_CELLS, heatmap
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
                        "configs")
 SMOKE = os.path.join(CONFIGS, "euclidean-smoke.json")
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
+
+
+def _write_json(path, raw):
+    Path(path).write_text(json.dumps(raw))
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -61,10 +75,10 @@ def test_config_roundtrip(tmp_path, name):
 
 def test_malformed_config_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                  capsys):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["params"]["nu"] = 1.5
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
@@ -75,7 +89,7 @@ def test_malformed_config_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 def test_nan_config_exit_1(tmp_path, smoke_cfg_path, field):
     # json.load accepts the NaN literal; validation must reject it rather
     # than let the run skip the ball and pass
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     if field == "eps0":
         raw["epsilons"]["eps0"] = math.nan
     elif field == "r":
@@ -83,7 +97,7 @@ def test_nan_config_exit_1(tmp_path, smoke_cfg_path, field):
     else:
         raw["balls"][0]["center"][1] = math.nan
     bad = tmp_path / "nan.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     assert "NaN" in bad.read_text()
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
@@ -101,10 +115,10 @@ def test_nan_config_exit_1(tmp_path, smoke_cfg_path, field):
 def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                    capsys, section, key,
                                                    value):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw[section][key] = value
     bad = tmp_path / "count.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert f"{section}.{key}" in capsys.readouterr().err
@@ -190,7 +204,7 @@ def test_non_integral_count_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     ("solver", "phi_bounds", "1, 3")])
 def test_nan_or_fractional_setting_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, section, key, value):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     path = f"{section}.{key}" if key else section
     *parents, leaf = path.split(".")
     target = raw
@@ -198,7 +212,7 @@ def test_nan_or_fractional_setting_exit_1_with_field_path(
         target = target[name]
     target[leaf] = value
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
@@ -209,10 +223,10 @@ def test_nan_or_fractional_setting_exit_1_with_field_path(
 @pytest.mark.parametrize("key", ["amp", "kx", "ky", "c"])
 def test_nan_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                   capsys, key):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"]["boundary"] = dict(TRIG, **{key: math.nan})
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert (f"solver.boundary.{key}: must be a finite number"
@@ -223,10 +237,10 @@ def test_nan_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 @pytest.mark.parametrize("key", ["amp", "kx", "ky", "c"])
 def test_string_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                      capsys, key):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"]["boundary"] = dict(TRIG, **{key: "1.0"})
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert (f"solver.boundary.{key}: must be a finite number"
@@ -248,13 +262,13 @@ def test_string_trig_boundary_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                  id="far-off-grid")])
 def test_ball_exit_1_with_field_path(tmp_path, smoke_cfg_path, capsys,
                                      change, path, monkeypatch):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     ball = raw["balls"][0]
     ball.update(change)
     for key in [k for k, v in change.items() if v is None]:
         del ball[key]
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     # the config is rejected before any stage runs
     monkeypatch.setattr(pipeline, "build_form",
                         lambda cfg: pytest.fail("a stage ran"))
@@ -269,11 +283,11 @@ def test_ball_exit_1_with_field_path(tmp_path, smoke_cfg_path, capsys,
                                         (-0.9, 0.5, "grid.x0")])
 def test_paper_model_grid_past_domain_cap_exit_1(tmp_path, smoke_cfg_path,
                                                  capsys, x0, x1, path):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["profile"] = {"kind": "paper_model", "param": 9.0}
     raw["grid"].update(x0=x0, x1=x1)
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
@@ -283,10 +297,10 @@ def test_paper_model_grid_past_domain_cap_exit_1(tmp_path, smoke_cfg_path,
 @pytest.mark.parametrize("field", ["name", "profile", "grid", "balls"])
 def test_missing_section_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                 capsys, field):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     del raw[field]
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert field in capsys.readouterr().err
@@ -315,14 +329,14 @@ def test_config_not_an_object_exit_1(tmp_path, capsys):
     pytest.param(("balls", 0, "r"), "balls[0].r", id="r")])
 def test_string_number_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                               capsys, keys, path):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     *parents, leaf = keys
     target = raw
     for key in parents:
         target = target[key]
     target[leaf] = "0.5"
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
@@ -340,10 +354,10 @@ def test_string_number_exit_1_with_field_path(tmp_path, smoke_cfg_path,
     ("harnack", "required_flags")])
 def test_unknown_required_flag_exit_1_with_field_path(
         tmp_path, smoke_cfg_path, capsys, required, path):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["required_flags"] = required
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
@@ -360,10 +374,10 @@ def test_reported_flags_are_the_requirable_ones(smoke_run):
 # bool("false") is True: the string ran the ball as an on-axis one
 @pytest.mark.parametrize("value", ["false", 0, math.nan])
 def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["balls"][0]["on_axis"] = value
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "balls[0].on_axis" in capsys.readouterr().err
@@ -387,10 +401,10 @@ def test_on_axis_must_be_boolean(tmp_path, smoke_cfg_path, capsys, value):
          "kind"])
 def test_invalid_profile_exit_1_with_field_path(tmp_path, smoke_cfg_path,
                                                 capsys, profile, path):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["profile"] = profile
     bad = tmp_path / "bad.json"
-    json.dump(raw, open(bad, "w"))
+    _write_json(bad, raw)
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert path in capsys.readouterr().err
@@ -398,12 +412,12 @@ def test_invalid_profile_exit_1_with_field_path(tmp_path, smoke_cfg_path,
 
 def test_whole_number_float_counts_run_as_ints(tmp_path, smoke_cfg_path,
                                                smoke_run):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["params"]["j_max"] = 12.0
     raw["solver"]["fp_max_iter"] = 30.0
     raw["solver"]["lin_max_iter"] = 40000.0
     p = tmp_path / "floats.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     out = tmp_path / "o"
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     assert ((out / "report.json").read_bytes()
@@ -415,7 +429,7 @@ def test_max_principle_tolerance_scales_with_boundary_range(smoke_cfg_path,
     # data x + 10 spans [9.5, 10.5]: the tolerance is 1e-8 times that
     # range, 1.0, so a slack of 5e-8 fails (the whole grid's range, 10.5,
     # with its interior zeros, would pass it)
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"]["boundary"]["c"] = 10.0
     raw["solver"]["quasilinear"] = False
     cfg = ExperimentConfig.from_dict(raw)
@@ -438,8 +452,8 @@ def test_median_is_numpys_bit_for_bit(monkeypatch):
                     == float(np.median(values)).hex()), (n, values)
     # the two medians of the delta-law fit on grushin-145's ball1: the
     # pairwise slopes, then the intercepts at the chosen slope
-    raw = json.load(open(os.path.join(os.path.dirname(SMOKE),
-                                      "grushin-box-256.json")))
+    raw = _read_json(os.path.join(os.path.dirname(SMOKE),
+                                  "grushin-box-256.json"))
     raw["grid"].update(nx=145, ny=145)
     cfg = ExperimentConfig.from_dict(raw)
     form = pipeline.build_form(cfg)
@@ -458,7 +472,7 @@ def test_median_is_numpys_bit_for_bit(monkeypatch):
 def test_envelope_violation_is_exact_and_reads_no_seed(smoke_cfg_path):
     # phi = 2 + tanh z approaches 3, so C_phi = 2.5 is violated by exactly
     # 3 - 2.5; no seed changes that.  The linear solve alone is enough.
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"].update(phi_bounds=[1.0, 2.5], quasilinear=False)
     form = pipeline.build_form(ExperimentConfig.from_dict(raw))
     for seed in range(5):
@@ -482,7 +496,8 @@ def test_smoke_run_all_flags_and_artifact_tree(smoke_run):
         assert (smoke_run / sub).is_dir()
     assert (smoke_run / "balls" / "ball0.csv").exists()
     assert (smoke_run / "plots" / "ball0_volumes.svg").exists()
-    header = open(smoke_run / "balls" / "ball0.csv").readline().strip()
+    header = ((smoke_run / "balls" / "ball0.csv").read_text()
+              .splitlines()[0].strip())
     assert header == "r,volume,doubling_ratio,delta,delta_over_r,g_of_r"
 
 
@@ -509,7 +524,7 @@ def test_run_drops_a_ball_s_arrays_before_the_next_ball(tmp_path,
     # analytics or its cutoffs.  The volume function the analytics are
     # built from dies with the geometry stage, and the special cutoff
     # with the cutoff stage, which hands on its constant only
-    raw = json.load(open(os.path.join(CONFIGS, "grushin-box-256.json")))
+    raw = _read_json(os.path.join(CONFIGS, "grushin-box-256.json"))
     raw["grid"].update(nx=145, ny=145)
     cfg = ExperimentConfig.from_dict(raw)
     assert len(cfg.balls) == 2
@@ -581,7 +596,7 @@ def test_compare_default_budget_is_the_config_default(smoke_run):
     # a config without compare_budgets gets
     rep = load_report(smoke_run / "report.json")
     rep.pop("budgets")
-    raw = json.load(open(SMOKE))
+    raw = _read_json(SMOKE)
     del raw["compare_budgets"]
     cfg = ExperimentConfig.from_dict(raw)
     assert cfg.compare_budgets == {"default": DEFAULT_BUDGET}
@@ -665,13 +680,13 @@ def test_strict_compare_fails_a_constant_over_budget(tmp_path, smoke_run,
 def test_growth_failure_exit_4(tmp_path, smoke_cfg_path, capsys):
     # exp(-a/|x|) degenerates too fast: delta(r)/r ~ r, so the growth
     # condition genuinely fails; requiring that flag must exit 4
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["name"] = "exponential-growth-fail"
     raw["profile"] = {"kind": "exponential", "param": 0.1}
     raw["balls"] = [{"center": [0.0, 0.0], "r": 0.2, "on_axis": False}]
     raw["required_flags"] = ["growth_increasing"]
     p = tmp_path / "exp.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 4
     assert "growth_increasing" in capsys.readouterr().err
@@ -680,14 +695,14 @@ def test_growth_failure_exit_4(tmp_path, smoke_cfg_path, capsys):
 def test_strict_run_fails_any_false_flag(tmp_path, smoke_cfg_path, capsys):
     # the growth condition fails here (see above), but no config requires
     # the flag: only --strict makes the false flag fail the run
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["profile"] = {"kind": "exponential", "param": 0.1}
     raw["balls"] = [{"center": [0.0, 0.0], "r": 0.2, "on_axis": False}]
     p = tmp_path / "exp.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     assert main(["run", "--config", str(p), "--out",
                  str(tmp_path / "lax")]) == 0
-    report = json.load(open(tmp_path / "lax" / "report.json"))
+    report = _read_json(tmp_path / "lax" / "report.json")
     assert report["flags"]["ball0.growth_increasing"] is False
     capsys.readouterr()
     assert main(["--strict", "run", "--config", str(p), "--out",
@@ -697,7 +712,7 @@ def test_strict_run_fails_any_false_flag(tmp_path, smoke_cfg_path, capsys):
 
 
 def _smoke_variant(tmp_path, smoke_cfg_path, extent, n, ball, **params):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["grid"].update(x0=-extent, x1=extent, y0=-extent, y1=extent, nx=n,
                        ny=n)
     raw["balls"] = [ball]
@@ -705,7 +720,7 @@ def _smoke_variant(tmp_path, smoke_cfg_path, extent, n, ball, **params):
     raw["params"].update(params)
     raw["solver"]["boundary"]["c"] = 2.0 * extent + 2.0   # u stays positive
     p = tmp_path / "variant.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     return str(p)
 
 
@@ -716,10 +731,10 @@ def test_growth_is_judged_on_the_band_radii_below_1(tmp_path, smoke_cfg_path):
                        {"center": [0.0, 0.0], "r": 0.6, "on_axis": True})
     out = tmp_path / "o"
     assert main(["run", "--config", p, "--out", str(out)]) == 0
-    report = json.load(open(out / "report.json"))
+    report = _read_json(out / "report.json")
     assert all(report["flags"].values()) and report["notes"] == []
     assert report["balls"]["ball0"]["geometry"]["growth_increasing"] is True
-    rows = list(csv.DictReader(open(out / "balls" / "ball0.csv")))
+    rows = _read_csv(out / "balls" / "ball0.csv")
     assert float(rows[-1]["r"]) > 1.0 > float(rows[0]["r"])
     for row in rows:
         assert math.isnan(float(row["g_of_r"])) == (float(row["r"]) >= 1.0)
@@ -740,7 +755,7 @@ def test_growth_not_judged_below_three_small_radii(tmp_path, smoke_cfg_path):
     p = _growth_unjudged_variant(tmp_path, smoke_cfg_path)
     out = tmp_path / "o"
     assert main(["run", "--config", p, "--out", str(out)]) == 0
-    report = json.load(open(out / "report.json"))
+    report = _read_json(out / "report.json")
     assert report["balls"]["ball0"]["geometry"]["growth_increasing"] is None
     assert "ball0.growth_increasing" not in report["flags"]
     assert report["notes"] == [GROWTH_UNJUDGED]
@@ -758,12 +773,12 @@ def test_subcommands_print_a_measured_ball_s_notes(tmp_path, smoke_cfg_path,
     assert lines[0] == GROWTH_UNJUDGED
     assert len(lines) == 2 and lines[1].startswith("ball0: ")
     if command == "balls":
-        rows = list(csv.DictReader(open(out / "ball0.csv")))
+        rows = _read_csv(out / "ball0.csv")
         assert all(math.isnan(float(row["g_of_r"])) for row in rows)
 
 
 def test_solver_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["name"] = "stiff-no-convergence"
     raw["solver"]["theta"] = 1.0
     raw["solver"]["fp_tol"] = 1e-15
@@ -771,7 +786,7 @@ def test_solver_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys):
     raw["solver"]["boundary"] = {"kind": "trig", "amp": 0.8, "kx": 3.0,
                                  "ky": 2.0, "c": 2.0}
     p = tmp_path / "stiff.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     errs = {}
     for command in ("run", "solve", "diagnose"):
         out = tmp_path / command
@@ -1024,14 +1039,14 @@ TRIG = {"kind": "trig", "amp": 0.5, "kx": 1.0, "ky": 1.0, "c": 2.0}
                          ids=["affine", "trig"])
 def test_cg_nonconvergence_exit_3(tmp_path, smoke_cfg_path, capsys,
                                   boundary, max_iter, tol):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"]["lin_max_iter"] = max_iter
     if boundary is not None:
         raw["solver"]["boundary"] = boundary
     if tol is not None:
         raw["solver"]["lin_tol"] = tol
     p = tmp_path / "cg1.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     code = main(["run", "--config", str(p), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "conjugate gradient" in capsys.readouterr().err
@@ -1043,13 +1058,13 @@ def test_subcommands_skip_a_ball_as_run_does(tmp_path, smoke_cfg_path,
     # skips it; ball2's nu r leaves its measured band, so cutoff skips it.
     # Each subcommand skips a ball when its own stages cannot measure it,
     # prints run's note for it and goes on to the next ball.
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["grid"]["nx"] = raw["grid"]["ny"] = 65
     raw["balls"] = [{"center": [0.0, 0.0], "r": 0.15, "on_axis": True},
                     {"center": [0.0, 0.0], "r": 0.02, "on_axis": False},
                     {"center": [0.4, 0.0], "r": 0.2, "on_axis": False}]
     p = tmp_path / "skips.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     run = tmp_path / "run"
     assert main(["run", "--config", str(p), "--out", str(run)]) == 0
     capsys.readouterr()
@@ -1069,7 +1084,7 @@ def test_subcommands_skip_a_ball_as_run_does(tmp_path, smoke_cfg_path,
                          ("cutoff/ball0_cutoffs.csv", "cutoffs/ball0.csv")):
         assert (tmp_path / mine).read_bytes() == (run / theirs).read_bytes()
     assert not (tmp_path / "cutoff" / "ball2_cutoffs.csv").exists()
-    diag = json.load(open(tmp_path / "diagnose" / "diagnostics.json"))
+    diag = _read_json(tmp_path / "diagnose" / "diagnostics.json")
     for ball_id, entry in diag.items():
         assert entry["flags"] == {k: v for k, v in rep["flags"].items()
                                   if k.startswith(ball_id + ".")}
@@ -1096,7 +1111,7 @@ def test_console_script_is_cli_main(capsys):
 
 @pytest.mark.parametrize("case", ["skipped-ball", "rhs-0.5"])
 def test_diagnose_matches_run(tmp_path, smoke_cfg_path, case):
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     if case == "skipped-ball":
         # r = 0.2 at distance 0.1 from the edge: nu r leaves the measurable
         # radius band, so `run` skips the ball; `diagnose` must do the same
@@ -1107,13 +1122,13 @@ def test_diagnose_matches_run(tmp_path, smoke_cfg_path, case):
         # in the Caccioppoli, local bound and oscillation right-hand sides
         raw["solver"]["rhs"] = 0.5
     p = tmp_path / f"{case}.json"
-    json.dump(raw, open(p, "w"))
+    _write_json(p, raw)
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "r")]) == 0
     rep = load_report(tmp_path / "r" / "report.json")
     assert rep["flags"].get("ball0.skipped", False) == (case == "skipped-ball")
     assert main(["diagnose", "--config", str(p),
                  "--out", str(tmp_path / "d")]) == 0
-    diag = json.load(open(tmp_path / "d" / "diagnostics.json"))
+    diag = _read_json(tmp_path / "d" / "diagnostics.json")
     assert diag["ball0"]["flags"] == {k: v for k, v in rep["flags"].items()
                                       if k.startswith("ball0.")}
     assert diag["ball0"]["notes"] == [n for n in rep["notes"]
@@ -1138,7 +1153,7 @@ def test_a_skipped_chain_is_noted_once_per_ball(tmp_path, smoke_cfg_path,
     assert rep["balls"]["ball0"]["diagnostics"]["chain_too_short"]
     assert main(["diagnose", "--config", smoke_cfg_path,
                  "--out", str(tmp_path / "d")]) == 0
-    diag = json.load(open(tmp_path / "d" / "diagnostics.json"))
+    diag = _read_json(tmp_path / "d" / "diagnostics.json")
     assert diag["ball0"]["notes"] == rep["notes"]
 
 
@@ -1147,14 +1162,14 @@ def test_run_meta_records_linear_solves(smoke_run):
     # the two zero-start solves take at least one iteration each, while
     # the second Picard solve starts at the first's solution, which may
     # already meet the tolerance
-    solver = json.load(open(smoke_run / "run_meta.json"))["solver"]
+    solver = _read_json(smoke_run / "run_meta.json")["solver"]
     assert solver["linear_solves"] == 3
     assert 2 <= solver["pcg_iterations"] <= 6
     assert solver["max_pcg_iterations"] <= 2
 
 
 def test_run_meta_records_stage_seconds(smoke_run):
-    stages = json.load(open(smoke_run / "run_meta.json"))["stages"]
+    stages = _read_json(smoke_run / "run_meta.json")["stages"]
     assert set(stages) == set(STAGES)
     assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
     assert stages["metric"] > 0.0 and stages["artifacts"] > 0.0
@@ -1163,7 +1178,7 @@ def test_run_meta_records_stage_seconds(smoke_run):
 def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
     # one global eps_min solve per ball, plus one per box field of its
     # oscillation chain; nodes count the frozen nodes of every field
-    fmm = json.load(open(smoke_run / "run_meta.json"))["metric"]
+    fmm = _read_json(smoke_run / "run_meta.json")["metric"]
     rep = load_report(smoke_run / "report.json")
     balls = list(rep["balls"].values())
     assert balls
@@ -1181,7 +1196,7 @@ def test_run_meta_counts_one_fmm_solve_per_ball(smoke_run):
 def test_run_meta_records_artifact_bytes(smoke_run):
     # the smoke run writes into a fresh directory, so the bytes recorded
     # per subdirectory are those on disk
-    written = json.load(open(smoke_run / "run_meta.json"))["artifact_bytes"]
+    written = _read_json(smoke_run / "run_meta.json")["artifact_bytes"]
     on_disk = {sub: sum(p.stat().st_size for p in (smoke_run / sub).iterdir())
                for sub in ARTIFACT_DIRS}
     on_disk["report.json"] = (smoke_run / "report.json").stat().st_size
@@ -1316,7 +1331,7 @@ def test_pipeline_import_loads_neither_sparse_nor_integrate(
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["profile"] = {"kind": "paper_model", "param": 9.0}
     paper_cfg = tmp_path / "paper-smoke.json"
     paper_cfg.write_text(json.dumps(raw))
@@ -1351,7 +1366,7 @@ def test_run_loads_no_module_after_setup(tmp_path, smoke_cfg_path, case):
     # child runs under -S, with site-packages on its path but no .pth
     # file run, since one may preload what a clean interpreter does not
     # (np.savez_compressed's zipfile, with shutil and pathlib)
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     if case == "picard-145":
         raw = PICARD_145
     elif case == "paper-smoke":
@@ -1373,7 +1388,7 @@ def test_solution_plot_is_the_measured_solution(tmp_path, smoke_cfg_path):
     # trig data makes the quasilinear solution differ from the linear one;
     # the heatmap draws u, the converged quasilinear solution the balls
     # are measured on
-    raw = json.load(open(smoke_cfg_path))
+    raw = _read_json(smoke_cfg_path)
     raw["solver"]["boundary"] = TRIG
     p = tmp_path / "trig.json"
     p.write_text(json.dumps(raw))

@@ -16,7 +16,7 @@ from subunit_lab import solver
 from subunit_lab.config import SolverSpec
 from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
-                                SingularSystemError, ZeroGradientError)
+                                ZeroGradientError)
 from subunit_lab.forms import (PHI_RANGE, DegeneracyProfile,
                                QuadraticFormField, QuasilinearEnvelope,
                                assemble_form)
@@ -85,8 +85,8 @@ def _reference_assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
 def _reference_solve(matrix, b, system, spec):
     """solve_linear's preconditioned CG run on the reference matrix."""
     atol = spec.lin_tol * max(_norm(b), 1.0)
-    x, info = cg(lambda v: matrix @ v, b, rtol=spec.lin_tol, atol=atol,
-                 maxiter=spec.lin_max_iter, M=_separable_inverse(system))
+    x, info, _ = cg(lambda v: matrix @ v, b, rtol=spec.lin_tol, atol=atol,
+                    maxiter=spec.lin_max_iter, M=_separable_inverse(system))
     assert info == 0
     full = system.boundary_values.copy()
     full[1:-1, 1:-1] = x.reshape(full[1:-1, 1:-1].shape)
@@ -131,15 +131,14 @@ def test_cg_matches_scipy_cg_from_cold_start(n, tol):
     system = _frozen_picard_system(n)
     b, inverse = system.rhs, _separable_inverse(system)
     kw = dict(rtol=tol, atol=tol * max(_norm(b), 1.0), maxiter=200)
-    ours, theirs = [], []
-    x, info = cg(system.apply, b, M=inverse,
-                 callback=lambda _: ours.append(1), **kw)
+    theirs = []
+    x, info, iterations = cg(system.apply, b, M=inverse, **kw)
     shape = (b.size, b.size)
     y, scipy_info = scipy_cg(LinearOperator(shape, matvec=system.apply), b,
                              M=LinearOperator(shape, matvec=inverse),
                              callback=lambda _: theirs.append(1), **kw)
     assert info == scipy_info == 0
-    assert len(ours) == len(theirs) > 2
+    assert iterations == len(theirs) > 2
     assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
 
 
@@ -148,9 +147,10 @@ def test_cg_zero_rhs_and_untouched_start():
     inverse = _separable_inverse(system)
     kw = dict(rtol=1e-12, atol=1e-12, maxiter=50)
     x0 = np.ones(system.rhs.size)
-    x, info = cg(system.apply, np.zeros_like(x0), x0, M=inverse, **kw)
-    assert info == 0 and not x.any()
-    x, info = cg(system.apply, system.rhs, x0, M=inverse, **kw)
+    x, info, iterations = cg(system.apply, np.zeros_like(x0), x0, M=inverse,
+                             **kw)
+    assert info == 0 and iterations == 0 and not x.any()
+    x, info, _ = cg(system.apply, system.rhs, x0, M=inverse, **kw)
     assert info == 0 and np.all(x0 == 1.0)
 
 
@@ -217,14 +217,14 @@ def test_separable_system_exact_preconditioner(profile):
 def _reference_separable_inverse(system):
     """P^-1 by scipy: scipy.fft.dst/idst along y and one solve_banded
     (LAPACK dgtsv) over the sine modes stacked end to end, uncoupled."""
-    ax = system.wx[:, 1:-1].mean(axis=1)
+    cx = system.cx
     ay = system.wy[1:-1].mean(axis=1)
     nxi, nyi = ay.size, system.wy.shape[1] - 1
     lam = 2.0 - 2.0 * np.cos(np.pi * np.arange(1, nyi + 1) / (nyi + 1))
-    off = np.tile(np.append(-ax[1:-1], 0.0), nyi)
+    off = np.tile(np.append(np.full(nxi - 1, -cx), 0.0), nyi)
     ab = np.zeros((3, nxi * nyi))
     ab[0, 1:] = off[:-1]
-    ab[1] = ((ax[:-1] + ax[1:])[None, :] + lam[:, None] * ay[None, :]).ravel()
+    ab[1] = ((cx + cx) + lam[:, None] * ay[None, :]).ravel()
     ab[2, :-1] = off[:-1]
 
     def apply(r):
@@ -246,12 +246,13 @@ def test_dst1_matches_scipy_bit_for_bit(n):
 
 
 def _face_weights(nx, ny, kind, seed=0):
-    """Random positive face weights on an nx x ny grid; "axis" closes the
-    y-faces of the middle column (the Grushin axis, a_y = 0 there) and
-    "exp" scales the y-faces by exp(-2 / (10 |x|)), 0 on the axis and
+    """A random positive x-face weight, shared by every x-face, and random
+    positive y-face weights on an nx x ny grid; "axis" closes the y-faces
+    of the middle column (the Grushin axis, a_y = 0 there) and "exp"
+    scales the y-faces by exp(-2 / (10 |x|)), 0 on the axis and
     exponentially small near it (3e-13 next to it at nx = 145)."""
     rng = np.random.default_rng(seed)
-    wx = rng.uniform(0.5, 2.0, (nx - 1, ny)) * 1e4
+    cx = rng.uniform(0.5, 2.0) * 1e4
     wy = rng.uniform(0.5, 2.0, (nx, ny - 1)) * 1e4
     x = np.linspace(-0.5, 0.5, nx)
     if kind == "axis":
@@ -259,7 +260,7 @@ def _face_weights(nx, ny, kind, seed=0):
     elif kind == "exp":
         with np.errstate(divide="ignore"):
             wy *= np.exp(-2.0 / (10.0 * np.abs(x)))[:, None]
-    return SimpleNamespace(wx=wx, wy=wy)
+    return SimpleNamespace(cx=cx, wy=wy)
 
 
 @pytest.mark.parametrize("kind", ["random", "axis", "exp"])
@@ -273,15 +274,6 @@ def test_separable_inverse_matches_scipy_bit_for_bit(kind, shape):
     expected = _reference_separable_inverse(system)(r)
     assert np.array_equal(M(r), expected)
     assert np.array_equal(M(r), expected)      # the factors are reused
-
-
-def test_singular_separable_preconditioner_raises():
-    # every x-face closed and one column without y-faces: that column's
-    # pivot is exactly zero in every sine mode
-    system = _face_weights(17, 17, "axis")
-    system.wx[:] = 0.0
-    with pytest.raises(SingularSystemError):
-        _separable_inverse(system)
 
 
 def test_picard_frozen_system_mesh_independent_iterations():
@@ -411,8 +403,8 @@ def test_quasilinear_consistency_reassemble(grid97):
 
 
 def test_quasilinear_memory_ceiling():
-    # the exp-picard problem on 129^2 reads 21.6 grid arrays at its peak,
-    # inside a frozen solve's preconditioner: the system's face weights,
+    # the exp-picard problem on 129^2 reads 20.6 grid arrays at its peak,
+    # inside a frozen solve's preconditioner: the system's y-face weights,
     # diagonal, right-hand side and two work arrays, the factors and
     # transform buffers of P^-1, CG's x, r, p and one work vector, the
     # shared boundary data and the Picard iterates.  With padded copies of
@@ -425,7 +417,7 @@ def test_quasilinear_memory_ceiling():
     spec = SolverSpec(theta=0.7, fp_tol=1e-9)
     res, peak = traced_grid_peak(g.shape, solve_quasilinear, env, trig, spec)
     assert res.converged and res.iterations > 1
-    assert peak <= 22.5, peak
+    assert peak <= 21.5, peak
 
 
 def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
