@@ -7,7 +7,6 @@ Modules:
                  JSON round-trip
     grid         the rectangular node grid every array lives on
     forms        degeneracy profiles f, model fields Q(x), quasilinear envelopes
-    quadpack     QUADPACK's qags, for paper_model's profile integral
     metric       regularized subunit distance via fast marching; eps ladder
                  rungs with their nodewise monotonicity check
     geometry     ball volumes, non-doubling order, growth condition, boxes
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 
 from .errors import (ChainTooShortError, ConfigError, DomainError,
                      EmptySupportError, GeometryError, MeasurementError,
-                     MonotonicityError, PositivityError, QuadratureError,
-                     RangeError, ResolutionError, SchemaMismatchError,
-                     SolverError, SubunitLabError, ZeroGradientError)
+                     MonotonicityError, PositivityError, RangeError,
+                     ResolutionError, SchemaMismatchError, SolverError,
+                     SubunitLabError, ZeroGradientError)
 from .grid import GridSpec

@@ -25,15 +25,11 @@ class DomainError(SubunitLabError):
 
 class ProfileError(DomainError):
     """A degeneracy profile setting outside its domain; field names it
-    (kind, param, domain_cap or quad_tol)."""
+    (kind, param or domain_cap)."""
 
     def __init__(self, message, field):
         super().__init__(message)
         self.field = field
-
-
-class QuadratureError(SubunitLabError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 class MonotonicityError(SubunitLabError):

@@ -164,8 +164,9 @@ def _assemble(q22, grid, rhs, g):
     nx, ny = grid.shape
     if q22.shape != (nx, ny):
         raise DomainError("coefficient shape mismatch")
-    if np.any(q22 < 0):
-        raise DomainError("form must be nonnegative")
+    # min and max carry a NaN through, so this also rejects one
+    if not (q22.min() >= 0.0 and q22.max() < math.inf):
+        raise DomainError("form must be finite and nonnegative")
     hx2, hy2 = grid.hx ** 2, grid.hy ** 2
 
     cx = 1.0 / hx2                                  # faces (i,j)-(i+1,j)

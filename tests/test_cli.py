@@ -1290,9 +1290,10 @@ def test_picard_run_bytes_do_not_depend_on_blas_threads(tmp_path):
 def test_pipeline_import_loads_neither_sparse_nor_integrate(
         tmp_path, smoke_cfg_path):
     # the separable preconditioner is numpy's and paper_model's
-    # quadrature is quadpack.qags, so the CLI imports no scipy at all;
-    # nor any schema engine, since a run does not validate its report;
-    # fresh interpreters, since this one has scipy loaded
+    # quadrature a fixed Gauss-Legendre rule on numpy, so the CLI imports
+    # no scipy at all; nor any schema engine, since a run does not
+    # validate its report; fresh interpreters, since this one has scipy
+    # loaded
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     child = ("import sys, subunit_lab.pipeline; print([m for m in "

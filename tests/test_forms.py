@@ -1,17 +1,16 @@
 """Degeneracy profiles: h, f, form assembly, structural envelope."""
 
 import math
-import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import IntegrationWarning, quad
 
 from subunit_lab import forms
-from subunit_lab.errors import DomainError, ProfileError, QuadratureError
-from subunit_lab.forms import (DegeneracyProfile, _inv_h_logvar,
+from subunit_lab.errors import DomainError
+from subunit_lab.forms import (DegeneracyProfile, QuadraticFormField,
                                assemble_form, envelope_violation, eval_h,
                                eval_h_log, lambda_from_sigma)
 from subunit_lab.grid import GridSpec
@@ -128,79 +127,70 @@ def test_f_cache_monotone():
         assert all(a <= b + 1e-15 for a, b in zip(fs, fs[1:]))
 
 
-def test_f_quadrature_stability_under_tolerance_halving():
-    tol = 1e-9
-    p1 = DegeneracyProfile("paper_model", 9.0, quad_tol=tol)
-    p2 = DegeneracyProfile("paper_model", 9.0, quad_tol=tol / 2)
-    for x in (1e-4, 1e-2, 0.3, 0.7):
-        assert abs(p1.log_value(x) - p2.log_value(x)) < 10.0 * tol
-
-
-def test_quadrature_error_raised_for_impossible_tolerance():
-    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
-    with pytest.raises(QuadratureError):
-        p.value(0.5)
-
-
-def test_quadrature_error_raised_again_on_retry():
-    # the memo of I(|x|) keeps values, not raises
-    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
-    for _ in range(2):
-        with pytest.raises(QuadratureError):
-            p.log_value(0.6)
-
-
-def test_log_integral_memoized_per_abs_x(monkeypatch):
-    # a column at -x or in a second grid reuses I(|x|); a tolerance no
-    # other test uses keeps the memo cold for this profile
-    calls = []
-    piece = forms._quad_piece
-    monkeypatch.setattr(forms, "_quad_piece",
-                        lambda *a: calls.append(a) or piece(*a))
-    p = DegeneracyProfile("paper_model", 9.0, quad_tol=3.7e-10)
+def test_log_integral_memoized_per_abs_x():
+    # a column at -x or in a second grid reuses I(|x|); a lambda no other
+    # test uses keeps the memo cold for this profile
+    memo = forms._log_integral.cache_info
+    p = DegeneracyProfile("paper_model", 9.125)
+    start = memo()
     first = [p.log_value(x) for x in (0.2, 0.6)]
-    n = len(calls)
-    assert n == 3                       # (ln 0.2, -1), the tail, (ln 0.6, 0)
+    mid = memo()
+    assert mid.misses - start.misses == 2
     again = [p.log_value(x) for x in (-0.2, 0.6, -0.6)]
-    assert len(calls) == n and again == [first[0], first[1], first[1]]
+    assert memo().misses == mid.misses and memo().hits - mid.hits == 3
+    assert again == [first[0], first[1], first[1]]
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
-def test_quad_tol_must_be_positive_and_finite(tol):
-    # quad raised ValueError on a tolerance <= 0 (QUADPACK's ier = 6), and
-    # a NaN or infinite one returned a value no budget could judge (I(0.6)
-    # read 0.421894 at NaN and 0.421906 at inf); qags checks neither
-    with pytest.raises(ProfileError) as info:
-        DegeneracyProfile("paper_model", 9.0, quad_tol=tol)
-    assert info.value.field == "quad_tol"
+def _reference_log_integrals(xs, lam):
+    """I(x) for x in xs, descending, to 40 digits: the v = |ln t|^(1/3)
+    form of the integral, by mpmath's tanh-sinh rule between consecutive
+    V = |ln x|^(1/3), summed."""
+    with mp.workdps(40):
+        inv_lam = 1 / mp.mpf(lam)
+
+        def integrand(v):
+            if v == 0:
+                return mp.mpf(0)
+            return 3 * v ** 2 * (-mp.log1p(-mp.exp(-1 / v))) ** inv_lam
+
+        out, total, prev = [], mp.mpf(0), mp.mpf(0)
+        for x in xs:
+            top = (-mp.log(mp.mpf(x))) ** (mp.mpf(1) / 3)
+            total += mp.quad(integrand, [prev, top])
+            prev = top
+            out.append(float(total))
+    return out
 
 
-def _two_piece_log_integral(x, lam, tol):
-    # I(x) with a fresh quad call per piece: (ln x, -1) then (-1, 0) for
-    # x < 1/e, else the single piece (ln x, 0)
-    lo = math.log(x)
-    pieces = [(lo, -1.0), (-1.0, 0.0)] if lo < -1.0 else [(lo, 0.0)]
-    val = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for a, b in pieces:
-            val += quad(_inv_h_logvar, a, b, args=(lam,), limit=200,
-                        epsabs=tol, epsrel=10.0 * tol)[0]
-    return val
+# from 0.999999 down to the smallest subnormal, with 1/144 (the smallest
+# nonzero |x| of a 145^2 grid on [-0.5, 0.5]) and 0.89 (near the cap)
+LOG_INTEGRAL_XS = (0.999999, 0.89, 0.5, 1.0 / math.e, 0.1, 1.0 / 144, 1e-4,
+                   1e-10, 1e-30, 1e-100, 1e-300, 5e-324)
 
 
-def test_log_integral_matches_two_piece_reference():
-    # the tail over (-1, 0) differs between the two tolerances, so a tail
-    # reused across tolerances (or lambdas) changes some value below 1/e
-    for lam in (3.0, 9.0):
-        for tol in (1e-10, 1e-6):
-            p = DegeneracyProfile("paper_model", lam, quad_tol=tol)
-            for x in (1e-4, 0.05, 0.3, 0.36, 0.37, 0.5):
-                assert p.log_value(x) == -_two_piece_log_integral(x, lam, tol)
-    p = DegeneracyProfile("paper_model", 9.0, quad_tol=1e-16)
-    for x in (0.1, 0.5):
-        with pytest.raises(QuadratureError):
-            p.log_value(x)
+@pytest.mark.parametrize("lam", [1.0001, 1.5, 9.0, 100.0, 1e4, 1e8])
+def test_log_integral_matches_mpmath(lam):
+    # the integrand is taken in logs: near x = 1 at large lambda,
+    # (e^(-1/v))^(1/lambda) is of order 1 where 1 - e^(-1/v) rounds to 1
+    p = DegeneracyProfile("paper_model", lam, domain_cap=0.9999995)
+    refs = _reference_log_integrals(LOG_INTEGRAL_XS, lam)
+    for x, ref in zip(LOG_INTEGRAL_XS, refs):
+        assert abs(-p.log_value(x) - ref) <= 1e-13 * max(1.0, ref), x
+
+
+def test_value_at_zero_and_away_per_kind():
+    # power(0) is 1 everywhere, 0**0 included; the vanishing profiles are
+    # 0 at the axis and exp(log_value) elsewhere
+    assert DegeneracyProfile("power", 0.0).value(0.0) == 1.0
+    assert DegeneracyProfile("power", 0.0).value(-0.3) == 1.0
+    assert DegeneracyProfile("power", 2.0).value(0.0) == 0.0
+    for prof in (DegeneracyProfile("exponential", 0.0),
+                 DegeneracyProfile("exponential", 0.5),
+                 DegeneracyProfile("paper_model", 9.0)):
+        assert prof.value(0.0) == 0.0 and prof.value(-0.0) == 0.0
+        assert prof.value(-0.3) == math.exp(prof.log_value(0.3))
+    assert DegeneracyProfile("exponential", 0.5).value(0.3) == \
+        math.exp(-0.5 / 0.3)
 
 
 def test_paper_model_domain_cap_enforced():
@@ -240,6 +230,15 @@ def test_assemble_paper_axis_column_zero():
     assert np.all(form.q22[32, :] == 0.0)       # exact zero on the axis
     assert form.underflow_radius == 0.0         # nothing else underflows
     assert np.all(form.q22[33, :] > 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+def test_form_rejects_negative_or_non_finite_q22(bad):
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    q22 = np.ones(g.shape)
+    q22[5, 5] = bad
+    with pytest.raises(DomainError, match="nonnegative"):
+        QuadraticFormField(grid=g, q22=q22)
 
 
 def _brute_force_violation(form, c_phi, C_phi):

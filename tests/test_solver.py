@@ -325,6 +325,17 @@ def test_any_nonnegative_q22_assembles_and_solves(case):
         assert np.max(np.abs(u.values - line)[:, 1:-1]) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_q22_is_rejected(bad):
+    # q22 < 0 is false for NaN, which the harmonic face mean then closes
+    # silently; an inf fails only later, in an unrelated finiteness check
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    q22 = np.ones(g.shape)
+    q22[5, 5] = bad
+    with pytest.raises(DomainError, match="finite"):
+        assemble_linear(q22, g, 0.0, trig)
+
+
 @pytest.mark.parametrize("name,value", [
     ("fp_tol", math.nan), ("fp_tol", math.inf), ("fp_tol", 0.0),
     ("lin_tol", math.nan), ("lin_tol", math.inf), ("lin_tol", -1e-12),
