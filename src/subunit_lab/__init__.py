@@ -6,7 +6,7 @@ Modules:
     config       experiment settings: defaults, checks with field paths,
                  JSON round-trip
     grid         the rectangular node grid every array lives on
-    forms        degeneracy profiles f, model fields Q(x), quasilinear envelopes
+    forms        degeneracy profiles f, model fields Q(x), the modulation phi
     metric       regularized subunit distance via fast marching; eps ladder
                  rungs with their nodewise monotonicity check
     geometry     ball volumes, non-doubling order, growth condition, boxes

@@ -106,12 +106,12 @@ def cmd_solve(args):
     form = pipeline.build_form(cfg)
     _, u_lin, q_result, info = pipeline.solve_global(cfg, form)
     pipeline.write_grid_csv(os.path.join(args.out, "linear.csv"), form.grid,
-                            u_lin.values, "u")
+                            u_lin.values)
     print(f"linear solve done, max-principle slack "
           f"{info['linear_max_principle_slack']:.3e}")
     if q_result is not None:
         pipeline.write_grid_csv(os.path.join(args.out, "quasilinear.csv"),
-                                form.grid, q_result.u.values, "u")
+                                form.grid, q_result.u.values)
         print(f"quasilinear: converged={q_result.converged} "
               f"iterations={q_result.iterations}")
         if not q_result.converged:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, ProfileError
 from .forms import DegeneracyProfile, lambda_from_sigma
 from .grid import GridSpec
-from .reporting import DEFAULT_BUDGET, write_json
+from .reporting import DEFAULT_BUDGET
 
 
 # the pass flags a run reports: the run's own, and each ball's, which the
@@ -365,6 +365,3 @@ class ExperimentConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}", "config") from exc
         return cls.from_dict(raw)
-
-    def dump(self, path):
-        write_json(path, self.to_dict())

@@ -7,7 +7,8 @@ constant
 
     C_Har(r) = C exp(2 [nu0 r / delta(nu0 r)]^(4 sigma/(sigma-1) + 1)),
 
-local boundedness, and the oscillation recursion
+whose prefactor is the one constant C = C_CAL = e, local boundedness,
+and the oscillation recursion
 
     omega(nu0 r) <= (1 - 1/(2 C_Har(r))) omega(r) + r^2 ||f||_inf.
 
@@ -33,6 +34,7 @@ from .metric import ball, dilate
 FLOOR_M_FACTOR = 1e-6     # m = 1e-6 ||u||_inf when f = 0
 LOG_S_OCTAVES = 10        # level sets s = max|v - <v>| 2^-k, k < 10
 MIN_CHAIN = 4             # radii an oscillation chain needs at least
+C_CAL = math.e            # the prefactor C of C_Har(r)
 
 
 def mu_beta(beta):
@@ -205,9 +207,9 @@ def _ladder_values(ubar, supports, gamma_used, sigma):
 
 @dataclass
 class LogEstimateReport:
-    inter_constant: float      # delta/|B| * int_B [grad ln ubar]_Q
-    est1_constant: float       # max_s s |{v - <v> > s}| delta / (r |B|)
-    est2_constant: float       # mirrored
+    inter: float               # delta/|B| * int_B [grad ln ubar]_Q
+    est1: float                # max_s s |{v - <v> > s}| delta / (r |B|)
+    est2: float                # mirrored
     floor_proximity: bool      # ubar within 5% of the positivity floor
 
 
@@ -240,8 +242,7 @@ def log_estimate(u, field, r, delta, form, m):
             est1 = max(est1, s * m1 * delta / (r * measure_B))
             est2 = max(est2, s * m2 * delta / (r * measure_B))
     floor = bool(float(ubar[B].min()) <= m * 1.05)
-    return LogEstimateReport(inter_constant=inter,
-                             est1_constant=est1, est2_constant=est2,
+    return LogEstimateReport(inter=inter, est1=est1, est2=est2,
                              floor_proximity=floor)
 
 
@@ -253,15 +254,15 @@ class HarnackReport:
     log_slack: float           # ln(quotient) - ln(C_Har), negative when passing
 
 
-def log_c_har(r_scaled, delta_at, sigma, C_cal=1.0):
+def log_c_har(r_scaled, delta_at, sigma):
     """ln C_Har for the already-scaled radius nu0*r and its delta."""
     if delta_at <= 0:
         raise DomainError("delta must be positive")
     expo = harnack_exponent(sigma)
-    return math.log(C_cal) + 2.0 * (r_scaled / delta_at) ** expo
+    return math.log(C_CAL) + 2.0 * (r_scaled / delta_at) ** expo
 
 
-def harnack_check(u, field, r, nu0, sigma, delta_nu0r, m, C_cal=1.0):
+def harnack_check(u, field, r, nu0, sigma, delta_nu0r, m):
     """Harnack quotient of ubar = u + m over B(y, nu0 r) against C_Har(r),
     with m the shift m(r) (shift_m)."""
     ubar = u + m
@@ -271,7 +272,7 @@ def harnack_check(u, field, r, nu0, sigma, delta_nu0r, m, C_cal=1.0):
     sup = float(ubar[mask].max())
     inf_ = float(ubar[mask].min())
     quotient = sup / inf_ if inf_ > 0 else math.inf
-    L = log_c_har(nu0 * r, delta_nu0r, sigma, C_cal)
+    L = log_c_har(nu0 * r, delta_nu0r, sigma)
     lq = math.log(quotient) if quotient < math.inf else math.inf
     passed = lq <= L
     return HarnackReport(quotient=quotient, log_c_har=L, passed=passed,
@@ -311,7 +312,7 @@ def oscillation_curve(us, fields, radii, nu0, mu, log_c_har_of_r, f_rhs=0.0):
     radii: chain with ratio nu0, in any order.  fields holds one distance
     field per radius and us the node values of u on each field's grid (a
     chain on one grid passes the same field and array for every radius).
-    log_c_har_of_r maps r to ln C_Har(r) (calibrated).  The per-pair check
+    log_c_har_of_r maps r to ln C_Har(r).  The per-pair check
     is omega(nu0 r) <= gamma(r) omega(r) + r^2 ||f||_inf with
     gamma(r) = 1 - exp(-ln(2 C_Har(r))), evaluated stably.
     """

@@ -31,11 +31,11 @@ subnormal to 0.999999 (tests/test_forms.py).  I(|x|) is memoized per
 (|x|, l), so a column x that recurs, in another grid or in the same one
 at -x, costs no second quadrature.
 
-A quasilinear envelope multiplies the degenerate entry by a bounded
-modulation phi(z), keeping the same form Q as its structural envelope.
-Its worst violation of the structural condition
-c_phi xi'Q xi <= xi'A(x, z) xi <= C_phi xi'Q xi over every node, z and
-direction has a closed form (envelope_violation).
+The one quasilinear coefficient is A(x, z) = diag(1, default_phi(z) q22),
+the degenerate entry times the bounded modulation 2 + tanh z, with the
+form Q as its structural envelope.  Its worst violation of the structural
+condition c_phi xi'Q xi <= xi'A(x, z) xi <= C_phi xi'Q xi over every node,
+z and direction has a closed form (envelope_violation).
 """
 
 import functools
@@ -77,10 +77,12 @@ def eval_h_log(ln_x, lam, domain_cap=DEFAULT_DOMAIN_CAP):
         raise DomainError(f"need ln x < ln({domain_cap})")
     if lam <= 1.0:
         raise DomainError("lambda must exceed 1")
-    # t = (ln x)^(-1/3) < 0; 1 - exp(t) computed as -expm1(t) for accuracy
+    # t = (ln x)^(-1/3) < 0; ln(1 - e^t) by Maechler's branch (2012): below
+    # t = -ln 2, as x nears 1, 1 - e^t nears 1 and only log1p keeps digits
     t = -abs(ln_x) ** (-1.0 / 3.0)
-    inner = -math.expm1(t)
-    return (-1.0 / math.log(inner)) ** (1.0 / lam)
+    log_inner = (math.log(-math.expm1(t)) if t > -math.log(2.0)
+                 else math.log1p(-math.exp(t)))
+    return (-1.0 / log_inner) ** (1.0 / lam)
 
 
 def _gauss_legendre(n):
@@ -227,21 +229,8 @@ PHI_RANGE = (1.0, 3.0)
 
 
 def default_phi(z):
-    """Bounded modulation for the quasilinear demo, range PHI_RANGE."""
+    """The modulation phi of A(x, z) = diag(1, phi(z) q22), range PHI_RANGE."""
     return 2.0 + np.tanh(z)
-
-
-@dataclass(frozen=True)
-class QuasilinearEnvelope:
-    """A(x, z) = diag(1, phi(z) q22)."""
-
-    base: QuadraticFormField
-    phi: callable = default_phi
-
-    def coefficients(self, z):
-        """The frozen a22 = phi(z) q22 at modulation state z (scalar or
-        array); a11 is 1."""
-        return self.phi(z) * self.base.q22
 
 
 def envelope_violation(form, c_phi, C_phi):

@@ -61,7 +61,7 @@ from .diagnostics import (MIN_CHAIN, caccioppoli_ratio, harnack_check,
                           moser_iterate, oscillation_curve, shift_m)
 from .errors import (DomainError, GeometryError, MeasurementError,
                      ResolutionError)
-from .forms import QuasilinearEnvelope, assemble_form, envelope_violation
+from .forms import assemble_form, envelope_violation
 from .metric import FmmStats, ball, solve_distance
 from .reporting import SCHEMA_VERSION, json_safe, write_csv, write_json
 from .solver import (SolveStats, assemble_linear, max_principle_slack,
@@ -97,9 +97,9 @@ def solve_global(cfg, form, stats=None):
     """One linear + optional quasilinear solve shared by all balls.
 
     The Dirichlet data is evaluated once, at the form's nodes, and both
-    solves read those values.  info's envelope_max_violation is the
-    quasilinear envelope's worst violation of the declared phi_bounds
-    over every node and z (forms.envelope_violation), in closed form.
+    solves read those values.  info's envelope_max_violation is the worst
+    violation by A = diag(1, default_phi(u) q22) of the declared
+    phi_bounds over every node and z (forms.envelope_violation).
 
     Returns (u, u_lin, q_result, info): u is the solution the ball stages
     measure on, the quasilinear one when it converged and the linear one
@@ -116,8 +116,7 @@ def solve_global(cfg, form, stats=None):
     spread = float(np.ptp(bvals)) or 1.0
     del system      # Picard assembles its own systems: free this one first
 
-    env = QuasilinearEnvelope(base=form)
-    q_result = (solve_quasilinear(env, g, spec, stats) if spec.quasilinear
+    q_result = (solve_quasilinear(form, g, spec, stats) if spec.quasilinear
                 else None)
     u = q_result.u if (q_result is not None and q_result.converged) else u_lin
 
@@ -207,10 +206,7 @@ def geometry_stage(cfg, form, spec, finest):
         "growth_increasing": bool(growth.increasing) if growth else None,
         "containment_ok": bool(cont.ok),
         "alphas": cont.alphas.tolist(),
-        "box": [{"r": b.r, "inner_violations": b.inner_violations,
-                 "outer_violations": b.outer_violations,
-                 "inner_checked": b.inner_checked,
-                 "outer_checked": b.outer_checked} for b in box_reports],
+        "box": [asdict(b) for b in box_reports],
     }
     flags = {"containment": bool(cont.ok),
              "alphas_positive": bool(np.all(cont.alphas > 0))}
@@ -331,8 +327,7 @@ def diagnostics_stage(cfg, form, spec, finest, geo, cuts, u, fmm=None):
                           seq.supports, cuts.delta_nu_used, m)
     logest = log_estimate(vals, finest, spec.r, cuts.delta_r_used, form, m)
     delta_nu0 = analytics.delta_at(p.nu0 * spec.r)
-    har = harnack_check(vals, finest, spec.r, p.nu0, p.sigma, delta_nu0, m,
-                        C_cal=math.e)
+    har = harnack_check(vals, finest, spec.r, p.nu0, p.sigma, delta_nu0, m)
     lb = local_bound_check(vals, finest, spec.r, p.nu, p.sigma, cuts.delta_nu,
                            f_rhs)
 
@@ -352,25 +347,16 @@ def diagnostics_stage(cfg, form, spec, finest, geo, cuts, u, fmm=None):
         osc = oscillation_curve(
             chain_u, chain_fields, chain, p.nu0, p.mu,
             lambda r: log_c_har(p.nu0 * r, analytics.law_at(p.nu0 * r),
-                                p.sigma, math.e),
+                                p.sigma),
             f_rhs)
 
     section = {
         "caccioppoli_c": cacc,
         "sobolev_c": sob,
         "poincare_c": poi,
-        "moser": {"N": moser.N, "passed": bool(moser.passed),
-                  "gamma_used": moser.gamma_used, "shifted": moser.shifted,
-                  "observed_sup": moser.observed_sup,
-                  "raw_bound": moser.raw_bound,
-                  "empirical_c": moser.empirical_c,
-                  "truncated_at": moser.truncated_at},
-        "log_estimates": {"inter": logest.inter_constant,
-                          "est1": logest.est1_constant,
-                          "est2": logest.est2_constant,
-                          "floor_proximity": logest.floor_proximity},
-        "harnack": {"quotient": har.quotient, "log_c_har": har.log_c_har,
-                    "passed": bool(har.passed), "log_slack": har.log_slack},
+        "moser": asdict(moser),
+        "log_estimates": asdict(logest),
+        "harnack": asdict(har),
         "local_bound_c": lb,
         "oscillation": None if osc is None else {
             "radii": osc.radii.tolist(), "omega": osc.omega.tolist(),
@@ -525,8 +511,8 @@ def _failed_flags(report, cfg, strict):
     return failed
 
 
-def write_grid_csv(path, grid, values, name):
-    """One (x, y, name) row per grid node, x outer and y inner.
+def write_grid_csv(path, grid, values):
+    """One (x, y, u) row per grid node, x outer and y inner.
 
     Every cell is repr of a Python float (shortest round trip; inf, -inf,
     nan and -0.0 as Python spells them) and every line ends in CRLF: the
@@ -537,11 +523,11 @@ def write_grid_csv(path, grid, values, name):
     Raises DomainError unless values has the grid's shape.
     """
     if values.shape != grid.shape:
-        raise DomainError(f"{name}: values of shape {values.shape} on a "
-                          f"grid of shape {grid.shape}")
+        raise DomainError(f"values of shape {values.shape} on a grid of "
+                          f"shape {grid.shape}")
     ys = [repr(y) + "," for y in grid.ys().tolist()]
     with open(path, "w", newline="") as fh:
-        fh.write(f"x,y,{name}\r\n")
+        fh.write("x,y,u\r\n")
         for x, column in zip(grid.xs().tolist(), values):
             x = repr(x) + ","
             fh.write("".join([f"{x}{y}{v!r}\r\n"
@@ -618,13 +604,13 @@ class _ArtifactPaths:
 
 def _write_solution_artifacts(out, u, u_lin, q_result):
     grid = u_lin.grid
-    write_grid_csv(out("solutions", "linear.csv"), grid, u_lin.values, "u")
+    write_grid_csv(out("solutions", "linear.csv"), grid, u_lin.values)
     svgplot.heatmap(out("plots", "solution.svg"), u.values,
                     title="linear solution" if u is u_lin
                     else "quasilinear solution")
     if q_result is not None:
         write_grid_csv(out("solutions", "quasilinear.csv"), grid,
-                       q_result.u.values, "u")
+                       q_result.u.values)
         write_csv(out("solutions", "residuals.csv"),
                   ("iteration", "residual"),
                   list(enumerate(q_result.residuals, start=1)))

@@ -8,8 +8,8 @@ interior operator is symmetric positive semidefinite with M-matrix sign
 structure, so the discrete maximum principle holds for f = 0.  Exact
 zeros in a22 are tolerated: they close y-faces only, and the 1/hx^2
 x-faces link every node to the boundary along its row.  The quasilinear
-problem is solved by damped Picard iteration on the frozen-coefficient
-linear problem.
+problem, A(x, u) = diag(1, default_phi(u) q22), is solved by damped Picard
+iteration on the frozen-coefficient linear problem.
 
 Linear solves use conjugate gradients preconditioned by the exact inverse
 of the separable operator P = Tx (x) I + diag(a_y) (x) Ty.  Tx is the
@@ -31,9 +31,9 @@ whatever the grid (Concus and Golub 1973).  Tx, the Dirichlet second
 difference, makes P and the system symmetric positive definite, whatever
 the y-part adds: no diagonal or pivot can vanish.
 
-Every solve takes its settings as the config's SolverSpec, the one
-settings type (SolverSpec() when none is given); the Dirichlet data is
-an argument of its own.
+Each solve takes its settings as the config's SolverSpec, a required
+argument.  The right-hand side is a constant, spec.rhs, and the Dirichlet
+data an argument of its own: node values of the grid's shape.
 
 The CG loop is this module's own (cg), with scipy's recurrence.  Its inner
 products and norms are numpy's pairwise sums (np.add.reduce), not BLAS
@@ -50,10 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import rfft
 
-from .config import SolverSpec
 from .cutoff import q_gradient
 from .errors import (DomainError, EmptySupportError, GeometryError,
                      SolverError, ZeroGradientError)
+from .forms import default_phi
 
 __all__ = [
     "DiscreteFunction", "SolveStats", "LinearSystem",
@@ -76,13 +76,6 @@ class DiscreteFunction:
             raise DomainError("values shape does not match grid")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("discrete function must be finite")
-
-
-def _grid_values(grid, value):
-    """Node values from a callable (X, Y) -> values, an array or a constant."""
-    if callable(value):
-        value = value(*grid.meshgrid())
-    return np.broadcast_to(np.asarray(value, dtype=float), grid.shape).copy()
 
 
 def _harmonic(a, b):
@@ -135,16 +128,19 @@ class LinearSystem:
         return out.ravel()
 
 
-def _boundary_grid(grid, boundary):
-    """The Dirichlet data on the boundary nodes and 0 inside, read-only:
-    boundary is a callable (X, Y) -> values, an array or a constant."""
-    g = np.where(grid.boundary_mask(), _grid_values(grid, boundary), 0.0)
+def _boundary_grid(grid, g):
+    """The Dirichlet data g (node values) on the boundary nodes and 0
+    inside, read-only.  Raises DomainError unless g has the grid's shape."""
+    if np.shape(g) != grid.shape:
+        raise DomainError("boundary data shape mismatch")
+    g = np.where(grid.boundary_mask(), g, 0.0)
     g.setflags(write=False)
     return g
 
 
-def assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
-    """Assemble the interior 5-point system of diag(1, q22), frozen.
+def assemble_linear(q22, grid, rhs, g):
+    """Assemble the interior 5-point system of diag(1, q22), frozen, for
+    the constant rhs and the Dirichlet data g (node values of the grid).
 
     Every x-face weighs cx = 1/hx^2; the y-faces are harmonic means of the
     nodal q22 values, so an exact zero on one side closes the face.  No
@@ -154,7 +150,7 @@ def assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
     order of a CSR assembly of the same operator, so the values match it
     bit for bit.
     """
-    return _assemble(q22, grid, rhs, _boundary_grid(grid, boundary))
+    return _assemble(q22, grid, rhs, _boundary_grid(grid, g))
 
 
 def _assemble(q22, grid, rhs, g):
@@ -174,7 +170,7 @@ def _assemble(q22, grid, rhs, g):
     down, up = wy[1:-1, :-1], wy[1:-1, 1:]
     diag = ((cx + cx) + down) + up
 
-    b = -_grid_values(grid, rhs)[1:-1, 1:-1]
+    b = np.full((nx - 2, ny - 2), -float(rhs))
     b += cx * g[:-2, 1:-1]
     b += cx * g[2:, 1:-1]
     b += down * g[1:-1, :-2]
@@ -326,7 +322,7 @@ def cg(A, b, x0=None, *, rtol, atol, maxiter, M, callback=None):
     return x, maxiter, maxiter
 
 
-def solve_linear(system, spec=None, stats=None, x0=None):
+def solve_linear(system, spec, stats=None, x0=None):
     """Solve the assembled system; returns the full-grid DiscreteFunction.
 
     Conjugate gradients (cg) preconditioned by the separable operator (see
@@ -334,12 +330,11 @@ def solve_linear(system, spec=None, stats=None, x0=None):
     mesh-independent handful under the quasilinear sandwich.  x0, the
     interior values (flat, j fastest, or as an (nx-2, ny-2) array), starts
     CG there instead of at zero.  CG stops at relative residual
-    spec.lin_tol (spec a SolverSpec, SolverSpec() when None) and raises
-    SolverError when the true residual, a pairwise-summed norm like CG's
-    own, still misses it after spec.lin_max_iter iterations.  When given,
-    stats records the iterations.
+    spec.lin_tol and raises SolverError when the true residual, a
+    pairwise-summed norm like CG's own, still misses it after
+    spec.lin_max_iter iterations.  When given, stats records the
+    iterations.
     """
-    spec = spec or SolverSpec()
     b = system.rhs
     atol = spec.lin_tol * max(_norm(b), 1.0)
     x, info, iterations = cg(system.apply, b, x0, rtol=spec.lin_tol,
@@ -365,30 +360,29 @@ class QuasilinearResult:
     residuals: list
 
 
-def solve_quasilinear(env, boundary, spec=None, stats=None):
-    """Damped Picard iteration u_{k+1} = (1-theta) u_k + theta solve(A(x, u_k)).
+def solve_quasilinear(form, g, spec, stats=None):
+    """Damped Picard iteration u_{k+1} = (1-theta) u_k + theta solve(A(x, u_k))
+    for A(x, z) = diag(1, default_phi(z) q22) on the form's q22.
 
-    boundary is the Dirichlet data, as assemble_linear takes it; theta,
-    the tolerances, the iteration caps and the right-hand side come from
-    spec (SolverSpec() when None).  Picard starts from u_0 =
-    solve(A(x, 0)).  Each later frozen solve warm starts its CG at the
-    previous frozen solution, which the next one differs from by about the
-    Picard step, so the inner iterations shrink as Picard converges; the
-    fixed point is unchanged up to the CG tolerance.  Returns the first
-    iterate meeting the sup-norm tolerance, with the residual history.
-    Non-convergence is reported on the result (best iterate and
-    diagnostic), not raised.  stats, when given, records every frozen
-    linear solve.  The boundary data is put on the grid once and every
-    frozen system shares it; a frozen system and its coefficients are
-    freed before the next step assembles its own.
+    g is the Dirichlet data, as assemble_linear takes it; theta, the
+    tolerances, the iteration caps and the right-hand side come from spec.
+    Picard starts from u_0 = solve(A(x, 0)).  Each later frozen solve warm
+    starts its CG at the previous frozen solution, which the next one
+    differs from by about the Picard step, so the inner iterations shrink
+    as Picard converges; the fixed point is unchanged up to the CG
+    tolerance.  Returns the first iterate meeting the sup-norm tolerance,
+    with the residual history.  Non-convergence is reported on the result
+    (best iterate and diagnostic), not raised.  stats, when given, records
+    every frozen linear solve.  The boundary data is put on the grid once
+    and every frozen system shares it; a frozen system and its
+    coefficients are freed before the next step assembles its own.
     """
-    spec = spec or SolverSpec()
-    grid = env.base.grid
-    g = _boundary_grid(grid, boundary)    # every frozen system shares it
+    grid = form.grid
+    g = _boundary_grid(grid, g)    # every frozen system shares it
 
     def frozen_solve(z, previous=None):
         # the coefficients die with the assembly, before the solve runs
-        system = _assemble(env.coefficients(z), grid, spec.rhs, g)
+        system = _assemble(default_phi(z) * form.q22, grid, spec.rhs, g)
         x0 = None if previous is None else previous.values[1:-1, 1:-1]
         return solve_linear(system, spec, stats, x0)
 

@@ -2,8 +2,9 @@
 standard grids/fields are session-scoped and reused across test modules.
 Every report.json the session writes is checked against the packaged
 schema when the session ends.  svg_image reads the raster of a heatmap or
-nesting diagram back, read_npz a distance field's .npz, and
-traced_grid_peak measures a call's peak memory in grid-sized arrays."""
+nesting diagram back, read_npz a distance field's .npz,
+traced_grid_peak measures a call's peak memory in grid-sized arrays and
+solve_paraboloid solves for a paraboloid under a non-constant f."""
 
 import base64
 import importlib.resources as resources
@@ -18,9 +19,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from subunit_lab.config import SolverSpec
 from subunit_lab.forms import DegeneracyProfile, assemble_form
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import solve_distance
+from subunit_lab.solver import assemble_linear, solve_linear
 
 EPS_FINE = 1e-3
 
@@ -111,6 +114,23 @@ def traced_grid_peak(shape, fn, *args):
         if started:
             tracemalloc.stop()
     return result, peak / (shape[0] * shape[1] * 8)
+
+
+def solve_paraboloid(form, center):
+    """(u, f) for the exact solution u = (x-a)^2 + (y-b)^2 of
+    div(Q grad u) = f, f = 2 + 2 q22, on the form's grid, by the 5-point
+    scheme, which is exact on quadratics.  The solver takes a constant
+    f, so the system is assembled for f = 0 and -f is added to its
+    right-hand side."""
+    g = form.grid
+    X, Y = g.meshgrid()
+    exact = (X - center[0]) ** 2 + (Y - center[1]) ** 2
+    f = 2.0 + 2.0 * form.q22
+    system = assemble_linear(form.q22, g, 0.0, exact)
+    system.rhs -= f[1:-1, 1:-1].ravel()
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
+    assert np.max(np.abs(u - exact)) < 1e-9             # stencil-exact oracle
+    return u, f
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -27,12 +27,11 @@ import pytest
 
 from subunit_lab.config import ExperimentConfig, SolverSpec
 from subunit_lab.cutoff import build_sequence, build_special_cutoff
-from subunit_lab.diagnostics import (harnack_check, harnack_exponent,
+from subunit_lab.diagnostics import (C_CAL, harnack_check, harnack_exponent,
                                      log_c_har, log_estimate,
                                      oscillation_curve, schedule_gamma,
                                      shift_m)
-from subunit_lab.forms import (DegeneracyProfile, QuasilinearEnvelope,
-                               assemble_form, eval_h)
+from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.geometry import (box_sandwich, growth_condition_check,
                                   volume_curve)
 from subunit_lab.grid import GridSpec
@@ -41,6 +40,7 @@ from subunit_lab.pipeline import run_experiment
 from subunit_lab.reporting import compare, load_report
 from subunit_lab.solver import (assemble_linear, max_principle_slack,
                                 solve_linear, solve_quasilinear)
+from conftest import solve_paraboloid
 from tests.test_cutoff import seq_delta
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "src",
@@ -54,7 +54,7 @@ C_SUPPORT = 2.0          # max observed support ratio 1.551
 C_ENVELOPE = 1.5         # max observed gradient envelope 1.034
 C_SPECIAL = 2.0 * math.sqrt(2.0)   # max observed 2.051; sqrt(n) * slope law
 C_SIGMA = 0.5            # max observed Moser empirical constant 0.071
-C_HARNACK = math.e       # prefactor of C_Har(r) frozen from reference runs
+C_HARNACK = C_CAL        # prefactor of C_Har(r), e, frozen from reference runs
 
 DYADIC5 = (0.4, 0.2, 0.1, 0.05, 0.025)
 
@@ -311,7 +311,7 @@ def test_c7_exact_solution_oracle_and_max_principle():
     for prof in (DegeneracyProfile("power", 1.0),
                  DegeneracyProfile("paper_model", 9.0)):
         form = assemble_form(prof, g)
-        system = assemble_linear(form.q22, g, 0.0, lambda X, Y: X + 2.0)
+        system = assemble_linear(form.q22, g, 0.0, X + 2.0)
         u = solve_linear(system, SolverSpec(lin_tol=1e-13))
         worst_err = max(worst_err, float(np.max(np.abs(u.values - (X + 2.0)))))
 
@@ -320,9 +320,8 @@ def test_c7_exact_solution_oracle_and_max_principle():
     worst_slack = 0.0
     for _ in range(20):
         c = rng.normal(size=5)
-        bc = lambda X, Y: (c[0] + c[1] * X + c[2] * Y
-                           + c[3] * np.sin(3 * X + 2 * Y)
-                           + c[4] * np.cos(4 * Y - X))
+        bc = (c[0] + c[1] * X + c[2] * Y + c[3] * np.sin(3 * X + 2 * Y)
+              + c[4] * np.cos(4 * Y - X))
         system = assemble_linear(form.q22, g, 0.0, bc)
         u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         spread = max(float(np.ptp(system.boundary_values[g.boundary_mask()])),
@@ -366,11 +365,10 @@ def test_c7b_quasilinear_exact_solution_oracle():
         errors, steps = [], []
         for n in (65, 129, 257):
             g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
-            res = solve_quasilinear(QuasilinearEnvelope(
-                base=assemble_form(prof, g)), exact, spec)
+            u_exact = exact(*g.meshgrid())
+            res = solve_quasilinear(assemble_form(prof, g), u_exact, spec)
             assert res.converged
-            errors.append(float(np.max(np.abs(res.u.values
-                                              - exact(*g.meshgrid())))))
+            errors.append(float(np.max(np.abs(res.u.values - u_exact))))
             steps.append(res.iterations)
         orders = [math.log2(e0 / e1) for e0, e1 in zip(errors, errors[1:])]
         ok &= all(1.9 <= p <= 2.1 for p in orders)
@@ -398,11 +396,11 @@ def test_c8_harnack(grushin_form, grushin_field_off_axis):
     X, Y = g.meshgrid()
     solutions = [X + 2.0]                             # exact affine
     boundaries = [
-        lambda X, Y: 0.5 * X - 0.3 * Y + 2.0,
-        lambda X, Y: X + 2.0 + 0.5 * np.sin(3 * X) * np.cos(2 * Y),
-        lambda X, Y: 3.0 + 0.8 * np.cos(4 * X - Y),
-        lambda X, Y: 2.5 - 0.6 * X + 0.4 * np.sin(5 * Y),
-        lambda X, Y: 1.5 + 0.9 * X * Y + 0.2 * np.cos(3 * X),
+        0.5 * X - 0.3 * Y + 2.0,
+        X + 2.0 + 0.5 * np.sin(3 * X) * np.cos(2 * Y),
+        3.0 + 0.8 * np.cos(4 * X - Y),
+        2.5 - 0.6 * X + 0.4 * np.sin(5 * Y),
+        1.5 + 0.9 * X * Y + 0.2 * np.cos(3 * X),
     ]
     for bc in boundaries:
         system = assemble_linear(grushin_form.q22, g, 0.0, bc)
@@ -415,7 +413,10 @@ def test_c8_harnack(grushin_form, grushin_field_off_axis):
         assert float(u.min()) > 0.0
         for r in dyadic:
             rep = harnack_check(u, field, r, 0.5, 2.0, deltas[r],
-                                shift_m(u, 0.0, r), C_cal=C_HARNACK)
+                                shift_m(u, 0.0, r))
+            # harnack_check's ln C_Har(r) has the prefactor C_HARNACK
+            assert math.isclose(rep.log_c_har, math.log(C_HARNACK) + 2.0
+                                * (0.5 * r / deltas[r]) ** 9, rel_tol=1e-15)
             checked += 1
             passed += bool(rep.passed)
             worst_slack = max(worst_slack, rep.log_slack)
@@ -476,8 +477,7 @@ def test_c10_oscillation_recursion(pipeline_runs, paper_form,
     chain = [0.32 * 0.5 ** k for k in range(4)]
     osc = oscillation_curve(
         [X + 2.0] * 4, [paper_field_origin] * 4, chain, 0.5, 0.5,
-        lambda r: log_c_har(0.5 * r, 0.5 * r * eval_h(0.25 * r, 9.0), 2.0,
-                            C_HARNACK),
+        lambda r: log_c_har(0.5 * r, 0.5 * r * eval_h(0.25 * r, 9.0), 2.0),
         0.0)
     axis_ok = bool(np.all(osc.pair_ok)) and osc.monotone
     ok = pipe_ok and axis_ok and covered >= 2
@@ -497,18 +497,13 @@ def test_c11_log_estimates_stability():
         g = GridSpec(-0.5, 0.5, -0.5, 0.5, 257, 257)
         form = assemble_form(prof, g)
         a, b = 0.15, 0.0
-        X, Y = g.meshgrid()
-        f_rhs = 2.0 + 2.0 * form.q22
-        bc = (X - a) ** 2 + (Y - b) ** 2
-        system = assemble_linear(form.q22, g, f_rhs, bc)
-        u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
+        u, f_rhs = solve_paraboloid(form, (a, b))
         field = solve_distance(form, g.nearest_node(a, b), 1e-3)
         consts = []
         for r in (0.24, 0.12, 0.06):
             d_r = seq_delta(field, r, 1.0)
             rep = log_estimate(u, field, r, d_r, form, shift_m(u, f_rhs, r))
-            consts.append((rep.inter_constant, rep.est1_constant,
-                           rep.est2_constant))
+            consts.append((rep.inter, rep.est1, rep.est2))
         for k, label in enumerate(("inter", "est1", "est2")):
             vals = [c[k] for c in consts]
             if not all(np.isfinite(vals)):

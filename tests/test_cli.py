@@ -27,7 +27,8 @@ from subunit_lab.grid import GridSpec
 from subunit_lab.metric import DistanceField
 from subunit_lab.pipeline import (ARTIFACT_DIRS, STAGES, write_grid_csv,
                                   write_grid_npz)
-from subunit_lab.reporting import DEFAULT_BUDGET, compare, load_report
+from subunit_lab.reporting import (DEFAULT_BUDGET, compare, load_report,
+                                   write_json)
 from subunit_lab.svgplot import HEATMAP_CELLS, heatmap
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "src", "subunit_lab",
@@ -66,7 +67,7 @@ def smoke_run(tmp_path_factory, smoke_cfg_path):
 def test_config_roundtrip(tmp_path, name):
     cfg = ExperimentConfig.load(os.path.join(CONFIGS, f"{name}.json"))
     p = tmp_path / "echo.json"
-    cfg.dump(p)
+    write_json(p, cfg.to_dict())
     cfg2 = ExperimentConfig.load(p)
     assert cfg.to_dict() == cfg2.to_dict()
     assert ExperimentConfig.from_dict(cfg.to_dict()).to_dict() \
@@ -901,13 +902,13 @@ def test_artifact_csv_cells_are_plain_numbers(smoke_run, tmp_path):
         read_npz(path, grid)
 
 
-def _csv_writer_grid_csv(path, grid, values, name):
+def _csv_writer_grid_csv(path, grid, values):
     # the former write_grid_csv: meshgrid rows through csv.writer, each
     # cell formatted as repr(float(v))
     X, Y = grid.meshgrid()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(("x", "y", name))
+        w.writerow(("x", "y", "u"))
         for row in zip(X.ravel(), Y.ravel(), values.ravel()):
             w.writerow([repr(float(v)) for v in row])
 
@@ -933,8 +934,8 @@ def _grid_field(grid):
 
 def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
     values = _grid_values(GRID)
-    write_grid_csv(tmp_path / "new.csv", GRID, values, "value")
-    _csv_writer_grid_csv(tmp_path / "old.csv", GRID, values, "value")
+    write_grid_csv(tmp_path / "new.csv", GRID, values)
+    _csv_writer_grid_csv(tmp_path / "old.csv", GRID, values)
     new = (tmp_path / "new.csv").read_bytes()
     assert new == (tmp_path / "old.csv").read_bytes()
     assert new.count(b"\r\n") == 41 * 23 + 1
@@ -947,10 +948,10 @@ def test_write_grid_csv_matches_csv_writer_bytes(tmp_path):
 def test_write_grid_csv_round_trips_every_value(tmp_path):
     # one row per node, each reading back as its node's value, bit for bit
     values = _grid_values(GRID)
-    write_grid_csv(tmp_path / "f.csv", GRID, values, "value")
+    write_grid_csv(tmp_path / "f.csv", GRID, values)
     with open(tmp_path / "f.csv", newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "y", "value"]
+    assert rows[0] == ["x", "y", "u"]
     node = {(x, y): (i, j) for i, x in enumerate(GRID.xs().tolist())
             for j, y in enumerate(GRID.ys().tolist())}
     back = np.full(GRID.shape, 7.0)
@@ -969,7 +970,7 @@ def test_write_grid_csv_rejects_values_off_the_grid(tmp_path, shape):
     # StopIteration); too many were cut to the grid's node count unseen
     grid = GridSpec(-1.3, -0.1, -0.7, 0.45, 41, 23)
     with pytest.raises(DomainError, match="shape"):
-        write_grid_csv(tmp_path / "bad.csv", grid, np.zeros(shape), "value")
+        write_grid_csv(tmp_path / "bad.csv", grid, np.zeros(shape))
     with pytest.raises(DomainError, match="shape"):
         write_grid_npz(tmp_path / "bad.npz", grid, np.zeros(shape))
     assert not os.listdir(tmp_path)

@@ -21,6 +21,7 @@ from subunit_lab.forms import DegeneracyProfile, assemble_form, eval_h
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball, solve_distance
 from subunit_lab.solver import assemble_linear, solve_linear
+from conftest import solve_paraboloid
 from tests.test_cutoff import seq_delta
 
 
@@ -80,12 +81,7 @@ def paraboloid_setup():
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 257, 257)
     form = assemble_form(DegeneracyProfile("power", 1.0), g)
     a, b = 0.2, 0.0
-    X, Y = g.meshgrid()
-    f_rhs = 2.0 + 2.0 * form.q22
-    bc = (X - a) ** 2 + (Y - b) ** 2
-    system = assemble_linear(form.q22, g, f_rhs, bc)
-    u = solve_linear(system, SolverSpec(lin_tol=1e-13)).values
-    assert np.max(np.abs(u - bc)) < 1e-9             # stencil-exact oracle
+    u, f_rhs = solve_paraboloid(form, (a, b))
     field = solve_distance(form, g.nearest_node(a, b), 1e-3)
     return dict(grid=g, form=form, field=field, u=u, f_rhs=f_rhs,
                 center=(a, b))
@@ -224,16 +220,16 @@ def test_log_estimate_constant_solution_zero(grushin_setup):
     s = grushin_setup
     w = np.full(s["grid"].shape, 2.0)
     rep = log_estimate(w, s["field"], s["r"], s["delta_r"], s["form"], 1.0)
-    assert rep.inter_constant == 0.0
-    assert rep.est1_constant == 0.0
-    assert rep.est2_constant == 0.0
+    assert rep.inter == 0.0
+    assert rep.est1 == 0.0
+    assert rep.est2 == 0.0
 
 
 def test_log_estimate_affine_finite(grushin_setup):
     s = grushin_setup
     rep = log_estimate(s["u"], s["field"], s["r"], s["delta_r"], s["form"],
                        shift_m(s["u"], 0.0, s["r"]))
-    consts = (rep.inter_constant, rep.est1_constant, rep.est2_constant)
+    consts = (rep.inter, rep.est1, rep.est2)
     assert all(np.isfinite(consts))
     assert all(c > 0 for c in consts)
     assert not rep.floor_proximity
@@ -250,8 +246,7 @@ def test_log_estimate_floor_touching_band_stability(paraboloid_setup):
         rep = log_estimate(s["u"], s["field"], r, delta_r, s["form"],
                            shift_m(s["u"], s["f_rhs"], r))
         assert rep.floor_proximity          # ubar touches m(r) at the center
-        consts.append((rep.inter_constant, rep.est1_constant,
-                       rep.est2_constant))
+        consts.append((rep.inter, rep.est1, rep.est2))
     for k in range(3):
         vals = [c[k] for c in consts]
         assert max(vals) / min(vals) <= 1.25 / 0.75
@@ -335,7 +330,8 @@ def test_local_bound_refinement_stable():
         g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
         form = assemble_form(DegeneracyProfile("constant", 1.0), g)
         field = solve_distance(form, (n // 2, n // 2), 1e-3)
-        bc = lambda X, Y: 2.0 + 0.5 * np.sin(4 * X) * np.cos(3 * Y)
+        X, Y = g.meshgrid()
+        bc = 2.0 + 0.5 * np.sin(4 * X) * np.cos(3 * Y)
         system = assemble_linear(form.q22, g, 0.0, bc)
         u = solve_linear(system, SolverSpec(lin_tol=1e-12)).values
         delta = seq_delta(field, 0.2, 0.5)

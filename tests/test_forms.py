@@ -40,6 +40,18 @@ def test_h_dual_path_12_digits():
     assert math.isclose(ours, ref, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("x", [0.01, math.exp(-3.0) * 0.999,
+                               math.exp(-3.0) * 1.001, 0.5, 0.9999, 0.99998,
+                               0.99999])
+def test_h_near_one_against_mpmath(x):
+    # near x = 1, 1 - e^t rounds toward 1: ln(1 - e^t) as ln(-expm1(t))
+    # lost digits there (-1.1% at 0.99998) and divided by zero at 0.99999;
+    # both sides of the branch at x = e^-3 are checked
+    ours = eval_h(x, 9.0, domain_cap=0.999999)
+    ref = float(mpmath_h(math.log(x), 9.0))
+    assert math.isclose(ours, ref, rel_tol=2e-15)
+
+
 def test_h_monotone_tail_to_zero():
     # h -> 0+ along a decreasing x-sequence (monotone tail check)
     ln_xs = [-10.0, -1e2, -1e3, -1e4, -1e5, -1e6]

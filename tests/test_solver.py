@@ -18,8 +18,8 @@ from subunit_lab.cutoff import q_gradient
 from subunit_lab.errors import (ConfigError, DomainError, EmptySupportError,
                                 ZeroGradientError)
 from subunit_lab.forms import (PHI_RANGE, DegeneracyProfile,
-                               QuadraticFormField, QuasilinearEnvelope,
-                               assemble_form)
+                               QuadraticFormField, assemble_form,
+                               default_phi)
 from subunit_lab.grid import GridSpec
 from subunit_lab.metric import ball
 from subunit_lab.solver import (SolveStats, _dst1, _harmonic, _norm,
@@ -27,9 +27,6 @@ from subunit_lab.solver import (SolveStats, _dst1, _harmonic, _norm,
                                 assemble_linear, cg, max_principle_slack,
                                 poincare_functional, solve_linear,
                                 solve_quasilinear, sobolev_functional)
-
-AFFINE = staticmethod(lambda X, Y: X + 2.0)
-
 
 @pytest.fixture(scope="module")
 def grid97():
@@ -40,19 +37,16 @@ def affine(X, Y):
     return X + 2.0
 
 
-def _reference_assemble_linear(q22, grid, rhs=0.0, boundary=0.0):
+def _reference_assemble_linear(q22, grid, rhs, u_bd):
     """The interior 5-point system of diag(1, q22) assembled as a CSR
     matrix: index maps,
-    one COO block per stencil direction and the boundary folded into the
-    right-hand side with np.add.at.  The reference the matrix-free system
-    must match bit for bit; returns (matrix, rhs)."""
+    one COO block per stencil direction and the boundary data u_bd (node
+    values) folded into the right-hand side with np.add.at.  The reference
+    the matrix-free system must match bit for bit; returns (matrix, rhs)."""
     nx, ny = grid.shape
     wx = np.full((nx - 1, ny), 1.0 / grid.hx ** 2)
     wy = _harmonic(q22[:, :-1], q22[:, 1:]) / grid.hy ** 2
-    X, Y = grid.meshgrid()
-    u_bd = np.broadcast_to(boundary(X, Y) if callable(boundary)
-                           else boundary, grid.shape).astype(float)
-    f = np.broadcast_to(rhs, grid.shape).astype(float)
+    f = np.full(grid.shape, float(rhs))
 
     interior = ~grid.boundary_mask()
     flat_int = np.flatnonzero(interior.ravel())
@@ -96,15 +90,17 @@ def _reference_solve(matrix, b, system, spec):
 @pytest.mark.parametrize("random_f", [False, True], ids=["f0", "f_random"])
 @pytest.mark.parametrize("shape", [(33, 33), (41, 23), (145, 145), (20, 57)])
 def test_matrix_free_system_matches_csr_reference(shape, random_f):
-    # random q22 with a zero column off the boundary; the unit first
-    # entry links every node to the boundary along its row
+    # random q22 with a zero column off the boundary, and f 0 or a random
+    # constant; the unit first entry links every node to the boundary
+    # along its row
     g = GridSpec(-0.5, 0.5, -0.3, 0.7, *shape)
     rng = np.random.default_rng(shape[0] * 1000 + shape[1])
     q22 = rng.uniform(0.0, 1.5, g.shape) ** 2
     q22[2 * shape[0] // 3, :] = 0.0
-    f = rng.normal(size=g.shape) if random_f else 0.0
-    system = assemble_linear(q22, g, f, trig)
-    matrix, rhs = _reference_assemble_linear(q22, g, f, trig)
+    f = rng.normal() if random_f else 0.0
+    bc = trig(*g.meshgrid())
+    system = assemble_linear(q22, g, f, bc)
+    matrix, rhs = _reference_assemble_linear(q22, g, f, bc)
     assert (system.rhs + 0.0).tobytes() == (rhs + 0.0).tobytes()
     for _ in range(3):
         v = rng.normal(size=rhs.size)
@@ -121,9 +117,8 @@ def _frozen_picard_system(n):
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, n, n)
     form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
     X, Y = g.meshgrid()
-    a22 = QuasilinearEnvelope(base=form).coefficients(
-        4.0 * (trig(X, Y) - 2.0))
-    return assemble_linear(a22, g, 0.0, trig)
+    a22 = default_phi(4.0 * (trig(X, Y) - 2.0)) * form.q22
+    return assemble_linear(a22, g, 0.0, trig(X, Y))
 
 
 @pytest.mark.parametrize("n,tol", [(65, 1e-12), (129, 1e-8)])
@@ -156,7 +151,8 @@ def test_cg_zero_rhs_and_untouched_start():
 
 def test_harmonic_identity_euclidean(grid97):
     form = assemble_form(DegeneracyProfile("constant", 1.0), grid97)
-    system = assemble_linear(form.q22, grid97, 0.0, affine)
+    system = assemble_linear(form.q22, grid97, 0.0,
+                             affine(*grid97.meshgrid()))
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -164,7 +160,8 @@ def test_harmonic_identity_euclidean(grid97):
 
 def test_grushin_affine_is_stencil_exact(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    system = assemble_linear(form.q22, grid97, 0.0, affine)
+    system = assemble_linear(form.q22, grid97, 0.0,
+                             affine(*grid97.meshgrid()))
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = grid97.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -174,9 +171,9 @@ def test_general_affine_family_exact(grid97):
     # u = a x + b y + c is stencil-exact for any x-dependent diagonal form
     form = assemble_form(DegeneracyProfile("exponential", 0.3), grid97)
     bc = lambda X, Y: 0.7 * X - 1.3 * Y + 2.5
-    system = assemble_linear(form.q22, grid97, 0.0, bc)
-    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, Y = grid97.meshgrid()
+    system = assemble_linear(form.q22, grid97, 0.0, bc(X, Y))
+    u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     assert np.max(np.abs(u.values - bc(X, Y))) < 1e-9
 
 
@@ -186,7 +183,7 @@ def test_paper_model_zero_column_still_solvable():
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
     form = assemble_form(DegeneracyProfile("paper_model", 9.0), g)
     assert np.all(form.q22[32, :] == 0.0)
-    system = assemble_linear(form.q22, g, 0.0, affine)
+    system = assemble_linear(form.q22, g, 0.0, affine(*g.meshgrid()))
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     X, _ = g.meshgrid()
     assert np.max(np.abs(u.values - (X + 2.0))) < 1e-10
@@ -203,12 +200,13 @@ def test_separable_system_exact_preconditioner(profile):
     # q = diag(1, f(x)^2): the separable preconditioner is the system
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
     form = assemble_form(profile, g)
-    system = assemble_linear(form.q22, g, 0.0, trig)
+    bc = trig(*g.meshgrid())
+    system = assemble_linear(form.q22, g, 0.0, bc)
     stats = SolveStats()
     u = solve_linear(system, SolverSpec(), stats)
     assert stats.linear_solves == 1
     assert 1 <= stats.max_pcg_iterations <= 2
-    matrix, _ = _reference_assemble_linear(form.q22, g, 0.0, trig)
+    matrix, _ = _reference_assemble_linear(form.q22, g, 0.0, bc)
     direct = splu(matrix.tocsc()).solve(system.rhs)
     x = u.values[1:-1, 1:-1].ravel()
     assert np.max(np.abs(x - direct)) < 1e-10
@@ -311,7 +309,7 @@ def test_any_nonnegative_q22_assembles_and_solves(case):
     # to the boundary along its row, so every such system is definite
     g, q22 = _any_q22(case)
     spec = SolverSpec()
-    system = assemble_linear(q22, g, 0.0, trig)
+    system = assemble_linear(q22, g, 0.0, trig(*g.meshgrid()))
     u = solve_linear(system, spec)
     x = u.values[1:-1, 1:-1].ravel()
     assert (_norm(system.rhs - system.apply(x))
@@ -333,7 +331,21 @@ def test_non_finite_q22_is_rejected(bad):
     q22 = np.ones(g.shape)
     q22[5, 5] = bad
     with pytest.raises(DomainError, match="finite"):
-        assemble_linear(q22, g, 0.0, trig)
+        assemble_linear(q22, g, 0.0, trig(*g.meshgrid()))
+
+
+@pytest.mark.parametrize("shape", [(), (33,), (1, 33), (33, 1), (33, 34),
+                                   (32, 33)])
+def test_boundary_data_off_the_grid_is_rejected(shape):
+    # node values of another shape were broadcast across the grid, so a
+    # row of y-values silently became every column's data
+    g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
+    form = assemble_form(DegeneracyProfile("power", 1.0), g)
+    bad = np.full(shape, 2.0)
+    with pytest.raises(DomainError, match="shape"):
+        assemble_linear(form.q22, g, 0.0, bad)
+    with pytest.raises(DomainError, match="shape"):
+        solve_quasilinear(form, bad, SolverSpec())
 
 
 @pytest.mark.parametrize("name,value", [
@@ -363,7 +375,8 @@ def test_maximum_principle_random_boundaries(grid97):
         coef = rng.normal(size=4)
         bc = lambda X, Y: (coef[0] + coef[1] * X + coef[2] * Y
                            + coef[3] * np.sin(3 * X + 2 * Y))
-        system = assemble_linear(form.q22, grid97, 0.0, bc)
+        system = assemble_linear(form.q22, grid97, 0.0,
+                                 bc(*grid97.meshgrid()))
         u = solve_linear(system, SolverSpec(lin_tol=1e-12))
         spread = float(np.ptp(system.boundary_values[grid97.boundary_mask()]))
         assert max_principle_slack(u, system) <= 1e-8 * max(spread, 1.0)
@@ -373,7 +386,7 @@ def test_energy_identity(grid97):
     # u' S u = u' b to linear-solver tolerance (discrete weak formulation)
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
     bc = lambda X, Y: X + 0.3 * np.sin(4 * Y) + 2.0
-    system = assemble_linear(form.q22, grid97, 0.5, bc)
+    system = assemble_linear(form.q22, grid97, 0.5, bc(*grid97.meshgrid()))
     u = solve_linear(system, SolverSpec(lin_tol=1e-13))
     x = u.values[1:-1, 1:-1].ravel()
     lhs = float(x @ system.apply(x))
@@ -381,20 +394,12 @@ def test_energy_identity(grid97):
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
 
 
-def test_quasilinear_constant_phi_one_iteration(grid97):
-    form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + 0.0 * z)
-    res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
-    assert res.converged
-    assert res.iterations == 1
-
-
 def test_quasilinear_tanh_geometric_decay(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form)       # phi = 2 + tanh(z)
-    bc = lambda X, Y: X + 0.4 * np.sin(3 * Y) + 2.0
-    res = solve_quasilinear(env, bc, SolverSpec(theta=0.7, fp_tol=1e-10,
-                                                fp_max_iter=40))
+    X, Y = grid97.meshgrid()
+    bc = X + 0.4 * np.sin(3 * Y) + 2.0
+    res = solve_quasilinear(form, bc, SolverSpec(theta=0.7, fp_tol=1e-10,
+                                                 fp_max_iter=40))
     assert res.converged
     if len(res.residuals) >= 3:
         decay = [b / a for a, b in zip(res.residuals, res.residuals[1:]) if a > 0]
@@ -403,12 +408,12 @@ def test_quasilinear_tanh_geometric_decay(grid97):
 
 def test_quasilinear_consistency_reassemble(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form)
     spec = SolverSpec(theta=0.7, fp_tol=1e-11)
-    res = solve_quasilinear(env, affine, spec)
+    bc = affine(*grid97.meshgrid())
+    res = solve_quasilinear(form, bc, spec)
     assert res.converged
-    a22 = env.coefficients(res.u.values)
-    system = assemble_linear(a22, grid97, spec.rhs, affine)
+    a22 = default_phi(res.u.values) * form.q22
+    system = assemble_linear(a22, grid97, spec.rhs, bc)
     u2 = solve_linear(system, spec)
     assert np.max(np.abs(u2.values - res.u.values)) <= 2.0 * spec.fp_tol * 10
 
@@ -423,10 +428,10 @@ def test_quasilinear_memory_ceiling():
     # and fresh CG and Picard temporaries it read 30.3.  The ceiling
     # leaves a margin of 0.9, under one grid array
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 129, 129)
-    env = QuasilinearEnvelope(
-        base=assemble_form(DegeneracyProfile("exponential", 0.1), g))
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
     spec = SolverSpec(theta=0.7, fp_tol=1e-9)
-    res, peak = traced_grid_peak(g.shape, solve_quasilinear, env, trig, spec)
+    res, peak = traced_grid_peak(g.shape, solve_quasilinear, form,
+                                 trig(*g.meshgrid()), spec)
     assert res.converged and res.iterations > 1
     assert peak <= 21.5, peak
 
@@ -435,16 +440,16 @@ def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
     # the exp-picard problem on 65^2: warm-started frozen solves against
     # the same Picard loop with every frozen solve started at zero
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 65, 65)
-    env = QuasilinearEnvelope(
-        base=assemble_form(DegeneracyProfile("exponential", 0.1), g))
+    form = assemble_form(DegeneracyProfile("exponential", 0.1), g)
+    bc = trig(*g.meshgrid())
     spec = SolverSpec(theta=0.7, fp_tol=1e-9)
     warm_stats, cold_stats = SolveStats(), SolveStats()
-    warm = solve_quasilinear(env, trig, spec, warm_stats)
+    warm = solve_quasilinear(form, bc, spec, warm_stats)
     solve = solver.solve_linear
     monkeypatch.setattr(solver, "solve_linear",
                         lambda system, spec, stats, x0: solve(
                             system, spec, stats))
-    cold = solve_quasilinear(env, trig, spec, cold_stats)
+    cold = solve_quasilinear(form, bc, spec, cold_stats)
     assert warm.converged and cold.converged
     assert warm.iterations == cold.iterations
     assert warm_stats.linear_solves == cold_stats.linear_solves
@@ -453,12 +458,14 @@ def test_picard_warm_start_saves_pcg_iterations(monkeypatch):
 
 
 def test_quasilinear_stiff_no_convergence_path():
+    # data of amplitude 4 spans tanh's bend, so four undamped steps end
+    # some way short of fp_tol (the last step is about 1e-3)
     g = GridSpec(-0.5, 0.5, -0.5, 0.5, 33, 33)
     form = assemble_form(DegeneracyProfile("constant", 1.0), g)
-    env = QuasilinearEnvelope(base=form, phi=lambda z: 2.0 + np.tanh(80.0 * z))
-    bc = lambda X, Y: 0.05 * np.sin(6 * X) * np.cos(6 * Y)
-    res = solve_quasilinear(env, bc, SolverSpec(theta=1.0, fp_tol=1e-14,
-                                                fp_max_iter=4))
+    X, Y = g.meshgrid()
+    bc = 4.0 * np.sin(6 * X) * np.cos(6 * Y)
+    res = solve_quasilinear(form, bc, SolverSpec(theta=1.0, fp_tol=1e-14,
+                                                 fp_max_iter=4))
     assert not res.converged
     assert res.iterations == 4
     assert min(res.residuals) > 1e-14       # no step reached fp_tol
@@ -467,10 +474,10 @@ def test_quasilinear_stiff_no_convergence_path():
 
 def test_structural_sandwich_on_solution(grid97):
     form = assemble_form(DegeneracyProfile("power", 1.0), grid97)
-    env = QuasilinearEnvelope(base=form)
-    res = solve_quasilinear(env, affine, SolverSpec(fp_tol=1e-10))
+    res = solve_quasilinear(form, affine(*grid97.meshgrid()),
+                            SolverSpec(fp_tol=1e-10))
     gq2 = q_gradient(form, res.u.values) ** 2
-    a22 = env.coefficients(res.u.values)
+    a22 = default_phi(res.u.values) * form.q22
     fa = QuadraticFormField(grid=grid97, q22=a22)
     ga2 = q_gradient(fa, res.u.values) ** 2
     # A = diag(1, phi q22) against Q = diag(1, q22): the sandwich constants
